@@ -6,7 +6,6 @@ from .numsg import (  # noqa: F401
     NAT,
     NumericalSemigroup,
     apery_set,
-    contains,
     enumerate_semigroups,
     from_gaps,
     from_generators,
@@ -20,8 +19,6 @@ from .relideal import (  # noqa: F401
     enumerate_normalized_ideals,
     ideal_sum,
     is_stable,
-    is_stable_via_endomorphism,
-    is_stable_via_search,
     make_ideal,
     max_ideal,
     minimal_generator_count,

@@ -289,10 +289,25 @@ def cmd_idealization(args) -> int:
     return 0 if ok else 1
 
 
+def _join_ideal_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--ideal VALUE`` as ``--ideal=VALUE``.
+
+    argparse takes a separate value that starts with '-' but is not a plain
+    negative number, such as ``-1,0``, for an unknown option.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--ideal":
+            out[-1] = f"--ideal={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_ideal_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -188,11 +188,6 @@ def from_gaps(gaps) -> NumericalSemigroup:
 NAT = from_generators([1])
 
 
-def contains(S: NumericalSemigroup, z: int) -> bool:
-    """True iff z is a member of S."""
-    return S.contains(z)
-
-
 def apery_set(S: NumericalSemigroup, k: int) -> list[int]:
     """The least member of S in each residue class mod k, for k in S.
 

@@ -7,12 +7,13 @@ module generated is the union of the translates g + S, and translating by
 b = conductor - min(I) always lands inside S, which is the fractionality
 witness.
 
-Every ideal is stored by its unique minimal generator set, so equality is
-generator-tuple equality.  The stability test I+I = min(I)+I checks only the
-forced candidate x = min(I): at monomial level min(I+I) = 2 min(I), which
-pins the translation amount.  Completeness of that single candidate is
-cross-checked against an exhaustive candidate search and against the
-endomorphism-semigroup route, both shipped here as independent oracles.
+An ideal is stored as its least element and the bitmask of the holes of
+I - min(I): the nonnegative integers it misses.  Since min(I) + S lies in I,
+the holes are gaps of S, so the mask lies below the conductor, exactly like
+the gap mask of the semigroup itself.  The form is canonical, so equality is
+field equality, and every operation is a few shifts of one mask.  The
+stability test I+I = min(I)+I checks only the forced candidate x = min(I):
+at monomial level min(I+I) = 2 min(I), which pins the translation amount.
 """
 
 from __future__ import annotations
@@ -21,44 +22,45 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import AmbientMismatch, CapExceeded, EmptyInput
-from .numsg import NumericalSemigroup, from_gaps
+from .numsg import ENUMERATION_GENUS_CAP, NumericalSemigroup, from_gaps
 
 
 @dataclass(frozen=True)
 class RelativeIdeal:
-    """A relative ideal in canonical (minimal generator) form."""
+    """A relative ideal: its least element and the holes of I - min(I).
+
+    Bit k of ``holes`` is set iff min_element + k is not a member; every
+    hole lies below the conductor of the ambient semigroup.
+    """
 
     ambient: NumericalSemigroup
-    minimal_generators: tuple[int, ...]
-
-    @property
-    def min_element(self) -> int:
-        return self.minimal_generators[0]
+    min_element: int
+    holes: int
 
     @cached_property
-    def _window(self) -> int:
-        # beyond min + window every integer with the right offset is a member
-        gens = self.minimal_generators
-        return gens[-1] - gens[0] + self.ambient.conductor + 1
+    def minimal_generators(self) -> tuple[int, ...]:
+        """The members outside M + I, ascending (M the maximal ideal of S).
 
-    @cached_property
-    def _mask(self) -> int:
-        # membership bitmask on [min, min + window)
-        lo = self.min_element
-        width = self._window
-        mask = 0
-        for g in self.minimal_generators:
-            shift = g - lo
-            mask |= self.ambient.members_mask(width - shift) << shift
-        return mask
+        M + I is the union of s + I over the minimal generators s of S, and
+        every member from min + conductor + multiplicity on lies in
+        multiplicity + I, so that window holds every generator.
+        """
+        S = self.ambient
+        m = ((1 << (S.conductor + S.multiplicity)) - 1) & ~self.holes
+        covered = 0
+        for s in S.minimal_generators:
+            covered |= m << s
+        gens = m & ~covered
+        out = []
+        while gens:
+            low = gens & -gens
+            out.append(self.min_element + low.bit_length() - 1)
+            gens ^= low
+        return tuple(out)
 
     def contains(self, z: int) -> bool:
         k = z - self.min_element
-        if k < 0:
-            return False
-        if k >= self._window:
-            return True
-        return bool(self._mask >> k & 1)
+        return k >= 0 and not self.holes >> k & 1
 
     def __contains__(self, z: int) -> bool:
         return self.contains(z)
@@ -66,11 +68,11 @@ class RelativeIdeal:
     def members_mask(self, lo: int, width: int) -> int:
         """Bitmask of membership on [lo, lo + width)."""
         shift = self.min_element - lo
-        mask = self._mask << shift if shift >= 0 else self._mask >> -shift
-        full_from = max(self.min_element + self._window - lo, 0)
-        if full_from < width:
-            mask |= ((1 << (width - full_from)) - 1) << full_from
-        return mask & ((1 << width) - 1)
+        span = width - shift  # the offsets from min_element the window reaches
+        if span <= 0:
+            return 0
+        mask = ((1 << span) - 1) & ~self.holes
+        return mask << shift if shift >= 0 else mask >> -shift
 
     def __add__(self, other: "RelativeIdeal") -> "RelativeIdeal":
         return ideal_sum(self, other)
@@ -80,34 +82,42 @@ class RelativeIdeal:
         return f"({gens})+{self.ambient}"
 
 
-def _reduce_generators(S: NumericalSemigroup, gens) -> tuple[int, ...]:
-    """Drop every generator lying in another generator's translate of S."""
-    out: list[int] = []
-    for g in sorted(set(gens)):
-        if not any(S.contains(g - h) for h in out):
-            out.append(g)
-    return tuple(out)
-
-
 def make_ideal(S: NumericalSemigroup, gens) -> RelativeIdeal:
-    """The relative ideal of S generated by ``gens``, re-minimized."""
-    gens = list(gens)
+    """The relative ideal of S generated by ``gens``."""
+    gens = set(gens)
     if not gens:
         raise EmptyInput("need at least one ideal generator")
-    return RelativeIdeal(S, _reduce_generators(S, gens))
+    lo = min(gens)
+    c = S.conductor
+    members = 0
+    for g in gens:
+        # a generator at or past lo + conductor lies in lo + S and adds
+        # nothing; skipping it keeps the mask below the conductor
+        k = g - lo
+        if k < c:
+            members |= S.members_mask(c - k) << k
+    return RelativeIdeal(S, lo, ((1 << c) - 1) & ~members)
 
 
 def ideal_sum(I: RelativeIdeal, J: RelativeIdeal) -> RelativeIdeal:
-    """The ideal generated by all pairwise generator sums (the product IJ)."""
+    """The ideal generated by all pairwise generator sums (the product IJ).
+
+    I + J is the union of g + I over the generators g of J; its holes lie
+    below the conductor, so the shifted masks are cut there.
+    """
     if I.ambient != J.ambient:
         raise AmbientMismatch("ideals live over different semigroups")
-    sums = {a + b for a in I.minimal_generators for b in J.minimal_generators}
-    return RelativeIdeal(I.ambient, _reduce_generators(I.ambient, sums))
+    full = (1 << I.ambient.conductor) - 1
+    m = full & ~I.holes
+    members = 0
+    for g in J.minimal_generators:
+        members |= m << (g - J.min_element)
+    return RelativeIdeal(I.ambient, I.min_element + J.min_element, full & ~members)
 
 
 def translate(I: RelativeIdeal, t: int) -> RelativeIdeal:
-    """The ideal t + I; minimality of the generators is translation-invariant."""
-    return RelativeIdeal(I.ambient, tuple(g + t for g in I.minimal_generators))
+    """The ideal t + I."""
+    return RelativeIdeal(I.ambient, I.min_element + t, I.holes)
 
 
 def nfold(I: RelativeIdeal, n: int) -> RelativeIdeal:
@@ -125,21 +135,22 @@ def end_semigroup(I: RelativeIdeal) -> NumericalSemigroup:
 
     E(I) always contains the ambient S and is itself a numerical semigroup:
     negative z would push min(I) below itself, and z >= conductor(S) acts via
-    z + g in g + S.  So the scan window [0, conductor) is complete.
+    z + g in g + S.  So the scan window [0, conductor) is complete.  There z
+    is a member iff z + g lies in I for every generator g, an AND of I's mask
+    shifted down by each generator offset.
     """
-    S = I.ambient
-    gens = I.minimal_generators
-    gaps = [
-        z
-        for z in range(1, S.conductor)
-        if not all(I.contains(z + g) for g in gens)
-    ]
-    return from_gaps(gaps)
+    c = I.ambient.conductor
+    offsets = [g - I.min_element for g in I.minimal_generators]
+    m = I.members_mask(I.min_element, c + offsets[-1])
+    members = (1 << c) - 1
+    for k in offsets:
+        members &= m >> k
+    return from_gaps(z for z in range(1, c) if not members >> z & 1)
 
 
 def max_ideal(S: NumericalSemigroup) -> RelativeIdeal:
     """The maximal ideal M = S minus 0, generated by the minimal generators."""
-    return RelativeIdeal(S, S.minimal_generators)
+    return make_ideal(S, S.minimal_generators)
 
 
 def minimal_generator_count(I: RelativeIdeal) -> int:
@@ -149,92 +160,39 @@ def minimal_generator_count(I: RelativeIdeal) -> int:
 
 def is_stable(I: RelativeIdeal) -> bool:
     """True iff I + I = min(I) + I."""
-    return ideal_sum(I, I) == translate(I, I.min_element)
+    return ideal_sum(I, I).holes == I.holes
 
 
-def is_stable_via_endomorphism(I: RelativeIdeal) -> bool:
-    """Independent stability route: I equals min(I) + E(I).
-
-    E(I) is an S-module generated by its members below conductor(S); the test
-    compares that module, translated to min(I), with I itself.
-    """
-    S = I.ambient
-    E = end_semigroup(I)
-    e_gens = [z for z in range(S.conductor + 1) if E.contains(z)]
-    return translate(make_ideal(S, e_gens), I.min_element) == I
-
-
-def is_stable_via_search(I: RelativeIdeal) -> bool:
-    """Independent stability route: exhaustive witness search.
-
-    Tries every member x of I below the completeness window as the
-    translation witness for I + I = x + I.
-    """
-    K = ideal_sum(I, I)
-    lo = I.min_element
-    return any(
-        translate(I, lo + k) == K
-        for k in range(I._window)
-        if I._mask >> k & 1
-    )
-
-
-def enumerate_normalized_ideals(S: NumericalSemigroup, cap: int = 16) -> list[RelativeIdeal]:
+def enumerate_normalized_ideals(
+    S: NumericalSemigroup, cap: int = ENUMERATION_GENUS_CAP
+) -> list[RelativeIdeal]:
     """Every relative ideal I with min(I) = 0 and I inside the integers >= 0.
 
-    These are exactly the S-modules between S and its normalization: each is
-    S union T for a gap subset T with T + S inside S union T.  There are at
-    most 2^genus of them; enumeration is over gap-subset bitmasks in
-    ascending order.
+    These are exactly the S-modules between S and its normalization: each
+    misses a subset H of the gaps of S such that the members, shifted by any
+    minimal generator of S, never land in H.  There are at most 2^genus of
+    them; they come in descending order of H, which is ascending order of
+    the added gap set.
     """
     if S.genus > cap:
         raise CapExceeded(f"genus {S.genus} exceeds cap {cap}")
+    c = S.conductor
+    full = (1 << c) - 1
+    gap_mask = full & ~S.small_members
+    # a generator at or past the conductor shifts every member out of range
+    shifts = [s for s in S.minimal_generators if s < c]
     out = []
-    for t_mask in _iter_normalized_gap_masks(S):
-        out.append(_ideal_from_gap_mask(S, t_mask))
-    return out
-
-
-def _gap_requirements(S: NumericalSemigroup) -> tuple[tuple[int, ...], list[int]]:
-    """For each gap t, the gap-index bitmask that must accompany t.
-
-    t + g for a minimal generator g is either a member of S (no constraint)
-    or another gap that T must then also contain.
-    """
-    gaps = list(S.gaps())
-    index = {t: i for i, t in enumerate(gaps)}
-    reqs = []
-    for t in gaps:
-        req = 0
-        for g in S.minimal_generators:
-            u = t + g
-            if u < S.conductor and not S.contains(u):
-                req |= 1 << index[u]
-        reqs.append(req)
-    return tuple(gaps), reqs
-
-
-def _iter_normalized_gap_masks(S: NumericalSemigroup):
-    """Yield the gap-subset bitmasks T that define normalized ideals."""
-    gaps, reqs = _gap_requirements(S)
-    g = len(gaps)
-    for t_mask in range(1 << g):
-        m = t_mask
-        ok = True
-        while m:
-            i = (m & -m).bit_length() - 1
-            if reqs[i] & ~t_mask:
-                ok = False
+    holes = gap_mask
+    while True:
+        members = full ^ holes
+        for s in shifts:
+            if members << s & holes:
                 break
-            m &= m - 1
-        if ok:
-            yield t_mask
-
-
-def _ideal_from_gap_mask(S: NumericalSemigroup, t_mask: int) -> RelativeIdeal:
-    gaps = S.gaps()
-    cands = [0] + [gaps[i] for i in range(len(gaps)) if t_mask >> i & 1]
-    return RelativeIdeal(S, _reduce_generators(S, cands))
+        else:
+            out.append(RelativeIdeal(S, 0, holes))
+        if not holes:
+            return out
+        holes = (holes - 1) & gap_mask
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import relideal
-from .errors import CapExceeded, NotASubsemigroup, NotStabilized
+from .errors import NotASubsemigroup, NotStabilized
 from .numsg import NAT, NumericalSemigroup
-from .relideal import RelativeIdeal, is_stable, max_ideal, minimal_generator_count
+from .relideal import (
+    RelativeIdeal,
+    enumerate_normalized_ideals,
+    ideal_sum,
+    is_stable,
+    make_ideal,
+    max_ideal,
+    minimal_generator_count,
+)
 
 
 def _power_masks(S: NumericalSemigroup, n: int, width: int) -> list[int]:
@@ -115,39 +122,12 @@ class StableRingReport:
         }
 
 
-def stable_ring_report(S: NumericalSemigroup, cap: int = 16) -> StableRingReport:
-    """Check the stable / quadratic / Bass equivalence over all normalized ideals.
-
-    Every normalized ideal is S union T for a gap subset T; such an ideal is
-    stable iff every sum of two elements of T stays inside it (pairs with 0
-    contribute nothing new), and its generator count is read off the
-    candidate set {0} union T.
-    """
-    if S.genus > cap:
-        raise CapExceeded(f"genus {S.genus} exceeds cap {cap}")
-    gaps = S.gaps()
-    width = 2 * S.conductor + 2
-    s_mask = S.members_mask(width)
-    ideal_count = 0
-    stable_count = 0
-    max_mu = 0
-    for t_mask in relideal._iter_normalized_gap_masks(S):
-        ideal_count += 1
-        tset = [gaps[i] for i in range(len(gaps)) if t_mask >> i & 1]
-        i_mask = s_mask
-        for t in tset:
-            i_mask |= 1 << t
-        stable = all(
-            i_mask >> (a + b) & 1 for i, a in enumerate(tset) for b in tset[i:]
-        )
-        stable_count += stable
-        cands = [0] + tset
-        mu = sum(
-            1
-            for i, g in enumerate(cands)
-            if not any(S.contains(g - h) for h in cands[:i])
-        )
-        max_mu = max(max_mu, mu)
+def stable_ring_report(S: NumericalSemigroup) -> StableRingReport:
+    """Check the stable / quadratic / Bass equivalence over all normalized ideals."""
+    ideals = enumerate_normalized_ideals(S)
+    ideal_count = len(ideals)
+    stable_count = sum(map(is_stable, ideals))
+    max_mu = max(map(minimal_generator_count, ideals))
     all_stable = stable_count == ideal_count
     quadratic = is_monomial_quadratic(S, NAT)
     bass = S.multiplicity <= 2
@@ -163,22 +143,25 @@ def stable_ring_report(S: NumericalSemigroup, cap: int = 16) -> StableRingReport
     )
 
 
+def _power_two_generated(I: RelativeIdeal, n_max: int) -> bool:
+    """Does some n-fold sum of I with 2 <= n <= n_max have at most two generators?"""
+    if n_max < 2:
+        raise ValueError("n_max must be at least 2")
+    power = I
+    for _ in range(2, n_max + 1):
+        power = ideal_sum(power, I)
+        if minimal_generator_count(power) <= 2:
+            return True
+    return False
+
+
 def two_generator_check(S: NumericalSemigroup, n_max: int = 8) -> dict:
     """Does some power M^n (2 <= n <= n_max) drop to two generators?
 
     The biconditional under test: such a power exists iff the multiplicity is
     at most 2.
     """
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
-    M = max_ideal(S)
-    power = M
-    power_two_generated = False
-    for _ in range(2, n_max + 1):
-        power = relideal.ideal_sum(power, M)
-        if minimal_generator_count(power) <= 2:
-            power_two_generated = True
-            break
+    power_two_generated = _power_two_generated(max_ideal(S), n_max)
     mult_le_2 = S.multiplicity <= 2
     return {
         "power_two_generated": power_two_generated,
@@ -195,15 +178,7 @@ def sally_check(I: RelativeIdeal, n_max: int = 8) -> dict:
     Both sides are translation-invariant, so the verdict is the same for an
     ideal and any of its integral translates.
     """
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
-    hypothesis = False
-    power = I
-    for _ in range(2, n_max + 1):
-        power = relideal.ideal_sum(power, I)
-        if minimal_generator_count(power) <= 2:
-            hypothesis = True
-            break
+    hypothesis = _power_two_generated(I, n_max)
     conclusion = minimal_generator_count(I) <= 2 and is_stable(I)
     return {
         "hypothesis": hypothesis,
@@ -219,7 +194,7 @@ def greither_check(S: NumericalSemigroup) -> dict:
     multiplicity; agree ties mu <= 2 to the Bass verdict, and the quadratic
     consequence of two-generation is asserted alongside.
     """
-    nat_as_module = relideal.make_ideal(S, range(S.conductor + 1))
+    nat_as_module = make_ideal(S, range(S.conductor + 1))
     mu = minimal_generator_count(nat_as_module)
     bass = S.multiplicity <= 2
     return {

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 
+import oracles
 from stablerings.idealization import (
     hilbert_length,
     make_ring,
@@ -27,11 +28,12 @@ from stablerings.quadalg import (
 )
 from stablerings.relideal import (
     blowup_tower,
+    end_semigroup,
     enumerate_normalized_ideals,
+    ideal_sum,
     is_stable,
-    is_stable_via_endomorphism,
-    is_stable_via_search,
     max_ideal,
+    minimal_generator_count,
     translate,
 )
 from stablerings.ringlab import (
@@ -53,17 +55,23 @@ def test_criterion_1_big_agreement_sweep():
     started = time.monotonic()
     checked = 0
     disagreements = []
+    ideals = stable = max_mu = 0
     for S in enumerate_semigroups(12):
         rep = stable_ring_report(S)
         checked += 1
+        ideals += rep.ideal_count
+        stable += rep.stable_count
+        max_mu = max(max_mu, rep.max_mu)
         if not rep.agreement:
             disagreements.append(str(S))
     elapsed = time.monotonic() - started
-    ok = not disagreements and elapsed < 120.0
+    totals = (ideals, stable, max_mu)
+    ok = not disagreements and totals == (514199, 88134, 13) and elapsed < 120.0
     report(
         1,
         ok,
-        f"{checked} semigroups, {len(disagreements)} disagreements, {elapsed:.1f}s < 120s",
+        f"{checked} semigroups, {len(disagreements)} disagreements, "
+        f"(ideals, stable, max mu) = {totals}, {elapsed:.1f}s < 120s",
     )
 
 
@@ -99,17 +107,37 @@ def test_criterion_3_sally_sweep():
 
 
 def test_criterion_4_stability_oracle_equivalence():
+    # the bitmask core against the tuple oracles, on every normalized ideal
+    # and its conductor translate: generators, mu, E(I), I + M, stability
     checked = 0
     mismatches = []
     for S in enumerate_semigroups(10):
-        for I in enumerate_normalized_ideals(S):
-            a = is_stable(I)
-            b = is_stable_via_endomorphism(I)
-            c = is_stable_via_search(I)
-            checked += 1
-            if not (a == b == c):
-                mismatches.append((str(S), I.minimal_generators, a, b, c))
-    report(4, not mismatches, f"{checked} ideals, three routes, {len(mismatches)} mismatches")
+        M = max_ideal(S)
+        for normalized in enumerate_normalized_ideals(S):
+            for I in (normalized, translate(normalized, S.conductor)):
+                lo = I.min_element
+                gens = oracles.reduce_generators(
+                    S, [z for z in range(lo, lo + S.conductor + 1) if I.contains(z)]
+                )
+                a = is_stable(I)
+                b = oracles.is_stable_via_endomorphism(S, gens)
+                c = oracles.is_stable_via_search(S, gens)
+                checked += 1
+                if not (
+                    a == b == c
+                    and I.minimal_generators == gens
+                    and minimal_generator_count(I) == len(gens)
+                    and end_semigroup(I).gaps() == oracles.endomorphism_gaps(S, gens)
+                    and ideal_sum(I, M).minimal_generators
+                    == oracles.ideal_sum(S, gens, S.minimal_generators)
+                ):
+                    mismatches.append((str(S), gens, a, b, c))
+    report(
+        4,
+        not mismatches,
+        f"{checked} ideals, three stability routes, generators, mu, E(I) and I+M "
+        f"against the oracles, {len(mismatches)} mismatches",
+    )
 
 
 def test_criterion_5_multiplicity_triple_agreement():

@@ -62,6 +62,14 @@ def test_sg_ideal_full(capsys):
     assert payload["result"]["stable"] is False
     # S union (1+S) endomorphs only to S itself: 1 and 2 both fail
     assert payload["result"]["endomorphism_semigroup"] == "3,4,5"
+    # a value starting with '-' needs no '=' form
+    spaced = run(capsys, "sg", "ideal", "3,4,5", "--ideal", "-1,0", "--json", "--no-timing")
+    joined = run(capsys, "sg", "ideal", "3,4,5", "--ideal=-1,0", "--json", "--no-timing")
+    assert spaced == joined
+    assert spaced[0] == 0 and json.loads(spaced[1])["result"]["ideal"] == "-1,0"
+    # a generator far past the conductor is dropped at once
+    code, out, _ = run(capsys, "sg", "ideal", "3,4,5", "--ideal=0,1000000000000", "--json", "--no-timing")
+    assert code == 0 and json.loads(out)["result"]["ideal"] == "0"
 
 
 def test_sg_report(capsys):

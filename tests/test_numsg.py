@@ -158,6 +158,11 @@ def test_enumeration_examples():
     got = [S.minimal_generators for S in enumerate_semigroups(1)]
     assert got == [(1,), (2, 3)]
     assert sum(1 for _ in enumerate_semigroups(3)) == 8
+    # OEIS A007323: the number of numerical semigroups of each genus
+    counts = [0] * 16
+    for S in enumerate_semigroups(15):
+        counts[S.genus] += 1
+    assert counts == [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857]
 
 
 def test_enumeration_is_duplicate_free_and_deterministic():

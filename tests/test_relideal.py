@@ -1,6 +1,9 @@
 """Fractional-ideal calculus: minimal generators, E(I), stability, towers."""
 
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablerings.errors import AmbientMismatch, CapExceeded, EmptyInput
 from stablerings.numsg import NAT, enumerate_semigroups, from_generators
@@ -10,8 +13,6 @@ from stablerings.relideal import (
     enumerate_normalized_ideals,
     ideal_sum,
     is_stable,
-    is_stable_via_endomorphism,
-    is_stable_via_search,
     make_ideal,
     max_ideal,
     minimal_generator_count,
@@ -99,8 +100,20 @@ def test_stability_three_routes_agree():
     for S in enumerate_semigroups(6):
         for I in enumerate_normalized_ideals(S):
             a = is_stable(I)
-            assert is_stable_via_endomorphism(I) == a
-            assert is_stable_via_search(I) == a
+            assert oracles.is_stable_via_endomorphism(S, I.minimal_generators) == a
+            assert oracles.is_stable_via_search(S, I.minimal_generators) == a
+
+
+def test_far_generators_are_dropped_before_any_mask():
+    # a generator at or past min + conductor lies in min + S; the core must
+    # drop it up front, or the masks grow with the distance
+    I = make_ideal(S345, [0, 10**12])
+    assert I.minimal_generators == (0,)
+    J = make_ideal(S345, [-(10**12), 0])
+    assert J.minimal_generators == (-(10**12),)
+    for K in (I, J):
+        assert is_stable(K)
+        assert end_semigroup(K) == S345
 
 
 def test_stability_translation_invariant():
@@ -234,3 +247,42 @@ def test_multiplicity_two_tower_structure():
             m_i = max_ideal(cur).members_mask(0, width)
             assert m_i == nxt.members_mask(width - 2) << 2
             assert cur.members_mask(width) == S.members_mask(width) | m_i
+
+
+# random ideals over the semigroups of genus <= 7, generators in [-12, 30)
+SEMIGROUPS = list(enumerate_semigroups(7))
+semigroups = st.sampled_from(SEMIGROUPS)
+generator_sets = st.lists(st.integers(-12, 29), min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(semigroups, generator_sets, generator_sets, generator_sets, st.integers(-20, 20))
+def test_sum_commutative_associative_translation_invariant(S, a, b, c, t):
+    I, J, K = (make_ideal(S, g) for g in (a, b, c))
+    assert ideal_sum(I, J) == ideal_sum(J, I)
+    assert ideal_sum(ideal_sum(I, J), K) == ideal_sum(I, ideal_sum(J, K))
+    assert ideal_sum(translate(I, t), J) == translate(ideal_sum(I, J), t)
+    assert ideal_sum(I, J).minimal_generators == oracles.ideal_sum(
+        S, I.minimal_generators, J.minimal_generators
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(semigroups, generator_sets)
+def test_end_semigroup_contains_ambient_random(S, gens):
+    E = end_semigroup(make_ideal(S, gens))
+    assert all(E.contains(z) for z in range(S.conductor + 2) if S.contains(z))
+
+
+@settings(max_examples=300, deadline=None)
+@given(semigroups, generator_sets)
+def test_mu_is_nakayama_count_random(S, gens):
+    # mu(I) = |I \ (M + I)|, counted over a window past every generator
+    I = make_ideal(S, gens)
+    MI = ideal_sum(max_ideal(S), I)
+    lo = I.min_element
+    residue = sum(
+        1 for z in range(lo, lo + 2 * S.conductor + 40) if I.contains(z) and not MI.contains(z)
+    )
+    assert residue == minimal_generator_count(I)
+    assert I.minimal_generators == oracles.reduce_generators(S, gens)
