@@ -49,7 +49,6 @@ from .idealization import (  # noqa: F401
     IdealizationRing,
     RingElement,
     TruncatedSeries,
-    element_mul,
     hilbert_length,
     ideal_from_generators,
     ideal_power,

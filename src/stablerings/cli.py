@@ -208,7 +208,7 @@ def cmd_sweep(args) -> int:
     started = time.monotonic()
     result = sweep.run_sweep(
         args.max_genus,
-        jobs=max(args.jobs, 1),
+        jobs=args.jobs,
         n_max=args.n_max,
         sally_cap=args.sally_genus_cap,
     )

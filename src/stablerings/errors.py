@@ -54,8 +54,8 @@ class UnsupportedField(StableringsError):
     """Requested coefficient field is not one of the supported ones."""
 
 
-class TooLarge(StableringsError):
-    """Algebra is too large for exhaustive pair enumeration."""
+class TooLarge(CapExceeded):
+    """Algebra is too large for the exhaustive element scans or pair test."""
 
 
 class Unclassifiable(StableringsError):

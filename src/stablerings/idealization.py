@@ -6,13 +6,19 @@ module of finite rank r >= 1.  The ring V*L is V + L with multiplication
 (v1,l1)(v2,l2) = (v1*v2, v1*l2 + v2*l1); P = 0*L satisfies P^2 = 0 exactly,
 by the multiplication law, and the quotient by P is V.
 
+Coefficients are plain Python numbers: integers reduced mod p for F_p, and
+exact ints or Fractions for Q.  Series arithmetic is ``+ - *`` followed by
+one ``CoeffDomain.norm`` per output coefficient, and a coefficient is zero
+exactly when it is falsy.
+
 Ideals are handled as V-submodules of V^{1+r}: each ring generator (v, l)
 contributes the module generators (v, l) and (0, v*e_k) for k = 1..r, and
 the generator matrix is reduced to a canonical valuation-pivot echelon form.
 Pivots are selected globally by minimal valuation (ties to the smallest
 column), normalized monic, and cleared from every other row, so pivot
 valuations are nondecreasing and membership is decided by reduction against
-the pivots in order.
+the pivots in order.  Each reduced row is t^v times a row that completes to
+a V-basis, so the length of V^{1+r} over the span is read off the pivots.
 
 Precision semantics: every stability verdict carries the margin N//2 at
 which it was certified.  Equality of reduced bases is compared on
@@ -25,13 +31,13 @@ module's own convention for finite-precision certification.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import (
     BadPrecision,
     BadRank,
+    CapExceeded,
     EmptyInput,
     NotRegular,
     PrecisionTooLow,
@@ -39,57 +45,37 @@ from .errors import (
     UnsupportedField,
 )
 
+# Size caps, checked before anything is allocated.  One trial at rank 3 and
+# precision 256 takes seconds; each series holds PREC_CAP coefficients.
+PREC_CAP = 256
+RANK_CAP = 8
+TRIALS_CAP = 10_000
 
+
+@dataclass(frozen=True)
 class CoeffDomain:
-    """Exact coefficient arithmetic: a prime field F_p or the rationals."""
+    """An exact coefficient field: F_p (coefficients are ints mod p) or Q (p None).
 
-    def __init__(self, name: str, p: int | None):
-        self.name = name
-        self.p = p
+    Arithmetic is Python's own ``+ - *``; ``norm`` brings a result back to
+    its canonical representative.
+    """
+
+    name: str
+    p: int | None
 
     def norm(self, x):
-        if self.p is not None:
-            return x % self.p
-        return x if isinstance(x, Fraction) else Fraction(x)
-
-    def add(self, a, b):
-        return (a + b) % self.p if self.p is not None else a + b
-
-    def sub(self, a, b):
-        return (a - b) % self.p if self.p is not None else a - b
-
-    def mul(self, a, b):
-        return a * b % self.p if self.p is not None else a * b
+        return x % self.p if self.p else x
 
     def inv(self, a):
-        if self.p is not None:
-            return pow(a, self.p - 2, self.p)
-        return Fraction(1) / a
-
-    def zero(self):
-        return 0 if self.p is not None else Fraction(0)
-
-    def one(self):
-        return 1 if self.p is not None else Fraction(1)
+        return pow(a, self.p - 2, self.p) if self.p else 1 / Fraction(a)
 
     def rand(self, rng: random.Random):
-        if self.p is not None:
-            return rng.randrange(self.p)
-        return Fraction(rng.randint(-3, 3))
+        return rng.randrange(self.p) if self.p else rng.randint(-3, 3)
 
     def rand_nonzero(self, rng: random.Random):
-        if self.p is not None:
+        if self.p:
             return rng.randrange(1, self.p)
-        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
-
-    def __eq__(self, other):
-        return isinstance(other, CoeffDomain) and self.name == other.name
-
-    def __hash__(self):
-        return hash(self.name)
-
-    def __repr__(self):
-        return f"CoeffDomain({self.name})"
+        return rng.choice([-3, -2, -1, 1, 2, 3])
 
 
 DOMAINS = {
@@ -120,97 +106,54 @@ class TruncatedSeries:
     @staticmethod
     def make(domain: CoeffDomain, prec: int, coeffs) -> "TruncatedSeries":
         cs = [domain.norm(c) for c in coeffs[:prec]]
-        cs += [domain.zero()] * (prec - len(cs))
-        return TruncatedSeries(domain, prec, tuple(cs))
+        return TruncatedSeries(domain, prec, tuple(cs) + (0,) * (prec - len(cs)))
 
     def valuation(self) -> int:
         """Least index of a nonzero coefficient; prec when zero at precision."""
-        z = self.domain.zero()
-        for i, c in enumerate(self.coeffs):
-            if c != z:
-                return i
-        return self.prec
+        return next((i for i, c in enumerate(self.coeffs) if c), self.prec)
 
     def is_zero(self) -> bool:
-        return self.valuation() == self.prec
+        return not any(self.coeffs)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        d = self.domain
+        norm = self.domain.norm
         return TruncatedSeries(
-            d, self.prec, tuple(d.add(a, b) for a, b in zip(self.coeffs, other.coeffs))
+            self.domain, self.prec, tuple(norm(a + b) for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        d = self.domain
+        norm = self.domain.norm
         return TruncatedSeries(
-            d, self.prec, tuple(d.sub(a, b) for a, b in zip(self.coeffs, other.coeffs))
+            self.domain, self.prec, tuple(norm(a - b) for a, b in zip(self.coeffs, other.coeffs))
         )
 
-    def __neg__(self) -> "TruncatedSeries":
-        d = self.domain
-        z = d.zero()
-        return TruncatedSeries(d, self.prec, tuple(d.sub(z, a) for a in self.coeffs))
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        d = self.domain
         n = self.prec
-        out = [d.zero()] * n
+        out = [0] * n
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            if a == d.zero():
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if b != d.zero():
-                    out[i + j] = d.add(out[i + j], d.mul(a, b))
-        return TruncatedSeries(d, n, tuple(out))
-
-    def scale(self, c) -> "TruncatedSeries":
-        d = self.domain
-        c = d.norm(c)
-        return TruncatedSeries(d, self.prec, tuple(d.mul(c, a) for a in self.coeffs))
-
-    def shift_up(self, k: int) -> "TruncatedSeries":
-        """Multiply by t^k."""
-        d = self.domain
-        z = d.zero()
-        return TruncatedSeries(d, self.prec, ((z,) * k + self.coeffs)[: self.prec])
+            if a:
+                for j, b in terms:
+                    if i + j >= n:
+                        break
+                    out[i + j] += a * b
+        return TruncatedSeries(self.domain, n, tuple(map(self.domain.norm, out)))
 
     def shift_down(self, k: int) -> "TruncatedSeries":
         """Divide by t^k; requires valuation >= k for exactness."""
-        d = self.domain
-        z = d.zero()
-        return TruncatedSeries(d, self.prec, (self.coeffs[k:] + (z,) * k))
+        return TruncatedSeries(self.domain, self.prec, self.coeffs[k:] + (0,) * k)
 
     def unit_inverse(self) -> "TruncatedSeries":
         """Inverse of a unit (valuation 0), by coefficient recursion."""
         d = self.domain
         if self.valuation() != 0:
             raise ValueError("only units (valuation 0) are invertible")
-        inv0 = d.inv(self.coeffs[0])
-        out = [inv0] + [d.zero()] * (self.prec - 1)
+        a = self.coeffs
+        inv0 = d.inv(a[0])
+        out = [inv0]
         for k in range(1, self.prec):
-            acc = d.zero()
-            for i in range(1, k + 1):
-                acc = d.add(acc, d.mul(self.coeffs[i], out[k - i]))
-            out[k] = d.sub(d.zero(), d.mul(inv0, acc))
+            out.append(d.norm(-inv0 * sum(a[i] * out[k - i] for i in range(1, k + 1))))
         return TruncatedSeries(d, self.prec, tuple(out))
-
-    def truncate_below(self, k: int) -> "TruncatedSeries":
-        """Zero out every coefficient of degree >= k."""
-        d = self.domain
-        z = d.zero()
-        return TruncatedSeries(
-            d, self.prec, self.coeffs[:k] + (z,) * (self.prec - k)
-        )
-
-    def __str__(self) -> str:
-        d = self.domain
-        terms = [
-            (f"{c}" if i == 0 else ("t" if i == 1 else f"t^{i}") + (f"*{c}" if c != d.one() else ""))
-            for i, c in enumerate(self.coeffs)
-            if c != d.zero()
-        ]
-        return " + ".join(terms) if terms else "0"
 
 
 @dataclass(frozen=True)
@@ -237,9 +180,6 @@ class IdealizationRing:
 
     def one(self) -> "RingElement":
         return self.element([1])
-
-    def zero(self) -> "RingElement":
-        return self.element([])
 
     def t_power(self, k: int) -> "RingElement":
         return self.element([0] * k + [1])
@@ -287,27 +227,15 @@ class RingElement:
         )
 
     def __mul__(self, other: "RingElement") -> "RingElement":
-        return element_mul(self, other)
-
-    def key(self) -> tuple:
-        return (self.v.coeffs, tuple(c.coeffs for c in self.ell))
-
-    def __str__(self) -> str:
-        parts = ", ".join(str(c) for c in self.ell)
-        return f"({self.v}; {parts})"
+        """(v1,l1)(v2,l2) = (v1*v2, v1*l2 + v2*l1)."""
+        _same_ring(self, other)
+        ell = tuple(self.v * lb + other.v * la for la, lb in zip(self.ell, other.ell))
+        return RingElement(self.ring, self.v * other.v, ell)
 
 
 def _same_ring(a: RingElement, b: RingElement) -> None:
     if a.ring != b.ring:
         raise RingMismatch("elements belong to different idealization rings")
-
-
-def element_mul(a: RingElement, b: RingElement) -> RingElement:
-    """(v1,l1)(v2,l2) = (v1*v2, v1*l2 + v2*l1)."""
-    _same_ring(a, b)
-    v = a.v * b.v
-    ell = tuple(a.v * lb + b.v * la for la, lb in zip(a.ell, b.ell))
-    return RingElement(a.ring, v, ell)
 
 
 def make_ring(field: str, r: int, N: int) -> IdealizationRing:
@@ -320,15 +248,19 @@ def make_ring(field: str, r: int, N: int) -> IdealizationRing:
         raise BadRank("L must be a nonzero free module: rank >= 1")
     if N < 4:
         raise BadPrecision("precision must be at least 4")
+    if r > RANK_CAP:
+        raise CapExceeded(f"rank {r} exceeds the cap of {RANK_CAP}")
+    if N > PREC_CAP:
+        raise CapExceeded(f"precision {N} exceeds the cap of {PREC_CAP}")
     ring = IdealizationRing(get_domain(field), r, N)
     rng = random.Random(0xA11CE)
     for _ in range(16):
         a, b, c = (_random_element(ring, rng, regular=False) for _ in range(3))
-        if (a * b).key() != (b * a).key():
+        if a * b != b * a:
             raise AssertionError("multiplication law is not commutative")
-        if ((a * b) * c).key() != (a * (b * c)).key():
+        if (a * b) * c != a * (b * c):
             raise AssertionError("multiplication law is not associative")
-        if (ring.one() * a).key() != a.key():
+        if ring.one() * a != a:
             raise AssertionError("(1,0) is not an identity")
     return ring
 
@@ -336,7 +268,7 @@ def make_ring(field: str, r: int, N: int) -> IdealizationRing:
 def _random_series(ring: IdealizationRing, rng: random.Random, val_range=(0, 4)) -> TruncatedSeries:
     d = ring.domain
     v = rng.randint(*val_range)
-    coeffs = [d.zero()] * ring.prec
+    coeffs = [0] * ring.prec
     if v < ring.prec:
         coeffs[v] = d.rand_nonzero(rng)
         for i in range(v + 1, min(v + 4, ring.prec)):
@@ -396,9 +328,8 @@ def reduce_rows(ring: IdealizationRing, rows) -> tuple[tuple, tuple]:
                 for c in range(len(row)):
                     row[c] = row[c] - q * pivot[c]
         for row in result:
-            e = row[col]
             # remove the coefficients of degree >= v, keeping the rest
-            q = (e - e.truncate_below(v)).shift_down(v)
+            q = row[col].shift_down(v)
             if not q.is_zero():
                 for c in range(len(row)):
                     row[c] = row[c] - q * pivot[c]
@@ -414,23 +345,9 @@ class IdealizationIdeal:
     """A ring ideal of V*L with its canonical reduced module basis."""
 
     ring: IdealizationRing
-    ring_generators: tuple
+    ring_generators: tuple = dataclass_field(compare=False)
     basis: tuple
     pivots: tuple
-
-    @cached_property
-    def _basis_key(self) -> tuple:
-        return tuple(tuple(s.coeffs for s in row) for row in self.basis)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IdealizationIdeal)
-            and self.ring == other.ring
-            and self._basis_key == other._basis_key
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self._basis_key))
 
     def is_regular(self) -> bool:
         margin = self.ring.prec // 2
@@ -459,7 +376,7 @@ class IdealizationIdeal:
         if any(v >= margin for _, v in self.pivots):
             return None
         return tuple(
-            (col, v, tuple(s.truncate_below(margin).coeffs for s in row))
+            (col, v, tuple(s.coeffs[:margin] for s in row))
             for (col, v), row in zip(self.pivots, self.basis)
         )
 
@@ -498,12 +415,8 @@ def ideal_product(I: IdealizationIdeal, J: IdealizationIdeal) -> IdealizationIde
     """The ring-ideal product, generated by pairwise generator products."""
     if I.ring != J.ring:
         raise RingMismatch("ideals belong to different rings")
-    seen = {}
-    for a in I.ring_generators:
-        for b in J.ring_generators:
-            p = a * b
-            seen.setdefault(p.key(), p)
-    return ideal_from_generators(I.ring, list(seen.values()))
+    products = dict.fromkeys(a * b for a in I.ring_generators for b in J.ring_generators)
+    return ideal_from_generators(I.ring, list(products))
 
 
 def ideal_power(I: IdealizationIdeal, n: int) -> IdealizationIdeal:
@@ -548,13 +461,12 @@ def is_stable_ideal(I: IdealizationIdeal) -> StabilityVerdict:
     if not I.is_regular():
         raise NotRegular("no generator has V-component valuation below N/2")
     gens = list(I.ring_generators)
-    cands = {g.key(): g for g in gens}
+    cands = list(gens)
     for i, a in enumerate(gens):
         for b in gens[i + 1 :]:
             # a-b and b-a generate the same ideal: one representative suffices
-            for x in (a + b, a - b):
-                cands.setdefault(x.key(), x)
-    ordered = sorted(cands.values(), key=lambda g: g.v.valuation())
+            cands += (a + b, a - b)
+    ordered = sorted(dict.fromkeys(cands), key=lambda g: g.v.valuation())
     I2 = ideal_product(I, I)
     sig2 = I2.margin_signature(margin)
     saw_unclear = sig2 is None
@@ -577,46 +489,15 @@ def is_stable_ideal(I: IdealizationIdeal) -> StabilityVerdict:
 def hilbert_length(ring: IdealizationRing, n: int) -> int:
     """dim_k R/M^n for the maximal ideal M = (t, e_1, ..., e_r).
 
-    Computed as the coefficient-space codimension of the reduced basis of
-    M^n inside V^{1+r}; must equal (1+r)n - r.
+    Read off the pivots of the reduced basis of M^n inside V^{1+r}: a row
+    with pivot valuation v is t^v times a row that completes to a V-basis,
+    so it spans N - v dimensions over k, and the rows' spans are independent
+    because their pivot columns are distinct.  Must equal (1+r)n - r.
     """
     if not 1 <= n <= ring.prec // 2:
         raise PrecisionTooLow(f"need 1 <= n <= {ring.prec // 2}, got {n}")
-    power = ideal_power(ring.maximal_ideal(), n)
-    return (1 + ring.rank) * ring.prec - _k_dimension(ring, power.basis)
-
-
-def _k_dimension(ring: IdealizationRing, basis) -> int:
-    """Dimension over k of the V-span of the rows, inside k^{(1+r)N}."""
-    d = ring.domain
-    n = ring.prec
-    vectors = []
-    for row in basis:
-        for shift in range(n):
-            shifted = [s.shift_up(shift) for s in row]
-            if all(s.is_zero() for s in shifted):
-                continue
-            vec = []
-            for s in shifted:
-                vec.extend(s.coeffs)
-            vectors.append(vec)
-    # Gaussian elimination over the coefficient field
-    rank = 0
-    width = (1 + ring.rank) * n
-    pivot_cols: dict[int, list] = {}
-    zero = d.zero()
-    for vec in vectors:
-        for col, prow in pivot_cols.items():
-            c = vec[col]
-            if c != zero:
-                inv = d.inv(prow[col])
-                f = d.mul(c, inv)
-                vec = [d.sub(a, d.mul(f, b)) for a, b in zip(vec, prow)]
-        lead = next((c for c in range(width) if vec[c] != zero), None)
-        if lead is not None:
-            pivot_cols[lead] = vec
-            rank += 1
-    return rank
+    pivots = ideal_power(ring.maximal_ideal(), n).pivots
+    return (1 + ring.rank - len(pivots)) * ring.prec + sum(v for _, v in pivots)
 
 
 def square_zero_prime_check(ring: IdealizationRing) -> dict:
@@ -643,7 +524,7 @@ def square_zero_prime_check(ring: IdealizationRing) -> dict:
     t = ring.series([0, 1])
     quotient_is_dvr = (
         t.valuation() == 1
-        and t.shift_up(ring.prec - 1).is_zero()
+        and (t * ring.t_power(ring.prec - 1).v).is_zero()
         and ring.series([1]).unit_inverse() == ring.series([1])
     )
     return {"p_squared_zero": p_squared_zero, "quotient_is_dvr": quotient_is_dvr}
@@ -667,6 +548,8 @@ def random_regular_ideal(ring: IdealizationRing, rng: random.Random) -> Idealiza
 
 def stability_sweep(ring: IdealizationRing, trials: int, seed: int) -> dict:
     """Run the stability test over seeded random regular ideals."""
+    if trials > TRIALS_CAP:
+        raise CapExceeded(f"{trials} trials exceed the cap of {TRIALS_CAP}")
     rng = random.Random(seed)
     per_trial = []
     stable = not_stable = inconclusive = 0

@@ -13,6 +13,7 @@ regardless of worker count.
 
 from __future__ import annotations
 
+import os
 from multiprocessing import Pool
 
 from . import ringlab
@@ -130,6 +131,11 @@ CHECK_NAMES = (
 )
 
 
+def clamp_jobs(jobs: int, tasks: int) -> int:
+    """Worker processes to start: at least 1, at most the CPUs and the tasks."""
+    return max(1, min(jobs, os.cpu_count() or 1, tasks))
+
+
 def run_sweep(
     max_genus: int,
     jobs: int = 1,
@@ -139,6 +145,7 @@ def run_sweep(
     """Analyze every semigroup of genus <= max_genus and merge the records."""
     semigroups = list(enumerate_semigroups(max_genus))
     tasks = [(S, n_max, sally_cap) for S in semigroups]
+    jobs = clamp_jobs(jobs, len(tasks))
     if jobs > 1:
         with Pool(processes=jobs) as pool:
             records = pool.map(_worker, tasks, chunksize=16)

@@ -1,10 +1,16 @@
-"""Reference implementations of the relative-ideal calculus.
+"""Reference implementations the production code is checked against.
 
-These are the tuple-arithmetic routes the bitmask core in
-``stablerings.relideal`` is checked against.  An ideal is given as its
-ambient semigroup and a tuple of generators; membership is only ever read
-through ``NumericalSemigroup.contains``, never through the core's masks.
+The relative-ideal calculus: tuple-arithmetic routes for the bitmask core
+in ``stablerings.relideal``.  An ideal is given as its ambient semigroup and
+a tuple of generators; membership is only ever read through
+``NumericalSemigroup.contains``, never through the core's masks.
+
+The idealization length: ``k_dimension`` counts the k-dimension of a
+V-span by Gaussian elimination over k, where ``stablerings.idealization``
+reads it off the pivots.
 """
+
+from fractions import Fraction
 
 from stablerings.numsg import NumericalSemigroup
 
@@ -63,3 +69,31 @@ def is_stable_via_search(S: NumericalSemigroup, gens) -> bool:
         for x in range(gens[0], gens[-1] + S.conductor + 1)
         if contains(S, gens, x)
     )
+
+
+def k_dimension(rows, p=None) -> int:
+    """Dimension over k of the V-span of module rows, inside k^{(1+r)N}.
+
+    Each row is a tuple of 1+r coefficient tuples of length N, over F_p or,
+    when p is None, over Q.  The span is spanned by the shifts t^s * row for
+    s < N, flattened to vectors and eliminated over k.
+    """
+    vectors = []
+    for row in rows:
+        n = len(row[0])
+        for shift in range(n):
+            vec = [c for coeffs in row for c in ((0,) * shift + coeffs)[:n]]
+            if any(vec):
+                vectors.append(vec)
+    pivot_rows: dict[int, list] = {}
+    for vec in vectors:
+        for col, prow in pivot_rows.items():
+            if vec[col]:
+                f = vec[col] * pow(prow[col], -1, p) if p else Fraction(vec[col]) / prow[col]
+                vec = [a - f * b for a, b in zip(vec, prow)]
+                if p:
+                    vec = [a % p for a in vec]
+        lead = next((c for c, a in enumerate(vec) if a), None)
+        if lead is not None:
+            pivot_rows[lead] = vec
+    return len(pivot_rows)

@@ -1,6 +1,7 @@
 """CLI surface: parsing, reports, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -208,6 +209,31 @@ def test_idealization_bad_rank(capsys):
     code, _, err = run(capsys, "idealization", "check", "--rank", "0")
     assert code == 2
     assert "BadRank" in err
+
+
+@pytest.mark.parametrize(
+    "knob", [("--prec", "1000000000"), ("--rank", "1000000000"), ("--trials", "1000000000")]
+)
+def test_idealization_caps(capsys, knob):
+    started = time.monotonic()
+    code, _, err = run(capsys, "idealization", "check", *knob, "--json")
+    assert code == 3
+    assert "CapExceeded" in err
+    assert time.monotonic() - started < 5.0
+
+
+def test_alg_classify_pair_bound(capsys, tmp_path):
+    # F2[x_1..x_12]/(x_1..x_12)^2: valid, 8,192 elements, 33.5M pairs
+    d = 13
+    unit = [[1 if k == i else 0 for k in range(d)] for i in range(d)]
+    table = [[unit[i + j] if i * j == 0 else [0] * d for j in range(d)] for i in range(d)]
+    path = tmp_path / "square_zero_13.json"
+    path.write_text(json.dumps({"field": "F2", "dim": d, "table": table}))
+    started = time.monotonic()
+    code, _, err = run(capsys, "alg", "classify", str(path), "--json")
+    assert code == 3
+    assert "pair-test bound" in err
+    assert time.monotonic() - started < 5.0
 
 
 def test_idealization_seed_changes_trials_not_verdict(capsys):

@@ -1,5 +1,7 @@
 """Truncated idealization rings: series, reduction, stability, lengths."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -28,6 +30,8 @@ from stablerings.idealization import (
     stability_sweep,
 )
 from stablerings.idealization import _random_element
+
+from oracles import k_dimension
 
 
 R1 = make_ring("F2", 1, 16)
@@ -215,6 +219,23 @@ def test_sweep_is_seed_deterministic():
     assert stability_sweep(ring, 12, seed=5) == stability_sweep(ring, 12, seed=5)
 
 
+# sha256 of the sorted-key JSON of stability_sweep(make_ring(F, 2, 16), 40, seed=11),
+# recorded from the Fraction-coefficient implementation this one replaced
+SWEEP_GOLDEN = {
+    "F2": "eccdbc4468cb790969c221abb8b46ea8f04497cbfed85d959caf42e9260f7cc5",
+    "F3": "bf0333173f5289b60859731020d8253e055dc24ccedc93a2c540d1ba67a12a43",
+    "F5": "1978ffcfe64225e8bea194e0a51e1652fdecb1ad5591227b14a81d0bd84622ce",
+    "Q": "310f835a6f3f933e8e20933ae0b792cf9fb7d9852a02186d17901e21f05ba308",
+}
+
+
+@pytest.mark.parametrize("field", sorted(SWEEP_GOLDEN))
+def test_sweep_golden_verdicts(field):
+    res = stability_sweep(make_ring(field, 2, 16), 40, seed=11)
+    digest = hashlib.sha256(json.dumps(res, sort_keys=True).encode()).hexdigest()
+    assert digest == SWEEP_GOLDEN[field]
+
+
 def test_stability_sweeps_other_coefficient_fields():
     for field in ("F3", "F5", "Q"):
         ring = make_ring(field, 2, 16)
@@ -236,6 +257,30 @@ def test_hilbert_length_formula_all_fields():
         ring = make_ring(field, 2, 12)
         for n in range(1, 7):
             assert hilbert_length(ring, n) == 3 * n - 2
+
+
+@pytest.mark.parametrize("field", ["F2", "F3", "F5", "Q"])
+def test_length_from_pivots_matches_k_elimination(field):
+    p = get_domain(field).p
+    rng = random.Random(31)
+    for rank in (1, 2, 3):
+        for prec in (6, 10, 16):
+            ring = make_ring(field, rank, prec)
+            ideals = []
+            while len(ideals) < 25:
+                gens = [
+                    _random_element(ring, rng, regular=rng.random() < 0.5)
+                    for _ in range(rng.randint(1, 3))
+                ]
+                if not all(g.is_zero() for g in gens):
+                    ideals.append(ideal_from_generators(ring, gens))
+            for I in ideals:
+                rows = [tuple(s.coeffs for s in row) for row in I.basis]
+                assert sum(prec - v for _, v in I.pivots) == k_dimension(rows, p)
+            for n in range(1, prec // 2 + 1):
+                power = ideal_power(ring.maximal_ideal(), n)
+                rows = [tuple(s.coeffs for s in row) for row in power.basis]
+                assert hilbert_length(ring, n) == (1 + rank) * prec - k_dimension(rows, p)
 
 
 def test_hilbert_length_guard():

@@ -1,7 +1,8 @@
 """The invariant-suite driver: structure, results, worker invariance."""
 
+from stablerings import sweep
 from stablerings.numsg import from_generators
-from stablerings.sweep import CHECK_NAMES, analyze_semigroup, run_sweep
+from stablerings.sweep import CHECK_NAMES, analyze_semigroup, clamp_jobs, run_sweep
 
 
 def test_analyze_single_semigroup():
@@ -37,3 +38,13 @@ def test_sally_cap_limits_ideal_sweep():
     res = run_sweep(4, jobs=1, sally_cap=2)
     assert res["checks"]["sally"]["checked"] == 4  # genus 0, 1, 2 only
     assert res["violations_total"] == 0
+
+
+def test_clamp_jobs(monkeypatch):
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
+    assert clamp_jobs(100_000, 10**6) == 4
+    assert clamp_jobs(100_000, 3) == 3
+    assert clamp_jobs(2, 10) == 2
+    assert clamp_jobs(0, 10) == clamp_jobs(-7, 10) == clamp_jobs(5, 0) == 1
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
+    assert clamp_jobs(8, 10) == 1
