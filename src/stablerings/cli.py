@@ -235,6 +235,7 @@ def cmd_alg(args) -> int:
 
 def cmd_idealization(args) -> int:
     started = time.monotonic()
+    idealization.check_caps(args.rank, args.prec, args.trials)
     ring = idealization.make_ring(args.field, args.rank, args.prec)
 
     probes = []

@@ -15,10 +15,23 @@ Ideals are handled as V-submodules of V^{1+r}: each ring generator (v, l)
 contributes the module generators (v, l) and (0, v*e_k) for k = 1..r, and
 the generator matrix is reduced to a canonical valuation-pivot echelon form.
 Pivots are selected globally by minimal valuation (ties to the smallest
-column), normalized monic, and cleared from every other row, so pivot
-valuations are nondecreasing and membership is decided by reduction against
-the pivots in order.  Each reduced row is t^v times a row that completes to
-a V-basis, so the length of V^{1+r} over the span is read off the pivots.
+column, then the earliest row), made monic, and cleared from every other
+row, so pivot valuations are nondecreasing.  The form is canonical, so a
+module vector is a member exactly when adding it leaves the form unchanged.
+Each reduced row is t^v times a row that completes to a V-basis, so the
+length of V^{1+r} over the span is read off the pivots.
+
+The reduction runs on integer coefficient lists.  A work row (one not yet
+chosen as a pivot) matters only up to a unit of V, and a nonzero constant
+is one, so it is kept small: reduced mod p, or divided by the gcd of its
+coefficients over Q.  With the pivot's entry t^v*U and a row's entry t^v*Q
+in the pivot column, the row becomes U*row - Q*pivot: the elimination needs
+no inverse, and the new row is U times the row an exact elimination with a
+monic pivot gives, with the same valuations and so the same pivot choices
+(fraction-free elimination; Bareiss, Math. Comp. 22, 1968).  Each pivot is
+made monic once, as it moves to the result, by an integer inverse of U over
+a power of its constant term.  Result rows are exact, as integer lists over
+one common denominator in lowest terms, and become series only at the end.
 
 Precision semantics: every stability verdict carries the margin N//2 at
 which it was certified.  Equality of reduced bases is compared on
@@ -33,6 +46,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 
 from .errors import (
     BadPrecision,
@@ -45,11 +61,29 @@ from .errors import (
     UnsupportedField,
 )
 
-# Size caps, checked before anything is allocated.  One trial at rank 3 and
-# precision 256 takes seconds; each series holds PREC_CAP coefficients.
+# Size caps, checked before anything is allocated.  Each series holds at most
+# PREC_CAP coefficients.  A trial's cost grows about as (1+r)^2 * N (its
+# random series are sparse), so WORK_CAP bounds trials * (1+r)^2 * N.
 PREC_CAP = 256
 RANK_CAP = 8
 TRIALS_CAP = 10_000
+WORK_CAP = 1_000_000
+
+
+def check_caps(rank: int, prec: int, trials: int) -> None:
+    """Raise CapExceeded when a check at these sizes would exceed a cap."""
+    if rank > RANK_CAP:
+        raise CapExceeded(f"rank {rank} exceeds the cap of {RANK_CAP}")
+    if prec > PREC_CAP:
+        raise CapExceeded(f"precision {prec} exceeds the cap of {PREC_CAP}")
+    if trials > TRIALS_CAP:
+        raise CapExceeded(f"{trials} trials exceed the cap of {TRIALS_CAP}")
+    work = trials * (1 + rank) ** 2 * prec
+    if work > WORK_CAP:
+        raise CapExceeded(
+            f"{trials} trials at rank {rank} and precision {prec} exceed the work cap: "
+            f"trials*(1+rank)^2*prec = {work:,} > {WORK_CAP:,}"
+        )
 
 
 @dataclass(frozen=True)
@@ -57,7 +91,8 @@ class CoeffDomain:
     """An exact coefficient field: F_p (coefficients are ints mod p) or Q (p None).
 
     Arithmetic is Python's own ``+ - *``; ``norm`` brings a result back to
-    its canonical representative.
+    its canonical representative.  ``_primitive`` and ``_lowest_terms`` are
+    the row reduction's only field-specific steps.
     """
 
     name: str
@@ -68,6 +103,24 @@ class CoeffDomain:
 
     def inv(self, a):
         return pow(a, self.p - 2, self.p) if self.p else 1 / Fraction(a)
+
+    def _primitive(self, row) -> list:
+        """A unit multiple of an integer row: reduced mod p, or over Q divided by its content."""
+        if self.p:
+            p = self.p
+            return [[x % p for x in s] for s in row]
+        g = gcd(*(gcd(*s) for s in row))
+        return [[x // g for x in s] for s in row] if g > 1 else row
+
+    def _lowest_terms(self, row, den: int) -> tuple[list, int]:
+        """row/den as (integer row, denominator): den 1 over F_p, lowest terms over Q."""
+        if self.p:
+            p, inv = self.p, self.inv(den)
+            return [[x * inv % p for x in s] for s in row], 1
+        g = gcd(den, *(gcd(*s) for s in row))
+        if den < 0:
+            g = -g
+        return [[x // g for x in s] for s in row], den // g
 
     def rand(self, rng: random.Random):
         return rng.randrange(self.p) if self.p else rng.randint(-3, 3)
@@ -139,21 +192,13 @@ class TruncatedSeries:
                     out[i + j] += a * b
         return TruncatedSeries(self.domain, n, tuple(map(self.domain.norm, out)))
 
-    def shift_down(self, k: int) -> "TruncatedSeries":
-        """Divide by t^k; requires valuation >= k for exactness."""
-        return TruncatedSeries(self.domain, self.prec, self.coeffs[k:] + (0,) * k)
-
     def unit_inverse(self) -> "TruncatedSeries":
-        """Inverse of a unit (valuation 0), by coefficient recursion."""
-        d = self.domain
+        """Inverse of a unit (valuation 0): the row reduction's W/D, divided out."""
         if self.valuation() != 0:
             raise ValueError("only units (valuation 0) are invertible")
-        a = self.coeffs
-        inv0 = d.inv(a[0])
-        out = [inv0]
-        for k in range(1, self.prec):
-            out.append(d.norm(-inv0 * sum(a[i] * out[k - i] for i in range(1, k + 1))))
-        return TruncatedSeries(d, self.prec, tuple(out))
+        w, den = _inverse(self.coeffs, self.domain.norm)
+        inv = self.domain.inv(den)
+        return TruncatedSeries.make(self.domain, self.prec, [c * inv for c in w])
 
 
 @dataclass(frozen=True)
@@ -248,10 +293,7 @@ def make_ring(field: str, r: int, N: int) -> IdealizationRing:
         raise BadRank("L must be a nonzero free module: rank >= 1")
     if N < 4:
         raise BadPrecision("precision must be at least 4")
-    if r > RANK_CAP:
-        raise CapExceeded(f"rank {r} exceeds the cap of {RANK_CAP}")
-    if N > PREC_CAP:
-        raise CapExceeded(f"precision {N} exceeds the cap of {PREC_CAP}")
+    check_caps(r, N, 0)
     ring = IdealizationRing(get_domain(field), r, N)
     rng = random.Random(0xA11CE)
     for _ in range(16):
@@ -289,14 +331,82 @@ def _random_element(ring: IdealizationRing, rng: random.Random, regular: bool) -
 # --- module reduction -------------------------------------------------------
 
 
-def _row_min(row) -> tuple[int, int]:
-    """(valuation, column) of the minimal-valuation entry of a row."""
-    best_v, best_c = row[0].prec, len(row)
+def _mul_sub(a, x, b=(), y=()) -> list:
+    """a*x - b*y modulo t^len(x), on integer coefficient lists no longer than x."""
+    n = len(x)
+    out = [0] * n
+    for f, g in ((a, x), ([-c for c in b], y)):
+        terms = [(j, e) for j, e in enumerate(g) if e]
+        for i, c in enumerate(f):
+            if c:
+                for j, e in terms:
+                    if i + j >= n:
+                        break
+                    out[i + j] += c * e
+    return out
+
+
+def _inverse(u, norm) -> tuple[list, int]:
+    """(W, D) with W/D = 1/u modulo t^len(u), for a unit u; D = u[0]^len(u).
+
+    The k-th coefficient of 1/u is w_k / u0^(k+1), where w_0 = 1 and
+    w_k = -sum_{i>=1} u_i * u0^(i-1) * w_(k-i), so W_k = w_k * u0^(m-1-k).
+    """
+    m = len(u)
+    powers = [1]
+    for _ in range(m):
+        powers.append(norm(powers[-1] * u[0]))
+    scaled = [norm(c * p) for c, p in zip(u[1:], powers)]
+    w = [1]
+    for _ in range(1, m):
+        w.append(norm(-sum(map(mul, scaled, reversed(w)))))
+    return [norm(c * p) for c, p in zip(w, reversed(powers[:m]))], powers[m]
+
+
+def _row_key(row, n: int) -> tuple[int, int]:
+    """(valuation, column) of the minimal-valuation entry; (n, len) for zero."""
+    v, col = n, len(row)
     for c, s in enumerate(row):
-        v = s.valuation()
-        if v < best_v:
-            best_v, best_c = v, c
-    return best_v, best_c
+        for i in range(v):
+            if s[i]:
+                v, col = i, c
+                break
+    return v, col
+
+
+def _integer_row(row) -> list:
+    """A nonzero constant multiple of a row of series, with integer entries."""
+    entries = [s.coeffs for s in row]
+    if {int}.issuperset(map(type, chain(*entries))):
+        return [list(c) for c in entries]
+    den = lcm(*(x.denominator for x in chain(*entries)))
+    return [[x.numerator * (den // x.denominator) for x in c] for c in entries]
+
+
+def _eliminate(row, u, q, pivot, v: int, col: int) -> list:
+    """u*row - q*pivot, for a pivot whose entry in column col is t^v*u.
+
+    q is the entry of row in column col divided by t^v, so that entry keeps
+    only u times its part below t^v.  Either u is a constant (the denominator
+    of a monic pivot) or the row has no coefficient below t^v (a work row).
+    """
+    u0, out = u[0], []
+    for c, (s, p) in enumerate(zip(row, pivot)):
+        low = [u0 * x for x in s[:v]]
+        if c == col:
+            s = low + [0] * (len(s) - v)
+        elif any(s) or any(p):
+            s = low + _mul_sub(u, s[v:], q, p[v:])
+        out.append(s)
+    return out
+
+
+def _to_series(d: CoeffDomain, n: int, ints, den: int) -> TruncatedSeries:
+    if den == 1:
+        return TruncatedSeries(d, n, tuple(ints))
+    return TruncatedSeries(
+        d, n, tuple(x // den if x % den == 0 else Fraction(x, den) for x in ints)
+    )
 
 
 def reduce_rows(ring: IdealizationRing, rows) -> tuple[tuple, tuple]:
@@ -304,39 +414,44 @@ def reduce_rows(ring: IdealizationRing, rows) -> tuple[tuple, tuple]:
 
     Returns (basis, pivots) where basis is a tuple of row tuples and pivots
     the matching tuple of (column, valuation) pairs, valuations nondecreasing.
+    Work rows are integer rows up to a unit, result rows (integer lists,
+    common denominator); see the module docstring.
     """
-    n = ring.prec
-    work = [list(r) for r in rows if any(not s.is_zero() for s in r)]
-    result: list[list[TruncatedSeries]] = []
+    d, n = ring.domain, ring.prec
+    work = []
+    for r in rows:
+        row = d._primitive(_integer_row(r))
+        key = _row_key(row, n)
+        if key[0] < n:
+            work.append((key, row))
+    result: list[tuple[list, int]] = []
     pivots: list[tuple[int, int]] = []
     while work:
-        best = None
-        for idx, row in enumerate(work):
-            v, c = _row_min(row)
-            if v < n and (best is None or (v, c) < (best[0], best[1])):
-                best = (v, c, idx)
-        if best is None:
-            break
-        v, col, idx = best
-        pivot = work.pop(idx)
-        unit = pivot[col].shift_down(v).unit_inverse()
-        pivot = [s * unit for s in pivot]
-        for row in work:
-            e = row[col]
-            if not e.is_zero():
-                q = e.shift_down(v)
-                for c in range(len(row)):
-                    row[c] = row[c] - q * pivot[c]
-        for row in result:
-            # remove the coefficients of degree >= v, keeping the rest
-            q = row[col].shift_down(v)
-            if not q.is_zero():
-                for c in range(len(row)):
-                    row[c] = row[c] - q * pivot[c]
-        work = [r for r in work if any(not s.is_zero() for s in r)]
-        result.append(pivot)
+        idx = min(range(len(work)), key=lambda i: work[i][0])
+        (v, col), pivot = work.pop(idx)
+        u = pivot[col][v:]
+        remaining = []
+        for key, row in work:
+            q = row[col][v:]
+            if any(q):
+                row = d._primitive(_eliminate(row, u, q, pivot, v, col))
+                key = _row_key(row, n)
+                if key[0] == n:
+                    continue
+            remaining.append((key, row))
+        work = remaining
+        inv, den = _inverse(u, d.norm)
+        monic, den = d._lowest_terms(
+            [s[:v] + _mul_sub(inv, s[v:]) if any(s) else s for s in pivot], den
+        )
+        for j, (row, e) in enumerate(result):
+            # remove the coefficients of degree >= v in the pivot column
+            q = row[col][v:]
+            if any(q):
+                result[j] = d._lowest_terms(_eliminate(row, (den,), q, monic, v, col), e * den)
+        result.append((monic, den))
         pivots.append((col, v))
-    basis = tuple(tuple(r) for r in result)
+    basis = tuple(tuple(_to_series(d, n, s, e) for s in row) for row, e in result)
     return basis, tuple(pivots)
 
 
@@ -354,15 +469,8 @@ class IdealizationIdeal:
         return any(g.v.valuation() < margin for g in self.ring_generators)
 
     def contains_row(self, row) -> bool:
-        """Membership of a module vector, by reduction against the pivots."""
-        row = list(row)
-        for (col, v), prow in zip(self.pivots, self.basis):
-            e = row[col]
-            if e.valuation() >= v:
-                q = e.shift_down(v)
-                for c in range(len(row)):
-                    row[c] = row[c] - q * prow[c]
-        return all(s.is_zero() for s in row)
+        """Membership of a module vector: the canonical form does not grow."""
+        return reduce_rows(self.ring, self.basis + (tuple(row),))[0] == self.basis
 
     def contains(self, x: RingElement) -> bool:
         return self.contains_row(_element_row(x))
@@ -548,8 +656,7 @@ def random_regular_ideal(ring: IdealizationRing, rng: random.Random) -> Idealiza
 
 def stability_sweep(ring: IdealizationRing, trials: int, seed: int) -> dict:
     """Run the stability test over seeded random regular ideals."""
-    if trials > TRIALS_CAP:
-        raise CapExceeded(f"{trials} trials exceed the cap of {TRIALS_CAP}")
+    check_caps(ring.rank, ring.prec, trials)
     rng = random.Random(seed)
     per_trial = []
     stable = not_stable = inconclusive = 0

@@ -8,10 +8,17 @@ a tuple of generators; membership is only ever read through
 The idealization length: ``k_dimension`` counts the k-dimension of a
 V-span by Gaussian elimination over k, where ``stablerings.idealization``
 reads it off the pivots.
+
+The idealization row reduction: ``reduce_rows`` is the series-based
+elimination that makes each pivot monic with its series inverse and clears
+the other rows with exact coefficients; ``contains_row`` decides membership
+by reduction against the pivots.  ``stablerings.idealization`` reduces
+integer rows up to a unit instead.
 """
 
 from fractions import Fraction
 
+from stablerings.idealization import TruncatedSeries
 from stablerings.numsg import NumericalSemigroup
 
 
@@ -97,3 +104,64 @@ def k_dimension(rows, p=None) -> int:
         if lead is not None:
             pivot_rows[lead] = vec
     return len(pivot_rows)
+
+
+def _shift_down(s: TruncatedSeries, k: int) -> TruncatedSeries:
+    """Divide by t^k; requires valuation >= k for exactness."""
+    return TruncatedSeries(s.domain, s.prec, s.coeffs[k:] + (0,) * k)
+
+
+def _row_min(row) -> tuple[int, int]:
+    """(valuation, column) of the minimal-valuation entry of a row."""
+    best_v, best_c = row[0].prec, len(row)
+    for c, s in enumerate(row):
+        v = s.valuation()
+        if v < best_v:
+            best_v, best_c = v, c
+    return best_v, best_c
+
+
+def reduce_rows(ring, rows) -> tuple[tuple, tuple]:
+    """Canonical valuation-pivot echelon form, on series rows.
+
+    Pivots are chosen by minimal (valuation, column), ties to the earliest
+    row, made monic by their series inverse and cleared from every other
+    row, work and result alike.
+    """
+    n = ring.prec
+    work = [list(r) for r in rows if any(not s.is_zero() for s in r)]
+    result = []
+    pivots = []
+    while work:
+        best = None
+        for idx, row in enumerate(work):
+            v, c = _row_min(row)
+            if v < n and (best is None or (v, c) < (best[0], best[1])):
+                best = (v, c, idx)
+        if best is None:
+            break
+        v, col, idx = best
+        pivot = work.pop(idx)
+        unit = _shift_down(pivot[col], v).unit_inverse()
+        pivot = [s * unit for s in pivot]
+        for row in work + result:
+            q = _shift_down(row[col], v)
+            if not q.is_zero():
+                for c in range(len(row)):
+                    row[c] = row[c] - q * pivot[c]
+        work = [r for r in work if any(not s.is_zero() for s in r)]
+        result.append(pivot)
+        pivots.append((col, v))
+    return tuple(tuple(r) for r in result), tuple(pivots)
+
+
+def contains_row(basis, pivots, row) -> bool:
+    """Membership of a module row, by reduction against the pivots in order."""
+    row = list(row)
+    for (col, v), prow in zip(pivots, basis):
+        e = row[col]
+        if e.valuation() >= v:
+            q = _shift_down(e, v)
+            for c in range(len(row)):
+                row[c] = row[c] - q * prow[c]
+    return all(s.is_zero() for s in row)

@@ -212,7 +212,14 @@ def test_idealization_bad_rank(capsys):
 
 
 @pytest.mark.parametrize(
-    "knob", [("--prec", "1000000000"), ("--rank", "1000000000"), ("--trials", "1000000000")]
+    "knob",
+    [
+        ("--prec", "1000000000"),
+        ("--rank", "1000000000"),
+        ("--trials", "1000000000"),
+        # every knob within its own cap, the product past the work cap
+        ("--field", "Q", "--rank", "8", "--prec", "256", "--trials", "10000"),
+    ],
 )
 def test_idealization_caps(capsys, knob):
     started = time.monotonic()

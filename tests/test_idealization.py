@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablerings.errors import (
     BadPrecision,
@@ -17,6 +19,8 @@ from stablerings.errors import (
     UnsupportedField,
 )
 from stablerings.idealization import (
+    IdealizationIdeal,
+    IdealizationRing,
     get_domain,
     hilbert_length,
     ideal_from_generators,
@@ -29,8 +33,9 @@ from stablerings.idealization import (
     square_zero_prime_check,
     stability_sweep,
 )
-from stablerings.idealization import _random_element
+from stablerings.idealization import _random_element, _random_series
 
+import oracles
 from oracles import k_dimension
 
 
@@ -318,3 +323,93 @@ def test_random_regular_ideal_is_regular():
 def test_get_domain_guard():
     with pytest.raises(UnsupportedField):
         get_domain("F11")
+
+
+FIELDS = ("F2", "F3", "F5", "Q")
+
+
+def _random_row(ring, rng, top):
+    return tuple(
+        _random_series(ring, rng, (0, top)) if rng.random() < 0.7 else ring.zero_series()
+        for _ in range(1 + ring.rank)
+    )
+
+
+def _random_rows(ring, rng, kinds=None):
+    """A row set with random rows, all-zero rows, rows tying on their pivot
+    (valuation, column) and, over Q, reduced rows carrying Fraction coefficients."""
+    top = rng.choice([2, ring.prec // 2, ring.prec])
+    rows = []
+    if rng.random() < 0.25:
+        gens = [_random_element(ring, rng, regular=rng.random() < 0.5) for _ in range(2)]
+        if not all(g.is_zero() for g in gens):
+            I = ideal_from_generators(ring, gens)
+            rows += I.basis + ideal_product(I, I).basis
+            if kinds is not None:
+                kinds["reduced"] += 1
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append((ring.zero_series(),) * (1 + ring.rank))
+            kind = "zero"
+        elif kind < 0.35 and rows:
+            # adding t^(v+1) * anything keeps the (valuation, column) of the row's minimum
+            base = rng.choice(rows)
+            v = min(s.valuation() for s in base)
+            if v + 1 >= ring.prec:
+                continue
+            shift = ring.series([0] * (v + 1) + [1])
+            extra = _random_row(ring, rng, top)
+            rows.append(tuple(a + shift * b for a, b in zip(base, extra)))
+            kind = "tie"
+        else:
+            rows.append(_random_row(ring, rng, top))
+            kind = "random"
+        if kinds is not None:
+            kinds[kind] += 1
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_reduce_rows_matches_series_oracle(field):
+    # 4 x 260 row sets, ranks 1-4, precisions 6-40
+    rng = random.Random(41)
+    kinds = dict.fromkeys(("zero", "tie", "random", "reduced"), 0)
+    fractions = 0
+    memberships = set()
+    for _ in range(260):
+        ring = IdealizationRing(get_domain(field), rng.randint(1, 4), rng.randint(6, 40))
+        rows = _random_rows(ring, rng, kinds)
+        basis, pivots = reduce_rows(ring, rows)
+        assert (basis, pivots) == oracles.reduce_rows(ring, rows)
+        fractions += any(
+            isinstance(x, Fraction) for row in rows for s in row for x in s.coeffs
+        )
+        I = IdealizationIdeal(ring, (), basis, pivots)
+        t = ring.series([0, 1])
+        for probe in (rng.choice(rows), tuple(t * s for s in rng.choice(rows)),
+                      _random_row(ring, rng, ring.prec)):
+            member = I.contains_row(probe)
+            assert member == oracles.contains_row(basis, pivots, probe)
+            memberships.add(member)
+    assert all(kinds.values()), kinds
+    assert memberships == {True, False}
+    assert fractions or field != "Q"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(1, 3), st.integers(6, 24), st.randoms(use_true_random=False))
+def test_reduce_rows_is_canonical(field, rank, prec, rnd):
+    # permuting the rows and multiplying each by a unit of V spans the same module
+    ring = IdealizationRing(get_domain(field), rank, prec)
+    rows = _random_rows(ring, rnd)
+    expected = reduce_rows(ring, rows)
+    rnd.shuffle(rows)
+    d = ring.domain
+    scaled = []
+    for row in rows:
+        lead = d.rand_nonzero(rnd) if d.p else Fraction(d.rand_nonzero(rnd), rnd.randint(1, 5))
+        unit = ring.series([lead] + [d.rand(rnd) for _ in range(rnd.randint(0, 4))])
+        scaled.append(tuple(unit * s for s in row))
+    assert reduce_rows(ring, scaled) == expected
