@@ -50,6 +50,7 @@ from .idealization import (  # noqa: F401
     RingElement,
     TruncatedSeries,
     hilbert_length,
+    hilbert_lengths,
     ideal_from_generators,
     ideal_power,
     ideal_product,

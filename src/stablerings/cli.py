@@ -238,14 +238,10 @@ def cmd_idealization(args) -> int:
     idealization.check_caps(args.rank, args.prec, args.trials)
     ring = idealization.make_ring(args.field, args.rank, args.prec)
 
-    probes = []
-    skipped = []
     top = min(6, args.prec // 2)
-    for n in range(1, 7):
-        if n <= top:
-            probes.append({"n": n, "length": idealization.hilbert_length(ring, n)})
-        else:
-            skipped.append({"n": n, "reason": "PrecisionTooLow"})
+    lengths = idealization.hilbert_lengths(ring, top)
+    probes = [{"n": n, "length": length} for n, length in enumerate(lengths, 1)]
+    skipped = [{"n": n, "reason": "PrecisionTooLow"} for n in range(top + 1, 7)]
     expected_slope = 1 + args.rank
     diffs = [
         probes[i]["length"] - probes[i - 1]["length"] for i in range(1, len(probes))

@@ -70,6 +70,10 @@ class BadPrecision(StableringsError):
     """Truncation precision is too small to be meaningful."""
 
 
+class BadTrials(StableringsError):
+    """A trial count was negative."""
+
+
 class RingMismatch(StableringsError):
     """Two elements of different idealization rings were combined."""
 

@@ -53,6 +53,7 @@ from operator import mul
 from .errors import (
     BadPrecision,
     BadRank,
+    BadTrials,
     CapExceeded,
     EmptyInput,
     NotRegular,
@@ -72,6 +73,8 @@ WORK_CAP = 1_000_000
 
 def check_caps(rank: int, prec: int, trials: int) -> None:
     """Raise CapExceeded when a check at these sizes would exceed a cap."""
+    if trials < 0:
+        raise BadTrials(f"trials must be nonnegative, got {trials}")
     if rank > RANK_CAP:
         raise CapExceeded(f"rank {rank} exceeds the cap of {RANK_CAP}")
     if prec > PREC_CAP:
@@ -595,17 +598,29 @@ def is_stable_ideal(I: IdealizationIdeal) -> StabilityVerdict:
 
 
 def hilbert_length(ring: IdealizationRing, n: int) -> int:
-    """dim_k R/M^n for the maximal ideal M = (t, e_1, ..., e_r).
+    """dim_k R/M^n for the maximal ideal M = (t, e_1, ..., e_r)."""
+    return hilbert_lengths(ring, n)[-1]
 
-    Read off the pivots of the reduced basis of M^n inside V^{1+r}: a row
-    with pivot valuation v is t^v times a row that completes to a V-basis,
-    so it spans N - v dimensions over k, and the rows' spans are independent
-    because their pivot columns are distinct.  Must equal (1+r)n - r.
+
+def hilbert_lengths(ring: IdealizationRing, n: int) -> list[int]:
+    """dim_k R/M^k for k = 1, ..., n, from one chain of powers M, M^2, ..., M^n.
+
+    Each length is read off the pivots of the reduced basis of M^k inside
+    V^{1+r}: a row with pivot valuation v is t^v times a row that completes
+    to a V-basis, so it spans N - v dimensions over k, and the rows' spans
+    are independent because their pivot columns are distinct.  Must equal
+    (1+r)k - r.
     """
     if not 1 <= n <= ring.prec // 2:
         raise PrecisionTooLow(f"need 1 <= n <= {ring.prec // 2}, got {n}")
-    pivots = ideal_power(ring.maximal_ideal(), n).pivots
-    return (1 + ring.rank - len(pivots)) * ring.prec + sum(v for _, v in pivots)
+    M = power = ring.maximal_ideal()
+    lengths = []
+    for k in range(1, n + 1):
+        if k > 1:
+            power = ideal_product(power, M)
+        pivots = power.pivots
+        lengths.append((1 + ring.rank - len(pivots)) * ring.prec + sum(v for _, v in pivots))
+    return lengths
 
 
 def square_zero_prime_check(ring: IdealizationRing) -> dict:

@@ -14,6 +14,9 @@ the gap mask of the semigroup itself.  The form is canonical, so equality is
 field equality, and every operation is a few shifts of one mask.  The
 stability test I+I = min(I)+I checks only the forced candidate x = min(I):
 at monomial level min(I+I) = 2 min(I), which pins the translation amount.
+One routine, ``_shapes``, reads generators and stability off hole masks,
+so the ring report runs it over every normalized ideal without building
+ideal objects; those ideals are generated gap by gap, never filtered.
 """
 
 from __future__ import annotations
@@ -39,18 +42,8 @@ class RelativeIdeal:
 
     @cached_property
     def minimal_generators(self) -> tuple[int, ...]:
-        """The members outside M + I, ascending (M the maximal ideal of S).
-
-        M + I is the union of s + I over the minimal generators s of S, and
-        every member from min + conductor + multiplicity on lies in
-        multiplicity + I, so that window holds every generator.
-        """
-        S = self.ambient
-        m = ((1 << (S.conductor + S.multiplicity)) - 1) & ~self.holes
-        covered = 0
-        for s in S.minimal_generators:
-            covered |= m << s
-        gens = m & ~covered
+        """The members outside M + I, ascending (M the maximal ideal of S)."""
+        gens, _ = next(_shapes(self.ambient, (self.holes,)))
         out = []
         while gens:
             low = gens & -gens
@@ -160,7 +153,35 @@ def minimal_generator_count(I: RelativeIdeal) -> int:
 
 def is_stable(I: RelativeIdeal) -> bool:
     """True iff I + I = min(I) + I."""
-    return ideal_sum(I, I).holes == I.holes
+    _, stable = next(_shapes(I.ambient, (I.holes,)))
+    return stable
+
+
+def _shapes(S: NumericalSemigroup, hole_masks):
+    """Yield (generators, stable) for the ideal with each hole mask.
+
+    Bit k of ``generators`` is set iff min + k is a member outside M + I, the
+    union of s + I over the minimal generators s of S; the window up to
+    conductor + multiplicity holds them all.  I is stable iff no member,
+    shifted by a generator offset k > 0, lands on a hole.
+    """
+    window = (1 << (S.conductor + S.multiplicity)) - 1
+    shifts = S.minimal_generators
+    for holes in hole_masks:
+        m = window & ~holes
+        covered = 0
+        for s in shifts:
+            covered |= m << s
+        gens = m & ~covered
+        rest = gens & (gens - 1)  # offset 0, min itself, is always a generator
+        while rest:
+            low = rest & -rest
+            if m << (low.bit_length() - 1) & holes:
+                yield gens, False
+                break
+            rest ^= low
+        else:
+            yield gens, True
 
 
 def enumerate_normalized_ideals(
@@ -171,28 +192,36 @@ def enumerate_normalized_ideals(
     These are exactly the S-modules between S and its normalization: each
     misses a subset H of the gaps of S such that the members, shifted by any
     minimal generator of S, never land in H.  There are at most 2^genus of
-    them; they come in descending order of H, which is ascending order of
-    the added gap set.
+    them, and only the valid ones are generated; they come in descending
+    order of H, which is ascending order of the added gap set.
+    """
+    return [RelativeIdeal(S, 0, holes) for holes in _normalized_hole_masks(S, cap)]
+
+
+def _normalized_hole_masks(S: NumericalSemigroup, cap: int = ENUMERATION_GENUS_CAP) -> list[int]:
+    """The hole masks of the normalized ideals of S, in descending order.
+
+    A gap a may join the added set only after every gap a + s (s a minimal
+    generator) has, so the gaps are decided from the largest down, each
+    partial mask extended by "a stays a hole" before "a joins".
     """
     if S.genus > cap:
         raise CapExceeded(f"genus {S.genus} exceeds cap {cap}")
     c = S.conductor
-    full = (1 << c) - 1
-    gap_mask = full & ~S.small_members
-    # a generator at or past the conductor shifts every member out of range
-    shifts = [s for s in S.minimal_generators if s < c]
-    out = []
-    holes = gap_mask
-    while True:
-        members = full ^ holes
-        for s in shifts:
-            if members << s & holes:
-                break
-        else:
-            out.append(RelativeIdeal(S, 0, holes))
-        if not holes:
-            return out
-        holes = (holes - 1) & gap_mask
+    gap_mask = ((1 << c) - 1) & ~S.small_members
+    masks = [gap_mask]
+    for a in range(c - 1, 0, -1):
+        if not gap_mask >> a & 1:
+            continue
+        need = sum(1 << (a + s) for s in S.minimal_generators)
+        bit = 1 << a
+        grown = []
+        for holes in masks:
+            grown.append(holes)
+            if not holes & need:
+                grown.append(holes ^ bit)
+        masks = grown
+    return masks
 
 
 @dataclass(frozen=True)

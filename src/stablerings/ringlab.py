@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 from .errors import NotASubsemigroup, NotStabilized
 from .numsg import NAT, NumericalSemigroup
-from .relideal import (
+from .relideal import (  # two private per-mask helpers: public calls stay per semigroup
     RelativeIdeal,
-    enumerate_normalized_ideals,
+    _normalized_hole_masks,
+    _shapes,
     ideal_sum,
     is_stable,
     make_ideal,
@@ -124,10 +125,11 @@ class StableRingReport:
 
 def stable_ring_report(S: NumericalSemigroup) -> StableRingReport:
     """Check the stable / quadratic / Bass equivalence over all normalized ideals."""
-    ideals = enumerate_normalized_ideals(S)
-    ideal_count = len(ideals)
-    stable_count = sum(map(is_stable, ideals))
-    max_mu = max(map(minimal_generator_count, ideals))
+    ideal_count = stable_count = max_mu = 0
+    for gens, stable in _shapes(S, _normalized_hole_masks(S)):
+        ideal_count += 1
+        stable_count += stable
+        max_mu = max(max_mu, gens.bit_count())
     all_stable = stable_count == ideal_count
     quadratic = is_monomial_quadratic(S, NAT)
     bass = S.multiplicity <= 2

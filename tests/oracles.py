@@ -5,6 +5,9 @@ in ``stablerings.relideal``.  An ideal is given as its ambient semigroup and
 a tuple of generators; membership is only ever read through
 ``NumericalSemigroup.contains``, never through the core's masks.
 
+The normalized ideals: ``normalized_hole_masks`` filters all 2^genus gap
+subsets, where ``stablerings.relideal`` generates only the valid ones.
+
 The idealization length: ``k_dimension`` counts the k-dimension of a
 V-span by Gaussian elimination over k, where ``stablerings.idealization``
 reads it off the pivots.
@@ -29,6 +32,30 @@ def reduce_generators(S: NumericalSemigroup, gens) -> tuple[int, ...]:
         if not any(S.contains(g - h) for h in out):
             out.append(g)
     return tuple(out)
+
+
+def normalized_hole_masks(S: NumericalSemigroup) -> list[int]:
+    """The hole masks of the normalized ideals of S, by filtering every gap subset.
+
+    A subset H of the gaps is the hole set of an S-module containing S iff
+    the members below the conductor, shifted by any minimal generator of S,
+    never land in H.  The masks are tried, and so come out, in descending
+    order.
+    """
+    c = S.conductor
+    full = (1 << c) - 1
+    gap_mask = full & ~S.small_members
+    # a generator at or past the conductor shifts every member out of range
+    shifts = [s for s in S.minimal_generators if s < c]
+    out = []
+    holes = gap_mask
+    while True:
+        members = full ^ holes
+        if not any(members << s & holes for s in shifts):
+            out.append(holes)
+        if not holes:
+            return out
+        holes = (holes - 1) & gap_mask
 
 
 def contains(S: NumericalSemigroup, gens, z: int) -> bool:

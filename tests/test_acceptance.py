@@ -108,11 +108,14 @@ def test_criterion_3_sally_sweep():
 
 def test_criterion_4_stability_oracle_equivalence():
     # the bitmask core against the tuple oracles, on every normalized ideal
-    # and its conductor translate: generators, mu, E(I), I + M, stability
+    # and its conductor translate: generators, mu, E(I), I + M, stability;
+    # and the ring report's (count, stable count, max mu), read off the
+    # masks, against the same totals taken ideal by ideal through the oracles
     checked = 0
     mismatches = []
     for S in enumerate_semigroups(10):
         M = max_ideal(S)
+        census = [0, 0, 0]
         for normalized in enumerate_normalized_ideals(S):
             for I in (normalized, translate(normalized, S.conductor)):
                 lo = I.min_element
@@ -132,11 +135,18 @@ def test_criterion_4_stability_oracle_equivalence():
                     == oracles.ideal_sum(S, gens, S.minimal_generators)
                 ):
                     mismatches.append((str(S), gens, a, b, c))
+                if I is normalized:
+                    census[0] += 1
+                    census[1] += b
+                    census[2] = max(census[2], len(gens))
+        rep = stable_ring_report(S)
+        if (rep.ideal_count, rep.stable_count, rep.max_mu) != tuple(census):
+            mismatches.append((str(S), "report", census))
     report(
         4,
         not mismatches,
-        f"{checked} ideals, three stability routes, generators, mu, E(I) and I+M "
-        f"against the oracles, {len(mismatches)} mismatches",
+        f"{checked} ideals, three stability routes, generators, mu, E(I), I+M and "
+        f"the ring reports against the oracles, {len(mismatches)} mismatches",
     )
 
 

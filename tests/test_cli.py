@@ -211,6 +211,12 @@ def test_idealization_bad_rank(capsys):
     assert "BadRank" in err
 
 
+def test_idealization_negative_trials(capsys):
+    code, _, err = run(capsys, "idealization", "check", "--trials", "-5", "--json")
+    assert code == 2
+    assert "BadTrials" in err
+
+
 @pytest.mark.parametrize(
     "knob",
     [

@@ -1,5 +1,7 @@
 """Fractional-ideal calculus: minimal generators, E(I), stability, towers."""
 
+import math
+
 import oracles
 import pytest
 from hypothesis import given, settings
@@ -195,6 +197,37 @@ def test_enumerate_normalized_ideals_against_oracle():
         )
         assert got_sets == naive_normalized_ideals(S)
         assert len(got) <= 2**S.genus
+
+
+def test_enumerate_normalized_ideals_matches_filter_in_order():
+    # the gap-by-gap generation against the 2^genus filter, order included
+    total = 0
+    for S in enumerate_semigroups(11):
+        got = [I.holes for I in enumerate_normalized_ideals(S)]
+        assert got == oracles.normalized_hole_masks(S), str(S)
+        total += len(got)
+    assert total == 181724
+
+
+# random semigroups from 2-4 generators below 16, genus at most 14
+random_semigroups = (
+    st.lists(st.integers(2, 15), min_size=2, max_size=4)
+    .filter(lambda gens: math.gcd(*gens) == 1)
+    .map(from_generators)
+    .filter(lambda S: S.genus <= 14)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_semigroups)
+def test_normalized_ideals_closed_random(S):
+    ideals = enumerate_normalized_ideals(S)
+    full = (1 << S.conductor) - 1
+    for I in ideals:
+        members = full & ~I.holes
+        assert I.min_element == 0 and I.holes & S.small_members == 0
+        assert all(members << s & I.holes == 0 for s in S.minimal_generators)
+    assert len(ideals) == len(oracles.normalized_hole_masks(S))
 
 
 def test_enumerate_normalized_ideals_cap():
