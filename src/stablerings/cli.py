@@ -151,6 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_sg(args) -> int:
     started = time.monotonic()
+    if args.sgcmd == "two-gen":
+        ringlab.check_n_max(args.n_max)
     gens = parse_generators(args.generators)
     S = numsg.from_generators(gens)
     name = _canonical(S.minimal_generators)

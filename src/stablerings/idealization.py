@@ -530,15 +530,6 @@ def ideal_product(I: IdealizationIdeal, J: IdealizationIdeal) -> IdealizationIde
     return ideal_from_generators(I.ring, list(products))
 
 
-def ideal_power(I: IdealizationIdeal, n: int) -> IdealizationIdeal:
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    out = I
-    for _ in range(n - 1):
-        out = ideal_product(out, I)
-    return out
-
-
 @dataclass(frozen=True)
 class StabilityVerdict:
     """Outcome of the witness search; stable=None means inconclusive."""

@@ -14,9 +14,11 @@ the gap mask of the semigroup itself.  The form is canonical, so equality is
 field equality, and every operation is a few shifts of one mask.  The
 stability test I+I = min(I)+I checks only the forced candidate x = min(I):
 at monomial level min(I+I) = 2 min(I), which pins the translation amount.
-One routine, ``_shapes``, reads generators and stability off hole masks,
-so the ring report runs it over every normalized ideal without building
-ideal objects; those ideals are generated gap by gap, never filtered.
+One routine, ``_shapes``, reads generators and stability off hole masks.
+The normalized ideals are generated gap by gap, never filtered, and the
+walk carries each one's generators and stability as it goes: a joining
+gap can break closure only by a sum above it, which is already decided.
+So the ring report counts them without ideal objects or ``_shapes``.
 """
 
 from __future__ import annotations
@@ -113,16 +115,6 @@ def translate(I: RelativeIdeal, t: int) -> RelativeIdeal:
     return RelativeIdeal(I.ambient, I.min_element + t, I.holes)
 
 
-def nfold(I: RelativeIdeal, n: int) -> RelativeIdeal:
-    """The n-fold sum I + ... + I (the ideal power), n >= 1."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    out = I
-    for _ in range(n - 1):
-        out = ideal_sum(out, I)
-    return out
-
-
 def end_semigroup(I: RelativeIdeal) -> NumericalSemigroup:
     """The endomorphism semigroup E(I) = {z : z + I inside I}.
 
@@ -195,33 +187,52 @@ def enumerate_normalized_ideals(
     them, and only the valid ones are generated; they come in descending
     order of H, which is ascending order of the added gap set.
     """
-    return [RelativeIdeal(S, 0, holes) for holes in _normalized_hole_masks(S, cap)]
+    return [RelativeIdeal(S, 0, holes) for holes, _, _ in _normalized_walk(S, cap)]
 
 
-def _normalized_hole_masks(S: NumericalSemigroup, cap: int = ENUMERATION_GENUS_CAP) -> list[int]:
-    """The hole masks of the normalized ideals of S, in descending order.
+def _normalized_walk(S: NumericalSemigroup, cap: int = ENUMERATION_GENUS_CAP) -> list[tuple]:
+    """(holes, generators, stable) for the normalized ideals of S, holes descending.
 
     A gap a may join the added set only after every gap a + s (s a minimal
     generator) has, so the gaps are decided from the largest down, each
-    partial mask extended by "a stays a hole" before "a joins".
+    partial ideal extended by "a stays a hole" before "a joins".  The
+    generators, as in ``_shapes``, are the members outside M + I: a joins
+    them, since a - s is a gap not yet decided, and the a + s it forces
+    leave them.  When a joins, every sum a + x with x > 0 in I lies above a
+    and is decided, so the ideal stays closed under addition (stable, as
+    I + I = I) iff none of them is a hole; a gap x joining later checks
+    x + a itself.
     """
     if S.genus > cap:
         raise CapExceeded(f"genus {S.genus} exceeds cap {cap}")
     c = S.conductor
-    gap_mask = ((1 << c) - 1) & ~S.small_members
-    masks = [gap_mask]
+    full = (1 << c) - 1
+    gap_mask = full & ~S.small_members
+    nodes = [(gap_mask, 1, True)]
     for a in range(c - 1, 0, -1):
         if not gap_mask >> a & 1:
             continue
         need = sum(1 << (a + s) for s in S.minimal_generators)
         bit = 1 << a
         grown = []
-        for holes in masks:
-            grown.append(holes)
+        for node in nodes:
+            grown.append(node)
+            holes, gens, stable = node
             if not holes & need:
-                grown.append(holes ^ bit)
-        masks = grown
-    return masks
+                holes ^= bit
+                grown.append((holes, (gens | bit) & ~need, stable and not (full ^ holes) << a & holes))
+        nodes = grown
+    return nodes
+
+
+def _normalized_census(S: NumericalSemigroup) -> tuple[int, int, int]:
+    """(count, stable count, largest mu) over the normalized ideals of S."""
+    nodes = _normalized_walk(S)
+    return (
+        len(nodes),
+        sum(stable for _, _, stable in nodes),
+        max(gens.bit_count() for _, gens, _ in nodes),
+    )
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,11 @@ normalization, stability of every normalized module between S and its
 normalization, the Bass verdict (multiplicity at most 2), and the
 two-generated-power and minimal-multiplicity equivalences.
 
+The stability census comes from the normalized-ideal walk of ``relideal``.
+The powers nI of one ideal are a chain of shift-ORs of its membership
+mask, each read with ``relideal._shapes``; the chain stops once a power
+repeats the previous one, since every later power then repeats it too.
+
 Quadratic window note: the extension test only needs element pairs below the
 conductor of S.  If x >= conductor(S) then x is itself a member of S, so
 x + y always lies in y + S and the condition holds automatically; the same
@@ -17,18 +22,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotASubsemigroup, NotStabilized
+from .errors import CapExceeded, NotASubsemigroup, NotStabilized
 from .numsg import NAT, NumericalSemigroup
 from .relideal import (  # two private per-mask helpers: public calls stay per semigroup
     RelativeIdeal,
-    _normalized_hole_masks,
+    _normalized_census,
     _shapes,
-    ideal_sum,
     is_stable,
     make_ideal,
     max_ideal,
     minimal_generator_count,
 )
+
+# Past the reduction number, which is below the multiplicity, the powers of
+# an ideal repeat one mask, and the sweep's multiplicities are at most 17.
+N_MAX_CAP = 32
 
 
 def _power_masks(S: NumericalSemigroup, n: int, width: int) -> list[int]:
@@ -125,11 +133,7 @@ class StableRingReport:
 
 def stable_ring_report(S: NumericalSemigroup) -> StableRingReport:
     """Check the stable / quadratic / Bass equivalence over all normalized ideals."""
-    ideal_count = stable_count = max_mu = 0
-    for gens, stable in _shapes(S, _normalized_hole_masks(S)):
-        ideal_count += 1
-        stable_count += stable
-        max_mu = max(max_mu, gens.bit_count())
+    ideal_count, stable_count, max_mu = _normalized_census(S)
     all_stable = stable_count == ideal_count
     quadratic = is_monomial_quadratic(S, NAT)
     bass = S.multiplicity <= 2
@@ -145,16 +149,38 @@ def stable_ring_report(S: NumericalSemigroup) -> StableRingReport:
     )
 
 
-def _power_two_generated(I: RelativeIdeal, n_max: int) -> bool:
-    """Does some n-fold sum of I with 2 <= n <= n_max have at most two generators?"""
+def check_n_max(n_max: int) -> None:
+    """The power range 2..n_max must be nonempty and at most N_MAX_CAP."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    power = I
-    for _ in range(2, n_max + 1):
-        power = ideal_sum(power, I)
-        if minimal_generator_count(power) <= 2:
-            return True
-    return False
+    if n_max > N_MAX_CAP:
+        raise CapExceeded(f"n_max {n_max} exceeds cap {N_MAX_CAP}")
+
+
+def _power_two_generated(I: RelativeIdeal, gens: int, n_max: int) -> bool:
+    """Does some n-fold sum of I with 2 <= n <= n_max have at most two generators?
+
+    ``gens`` has bit k set for each generator min(I) + k.  The members of
+    nI - n min(I) below the conductor are those of (n-1)I shifted by each
+    generator offset of I; every integer from the conductor on is a member.
+    """
+    check_n_max(n_max)
+    full = (1 << I.ambient.conductor) - 1
+    offsets = [k for k in range(gens.bit_length()) if gens >> k & 1]
+
+    def power_holes():
+        members = full & ~I.holes
+        for n in range(2, n_max + 1):
+            power = 0
+            for k in offsets:
+                power |= members << k
+            power &= full
+            if n > 2 and power == members:
+                return  # every later power has this mask too, so the same mu
+            members = power
+            yield full ^ members
+
+    return any(g.bit_count() <= 2 for g, _ in _shapes(I.ambient, power_holes()))
 
 
 def two_generator_check(S: NumericalSemigroup, n_max: int = 8) -> dict:
@@ -163,7 +189,9 @@ def two_generator_check(S: NumericalSemigroup, n_max: int = 8) -> dict:
     The biconditional under test: such a power exists iff the multiplicity is
     at most 2.
     """
-    power_two_generated = _power_two_generated(max_ideal(S), n_max)
+    M = max_ideal(S)
+    gens, _ = next(_shapes(S, (M.holes,)))
+    power_two_generated = _power_two_generated(M, gens, n_max)
     mult_le_2 = S.multiplicity <= 2
     return {
         "power_two_generated": power_two_generated,
@@ -180,8 +208,9 @@ def sally_check(I: RelativeIdeal, n_max: int = 8) -> dict:
     Both sides are translation-invariant, so the verdict is the same for an
     ideal and any of its integral translates.
     """
-    hypothesis = _power_two_generated(I, n_max)
-    conclusion = minimal_generator_count(I) <= 2 and is_stable(I)
+    gens, stable = next(_shapes(I.ambient, (I.holes,)))
+    hypothesis = _power_two_generated(I, gens, n_max)
+    conclusion = gens.bit_count() <= 2 and stable
     return {
         "hypothesis": hypothesis,
         "conclusion": conclusion,

@@ -17,6 +17,7 @@ import os
 from multiprocessing import Pool
 
 from . import ringlab
+from .errors import CapExceeded
 from .numsg import NumericalSemigroup, enumerate_semigroups
 from .relideal import (
     blowup_tower,
@@ -26,6 +27,9 @@ from .relideal import (
 )
 
 SALLY_GENUS_CAP = 8
+# the largest per-ideal sweep genus that keeps `sweep --max-genus 16 --n-max 32`
+# inside 120 s: 64 s at 14 and 155 s at 15 on a 2-core 2.1 GHz Xeon
+SALLY_GENUS_CAP_MAX = 14
 
 
 def _gens_str(S: NumericalSemigroup) -> str:
@@ -143,6 +147,11 @@ def run_sweep(
     sally_cap: int = SALLY_GENUS_CAP,
 ) -> dict:
     """Analyze every semigroup of genus <= max_genus and merge the records."""
+    ringlab.check_n_max(n_max)
+    if min(sally_cap, max_genus) > SALLY_GENUS_CAP_MAX:
+        raise CapExceeded(
+            f"per-ideal sweep to genus {min(sally_cap, max_genus)} exceeds cap {SALLY_GENUS_CAP_MAX}"
+        )
     semigroups = list(enumerate_semigroups(max_genus))
     tasks = [(S, n_max, sally_cap) for S in semigroups]
     jobs = clamp_jobs(jobs, len(tasks))

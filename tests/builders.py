@@ -1,0 +1,94 @@
+"""Constructors that only the tests use.
+
+Sample algebras for the quadratic-algebra stack, and ideal powers by
+repeated products or sums: the production code reads powers off one chain
+(``stablerings.idealization.hilbert_lengths``, the mask chain in
+``stablerings.ringlab``) and never needs a single power.
+"""
+
+from itertools import product
+
+from stablerings.errors import NoIdentity, NotAssociative, NotCommutative
+from stablerings.idealization import IdealizationIdeal, ideal_product
+from stablerings.quadalg import StructureAlgebra, algebra_from_table, get_field
+from stablerings.relideal import RelativeIdeal, ideal_sum
+
+
+def product_field_algebra(field_name: str, k: int) -> StructureAlgebra:
+    """The product of k copies of the base field, F x ... x F.
+
+    Basis: e_0 = (1,...,1) and e_i = the i-th primitive idempotent for
+    i = 1..k-1, so e_i*e_j = 0 for distinct nonzero i, j and e_i^2 = e_i.
+    """
+    if k < 1:
+        raise ValueError("need at least one factor")
+    field = get_field(field_name)
+    d = k
+    table = [[None] * d for _ in range(d)]
+
+    def vec(*coords):
+        return tuple(coords)
+
+    e = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
+    for j in range(d):
+        table[0][j] = e[j]
+        table[j][0] = e[j]
+    for i in range(1, d):
+        for j in range(1, d):
+            table[i][j] = e[i] if i == j else vec(*([0] * d))
+    return algebra_from_table(field_name, d, table)
+
+
+def dual_numbers_algebra(field_name: str) -> StructureAlgebra:
+    """F[x]/(x^2): dimension 2, e_1^2 = 0."""
+    return algebra_from_table(field_name, 2, [[(1, 0), (0, 1)], [(0, 1), (0, 0)]])
+
+
+def f4_over_f2_algebra() -> StructureAlgebra:
+    """F4 as a 2-dimensional F2-algebra: e_1^2 = e_1 + 1."""
+    return algebra_from_table("F2", 2, [[(1, 0), (0, 1)], [(0, 1), (1, 1)]])
+
+
+def quadratic_extension_algebra(field_name: str, a0: int, a1: int) -> StructureAlgebra:
+    """F[x]/(x^2 - a1*x - a0): dimension 2 with e_1^2 = a0 + a1*e_1."""
+    return algebra_from_table(field_name, 2, [[(1, 0), (0, 1)], [(0, 1), (a0, a1)]])
+
+
+def enumerate_f_algebras(field_name: str, dim: int):
+    """Every valid commutative unital algebra table of the given dimension.
+
+    Free entries are table[i][j] for 1 <= i <= j < dim; identity and
+    commutativity fix the rest.  Candidates failing validation are skipped.
+    """
+    field = get_field(field_name)
+    free = [(i, j) for i in range(1, dim) for j in range(i, dim)]
+    vectors = list(product(field.elements(), repeat=dim))
+    for choice in product(vectors, repeat=len(free)):
+        table = [[None] * dim for _ in range(dim)]
+        for j in range(dim):
+            e_j = tuple(1 if k == j else 0 for k in range(dim))
+            table[0][j] = e_j
+            table[j][0] = e_j
+        for (i, j), v in zip(free, choice):
+            table[i][j] = v
+            table[j][i] = v
+        try:
+            yield algebra_from_table(field_name, dim, table)
+        except (NotAssociative, NotCommutative, NoIdentity):
+            continue
+def ideal_power(I: IdealizationIdeal, n: int) -> IdealizationIdeal:
+    """The n-fold product I ... I, n >= 1."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    out = I
+    for _ in range(n - 1):
+        out = ideal_product(out, I)
+    return out
+def nfold(I: RelativeIdeal, n: int) -> RelativeIdeal:
+    """The n-fold sum I + ... + I (the ideal power), n >= 1."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    out = I
+    for _ in range(n - 1):
+        out = ideal_sum(out, I)
+    return out

@@ -8,6 +8,10 @@ a tuple of generators; membership is only ever read through
 The normalized ideals: ``normalized_hole_masks`` filters all 2^genus gap
 subsets, where ``stablerings.relideal`` generates only the valid ones.
 
+The ideal powers: ``power_two_generated`` builds each power as an ideal
+object with ``stablerings.relideal.ideal_sum`` and reads its generator
+count, where ``stablerings.ringlab`` shifts one membership mask.
+
 The idealization length: ``k_dimension`` counts the k-dimension of a
 V-span by Gaussian elimination over k, where ``stablerings.idealization``
 reads it off the pivots.
@@ -23,6 +27,8 @@ from fractions import Fraction
 
 from stablerings.idealization import TruncatedSeries
 from stablerings.numsg import NumericalSemigroup
+from stablerings.relideal import RelativeIdeal, minimal_generator_count
+from stablerings.relideal import ideal_sum as relideal_sum
 
 
 def reduce_generators(S: NumericalSemigroup, gens) -> tuple[int, ...]:
@@ -56,6 +62,18 @@ def normalized_hole_masks(S: NumericalSemigroup) -> list[int]:
         if not holes:
             return out
         holes = (holes - 1) & gap_mask
+
+
+def power_two_generated(I: RelativeIdeal, n_max: int) -> bool:
+    """Does some n-fold sum of I with 2 <= n <= n_max have at most two generators?"""
+    if n_max < 2:
+        raise ValueError("n_max must be at least 2")
+    power = I
+    for _ in range(2, n_max + 1):
+        power = relideal_sum(power, I)
+        if minimal_generator_count(power) <= 2:
+            return True
+    return False
 
 
 def contains(S: NumericalSemigroup, gens, z: int) -> bool:

@@ -10,6 +10,7 @@ import sys
 import time
 
 import oracles
+from builders import enumerate_f_algebras, f4_over_f2_algebra, product_field_algebra
 from stablerings.idealization import (
     hilbert_length,
     make_ring,
@@ -20,11 +21,8 @@ from stablerings.numsg import enumerate_semigroups, from_generators
 from stablerings.quadalg import (
     HandelmanClass,
     classify_handelman,
-    enumerate_f_algebras,
-    f4_over_f2_algebra,
     is_quadratic_over_base,
     maximal_ideal_count,
-    product_field_algebra,
 )
 from stablerings.relideal import (
     blowup_tower,

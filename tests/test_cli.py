@@ -107,6 +107,29 @@ def test_sweep_genus_cap(capsys):
     assert "CapExceeded" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sg", "two-gen", "3,4,5", "--n-max", "100000000"),
+        ("sweep", "--max-genus", "3", "--n-max", "100000000"),
+        ("sweep", "--max-genus", "16", "--sally-genus-cap", "15"),
+    ],
+)
+def test_sweep_knob_caps(capsys, argv):
+    started = time.monotonic()
+    code, _, err = run(capsys, *argv, "--json")
+    assert code == 3
+    assert "CapExceeded" in err
+    assert time.monotonic() - started < 5.0
+
+
+def test_n_max_below_two_is_usage_error(capsys):
+    for argv in (("sg", "two-gen", "3,4,5"), ("sweep", "--max-genus", "3")):
+        code, _, err = run(capsys, *argv, "--n-max", "1", "--json")
+        assert code == 2
+        assert "ValueError" in err
+
+
 def test_sweep_deterministic_output(capsys):
     args = ("sweep", "--max-genus", "4", "--seed", "1", "--no-timing", "--json")
     _, out1, _ = run(capsys, *args, "--jobs", "1")

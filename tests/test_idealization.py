@@ -24,7 +24,6 @@ from stablerings.idealization import (
     get_domain,
     hilbert_length,
     ideal_from_generators,
-    ideal_power,
     ideal_product,
     is_stable_ideal,
     make_ring,
@@ -36,6 +35,7 @@ from stablerings.idealization import (
 from stablerings.idealization import _random_element, _random_series
 
 import oracles
+from builders import ideal_power
 from oracles import k_dimension
 
 

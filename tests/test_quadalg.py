@@ -2,6 +2,13 @@
 
 import pytest
 
+from builders import (
+    dual_numbers_algebra,
+    enumerate_f_algebras,
+    f4_over_f2_algebra,
+    product_field_algebra,
+    quadratic_extension_algebra,
+)
 from stablerings.errors import (
     NoIdentity,
     NotAssociative,
@@ -14,15 +21,10 @@ from stablerings.quadalg import (
     HandelmanClass,
     algebra_from_table,
     classify_handelman,
-    dual_numbers_algebra,
-    enumerate_f_algebras,
-    f4_over_f2_algebra,
     get_field,
     is_quadratic_over_base,
     load_algebra_payload,
     maximal_ideal_count,
-    product_field_algebra,
-    quadratic_extension_algebra,
 )
 
 

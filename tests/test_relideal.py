@@ -4,12 +4,16 @@ import math
 
 import oracles
 import pytest
+from builders import nfold
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablerings.errors import AmbientMismatch, CapExceeded, EmptyInput
 from stablerings.numsg import NAT, enumerate_semigroups, from_generators
 from stablerings.relideal import (
+    _normalized_census,
+    _normalized_walk,
+    _shapes,
     blowup_tower,
     end_semigroup,
     enumerate_normalized_ideals,
@@ -18,7 +22,6 @@ from stablerings.relideal import (
     make_ideal,
     max_ideal,
     minimal_generator_count,
-    nfold,
     translate,
 )
 
@@ -207,6 +210,24 @@ def test_enumerate_normalized_ideals_matches_filter_in_order():
         assert got == oracles.normalized_hole_masks(S), str(S)
         total += len(got)
     assert total == 181724
+
+
+def test_census_matches_per_mask_shapes():
+    # the generators and stability carried through the walk, against
+    # _shapes run on every finished mask
+    totals = [0, 0, 0]
+    for S in enumerate_semigroups(12):
+        nodes = _normalized_walk(S)
+        shapes = list(_shapes(S, [holes for holes, _, _ in nodes]))
+        assert [(gens, stable) for _, gens, stable in nodes] == shapes, str(S)
+        census = (
+            len(shapes),
+            sum(stable for _, stable in shapes),
+            max(gens.bit_count() for gens, _ in shapes),
+        )
+        assert _normalized_census(S) == census, str(S)
+        totals = [totals[0] + census[0], totals[1] + census[1], max(totals[2], census[2])]
+    assert totals == [514199, 88134, 13]
 
 
 # random semigroups from 2-4 generators below 16, genus at most 14

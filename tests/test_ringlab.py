@@ -1,11 +1,21 @@
 """Hilbert functions, quadratic tests, and the equivalence reports."""
 
+import oracles
 import pytest
+from builders import nfold
 
-from stablerings.errors import NotASubsemigroup
+from stablerings.errors import CapExceeded, NotASubsemigroup
 from stablerings.numsg import NAT, enumerate_semigroups, from_generators
-from stablerings.relideal import make_ideal, max_ideal, nfold, translate
+from stablerings.relideal import (
+    enumerate_normalized_ideals,
+    is_stable,
+    make_ideal,
+    max_ideal,
+    minimal_generator_count,
+    translate,
+)
 from stablerings.ringlab import (
+    N_MAX_CAP,
     greither_check,
     hilbert_function,
     is_monomial_quadratic,
@@ -111,6 +121,19 @@ def test_stable_ring_report_examples():
     assert r.all_stable and r.agreement and r.ideal_count == 1
 
 
+def test_stable_count_is_oversemigroup_count():
+    # a normalized ideal is stable iff it is a semigroup T containing S, and
+    # every such T has genus <= g(S), so it is in the tree below genus 12
+    semigroups = list(enumerate_semigroups(12))
+    gap_masks = [((1 << T.conductor) - 1) & ~T.small_members for T in semigroups]
+    total = 0
+    for S, gaps in zip(semigroups, gap_masks):
+        over = sum(1 for t in gap_masks if not t & ~gaps)
+        assert stable_ring_report(S).stable_count == over, str(S)
+        total += over
+    assert total == 88134
+
+
 def test_report_payload_field_names():
     payload = stable_ring_report(S25).to_payload()
     assert set(payload) == {
@@ -138,6 +161,9 @@ def test_two_generator_examples():
     assert two_generator_check(NAT)["agree"]
     with pytest.raises(ValueError):
         two_generator_check(S27, 1)
+    with pytest.raises(CapExceeded):
+        two_generator_check(S27, N_MAX_CAP + 1)
+    assert two_generator_check(S345, N_MAX_CAP)["agree"]
 
 
 def test_sally_examples():
@@ -158,11 +184,46 @@ def test_sally_examples():
 
 
 def test_sally_translation_invariance():
-    from stablerings.relideal import enumerate_normalized_ideals
-
     for S in enumerate_semigroups(5):
         for I in enumerate_normalized_ideals(S):
             assert sally_check(I, 6) == sally_check(translate(I, S.conductor), 6)
+
+
+def _oracle_sally(I, n_max):
+    hypothesis = oracles.power_two_generated(I, n_max)
+    conclusion = minimal_generator_count(I) <= 2 and is_stable(I)
+    return {"hypothesis": hypothesis, "conclusion": conclusion, "ok": (not hypothesis) or conclusion}
+
+
+def _oracle_two_generator(S, n_max):
+    power_two_generated = oracles.power_two_generated(max_ideal(S), n_max)
+    mult_le_2 = S.multiplicity <= 2
+    return {
+        "power_two_generated": power_two_generated,
+        "mult_le_2": mult_le_2,
+        "agree": power_two_generated == mult_le_2,
+    }
+
+
+@pytest.mark.parametrize("n_max", [2, 8, N_MAX_CAP])
+def test_power_chain_matches_ideal_sum_oracle(n_max):
+    # every normalized ideal of genus <= 8 and its conductor translate
+    ideals = 0
+    for S in enumerate_semigroups(8):
+        for I in enumerate_normalized_ideals(S):
+            for J in (I, translate(I, S.conductor)):
+                assert sally_check(J, n_max) == _oracle_sally(J, n_max)
+            ideals += 1
+    assert ideals == 7740
+    # the maximal ideal of every semigroup of genus <= 12
+    fired = 0
+    for S in enumerate_semigroups(12):
+        M = max_ideal(S)
+        assert two_generator_check(S, n_max) == _oracle_two_generator(S, n_max)
+        res = sally_check(M, n_max)
+        assert res == _oracle_sally(M, n_max)
+        fired += res["hypothesis"]
+    assert 0 < fired < 1413
 
 
 def test_greither_examples():
