@@ -163,7 +163,9 @@ def cmd_sg(args) -> int:
         return 0
 
     if args.sgcmd == "ideal":
-        igens = parse_generators(args.ideal, allow_negative=True)
+        igens = set(parse_generators(args.ideal, allow_negative=True))
+        if len(igens) > numsg.GENERATOR_CAP:
+            raise CapExceeded(f"{len(igens)} distinct ideal generators exceed cap {numsg.GENERATOR_CAP}")
         ideal = relideal.make_ideal(S, igens)
         result = {
             "semigroup": name,

@@ -258,10 +258,6 @@ class RingElement:
         """Nonzerodivisor test: the V-component is nonzero at precision."""
         return self.v.valuation() < self.ring.prec
 
-    def precision_warning(self) -> bool:
-        """Set when the V-component valuation reaches the safe margin N/2."""
-        return self.v.valuation() >= self.ring.prec // 2
-
     def __add__(self, other: "RingElement") -> "RingElement":
         _same_ring(self, other)
         return RingElement(
@@ -586,11 +582,6 @@ def is_stable_ideal(I: IdealizationIdeal) -> StabilityVerdict:
     if saw_unclear:
         return StabilityVerdict(stable=None, witness=None, margin=margin)
     return StabilityVerdict(stable=False, witness=None, margin=margin)
-
-
-def hilbert_length(ring: IdealizationRing, n: int) -> int:
-    """dim_k R/M^n for the maximal ideal M = (t, e_1, ..., e_r)."""
-    return hilbert_lengths(ring, n)[-1]
 
 
 def hilbert_lengths(ring: IdealizationRing, n: int) -> list[int]:

@@ -8,9 +8,13 @@ generators.
 
 Membership is tabulated once on the window [0, c] where c is the conductor
 (the least c with [c, oo) inside S); cofiniteness makes that window complete
-information, so every query reduces to it.  Minimal generators are always
-recomputed from the membership table rather than trusted, which makes the
-type canonical: two values are equal iff their minimal generator tuples are.
+information, so every query reduces to it.  One constructor,
+``NumericalSemigroup.from_member_mask``, builds every value from a
+membership bitmask with whole-mask operations, recomputing the minimal
+generators (so two values are equal iff their generator tuples are) and
+checking closure under each.  ``from_generators`` sizes its window by
+doubling, so it refuses more than ``GENERATOR_CAP`` distinct generators or
+a window past ``WINDOW_CAP`` bits with :class:`CapExceeded`.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from math import gcd
 from .errors import CapExceeded, EmptyInput, GcdNotOne, NotAMember
 
 ENUMERATION_GENUS_CAP = 16
+WINDOW_CAP = 1 << 20
+GENERATOR_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -38,6 +44,45 @@ class NumericalSemigroup:
     multiplicity: int
     genus: int
     small_members: int
+
+    @classmethod
+    def from_member_mask(cls, mask: int, width: int) -> "NumericalSemigroup":
+        """The semigroup whose membership on [0, width) is ``mask``.
+
+        Every z in [width, oo) counts as a member, and bit width - 1 must be
+        set, so the window reaches the conductor.  The minimal generators are
+        found in ascending order: each is the least positive member outside
+        the union of g + S over the generators g found before it.  Every
+        member is a sum of them, so S is closed under addition iff it is
+        closed under adding each one; a mask that is not raises ValueError.
+        """
+        if not mask & 1:
+            raise ValueError("0 must be a member")
+        holes = ((1 << width) - 1) & ~mask
+        conductor = holes.bit_length()
+        if conductor >= width:
+            raise ValueError("window does not reach the conductor")
+        low = (holes | 1) + 1 & ~holes  # lowest clear bit of holes | 1
+        multiplicity = low.bit_length() - 1
+        # a minimal generator s > multiplicity has s - multiplicity a gap,
+        # so every one is at most conductor + multiplicity
+        members = ((1 << (conductor + multiplicity + 1)) - 1) & ~holes
+        mingens = []
+        rest = members & ~1  # the positive members not yet sums of found generators
+        while rest:
+            g = (rest & -rest).bit_length() - 1
+            if holes >> g & members:
+                raise ValueError(f"membership mask not closed under adding {g}")
+            mingens.append(g)
+            rest &= ~(members << g)
+        return cls(
+            minimal_generators=tuple(mingens),
+            conductor=conductor,
+            frobenius=conductor - 1,
+            multiplicity=multiplicity,
+            genus=holes.bit_count(),
+            small_members=members & ((1 << (conductor + 1)) - 1),
+        )
 
     def contains(self, z: int) -> bool:
         """Membership test; constant time via the tabulated window."""
@@ -61,7 +106,9 @@ class NumericalSemigroup:
 
     def gaps(self) -> tuple[int, ...]:
         """The finitely many nonnegative integers outside S, ascending."""
-        return tuple(z for z in range(self.conductor) if not self.small_members >> z & 1)
+        holes = ((1 << self.conductor) - 1) & ~self.small_members
+        bits = bin(holes)[:1:-1]  # character z is bit z
+        return tuple(z for z, bit in enumerate(bits) if bit == "1")
 
     def members_mask(self, width: int) -> int:
         """Bitmask of membership on [0, width)."""
@@ -72,74 +119,21 @@ class NumericalSemigroup:
         return "<" + ",".join(str(g) for g in self.minimal_generators) + ">"
 
 
-def _from_member_mask(mask: int, width: int) -> NumericalSemigroup:
-    """Build the canonical value from a membership bitmask.
-
-    ``mask`` must describe membership on [0, width) for a set that contains
-    every z in [conductor, width); the window must reach past the conductor.
-    """
-    if not mask & 1:
-        raise ValueError("0 must be a member")
-    # conductor: start of the trailing all-ones run of the window
-    conductor = width
-    while conductor > 0 and mask >> (conductor - 1) & 1:
-        conductor -= 1
-    if conductor >= width:
-        raise ValueError("window does not reach the conductor")
-    frobenius = conductor - 1
-    genus = conductor - (mask & ((1 << conductor) - 1)).bit_count()
-
-    def is_member(z: int) -> bool:
-        return z >= conductor or bool(mask >> z & 1)
-
-    multiplicity = 1
-    while not is_member(multiplicity):
-        multiplicity += 1
-
-    # minimal generators: positive members that are not sums of two positive
-    # members; all of them lie below conductor + multiplicity
-    limit = conductor + multiplicity
-    members = [z for z in range(1, limit + 1) if is_member(z)]
-    mingens = []
-    for s in members:
-        if not any(is_member(s - t) for t in members if t < s):
-            mingens.append(s)
-
-    # closure sanity check on the tabulated window; quadratic, so only for
-    # windows of the size the enumeration and sweeps actually produce
-    if limit <= 512:
-        for a in members:
-            if 2 * a > limit:
-                break
-            for b in members:
-                if b < a:
-                    continue
-                s = a + b
-                if s > limit:
-                    break
-                if not is_member(s):
-                    raise ValueError(f"membership table not closed: {a}+{b}")
-
-    return NumericalSemigroup(
-        minimal_generators=tuple(mingens),
-        conductor=conductor,
-        frobenius=frobenius,
-        multiplicity=multiplicity,
-        genus=genus,
-        small_members=mask & ((1 << (conductor + 1)) - 1),
-    )
-
-
 def from_generators(gens) -> NumericalSemigroup:
     """The numerical semigroup generated by ``gens``.
 
     Redundant generators are dropped; conductor, gaps and the membership
     table are computed exactly.  Raises :class:`GcdNotOne` when the given
-    integers do not generate a cofinite monoid.
+    integers do not generate a cofinite monoid, and :class:`CapExceeded`
+    past ``GENERATOR_CAP`` distinct generators or when the membership window
+    would outgrow ``WINDOW_CAP`` bits.
     """
-    gens = sorted(set(gens))
+    gens = set(gens)
     if not gens:
         raise EmptyInput("need at least one generator")
+    if len(gens) > GENERATOR_CAP:
+        raise CapExceeded(f"{len(gens)} distinct generators exceed cap {GENERATOR_CAP}")
+    gens = sorted(gens)
     if gens[0] < 1:
         raise ValueError("generators must be positive integers")
     g = 0
@@ -148,41 +142,39 @@ def from_generators(gens) -> NumericalSemigroup:
     if g != 1:
         raise GcdNotOne(f"gcd of generators is {g}, semigroup is not cofinite")
 
+    # close a window under each generator by shift-OR doubling, doubling the
+    # window until its top m bits are members; m consecutive members put
+    # every larger integer in S.  A generator past the window adds nothing
+    # to it, and one already inside is a sum of earlier ones.
     m = gens[0]
-    # grow the closure window until m consecutive members appear; from there
-    # on every integer is a member
-    width = max(gens) + 1
+    width = m
     while True:
-        width *= 2
+        if width > WINDOW_CAP:
+            raise CapExceeded(f"membership window of {width} bits exceeds cap {WINDOW_CAP}")
+        window = (1 << width) - 1
         mask = 1
-        for z in range(1, width):
-            for a in gens:
-                if a > z:
-                    break
-                if mask >> (z - a) & 1:
-                    mask |= 1 << z
-                    break
-        run = 0
-        found = False
-        for z in range(width):
-            run = run + 1 if mask >> z & 1 else 0
-            if run >= m:
-                found = True
+        for a in gens:
+            if a >= width:
                 break
-        if found:
-            return _from_member_mask(mask, width)
+            if mask >> a & 1:
+                continue
+            step = a
+            while step < width:
+                mask = (mask | mask << step) & window
+                step *= 2
+        if mask >> (width - m) == (1 << m) - 1:
+            return NumericalSemigroup.from_member_mask(mask, width)
+        width *= 2
 
 
 def from_gaps(gaps) -> NumericalSemigroup:
-    """The semigroup whose gap set is ``gaps`` (which must be valid)."""
-    gaps = sorted(set(gaps))
-    if gaps and gaps[0] < 1:
+    """The semigroup whose gap set is ``gaps``; raises ValueError if none is."""
+    gaps = set(gaps)
+    if gaps and min(gaps) < 1:
         raise ValueError("gaps must be positive integers")
-    width = (gaps[-1] + 2) if gaps else 1
-    mask = (1 << width) - 1
-    for z in gaps:
-        mask &= ~(1 << z)
-    return _from_member_mask(mask, width)
+    width = max(gaps, default=-1) + 2
+    holes = sum(1 << z for z in gaps)
+    return NumericalSemigroup.from_member_mask(((1 << width) - 1) & ~holes, width)
 
 
 NAT = from_generators([1])
@@ -238,6 +230,7 @@ def enumerate_semigroups(max_genus: int, cap: int = ENUMERATION_GENUS_CAP):
         for S in level:
             for g in S.minimal_generators:
                 if g > S.frobenius:
-                    nxt.append(from_gaps(S.gaps() + (g,)))
+                    child = S.members_mask(g + 2) & ~(1 << g)
+                    nxt.append(NumericalSemigroup.from_member_mask(child, g + 2))
         level = nxt
         yield from level

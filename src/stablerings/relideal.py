@@ -27,7 +27,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import AmbientMismatch, CapExceeded, EmptyInput
-from .numsg import ENUMERATION_GENUS_CAP, NumericalSemigroup, from_gaps
+from .numsg import ENUMERATION_GENUS_CAP, NumericalSemigroup
+
+# A blow-up step makes a few conductor-wide mask operations per minimal
+# generator, and about as many as eight generators would besides: the work
+# of a tower is (embedding dimension + 8) x conductor, summed over its steps.
+TOWER_WORK_CAP = 3 * 10**9
 
 
 @dataclass(frozen=True)
@@ -120,17 +125,17 @@ def end_semigroup(I: RelativeIdeal) -> NumericalSemigroup:
 
     E(I) always contains the ambient S and is itself a numerical semigroup:
     negative z would push min(I) below itself, and z >= conductor(S) acts via
-    z + g in g + S.  So the scan window [0, conductor) is complete.  There z
-    is a member iff z + g lies in I for every generator g, an AND of I's mask
-    shifted down by each generator offset.
+    z + g in g + S.  So the window [0, conductor] is complete.  There z is
+    a member iff z + g lies in I for every generator g, an AND of I's mask
+    shifted down by each generator offset, and that mask builds E(I).
     """
-    c = I.ambient.conductor
+    width = I.ambient.conductor + 1
     offsets = [g - I.min_element for g in I.minimal_generators]
-    m = I.members_mask(I.min_element, c + offsets[-1])
-    members = (1 << c) - 1
+    m = I.members_mask(I.min_element, width + offsets[-1])
+    members = (1 << width) - 1
     for k in offsets:
         members &= m >> k
-    return from_gaps(z for z in range(1, c) if not members >> z & 1)
+    return NumericalSemigroup.from_member_mask(members, width)
 
 
 def max_ideal(S: NumericalSemigroup) -> RelativeIdeal:
@@ -251,12 +256,17 @@ def blowup_tower(S: NumericalSemigroup, cap: int = 64) -> TowerReport:
     The chain strictly increases until it stabilizes at the normalization
     (the Frobenius number joins E(M) at every proper step), so it reaches the
     full monoid within genus(S) steps; cap exhaustion is reported in the
-    record rather than raised.
+    record rather than raised.  Past ``TOWER_WORK_CAP`` the tower raises
+    :class:`CapExceeded` before the next step, whatever ``cap`` is.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     tower = [S]
+    work = 0
     while not tower[-1].is_full and len(tower) <= cap:
+        work += (tower[-1].embedding_dimension + 8) * tower[-1].conductor
+        if work > TOWER_WORK_CAP:
+            raise CapExceeded(f"blow-up tower work exceeds cap {TOWER_WORK_CAP} after {len(tower) - 1} steps")
         tower.append(end_semigroup(max_ideal(tower[-1])))
     return TowerReport(
         tower=tuple(tower),

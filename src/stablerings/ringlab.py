@@ -166,7 +166,7 @@ def _power_two_generated(I: RelativeIdeal, gens: int, n_max: int) -> bool:
     """
     check_n_max(n_max)
     full = (1 << I.ambient.conductor) - 1
-    offsets = [k for k in range(gens.bit_length()) if gens >> k & 1]
+    offsets = [k for k, bit in enumerate(bin(gens)[:1:-1]) if bit == "1"]
 
     def power_holes():
         members = full & ~I.holes

@@ -21,9 +21,15 @@ elimination that makes each pivot monic with its series inverse and clears
 the other rows with exact coefficients; ``contains_row`` decides membership
 by reduction against the pivots.  ``stablerings.idealization`` reduces
 integer rows up to a unit instead.
+
+Semigroup construction: ``semigroup_by_window_scan`` closes a window one
+integer at a time and ``semigroup_from_member_scan`` reads the minimal
+generators off a membership mask with a quadratic scan, where
+``stablerings.numsg`` works on whole masks.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from stablerings.idealization import TruncatedSeries
 from stablerings.numsg import NumericalSemigroup
@@ -210,3 +216,74 @@ def contains_row(basis, pivots, row) -> bool:
             for c in range(len(row)):
                 row[c] = row[c] - q * prow[c]
     return all(s.is_zero() for s in row)
+
+
+def semigroup_from_member_scan(mask: int, width: int) -> NumericalSemigroup:
+    """The semigroup with membership ``mask`` on [0, width), read one integer at a time.
+
+    A positive member is a minimal generator iff it is not the sum of two
+    positive members; closure is checked pair by pair on the tabulated
+    window, but only while that window is at most 512 wide.
+    """
+    if not mask & 1:
+        raise ValueError("0 must be a member")
+    conductor = width
+    while conductor > 0 and mask >> (conductor - 1) & 1:
+        conductor -= 1
+    if conductor >= width:
+        raise ValueError("window does not reach the conductor")
+    genus = conductor - (mask & ((1 << conductor) - 1)).bit_count()
+
+    def is_member(z: int) -> bool:
+        return z >= conductor or bool(mask >> z & 1)
+
+    multiplicity = 1
+    while not is_member(multiplicity):
+        multiplicity += 1
+    limit = conductor + multiplicity
+    members = [z for z in range(1, limit + 1) if is_member(z)]
+    mingens = []
+    for s in members:
+        if not any(is_member(s - t) for t in members if t < s):
+            mingens.append(s)
+    if limit <= 512:
+        for a in members:
+            for b in members:
+                if a + b <= limit and not is_member(a + b):
+                    raise ValueError(f"membership table not closed: {a}+{b}")
+    return NumericalSemigroup(
+        minimal_generators=tuple(mingens),
+        conductor=conductor,
+        frobenius=conductor - 1,
+        multiplicity=multiplicity,
+        genus=genus,
+        small_members=mask & ((1 << (conductor + 1)) - 1),
+    )
+
+
+def semigroup_by_window_scan(gens) -> NumericalSemigroup:
+    """The semigroup generated by ``gens``, closing a window one integer at a time.
+
+    z joins when z - a is a member for some generator a; the window doubles,
+    starting from twice the largest generator, until m consecutive members
+    appear (m the least generator).
+    """
+    gens = sorted(set(gens))
+    g = 0
+    for a in gens:
+        g = gcd(g, a)
+    if g != 1:
+        raise ValueError("gcd of generators is not 1")
+    m = gens[0]
+    width = max(gens) + 1
+    while True:
+        width *= 2
+        mask = 1
+        for z in range(1, width):
+            if any(a <= z and mask >> (z - a) & 1 for a in gens):
+                mask |= 1 << z
+        run = 0
+        for z in range(width):
+            run = run + 1 if mask >> z & 1 else 0
+            if run >= m:
+                return semigroup_from_member_scan(mask, width)

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from stablerings.cli import main, parse_generators
+from stablerings.numsg import GENERATOR_CAP
 
 
 def run(capsys, *argv):
@@ -121,6 +122,41 @@ def test_sweep_knob_caps(capsys, argv):
     assert code == 3
     assert "CapExceeded" in err
     assert time.monotonic() - started < 5.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sg", "info", "100000,100001"),  # conductor near 10^10
+        ("sg", "info", "3,1000000000"),
+        ("sg", "info", ",".join(str(z) for z in range(1000, 1001 + GENERATOR_CAP))),
+        ("sg", "ideal", "3,4", "--ideal", ",".join(str(z) for z in range(GENERATOR_CAP + 1))),
+    ],
+)
+def test_semigroup_caps(capsys, argv):
+    started = time.monotonic()
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 3 and out == ""
+    assert "CapExceeded" in err
+    assert time.monotonic() - started < 5.0
+
+
+def test_generator_past_the_window_is_cheap(capsys):
+    started = time.monotonic()
+    code, out, _ = run(capsys, "sg", "info", "100,101,10000000", "--json", "--no-timing")
+    assert code == 0
+    assert json.loads(out)["result"]["frobenius"] == 9899
+    assert time.monotonic() - started < 5.0
+
+
+def test_tower_work_cap(capsys):
+    # the largest admitted A of A,A+1 runs out of work budget long before
+    # a million steps, whatever --cap says
+    started = time.monotonic()
+    code, out, err = run(capsys, "sg", "tower", "1024,1025", "--cap", "1000000", "--json")
+    assert code == 3 and out == ""
+    assert "CapExceeded" in err
+    assert time.monotonic() - started < 30.0
 
 
 def test_n_max_below_two_is_usage_error(capsys):

@@ -1,12 +1,18 @@
 """Numerical semigroup arithmetic against brute-force oracles."""
 
+import random
 from itertools import combinations
+from math import gcd
 
 import pytest
 
+import oracles
 from stablerings.errors import CapExceeded, EmptyInput, GcdNotOne, NotAMember
 from stablerings.numsg import (
+    GENERATOR_CAP,
     NAT,
+    WINDOW_CAP,
+    NumericalSemigroup,
     apery_set,
     enumerate_semigroups,
     from_gaps,
@@ -33,6 +39,7 @@ def naive_members(gens, limit):
         ({3, 4, 5}, (3, 4, 5), 2, 3, 3, 2),
         ({2, 3}, (2, 3), 1, 2, 2, 1),
         ({6, 10, 15}, (6, 10, 15), 29, 30, 6, 15),
+        ({100, 101, 10**7}, (100, 101), 9899, 9900, 100, 4950),  # 10^7 is past the window
     ],
 )
 def test_from_generators(gens, mingens, frob, cond, mult, genus):
@@ -119,6 +126,51 @@ def test_construction_errors():
 def test_from_gaps_roundtrip():
     for S in enumerate_semigroups(7):
         assert from_gaps(S.gaps()) == S
+
+
+def test_mask_constructor_matches_scan_oracles_on_the_tree():
+    for S in enumerate_semigroups(12):
+        width = S.conductor + 1
+        scanned = oracles.semigroup_from_member_scan(S.members_mask(width), width)
+        assert from_gaps(S.gaps()) == scanned == S
+        assert from_generators(S.minimal_generators) == oracles.semigroup_by_window_scan(S.minimal_generators) == S
+
+
+def test_from_generators_matches_window_scan_on_random_sets():
+    rng = random.Random(20161)
+    checked = 0
+    while checked < 500:
+        gens = rng.sample(range(1, 60), rng.randint(2, 5))
+        if gcd(*gens) != 1:
+            continue
+        assert from_generators(gens) == oracles.semigroup_by_window_scan(gens), gens
+        checked += 1
+
+
+def test_closure_is_checked_on_wide_windows():
+    # 300 is a member but 300 + 300 is not: a window past 512 bits
+    with pytest.raises(ValueError):
+        from_gaps([*range(1, 300), *range(301, 601)])
+    width = 4000
+    members = ((1 << width) - 1) & ~(1 << 3000)  # 1 + 2999 lands on the hole
+    with pytest.raises(ValueError):
+        NumericalSemigroup.from_member_mask(members, width)
+    with pytest.raises(ValueError):
+        NumericalSemigroup.from_member_mask(members & ~1, width)
+    with pytest.raises(ValueError):
+        NumericalSemigroup.from_member_mask(1, width)  # no run of members at the top
+
+
+def test_construction_caps_at_their_boundaries():
+    assert from_generators([1024, 1025]).conductor == 1023 * 1024
+    with pytest.raises(CapExceeded):
+        from_generators([1025, 1026])  # the window would double past the cap
+    with pytest.raises(CapExceeded):
+        from_generators([WINDOW_CAP + 1, WINDOW_CAP + 2])
+    many = range(1000, 1001 + GENERATOR_CAP)
+    with pytest.raises(CapExceeded):
+        from_generators(many)
+    assert from_generators(list(many)[:GENERATOR_CAP]).multiplicity == 1000
 
 
 def gap_subset_count(genus):
