@@ -184,16 +184,8 @@ class TruncatedSeries:
         )
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = self.prec
-        out = [0] * n
-        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in terms:
-                    if i + j >= n:
-                        break
-                    out[i + j] += a * b
-        return TruncatedSeries(self.domain, n, tuple(map(self.domain.norm, out)))
+        out = _mul_sub(self.coeffs, other.coeffs)
+        return TruncatedSeries(self.domain, self.prec, tuple(map(self.domain.norm, out)))
 
     def unit_inverse(self) -> "TruncatedSeries":
         """Inverse of a unit (valuation 0): the row reduction's W/D, divided out."""

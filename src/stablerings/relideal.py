@@ -14,11 +14,13 @@ the gap mask of the semigroup itself.  The form is canonical, so equality is
 field equality, and every operation is a few shifts of one mask.  The
 stability test I+I = min(I)+I checks only the forced candidate x = min(I):
 at monomial level min(I+I) = 2 min(I), which pins the translation amount.
-One routine, ``_shapes``, reads generators and stability off hole masks.
-The normalized ideals are generated gap by gap, never filtered, and the
-walk carries each one's generators and stability as it goes: a joining
-gap can break closure only by a sum above it, which is already decided.
-So the ring report counts them without ideal objects or ``_shapes``.
+``_generator_mask`` reads the generators off a hole mask, and only
+``is_stable`` runs the stability loop on them.  The powers I, 2I, ... are
+one chain of hole masks, ``_power_chain``.  The normalized ideals are
+generated gap by gap, never filtered, and the walk carries each one's
+generators and stability as it goes: a joining gap can break closure only
+by a sum above it, which is already decided.  So the ring report counts
+them without ideal objects or per-mask reads.
 """
 
 from __future__ import annotations
@@ -48,9 +50,14 @@ class RelativeIdeal:
     holes: int
 
     @cached_property
+    def generator_mask(self) -> int:
+        """Bit k is set iff min_element + k is a minimal generator."""
+        return _generator_mask(self.ambient, self.holes)
+
+    @cached_property
     def minimal_generators(self) -> tuple[int, ...]:
         """The members outside M + I, ascending (M the maximal ideal of S)."""
-        gens, _ = next(_shapes(self.ambient, (self.holes,)))
+        gens = self.generator_mask
         out = []
         while gens:
             low = gens & -gens
@@ -115,11 +122,6 @@ def ideal_sum(I: RelativeIdeal, J: RelativeIdeal) -> RelativeIdeal:
     return RelativeIdeal(I.ambient, I.min_element + J.min_element, full & ~members)
 
 
-def translate(I: RelativeIdeal, t: int) -> RelativeIdeal:
-    """The ideal t + I."""
-    return RelativeIdeal(I.ambient, I.min_element + t, I.holes)
-
-
 def end_semigroup(I: RelativeIdeal) -> NumericalSemigroup:
     """The endomorphism semigroup E(I) = {z : z + I inside I}.
 
@@ -130,7 +132,7 @@ def end_semigroup(I: RelativeIdeal) -> NumericalSemigroup:
     shifted down by each generator offset, and that mask builds E(I).
     """
     width = I.ambient.conductor + 1
-    offsets = [g - I.min_element for g in I.minimal_generators]
+    offsets = [j for j, bit in enumerate(bin(I.generator_mask)[:1:-1]) if bit == "1"]
     m = I.members_mask(I.min_element, width + offsets[-1])
     members = (1 << width) - 1
     for k in offsets:
@@ -150,35 +152,61 @@ def minimal_generator_count(I: RelativeIdeal) -> int:
 
 def is_stable(I: RelativeIdeal) -> bool:
     """True iff I + I = min(I) + I."""
-    _, stable = next(_shapes(I.ambient, (I.holes,)))
-    return stable
+    return _stable_mask(I.holes, I.generator_mask)
 
 
-def _shapes(S: NumericalSemigroup, hole_masks):
-    """Yield (generators, stable) for the ideal with each hole mask.
+def _stable_mask(holes: int, gens: int) -> bool:
+    """Is the ideal with these holes and generator mask stable?
 
-    Bit k of ``generators`` is set iff min + k is a member outside M + I, the
-    union of s + I over the minimal generators s of S; the window up to
-    conductor + multiplicity holds them all.  I is stable iff no member,
-    shifted by a generator offset k > 0, lands on a hole.
+    I + I is the union of I shifted by each generator offset k, and k = 0
+    gives min(I) + I itself, so I is stable iff no member, shifted by an
+    offset k > 0, lands on a hole; members above the top hole never do.
     """
-    window = (1 << (S.conductor + S.multiplicity)) - 1
-    shifts = S.minimal_generators
-    for holes in hole_masks:
-        m = window & ~holes
-        covered = 0
-        for s in shifts:
-            covered |= m << s
-        gens = m & ~covered
-        rest = gens & (gens - 1)  # offset 0, min itself, is always a generator
-        while rest:
-            low = rest & -rest
-            if m << (low.bit_length() - 1) & holes:
-                yield gens, False
-                break
-            rest ^= low
-        else:
-            yield gens, True
+    m = ((1 << holes.bit_length()) - 1) & ~holes
+    rest = gens & (gens - 1)
+    while rest:
+        low = rest & -rest
+        if m << (low.bit_length() - 1) & holes:
+            return False
+        rest ^= low
+    return True
+
+
+def _generator_mask(S: NumericalSemigroup, holes: int) -> int:
+    """Bit k is set iff min + k is a member outside M + I, for the ideal with these holes.
+
+    M + I is the union of s + I over the minimal generators s of S; the
+    window up to conductor + multiplicity holds every generator.
+    """
+    m = ((1 << (S.conductor + S.multiplicity)) - 1) & ~holes
+    covered = 0
+    for s in S.minimal_generators:
+        covered |= m << s
+    return m & ~covered
+
+
+def _power_chain(I: RelativeIdeal, k: int):
+    """Yield the hole masks of I, 2I, ..., kI, each relative to its least element.
+
+    The members of nI - n min(I) below the conductor are those of
+    (n-1)I - (n-1) min(I) shifted by each generator offset of I.  Once a
+    mask repeats the one before, every later power has it too, so the chain
+    stops just after the first repeat.
+    """
+    full = (1 << I.ambient.conductor) - 1
+    offsets = [j for j, bit in enumerate(bin(I.generator_mask)[:1:-1]) if bit == "1"]
+    holes = I.holes
+    yield holes
+    for _ in range(k - 1):
+        members = full & ~holes
+        power = 0
+        for j in offsets:
+            power |= members << j
+        power = full & ~power
+        yield power
+        if power == holes:
+            return
+        holes = power
 
 
 def enumerate_normalized_ideals(
@@ -201,7 +229,7 @@ def _normalized_walk(S: NumericalSemigroup, cap: int = ENUMERATION_GENUS_CAP) ->
     A gap a may join the added set only after every gap a + s (s a minimal
     generator) has, so the gaps are decided from the largest down, each
     partial ideal extended by "a stays a hole" before "a joins".  The
-    generators, as in ``_shapes``, are the members outside M + I: a joins
+    generators, as in ``_generator_mask``, are the members outside M + I: a joins
     them, since a - s is a gap not yet decided, and the a + s it forces
     leave them.  When a joins, every sum a + x with x > 0 in I lies above a
     and is decided, so the ideal stays closed under addition (stable, as

@@ -8,9 +8,10 @@ normalization, the Bass verdict (multiplicity at most 2), and the
 two-generated-power and minimal-multiplicity equivalences.
 
 The stability census comes from the normalized-ideal walk of ``relideal``.
-The powers nI of one ideal are a chain of shift-ORs of its membership
-mask, each read with ``relideal._shapes``; the chain stops once a power
-repeats the previous one, since every later power then repeats it too.
+The powers nI of one ideal are read off ``relideal._power_chain``, hole
+masks below the conductor that stop once a power repeats the one before:
+the two-generated-power checks count each power's generators with
+``relideal._generator_mask``, and the Hilbert function reads the last one.
 
 Quadratic window note: the extension test only needs element pairs below the
 conductor of S.  If x >= conductor(S) then x is itself a member of S, so
@@ -24,12 +25,12 @@ from dataclasses import dataclass
 
 from .errors import CapExceeded, NotASubsemigroup, NotStabilized
 from .numsg import NAT, NumericalSemigroup
-from .relideal import (  # two private per-mask helpers: public calls stay per semigroup
+from .relideal import (  # private per-mask helpers: public calls stay per semigroup or ideal
     RelativeIdeal,
+    _generator_mask,
     _normalized_census,
-    _shapes,
+    _power_chain,
     is_stable,
-    make_ideal,
     max_ideal,
     minimal_generator_count,
 )
@@ -39,30 +40,21 @@ from .relideal import (  # two private per-mask helpers: public calls stay per s
 N_MAX_CAP = 32
 
 
-def _power_masks(S: NumericalSemigroup, n: int, width: int) -> list[int]:
-    """Membership bitmasks of M, 2M, ..., nM on [0, width)."""
-    m_mask = S.members_mask(width) & ~1
-    ones = (1 << width) - 1
-    masks = [m_mask]
-    for _ in range(n - 1):
-        prev = masks[-1]
-        nxt = 0
-        for g in S.minimal_generators:
-            nxt |= prev << g
-        masks.append(nxt & ones)
-    return masks
-
-
 def hilbert_function(S: NumericalSemigroup, n: int) -> int:
-    """The length of R/M^n in the monomial model: |S minus nM| (0 for n=0)."""
+    """The length of R/M^n in the monomial model: |S minus nM| (0 for n=0).
+
+    The least element of nM is x = n*multiplicity, so S minus nM is the
+    members of S below x plus those on the holes of nM, read off the last
+    mask of the power chain of M.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return 0
-    # nM contains every member of S from n*maxgen + conductor on
-    width = n * S.minimal_generators[-1] + S.conductor + 1
-    nm = _power_masks(S, n, width)[-1]
-    return (S.members_mask(width) & ~nm).bit_count()
+    *_, holes = _power_chain(max_ideal(S), n)
+    x = n * S.multiplicity
+    gaps_from_x = (((1 << S.conductor) - 1) & ~S.small_members) >> x
+    return x - S.genus + gaps_from_x.bit_count() + (holes & ~gaps_from_x).bit_count()
 
 
 def multiplicity_via_hilbert(S: NumericalSemigroup) -> int:
@@ -74,12 +66,9 @@ def multiplicity_via_hilbert(S: NumericalSemigroup) -> int:
     to accidental early plateaus.
     """
     top = 2 * S.conductor + 4
-    width = (top + 1) * S.minimal_generators[-1] + S.conductor + 1
-    masks = _power_masks(S, top + 1, width)
-    s_mask = S.members_mask(width)
-    h = [0] + [(s_mask & ~m).bit_count() for m in masks]
-    d_last = h[top + 1] - h[top]
-    d_prev = h[top] - h[top - 1]
+    h_prev, h_top, h_last = (hilbert_function(S, n) for n in (top - 1, top, top + 1))
+    d_last = h_last - h_top
+    d_prev = h_top - h_prev
     if d_last != d_prev:
         raise NotStabilized(f"Hilbert differences {d_prev} != {d_last} at window end")
     return d_last
@@ -157,30 +146,12 @@ def check_n_max(n_max: int) -> None:
         raise CapExceeded(f"n_max {n_max} exceeds cap {N_MAX_CAP}")
 
 
-def _power_two_generated(I: RelativeIdeal, gens: int, n_max: int) -> bool:
-    """Does some n-fold sum of I with 2 <= n <= n_max have at most two generators?
-
-    ``gens`` has bit k set for each generator min(I) + k.  The members of
-    nI - n min(I) below the conductor are those of (n-1)I shifted by each
-    generator offset of I; every integer from the conductor on is a member.
-    """
+def _power_two_generated(I: RelativeIdeal, n_max: int) -> bool:
+    """Does some n-fold sum of I with 2 <= n <= n_max have at most two generators?"""
     check_n_max(n_max)
-    full = (1 << I.ambient.conductor) - 1
-    offsets = [k for k, bit in enumerate(bin(gens)[:1:-1]) if bit == "1"]
-
-    def power_holes():
-        members = full & ~I.holes
-        for n in range(2, n_max + 1):
-            power = 0
-            for k in offsets:
-                power |= members << k
-            power &= full
-            if n > 2 and power == members:
-                return  # every later power has this mask too, so the same mu
-            members = power
-            yield full ^ members
-
-    return any(g.bit_count() <= 2 for g, _ in _shapes(I.ambient, power_holes()))
+    powers = _power_chain(I, n_max)
+    next(powers)  # I itself
+    return any(_generator_mask(I.ambient, holes).bit_count() <= 2 for holes in powers)
 
 
 def two_generator_check(S: NumericalSemigroup, n_max: int = 8) -> dict:
@@ -189,9 +160,7 @@ def two_generator_check(S: NumericalSemigroup, n_max: int = 8) -> dict:
     The biconditional under test: such a power exists iff the multiplicity is
     at most 2.
     """
-    M = max_ideal(S)
-    gens, _ = next(_shapes(S, (M.holes,)))
-    power_two_generated = _power_two_generated(M, gens, n_max)
+    power_two_generated = _power_two_generated(max_ideal(S), n_max)
     mult_le_2 = S.multiplicity <= 2
     return {
         "power_two_generated": power_two_generated,
@@ -208,9 +177,8 @@ def sally_check(I: RelativeIdeal, n_max: int = 8) -> dict:
     Both sides are translation-invariant, so the verdict is the same for an
     ideal and any of its integral translates.
     """
-    gens, stable = next(_shapes(I.ambient, (I.holes,)))
-    hypothesis = _power_two_generated(I, gens, n_max)
-    conclusion = gens.bit_count() <= 2 and stable
+    hypothesis = _power_two_generated(I, n_max)
+    conclusion = I.generator_mask.bit_count() <= 2 and is_stable(I)
     return {
         "hypothesis": hypothesis,
         "conclusion": conclusion,
@@ -225,8 +193,7 @@ def greither_check(S: NumericalSemigroup) -> dict:
     multiplicity; agree ties mu <= 2 to the Bass verdict, and the quadratic
     consequence of two-generation is asserted alongside.
     """
-    nat_as_module = make_ideal(S, range(S.conductor + 1))
-    mu = minimal_generator_count(nat_as_module)
+    mu = minimal_generator_count(RelativeIdeal(S, 0, 0))  # min 0, no holes
     bass = S.multiplicity <= 2
     return {
         "mu_normalization": mu,

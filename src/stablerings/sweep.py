@@ -5,7 +5,8 @@ all its normalized ideals, the two-generated-power biconditional, the
 normalization generator count, minimal multiplicity, the multiplicity triple
 (least element vs Hilbert slope vs normalization generators), blow-up tower
 behavior, and (below the Sally genus cap) the two-generated-power
-implication over every normalized ideal translated into S.
+implication over every normalized ideal, whose verdict is the same for
+every translate of the ideal.
 
 Results merge in enumeration order, so the aggregate report is byte-stable
 regardless of worker count.
@@ -19,12 +20,7 @@ from multiprocessing import Pool
 from . import ringlab
 from .errors import CapExceeded
 from .numsg import NumericalSemigroup, enumerate_semigroups
-from .relideal import (
-    blowup_tower,
-    enumerate_normalized_ideals,
-    max_ideal,
-    translate,
-)
+from .relideal import blowup_tower, enumerate_normalized_ideals, max_ideal
 
 SALLY_GENUS_CAP = 8
 # the largest per-ideal sweep genus that keeps `sweep --max-genus 16 --n-max 32`
@@ -107,12 +103,11 @@ def analyze_semigroup(S: NumericalSemigroup, n_max: int = 8, sally_cap: int = SA
         ideals = 0
         boundary = 0
         for I in enumerate_normalized_ideals(S):
-            integral = translate(I, S.conductor)
-            res = ringlab.sally_check(integral, n_max)
+            res = ringlab.sally_check(I, n_max)
             ideals += 1
             if not res["ok"]:
                 flag("sally", f"ideal {I.minimal_generators}: {res}")
-            if res["hypothesis"] and I.minimal_generators != (0,):
+            if res["hypothesis"] and I.generator_mask != 1:  # min(I) = 0 is not the only generator
                 boundary += 1
         out["sally"] = {"ideals": ideals, "boundary": boundary}
     return out

@@ -1,9 +1,10 @@
 """Constructors that only the tests use.
 
-Sample algebras for the quadratic-algebra stack, and ideal powers by
-repeated products or sums: the production code reads powers off one chain
-(``stablerings.idealization.hilbert_lengths``, the mask chain in
-``stablerings.ringlab``) and never needs a single power.
+Sample algebras for the quadratic-algebra stack, ideal powers by repeated
+products or sums, and translates of monomial ideals: the production code
+reads powers off one chain (``stablerings.idealization.hilbert_lengths``,
+``stablerings.relideal._power_chain``), never needs a single power, and
+never translates an ideal.
 """
 
 from itertools import product
@@ -92,3 +93,8 @@ def nfold(I: RelativeIdeal, n: int) -> RelativeIdeal:
     for _ in range(n - 1):
         out = ideal_sum(out, I)
     return out
+
+
+def translate(I: RelativeIdeal, t: int) -> RelativeIdeal:
+    """The ideal t + I."""
+    return RelativeIdeal(I.ambient, I.min_element + t, I.holes)

@@ -5,12 +5,14 @@ lines; every tolerance and runtime bound is asserted, not just printed.
 """
 
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 import time
 
 import oracles
-from builders import enumerate_f_algebras, f4_over_f2_algebra, product_field_algebra
+from builders import enumerate_f_algebras, f4_over_f2_algebra, product_field_algebra, translate
 from stablerings.idealization import (
     hilbert_lengths,
     make_ring,
@@ -32,7 +34,6 @@ from stablerings.relideal import (
     is_stable,
     max_ideal,
     minimal_generator_count,
-    translate,
 )
 from stablerings.ringlab import (
     greither_check,
@@ -104,47 +105,56 @@ def test_criterion_3_sally_sweep():
     )
 
 
+def _criterion_4_semigroup(S):
+    """Criterion 4 on one semigroup: (ideals checked, mismatches)."""
+    M = max_ideal(S)
+    checked = 0
+    mismatches = []
+    census = [0, 0, 0]
+    for normalized in enumerate_normalized_ideals(S):
+        for I in (normalized, translate(normalized, S.conductor)):
+            lo = I.min_element
+            gens = oracles.reduce_generators(
+                S, [z for z in range(lo, lo + S.conductor + 1) if I.contains(z)]
+            )
+            a = is_stable(I)
+            b = oracles.is_stable_via_endomorphism(S, gens)
+            c = oracles.is_stable_via_search(S, gens)
+            checked += 1
+            if not (
+                a == b == c
+                and I.minimal_generators == gens
+                and minimal_generator_count(I) == len(gens)
+                and end_semigroup(I).gaps() == oracles.endomorphism_gaps(S, gens)
+                and ideal_sum(I, M).minimal_generators
+                == oracles.ideal_sum(S, gens, S.minimal_generators)
+            ):
+                mismatches.append((str(S), gens, a, b, c))
+            if I is normalized:
+                census[0] += 1
+                census[1] += b
+                census[2] = max(census[2], len(gens))
+    rep = stable_ring_report(S)
+    if (rep.ideal_count, rep.stable_count, rep.max_mu) != tuple(census):
+        mismatches.append((str(S), "report", census))
+    return checked, mismatches
+
+
 def test_criterion_4_stability_oracle_equivalence():
     # the bitmask core against the tuple oracles, on every normalized ideal
     # and its conductor translate: generators, mu, E(I), I + M, stability;
     # and the ring report's (count, stable count, max mu), read off the
-    # masks, against the same totals taken ideal by ideal through the oracles
-    checked = 0
-    mismatches = []
-    for S in enumerate_semigroups(10):
-        M = max_ideal(S)
-        census = [0, 0, 0]
-        for normalized in enumerate_normalized_ideals(S):
-            for I in (normalized, translate(normalized, S.conductor)):
-                lo = I.min_element
-                gens = oracles.reduce_generators(
-                    S, [z for z in range(lo, lo + S.conductor + 1) if I.contains(z)]
-                )
-                a = is_stable(I)
-                b = oracles.is_stable_via_endomorphism(S, gens)
-                c = oracles.is_stable_via_search(S, gens)
-                checked += 1
-                if not (
-                    a == b == c
-                    and I.minimal_generators == gens
-                    and minimal_generator_count(I) == len(gens)
-                    and end_semigroup(I).gaps() == oracles.endomorphism_gaps(S, gens)
-                    and ideal_sum(I, M).minimal_generators
-                    == oracles.ideal_sum(S, gens, S.minimal_generators)
-                ):
-                    mismatches.append((str(S), gens, a, b, c))
-                if I is normalized:
-                    census[0] += 1
-                    census[1] += b
-                    census[2] = max(census[2], len(gens))
-        rep = stable_ring_report(S)
-        if (rep.ideal_count, rep.stable_count, rep.max_mu) != tuple(census):
-            mismatches.append((str(S), "report", census))
+    # masks, against the same totals taken ideal by ideal through the oracles.
+    # One semigroup per task over worker processes, merged in enumeration order.
+    with multiprocessing.Pool(os.cpu_count()) as pool:
+        results = pool.map(_criterion_4_semigroup, list(enumerate_semigroups(10)), chunksize=1)
+    checked = sum(n for n, _ in results)
+    mismatches = [m for _, found in results for m in found]
     report(
         4,
-        not mismatches,
-        f"{checked} ideals, three stability routes, generators, mu, E(I), I+M and "
-        f"the ring reports against the oracles, {len(mismatches)} mismatches",
+        not mismatches and checked == 128302,
+        f"{checked} ideals (128302 expected), three stability routes, generators, mu, "
+        f"E(I), I+M and the ring reports against the oracles, {len(mismatches)} mismatches",
     )
 
 

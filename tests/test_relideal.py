@@ -4,16 +4,17 @@ import math
 
 import oracles
 import pytest
-from builders import nfold
+from builders import nfold, translate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablerings.errors import AmbientMismatch, CapExceeded, EmptyInput
 from stablerings.numsg import NAT, enumerate_semigroups, from_generators
 from stablerings.relideal import (
+    _generator_mask,
     _normalized_census,
     _normalized_walk,
-    _shapes,
+    _stable_mask,
     blowup_tower,
     end_semigroup,
     enumerate_normalized_ideals,
@@ -22,7 +23,6 @@ from stablerings.relideal import (
     make_ideal,
     max_ideal,
     minimal_generator_count,
-    translate,
 )
 
 S34 = from_generators({3, 4})
@@ -214,11 +214,14 @@ def test_enumerate_normalized_ideals_matches_filter_in_order():
 
 def test_census_matches_per_mask_shapes():
     # the generators and stability carried through the walk, against
-    # _shapes run on every finished mask
+    # _generator_mask and _stable_mask run on every finished mask
     totals = [0, 0, 0]
     for S in enumerate_semigroups(12):
         nodes = _normalized_walk(S)
-        shapes = list(_shapes(S, [holes for holes, _, _ in nodes]))
+        shapes = []
+        for holes, _, _ in nodes:
+            gens = _generator_mask(S, holes)
+            shapes.append((gens, _stable_mask(holes, gens)))
         assert [(gens, stable) for _, gens, stable in nodes] == shapes, str(S)
         census = (
             len(shapes),

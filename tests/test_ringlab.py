@@ -2,17 +2,17 @@
 
 import oracles
 import pytest
-from builders import nfold
+from builders import nfold, translate
 
 from stablerings.errors import CapExceeded, NotASubsemigroup
 from stablerings.numsg import NAT, enumerate_semigroups, from_generators
 from stablerings.relideal import (
     enumerate_normalized_ideals,
+    ideal_sum,
     is_stable,
     make_ideal,
     max_ideal,
     minimal_generator_count,
-    translate,
 )
 from stablerings.ringlab import (
     N_MAX_CAP,
@@ -67,6 +67,23 @@ def test_hilbert_equals_ideal_power_complement():
                 if S.contains(z) and not P.contains(z)
             )
             assert hilbert_function(S, n) == count
+
+
+def test_hilbert_tail_matches_explicit_powers():
+    # past the end of the power chain, up to the probes of
+    # multiplicity_via_hilbert at 2*conductor + 4 and 2*conductor + 5
+    probes = 0
+    for S in enumerate_semigroups(8):
+        M = max_ideal(S)
+        P = M
+        for n in range(1, 2 * S.conductor + 6):
+            count = sum(
+                1 for z in range(P.min_element + S.conductor) if S.contains(z) and not P.contains(z)
+            )
+            assert hilbert_function(S, n) == count, (str(S), n)
+            probes += 1
+            P = ideal_sum(P, M)
+    assert probes == 4256
 
 
 def test_multiplicity_via_hilbert():
