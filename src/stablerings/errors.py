@@ -22,16 +22,8 @@ class CapExceeded(StableringsError):
     """An enumeration request exceeded the configured resource cap."""
 
 
-class NotAMember(StableringsError):
-    """An element required to lie in the semigroup does not."""
-
-
 class AmbientMismatch(StableringsError):
     """Two ideals over different ambient semigroups were combined."""
-
-
-class NotASubsemigroup(StableringsError):
-    """The claimed extension is not an extension: S is not contained in T."""
 
 
 class NotStabilized(StableringsError):

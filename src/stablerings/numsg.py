@@ -8,7 +8,8 @@ generators.
 
 Membership is tabulated once on the window [0, c] where c is the conductor
 (the least c with [c, oo) inside S); cofiniteness makes that window complete
-information, so every query reduces to it.  One constructor,
+information, so every query reduces to it, and its complement, the gap
+mask, is the one reader of the gaps.  One constructor,
 ``NumericalSemigroup.from_member_mask``, builds every value from a
 membership bitmask with whole-mask operations, recomputing the minimal
 generators (so two values are equal iff their generator tuples are) and
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import CapExceeded, EmptyInput, GcdNotOne, NotAMember
+from .errors import CapExceeded, EmptyInput, GcdNotOne
 
 ENUMERATION_GENUS_CAP = 16
 WINDOW_CAP = 1 << 20
@@ -104,10 +105,14 @@ class NumericalSemigroup:
         """True iff S is all of the nonnegative integers."""
         return self.conductor == 0
 
+    @property
+    def gap_mask(self) -> int:
+        """Bitmask of the gaps: bit z is set iff z is not a member."""
+        return ((1 << self.conductor) - 1) & ~self.small_members
+
     def gaps(self) -> tuple[int, ...]:
         """The finitely many nonnegative integers outside S, ascending."""
-        holes = ((1 << self.conductor) - 1) & ~self.small_members
-        bits = bin(holes)[:1:-1]  # character z is bit z
+        bits = bin(self.gap_mask)[:1:-1]  # character z is bit z
         return tuple(z for z, bit in enumerate(bits) if bit == "1")
 
     def members_mask(self, width: int) -> int:
@@ -167,36 +172,7 @@ def from_generators(gens) -> NumericalSemigroup:
         width *= 2
 
 
-def from_gaps(gaps) -> NumericalSemigroup:
-    """The semigroup whose gap set is ``gaps``; raises ValueError if none is."""
-    gaps = set(gaps)
-    if gaps and min(gaps) < 1:
-        raise ValueError("gaps must be positive integers")
-    width = max(gaps, default=-1) + 2
-    holes = sum(1 << z for z in gaps)
-    return NumericalSemigroup.from_member_mask(((1 << width) - 1) & ~holes, width)
-
-
 NAT = from_generators([1])
-
-
-def apery_set(S: NumericalSemigroup, k: int) -> list[int]:
-    """The least member of S in each residue class mod k, for k in S.
-
-    Entry i of the result is the least member congruent to i mod k; the
-    largest entry minus k is the Frobenius number.
-    """
-    if k <= 0 or not S.contains(k):
-        raise NotAMember(f"{k} is not a positive member of {S}")
-    out: list[int | None] = [None] * k
-    remaining = k
-    z = 0
-    while remaining:
-        if out[z % k] is None and S.contains(z):
-            out[z % k] = z
-            remaining -= 1
-        z += 1
-    return [v for v in out if v is not None]
 
 
 def invariants(S: NumericalSemigroup) -> dict:

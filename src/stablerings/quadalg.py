@@ -199,11 +199,19 @@ def _solve_span3(alg: StructureAlgebra, x, y, target) -> bool:
     return all(row[3] == 0 for row in rows[pivots:])
 
 
+def _check_pair_bound(q: int, dim: int) -> None:
+    """Refuse an F_q-algebra of dimension dim whose element pairs pass the bound."""
+    cut = PAIR_TEST_BOUND.bit_length()  # q >= 2, so q**cut passes it: a huge dim costs nothing
+    size = q ** min(dim, cut)
+    pairs = size * (size + 1) // 2
+    if pairs > PAIR_TEST_BOUND:
+        count = pairs if dim <= cut else f"more than {pairs}"
+        raise TooLarge(f"{count} element pairs exceed the pair-test bound of {PAIR_TEST_BOUND}")
+
+
 def is_quadratic_over_base(A: StructureAlgebra) -> bool:
     """True iff x*y lies in span{1, x, y} for every pair of elements."""
-    pairs = A.size * (A.size + 1) // 2
-    if pairs > PAIR_TEST_BOUND:
-        raise TooLarge(f"{pairs} element pairs exceed the pair-test bound of {PAIR_TEST_BOUND}")
+    _check_pair_bound(A.field.q, A.dimension)
     elems = list(A.elements())
     for i, x in enumerate(elems):
         for y in elems[i:]:
@@ -296,6 +304,7 @@ def load_algebra_payload(payload: dict) -> StructureAlgebra:
     """Build an algebra from the JSON structure-constant format.
 
     Expected shape: {"field": "F2", "dim": d, "table": [[[c, ...], ...], ...]}.
+    The pair bound is checked first: validating a table costs about dim^5 steps.
     """
     if not isinstance(payload, dict):
         raise ValueError("payload must be an object")
@@ -305,4 +314,5 @@ def load_algebra_payload(payload: dict) -> StructureAlgebra:
     dim = payload["dim"]
     if not isinstance(dim, int):
         raise ValueError("dim must be an integer")
+    _check_pair_bound(get_field(payload["field"]).q, dim)
     return algebra_from_table(payload["field"], dim, payload["table"])

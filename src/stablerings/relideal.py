@@ -69,9 +69,6 @@ class RelativeIdeal:
         k = z - self.min_element
         return k >= 0 and not self.holes >> k & 1
 
-    def __contains__(self, z: int) -> bool:
-        return self.contains(z)
-
     def members_mask(self, lo: int, width: int) -> int:
         """Bitmask of membership on [lo, lo + width)."""
         shift = self.min_element - lo
@@ -80,9 +77,6 @@ class RelativeIdeal:
             return 0
         mask = ((1 << span) - 1) & ~self.holes
         return mask << shift if shift >= 0 else mask >> -shift
-
-    def __add__(self, other: "RelativeIdeal") -> "RelativeIdeal":
-        return ideal_sum(self, other)
 
     def __str__(self) -> str:
         gens = ",".join(str(g) for g in self.minimal_generators)
@@ -132,7 +126,7 @@ def end_semigroup(I: RelativeIdeal) -> NumericalSemigroup:
     shifted down by each generator offset, and that mask builds E(I).
     """
     width = I.ambient.conductor + 1
-    offsets = [j for j, bit in enumerate(bin(I.generator_mask)[:1:-1]) if bit == "1"]
+    offsets = [g - I.min_element for g in I.minimal_generators]
     m = I.members_mask(I.min_element, width + offsets[-1])
     members = (1 << width) - 1
     for k in offsets:
@@ -141,8 +135,8 @@ def end_semigroup(I: RelativeIdeal) -> NumericalSemigroup:
 
 
 def max_ideal(S: NumericalSemigroup) -> RelativeIdeal:
-    """The maximal ideal M = S minus 0, generated by the minimal generators."""
-    return make_ideal(S, S.minimal_generators)
+    """The maximal ideal M = S minus 0: M - m misses the gaps above m, the multiplicity."""
+    return RelativeIdeal(S, S.multiplicity, S.gap_mask >> S.multiplicity)
 
 
 def minimal_generator_count(I: RelativeIdeal) -> int:
@@ -194,7 +188,7 @@ def _power_chain(I: RelativeIdeal, k: int):
     stops just after the first repeat.
     """
     full = (1 << I.ambient.conductor) - 1
-    offsets = [j for j, bit in enumerate(bin(I.generator_mask)[:1:-1]) if bit == "1"]
+    offsets = [g - I.min_element for g in I.minimal_generators]
     holes = I.holes
     yield holes
     for _ in range(k - 1):
@@ -240,7 +234,7 @@ def _normalized_walk(S: NumericalSemigroup, cap: int = ENUMERATION_GENUS_CAP) ->
         raise CapExceeded(f"genus {S.genus} exceeds cap {cap}")
     c = S.conductor
     full = (1 << c) - 1
-    gap_mask = full & ~S.small_members
+    gap_mask = S.gap_mask
     nodes = [(gap_mask, 1, True)]
     for a in range(c - 1, 0, -1):
         if not gap_mask >> a & 1:

@@ -11,20 +11,21 @@ The stability census comes from the normalized-ideal walk of ``relideal``.
 The powers nI of one ideal are read off ``relideal._power_chain``, hole
 masks below the conductor that stop once a power repeats the one before:
 the two-generated-power checks count each power's generators with
-``relideal._generator_mask``, and the Hilbert function reads the last one.
+``relideal._generator_mask``, and the Hilbert function reads the last one
+against the gap mask of S.
 
-Quadratic window note: the extension test only needs element pairs below the
-conductor of S.  If x >= conductor(S) then x is itself a member of S, so
-x + y always lies in y + S and the condition holds automatically; the same
-applies symmetrically to y.
+Quadratic test note: the extension test only needs pairs of gaps of S.  If
+x is a member of S then x + y always lies in y + S, and symmetrically for y.
+So the test is one shift-AND of the gap mask per gap x: the mask shifted by
+x meets itself iff x plus some gap is a gap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapExceeded, NotASubsemigroup, NotStabilized
-from .numsg import NAT, NumericalSemigroup
+from .errors import CapExceeded, NotStabilized
+from .numsg import NumericalSemigroup
 from .relideal import (  # private per-mask helpers: public calls stay per semigroup or ideal
     RelativeIdeal,
     _generator_mask,
@@ -53,7 +54,7 @@ def hilbert_function(S: NumericalSemigroup, n: int) -> int:
         return 0
     *_, holes = _power_chain(max_ideal(S), n)
     x = n * S.multiplicity
-    gaps_from_x = (((1 << S.conductor) - 1) & ~S.small_members) >> x
+    gaps_from_x = S.gap_mask >> x
     return x - S.genus + gaps_from_x.bit_count() + (holes & ~gaps_from_x).bit_count()
 
 
@@ -74,23 +75,15 @@ def multiplicity_via_hilbert(S: NumericalSemigroup) -> int:
     return d_last
 
 
-def is_monomial_quadratic(S: NumericalSemigroup, T: NumericalSemigroup) -> bool:
-    """The quadratic-extension test for S inside T at monomial level.
+def is_monomial_quadratic(S: NumericalSemigroup) -> bool:
+    """Is the normalization quadratic over S at monomial level?
 
-    True iff every pair x, y of members of T below conductor(S) satisfies
-    x + y in (x + S) union (y + S) union S; membership of x + y in x + S is
-    just y in S, so the test reduces to pairs of gaps of S lying in T.
+    True iff every pair x, y of nonnegative integers has x + y in
+    (x + S) union (y + S) union S, that is, no two gaps (possibly equal)
+    sum to a gap.
     """
-    for z in range(T.conductor):
-        if S.contains(z) and not T.contains(z):
-            raise NotASubsemigroup(f"{z} is in S but not in T")
-    c = S.conductor
-    pairs = [z for z in range(c) if T.contains(z) and not S.contains(z)]
-    for i, x in enumerate(pairs):
-        for y in pairs[i:]:
-            if not S.contains(x + y):
-                return False
-    return True
+    gaps = S.gap_mask
+    return not any(gaps << x & gaps for x in S.gaps())
 
 
 @dataclass(frozen=True)
@@ -124,7 +117,7 @@ def stable_ring_report(S: NumericalSemigroup) -> StableRingReport:
     """Check the stable / quadratic / Bass equivalence over all normalized ideals."""
     ideal_count, stable_count, max_mu = _normalized_census(S)
     all_stable = stable_count == ideal_count
-    quadratic = is_monomial_quadratic(S, NAT)
+    quadratic = is_monomial_quadratic(S)
     bass = S.multiplicity <= 2
     return StableRingReport(
         semigroup=S,
@@ -199,7 +192,7 @@ def greither_check(S: NumericalSemigroup) -> dict:
         "mu_normalization": mu,
         "bass": bass,
         "agree": (mu <= 2) == bass,
-        "quadratic_when_two_generated": (mu > 2) or is_monomial_quadratic(S, NAT),
+        "quadratic_when_two_generated": (mu > 2) or is_monomial_quadratic(S),
     }
 
 

@@ -20,7 +20,7 @@ from multiprocessing import Pool
 from . import ringlab
 from .errors import CapExceeded
 from .numsg import NumericalSemigroup, enumerate_semigroups
-from .relideal import blowup_tower, enumerate_normalized_ideals, max_ideal
+from .relideal import blowup_tower, enumerate_normalized_ideals
 
 SALLY_GENUS_CAP = 8
 # the largest per-ideal sweep genus that keeps `sweep --max-genus 16 --n-max 32`
@@ -86,7 +86,7 @@ def analyze_semigroup(S: NumericalSemigroup, n_max: int = 8, sally_cap: int = SA
         for i in range(tower.stabilization_index):
             cur, nxt = tower.tower[i], tower.tower[i + 1]
             width = cur.conductor + 4
-            m_i = max_ideal(cur).members_mask(0, width)
+            m_i = cur.members_mask(width) & ~1  # M_i = S_i minus 0
             if m_i != nxt.members_mask(width - 2) << 2:
                 flag("tower", f"M_{i} != 2 + S_{i + 1}")
             if cur.members_mask(width) != S.members_mask(width) | m_i:

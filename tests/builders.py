@@ -1,16 +1,18 @@
 """Constructors that only the tests use.
 
 Sample algebras for the quadratic-algebra stack, ideal powers by repeated
-products or sums, and translates of monomial ideals: the production code
-reads powers off one chain (``stablerings.idealization.hilbert_lengths``,
-``stablerings.relideal._power_chain``), never needs a single power, and
-never translates an ideal.
+products or sums, translates of monomial ideals, and semigroups from their
+gap sets: the production code reads powers off one chain
+(``stablerings.idealization.hilbert_lengths``,
+``stablerings.relideal._power_chain``), never needs a single power, never
+translates an ideal, and builds semigroups from generators or member masks.
 """
 
 from itertools import product
 
 from stablerings.errors import NoIdentity, NotAssociative, NotCommutative
 from stablerings.idealization import IdealizationIdeal, ideal_product
+from stablerings.numsg import NumericalSemigroup
 from stablerings.quadalg import StructureAlgebra, algebra_from_table, get_field
 from stablerings.relideal import RelativeIdeal, ideal_sum
 
@@ -98,3 +100,13 @@ def nfold(I: RelativeIdeal, n: int) -> RelativeIdeal:
 def translate(I: RelativeIdeal, t: int) -> RelativeIdeal:
     """The ideal t + I."""
     return RelativeIdeal(I.ambient, I.min_element + t, I.holes)
+
+
+def from_gaps(gaps) -> NumericalSemigroup:
+    """The semigroup whose gap set is ``gaps``; raises ValueError if none is."""
+    gaps = set(gaps)
+    if gaps and min(gaps) < 1:
+        raise ValueError("gaps must be positive integers")
+    width = max(gaps, default=-1) + 2
+    holes = sum(1 << z for z in gaps)
+    return NumericalSemigroup.from_member_mask(((1 << width) - 1) & ~holes, width)

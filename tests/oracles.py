@@ -25,7 +25,13 @@ integer rows up to a unit instead.
 Semigroup construction: ``semigroup_by_window_scan`` closes a window one
 integer at a time and ``semigroup_from_member_scan`` reads the minimal
 generators off a membership mask with a quadratic scan, where
-``stablerings.numsg`` works on whole masks.
+``stablerings.numsg`` works on whole masks.  ``apery_set`` lists the least
+member of each residue class by scanning the integers.
+
+The quadratic-extension test: ``is_monomial_quadratic`` scans the pairs of
+integers of T missing from S through ``contains``, for any oversemigroup T;
+``stablerings.ringlab`` tests T = N with one shift-AND of the gap mask per
+gap.
 """
 
 from fractions import Fraction
@@ -287,3 +293,42 @@ def semigroup_by_window_scan(gens) -> NumericalSemigroup:
             run = run + 1 if mask >> z & 1 else 0
             if run >= m:
                 return semigroup_from_member_scan(mask, width)
+
+
+def apery_set(S: NumericalSemigroup, k: int) -> list[int]:
+    """The least member of S in each residue class mod k, for k in S.
+
+    Entry i of the result is the least member congruent to i mod k; the
+    largest entry minus k is the Frobenius number.
+    """
+    if k <= 0 or not S.contains(k):
+        raise ValueError(f"{k} is not a positive member of {S}")
+    out: list[int | None] = [None] * k
+    remaining = k
+    z = 0
+    while remaining:
+        if out[z % k] is None and S.contains(z):
+            out[z % k] = z
+            remaining -= 1
+        z += 1
+    return [v for v in out if v is not None]
+
+
+def is_monomial_quadratic(S: NumericalSemigroup, T: NumericalSemigroup) -> bool:
+    """The quadratic-extension test for S inside T at monomial level.
+
+    True iff every pair x, y of members of T below conductor(S) satisfies
+    x + y in (x + S) union (y + S) union S; membership of x + y in x + S is
+    just y in S, so the test reduces to pairs of gaps of S lying in T.
+    Raises ValueError if S is not inside T.
+    """
+    for z in range(T.conductor):
+        if S.contains(z) and not T.contains(z):
+            raise ValueError(f"{z} is in S but not in T")
+    c = S.conductor
+    pairs = [z for z in range(c) if T.contains(z) and not S.contains(z)]
+    for i, x in enumerate(pairs):
+        for y in pairs[i:]:
+            if not S.contains(x + y):
+                return False
+    return True

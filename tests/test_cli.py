@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from stablerings import quadalg
 from stablerings.cli import main, parse_generators
 from stablerings.numsg import GENERATOR_CAP
 
@@ -294,7 +295,7 @@ def test_idealization_caps(capsys, knob):
     assert time.monotonic() - started < 5.0
 
 
-def test_alg_classify_pair_bound(capsys, tmp_path):
+def test_alg_classify_pair_bound(capsys, tmp_path, monkeypatch):
     # F2[x_1..x_12]/(x_1..x_12)^2: valid, 8,192 elements, 33.5M pairs
     d = 13
     unit = [[1 if k == i else 0 for k in range(d)] for i in range(d)]
@@ -306,6 +307,20 @@ def test_alg_classify_pair_bound(capsys, tmp_path):
     assert code == 3
     assert "pair-test bound" in err
     assert time.monotonic() - started < 5.0
+
+    # the bound is checked before the table is validated, whatever its dimension
+    def unreachable(*args):
+        raise AssertionError("an oversized table was validated")
+
+    monkeypatch.setattr(quadalg, "algebra_from_table", unreachable)
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"field": "F2", "dim": 1000000000, "table": []}))
+    for p in (path, huge):
+        started = time.monotonic()
+        code, _, err = run(capsys, "alg", "classify", str(p), "--json")
+        assert code == 3
+        assert "pair-test bound" in err
+        assert time.monotonic() - started < 1.0
 
 
 def test_idealization_seed_changes_trials_not_verdict(capsys):

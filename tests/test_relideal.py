@@ -164,6 +164,11 @@ def test_max_ideal_examples():
     assert max_ideal(S345).minimal_generators == (3, 4, 5)
     assert max_ideal(NAT).minimal_generators == (1,)
     assert max_ideal(S27).minimal_generators == (2, 7)
+    checked = 0
+    for S in enumerate_semigroups(12):
+        assert max_ideal(S) == make_ideal(S, S.minimal_generators), str(S)
+        checked += 1
+    assert checked == 1413
 
 
 def naive_normalized_ideals(S):

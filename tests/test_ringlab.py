@@ -4,7 +4,7 @@ import oracles
 import pytest
 from builders import nfold, translate
 
-from stablerings.errors import CapExceeded, NotASubsemigroup
+from stablerings.errors import CapExceeded
 from stablerings.numsg import NAT, enumerate_semigroups, from_generators
 from stablerings.relideal import (
     enumerate_normalized_ideals,
@@ -95,16 +95,17 @@ def test_multiplicity_via_hilbert():
 
 
 def test_monomial_quadratic_examples():
-    assert is_monomial_quadratic(S25, NAT) is True
-    assert is_monomial_quadratic(S345, NAT) is False
-    assert is_monomial_quadratic(S345, S345) is True
-    with pytest.raises(NotASubsemigroup):
-        is_monomial_quadratic(NAT, S25)
+    assert is_monomial_quadratic(S25) is True
+    assert is_monomial_quadratic(S345) is False
+    assert oracles.is_monomial_quadratic(S345, S345) is True
+    with pytest.raises(ValueError):
+        oracles.is_monomial_quadratic(NAT, S25)
 
 
 def test_monomial_quadratic_equals_multiplicity_two():
     for S in enumerate_semigroups(9):
-        assert is_monomial_quadratic(S, NAT) == (S.multiplicity <= 2)
+        assert is_monomial_quadratic(S) == (S.multiplicity <= 2)
+        assert is_monomial_quadratic(S) == oracles.is_monomial_quadratic(S, NAT)
 
 
 def test_monomial_quadratic_via_raw_pairs():
@@ -116,7 +117,7 @@ def test_monomial_quadratic_via_raw_pairs():
             for x in range(c)
             for y in range(c)
         )
-        assert is_monomial_quadratic(S, NAT) == expected
+        assert is_monomial_quadratic(S) == expected
 
 
 def test_stable_ring_report_examples():
