@@ -25,7 +25,10 @@ from math import gcd
 
 from .errors import CapExceeded, EmptyInput, GcdNotOne
 
-ENUMERATION_GENUS_CAP = 16
+# a whole `sweep --max-genus 19` run at 2 jobs takes 24-31 s on a 2-core 2.1 GHz
+# Xeon, and 65 s with `--sally-genus-cap 14 --n-max 32`; at 20 that one takes
+# 99 s, too close to the 120 s ceiling
+ENUMERATION_GENUS_CAP = 19
 WINDOW_CAP = 1 << 20
 GENERATOR_CAP = 256
 

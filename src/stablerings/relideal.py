@@ -17,10 +17,10 @@ at monomial level min(I+I) = 2 min(I), which pins the translation amount.
 ``_generator_mask`` reads the generators off a hole mask, and only
 ``is_stable`` runs the stability loop on them.  The powers I, 2I, ... are
 one chain of hole masks, ``_power_chain``.  The normalized ideals are
-generated gap by gap, never filtered, and the walk carries each one's
-generators and stability as it goes: a joining gap can break closure only
-by a sum above it, which is already decided.  So the ring report counts
-them without ideal objects or per-mask reads.
+generated gap by gap, never filtered.  The ring report's census lists none
+of them: it counts them by a recurrence on the up-sets of the gap poset,
+reads the largest mu off a maximum matching of comparable gaps, and walks
+only the stable ones, the semigroups containing S.
 """
 
 from __future__ import annotations
@@ -211,55 +211,74 @@ def enumerate_normalized_ideals(
     These are exactly the S-modules between S and its normalization: each
     misses a subset H of the gaps of S such that the members, shifted by any
     minimal generator of S, never land in H.  There are at most 2^genus of
-    them, and only the valid ones are generated; they come in descending
-    order of H, which is ascending order of the added gap set.
-    """
-    return [RelativeIdeal(S, 0, holes) for holes, _, _ in _normalized_walk(S, cap)]
-
-
-def _normalized_walk(S: NumericalSemigroup, cap: int = ENUMERATION_GENUS_CAP) -> list[tuple]:
-    """(holes, generators, stable) for the normalized ideals of S, holes descending.
-
-    A gap a may join the added set only after every gap a + s (s a minimal
-    generator) has, so the gaps are decided from the largest down, each
-    partial ideal extended by "a stays a hole" before "a joins".  The
-    generators, as in ``_generator_mask``, are the members outside M + I: a joins
-    them, since a - s is a gap not yet decided, and the a + s it forces
-    leave them.  When a joins, every sum a + x with x > 0 in I lies above a
-    and is decided, so the ideal stays closed under addition (stable, as
-    I + I = I) iff none of them is a hole; a gap x joining later checks
-    x + a itself.
+    them, and only the valid ones are generated, gap by gap from the largest
+    down: a gap a may join the added set only after every gap a + s (s a
+    minimal generator) has, and each partial ideal is extended by "a stays a
+    hole" before "a joins".  They come in descending order of H, which is
+    ascending order of the added gap set.
     """
     if S.genus > cap:
         raise CapExceeded(f"genus {S.genus} exceeds cap {cap}")
-    c = S.conductor
-    full = (1 << c) - 1
-    gap_mask = S.gap_mask
-    nodes = [(gap_mask, 1, True)]
-    for a in range(c - 1, 0, -1):
-        if not gap_mask >> a & 1:
-            continue
+    nodes = [S.gap_mask]
+    for a in reversed(S.gaps()):
         need = sum(1 << (a + s) for s in S.minimal_generators)
         bit = 1 << a
         grown = []
-        for node in nodes:
-            grown.append(node)
-            holes, gens, stable = node
+        for holes in nodes:
+            grown.append(holes)
             if not holes & need:
-                holes ^= bit
-                grown.append((holes, (gens | bit) & ~need, stable and not (full ^ holes) << a & holes))
+                grown.append(holes ^ bit)
         nodes = grown
-    return nodes
+    return [RelativeIdeal(S, 0, holes) for holes in nodes]
 
 
 def _normalized_census(S: NumericalSemigroup) -> tuple[int, int, int]:
-    """(count, stable count, largest mu) over the normalized ideals of S."""
-    nodes = _normalized_walk(S)
-    return (
-        len(nodes),
-        sum(stable for _, _, stable in nodes),
-        max(gens.bit_count() for _, gens, _ in nodes),
-    )
+    """(count, stable count, largest mu) over the normalized ideals of S, listing none.
+
+    Each is S plus an up-set U of the gap poset, t below u iff u - t is in S.
+    Count: U misses the least gap y left in R or holds all of ``up[y]``, so
+    count(R) = count(R - y) + count(R - up[y]), memoized on R.  Largest mu:
+    the generators of S + U are 0 and the minimal elements of U, so it is one
+    more than the width of the poset, by Dilworth's theorem the genus minus a
+    maximum matching of the strict comparabilities.  Stable count: the stable
+    ones are the semigroups containing S, walked from the largest gap down;
+    when a joins, every sum a + x with x > 0 in the ideal lies above a and is
+    decided, so a node is kept iff none of them is a hole.
+    """
+    if S.genus > ENUMERATION_GENUS_CAP:
+        raise CapExceeded(f"genus {S.genus} exceeds cap {ENUMERATION_GENUS_CAP}")
+    gaps = S.gaps()
+    gap_mask = S.gap_mask
+    up = {1 << y: S.small_members << y & gap_mask for y in gaps}  # keyed by the bit of y
+
+    memo = {0: 1}
+
+    def count(rest: int) -> int:
+        if rest not in memo:
+            low = rest & -rest
+            memo[rest] = count(rest ^ low) + count(rest & ~up[low])
+        return memo[rest]
+
+    match = {}  # gap bit u -> the gap bit below it that it is matched to
+
+    def augment(t: int, seen: list[int]) -> bool:
+        while free := up[t] & ~t & ~seen[0]:
+            u = free & -free
+            seen[0] |= u
+            if u not in match or augment(match[u], seen):
+                match[u] = t
+                return True
+        return False
+
+    width = S.genus - sum(augment(t, [0]) for t in up)
+
+    full = (1 << S.conductor) - 1
+    nodes = [gap_mask]
+    for a in reversed(gaps[1:]):
+        bit = 1 << a
+        nodes += [h for holes in nodes if not (full ^ (h := holes ^ bit)) << a & h]
+    # the last gap, 1, joins only the ideal with no other hole: a semigroup holding 1 is N
+    return count(gap_mask), len(nodes) + (S.genus > 0), 1 + width
 
 
 @dataclass(frozen=True)

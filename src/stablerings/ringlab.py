@@ -7,12 +7,14 @@ normalization, stability of every normalized module between S and its
 normalization, the Bass verdict (multiplicity at most 2), and the
 two-generated-power and minimal-multiplicity equivalences.
 
-The stability census comes from the normalized-ideal walk of ``relideal``.
-The powers nI of one ideal are read off ``relideal._power_chain``, hole
-masks below the conductor that stop once a power repeats the one before:
-the two-generated-power checks count each power's generators with
-``relideal._generator_mask``, and the Hilbert function reads the last one
-against the gap mask of S.
+The census of the normalized ideals (count, stable count, largest mu)
+comes from ``relideal._normalized_census``, which counts them without
+listing them.  The powers nI of one ideal are read off
+``relideal._power_chain``, hole masks below the conductor that stop once a
+power repeats the one before: the two-generated-power checks count each
+power's generators with ``relideal._generator_mask``, and the Hilbert
+function reads a power of M against the gap mask of S, the three probes of
+the multiplicity reader off one chain.
 
 Quadratic test note: the extension test only needs pairs of gaps of S.  If
 x is a member of S then x + y always lies in y + S, and symmetrically for y.
@@ -53,6 +55,11 @@ def hilbert_function(S: NumericalSemigroup, n: int) -> int:
     if n == 0:
         return 0
     *_, holes = _power_chain(max_ideal(S), n)
+    return _hilbert_length(S, n, holes)
+
+
+def _hilbert_length(S: NumericalSemigroup, n: int, holes: int) -> int:
+    """|S minus nM|, given the hole mask of nM relative to its least element."""
     x = n * S.multiplicity
     gaps_from_x = S.gap_mask >> x
     return x - S.genus + gaps_from_x.bit_count() + (holes & ~gaps_from_x).bit_count()
@@ -67,7 +74,10 @@ def multiplicity_via_hilbert(S: NumericalSemigroup) -> int:
     to accidental early plateaus.
     """
     top = 2 * S.conductor + 4
-    h_prev, h_top, h_last = (hilbert_function(S, n) for n in (top - 1, top, top + 1))
+    chain = list(_power_chain(max_ideal(S), top + 1))  # a chain cut short repeats its last mask
+    h_prev, h_top, h_last = (
+        _hilbert_length(S, n, chain[min(n, len(chain)) - 1]) for n in (top - 1, top, top + 1)
+    )
     d_last = h_last - h_top
     d_prev = h_top - h_prev
     if d_last != d_prev:

@@ -24,7 +24,8 @@ from .relideal import blowup_tower, enumerate_normalized_ideals
 
 SALLY_GENUS_CAP = 8
 # the largest per-ideal sweep genus that keeps `sweep --max-genus 16 --n-max 32`
-# inside 120 s: 64 s at 14 and 155 s at 15 on a 2-core 2.1 GHz Xeon
+# inside 120 s: 64 s at 14 and 155 s at 15 on a 2-core 2.1 GHz Xeon; at
+# `--max-genus 19` it takes 65 s at 14
 SALLY_GENUS_CAP_MAX = 14
 
 

@@ -7,6 +7,10 @@ a tuple of generators; membership is only ever read through
 
 The normalized ideals: ``normalized_hole_masks`` filters all 2^genus gap
 subsets, where ``stablerings.relideal`` generates only the valid ones.
+``normalized_walk`` generates them all and carries each one's generators
+and stability, and ``normalized_census`` reads the count, the stable count
+and the largest mu off that list, where ``stablerings.relideal`` counts
+up-sets, matches comparable gaps and walks only the stable ideals.
 
 The ideal powers: ``power_two_generated`` builds each power as an ideal
 object with ``stablerings.relideal.ideal_sum`` and reads its generator
@@ -74,6 +78,45 @@ def normalized_hole_masks(S: NumericalSemigroup) -> list[int]:
         if not holes:
             return out
         holes = (holes - 1) & gap_mask
+
+
+def normalized_walk(S: NumericalSemigroup) -> list[tuple[int, int, bool]]:
+    """(holes, generators, stable) for every normalized ideal of S, holes descending.
+
+    The full gap-by-gap walk, carrying each ideal's generator mask and
+    stability as it goes: when gap a joins, a joins the generators (a - s is
+    a gap not yet decided) and the a + s it forces leave them, and every sum
+    a + x with x > 0 in the ideal lies above a and is decided, so the ideal
+    stays closed under addition iff none of them is a hole.
+    """
+    c = S.conductor
+    full = (1 << c) - 1
+    gap_mask = S.gap_mask
+    nodes = [(gap_mask, 1, True)]
+    for a in range(c - 1, 0, -1):
+        if not gap_mask >> a & 1:
+            continue
+        need = sum(1 << (a + s) for s in S.minimal_generators)
+        bit = 1 << a
+        grown = []
+        for node in nodes:
+            grown.append(node)
+            holes, gens, stable = node
+            if not holes & need:
+                holes ^= bit
+                grown.append((holes, (gens | bit) & ~need, stable and not (full ^ holes) << a & holes))
+        nodes = grown
+    return nodes
+
+
+def normalized_census(S: NumericalSemigroup) -> tuple[int, int, int]:
+    """(count, stable count, largest mu), read off the list of ``normalized_walk``."""
+    nodes = normalized_walk(S)
+    return (
+        len(nodes),
+        sum(stable for _, _, stable in nodes),
+        max(gens.bit_count() for _, gens, _ in nodes),
+    )
 
 
 def power_two_generated(I: RelativeIdeal, n_max: int) -> bool:

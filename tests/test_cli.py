@@ -142,6 +142,15 @@ def test_semigroup_caps(capsys, argv):
     assert time.monotonic() - started < 5.0
 
 
+def test_report_genus_cap(capsys):
+    # genus 21: the census refuses it before any work
+    started = time.monotonic()
+    code, out, err = run(capsys, "sg", "report", "7,8", "--json")
+    assert code == 3 and out == ""
+    assert "CapExceeded" in err
+    assert time.monotonic() - started < 1.0
+
+
 def test_generator_past_the_window_is_cheap(capsys):
     started = time.monotonic()
     code, out, _ = run(capsys, "sg", "info", "100,101,10000000", "--json", "--no-timing")

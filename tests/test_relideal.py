@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablerings.errors import AmbientMismatch, CapExceeded, EmptyInput
-from stablerings.numsg import NAT, enumerate_semigroups, from_generators
+from stablerings.numsg import ENUMERATION_GENUS_CAP, NAT, enumerate_semigroups, from_generators
 from stablerings.relideal import (
     _generator_mask,
     _normalized_census,
-    _normalized_walk,
     _stable_mask,
     blowup_tower,
     end_semigroup,
@@ -218,11 +217,11 @@ def test_enumerate_normalized_ideals_matches_filter_in_order():
 
 
 def test_census_matches_per_mask_shapes():
-    # the generators and stability carried through the walk, against
+    # the generators and stability the oracle walk carries, against
     # _generator_mask and _stable_mask run on every finished mask
     totals = [0, 0, 0]
     for S in enumerate_semigroups(12):
-        nodes = _normalized_walk(S)
+        nodes = oracles.normalized_walk(S)
         shapes = []
         for holes, _, _ in nodes:
             gens = _generator_mask(S, holes)
@@ -233,9 +232,27 @@ def test_census_matches_per_mask_shapes():
             sum(stable for _, stable in shapes),
             max(gens.bit_count() for gens, _ in shapes),
         )
-        assert _normalized_census(S) == census, str(S)
+        assert oracles.normalized_census(S) == census, str(S)
         totals = [totals[0] + census[0], totals[1] + census[1], max(totals[2], census[2])]
     assert totals == [514199, 88134, 13]
+
+
+def test_census_matches_oracle_walk():
+    # the counting census against the census read off the full walk
+    totals = [0, 0, 0]
+    for S in enumerate_semigroups(13):
+        census = _normalized_census(S)
+        assert census == oracles.normalized_census(S), str(S)
+        totals = [totals[0] + census[0], totals[1] + census[1], max(totals[2], census[2])]
+    assert totals == [1448090, 206095, 14]
+
+
+def test_census_cap():
+    # multiplicity 2 keeps the census cheap, so only the cap can refuse it
+    S = from_generators({2, 2 * ENUMERATION_GENUS_CAP + 3})
+    assert S.genus == ENUMERATION_GENUS_CAP + 1
+    with pytest.raises(CapExceeded):
+        _normalized_census(S)
 
 
 # random semigroups from 2-4 generators below 16, genus at most 14
