@@ -254,10 +254,11 @@ def _normalized_census(S: NumericalSemigroup) -> tuple[int, int, int]:
     memo = {0: 1}
 
     def count(rest: int) -> int:
-        if rest not in memo:
-            low = rest & -rest
-            memo[rest] = count(rest ^ low) + count(rest & ~up[low])
-        return memo[rest]
+        # every count is at least 1, so a memo miss is the only falsy lookup
+        low = rest & -rest
+        a, b = rest ^ low, rest & ~up[low]
+        memo[rest] = n = (memo.get(a) or count(a)) + (memo.get(b) or count(b))
+        return n
 
     match = {}  # gap bit u -> the gap bit below it that it is matched to
 
@@ -278,7 +279,7 @@ def _normalized_census(S: NumericalSemigroup) -> tuple[int, int, int]:
         bit = 1 << a
         nodes += [h for holes in nodes if not (full ^ (h := holes ^ bit)) << a & h]
     # the last gap, 1, joins only the ideal with no other hole: a semigroup holding 1 is N
-    return count(gap_mask), len(nodes) + (S.genus > 0), 1 + width
+    return memo.get(gap_mask) or count(gap_mask), len(nodes) + (S.genus > 0), 1 + width
 
 
 @dataclass(frozen=True)

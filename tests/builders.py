@@ -1,17 +1,23 @@
 """Constructors that only the tests use.
 
 Sample algebras for the quadratic-algebra stack, ideal powers by repeated
-products or sums, translates of monomial ideals, and semigroups from their
-gap sets: the production code reads powers off one chain
-(``stablerings.idealization.hilbert_lengths``,
+products or sums, translates of monomial ideals, semigroups from their gap
+sets and reduced random trial ideals: the production code reads powers off
+one chain (``stablerings.idealization.hilbert_lengths``,
 ``stablerings.relideal._power_chain``), never needs a single power, never
-translates an ideal, and builds semigroups from generators or member masks.
+translates an ideal, builds semigroups from generators or member masks, and
+searches a trial's witness from its generators without reducing the ideal.
 """
 
 from itertools import product
 
 from stablerings.errors import NoIdentity, NotAssociative, NotCommutative
-from stablerings.idealization import IdealizationIdeal, ideal_product
+from stablerings.idealization import (
+    IdealizationIdeal,
+    _random_regular_generators,
+    ideal_from_generators,
+    ideal_product,
+)
 from stablerings.numsg import NumericalSemigroup
 from stablerings.quadalg import StructureAlgebra, algebra_from_table, get_field
 from stablerings.relideal import RelativeIdeal, ideal_sum
@@ -87,6 +93,13 @@ def ideal_power(I: IdealizationIdeal, n: int) -> IdealizationIdeal:
     for _ in range(n - 1):
         out = ideal_product(out, I)
     return out
+
+
+def random_regular_ideal(ring, rng) -> IdealizationIdeal:
+    """A seeded random two-generated regular ideal, drawn as ``stability_sweep`` draws a trial."""
+    return ideal_from_generators(ring, _random_regular_generators(ring, rng))
+
+
 def nfold(I: RelativeIdeal, n: int) -> RelativeIdeal:
     """The n-fold sum I + ... + I (the ideal power), n >= 1."""
     if n < 1:

@@ -24,7 +24,9 @@ The idealization row reduction: ``reduce_rows`` is the series-based
 elimination that makes each pivot monic with its series inverse and clears
 the other rows with exact coefficients; ``contains_row`` decides membership
 by reduction against the pivots.  ``stablerings.idealization`` reduces
-integer rows up to a unit instead.
+integer rows up to a unit instead.  ``ideal_rows`` spans an ideal by the
+rows (v, l) and (0, v*e_k) of each generator (v, l), where
+``stablerings.idealization`` adds one set of rows (0, t^a*e_k) per ideal.
 
 Semigroup construction: ``semigroup_by_window_scan`` closes a window one
 integer at a time and ``semigroup_from_member_scan`` reads the minimal
@@ -265,6 +267,19 @@ def contains_row(basis, pivots, row) -> bool:
             for c in range(len(row)):
                 row[c] = row[c] - q * prow[c]
     return all(s.is_zero() for s in row)
+
+
+def ideal_rows(ring, gens) -> list[tuple]:
+    """Module rows spanning the ring ideal of gens: (v, l) and (0, v*e_k) per generator."""
+    zero = ring.zero_series()
+    rows = []
+    for g in gens:
+        rows.append((g.v,) + g.ell)
+        for k in range(ring.rank):
+            ell = [zero] * ring.rank
+            ell[k] = g.v
+            rows.append((zero, *ell))
+    return rows
 
 
 def semigroup_from_member_scan(mask: int, width: int) -> NumericalSemigroup:

@@ -1,5 +1,6 @@
 """CLI surface: parsing, reports, exit codes, determinism."""
 
+import hashlib
 import json
 import time
 
@@ -256,6 +257,22 @@ def test_idealization_check(capsys):
     assert result["hilbert"]["slope_ok"] is True
     assert result["square_zero_prime"]["p_squared_zero"] is True
     assert result["stability"]["not_stable"] == 0
+
+
+# sha256 of the stdout of the benchmark's ideal-q command at seed 1, recorded
+# before the witness search stopped reducing trial ideals
+IDEAL_Q_GOLDEN = "73b585ec828b0d44045cf54104605511ed0d11d21d72473c24941ed6aec7f64a"
+
+
+def test_idealization_ideal_q_golden(capsys):
+    code, out, _ = run(
+        capsys,
+        "idealization", "check",
+        "--field", "Q", "--rank", "3", "--prec", "16",
+        "--trials", "160", "--seed", "1", "--json", "--no-timing",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == IDEAL_Q_GOLDEN
 
 
 def test_idealization_low_precision_reports_skips(capsys):

@@ -21,21 +21,21 @@ from stablerings.errors import (
 from stablerings.idealization import (
     IdealizationIdeal,
     IdealizationRing,
+    RingElement,
     get_domain,
     hilbert_lengths,
     ideal_from_generators,
     ideal_product,
     is_stable_ideal,
     make_ring,
-    random_regular_ideal,
     reduce_rows,
     square_zero_prime_check,
     stability_sweep,
 )
-from stablerings.idealization import _random_element, _random_series
+from stablerings.idealization import _random_element, _random_series, _square
 
 import oracles
-from builders import ideal_power
+from builders import ideal_power, random_regular_ideal
 from oracles import k_dimension
 
 
@@ -239,6 +239,16 @@ def test_sweep_golden_verdicts(field):
     assert digest == SWEEP_GOLDEN[field]
 
 
+@pytest.mark.parametrize("field", ["Q", "F3"])
+def test_sweep_matches_reduced_trial_ideals(field):
+    # the sweep searches the drawn generators without reducing the trial ideal
+    ring = make_ring(field, 3, 12)
+    rng = random.Random(19)
+    expected = [is_stable_ideal(random_regular_ideal(ring, rng)).to_payload() for _ in range(40)]
+    assert stability_sweep(ring, 40, seed=19)["per_trial"] == expected
+    assert {p["stable"] for p in expected} >= {True, None}
+
+
 def test_stability_sweeps_other_coefficient_fields():
     for field in ("F3", "F5", "Q"):
         ring = make_ring(field, 2, 16)
@@ -411,3 +421,45 @@ def test_reduce_rows_is_canonical(field, rank, prec, rnd):
         unit = ring.series([lead] + [d.rand(rnd) for _ in range(rnd.randint(0, 4))])
         scaled.append(tuple(unit * s for s in row))
     assert reduce_rows(ring, scaled) == expected
+
+
+def _random_generators(ring, rng, kinds):
+    """1-3 generators, among them all-zero ones, ones with a zero V-component
+    and ones tying the V-valuation of an earlier one."""
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.random()
+        if kind < 0.1:
+            g, kind = ring.element([]), "zero"
+        elif kind < 0.35:
+            ell = tuple(_random_series(ring, rng) for _ in range(ring.rank))
+            g, kind = RingElement(ring, ring.zero_series(), ell), "zero_v"
+        elif kind < 0.55 and gens and min(h.v.valuation() for h in gens) < ring.prec:
+            v = rng.choice([h.v.valuation() for h in gens if h.v.valuation() < ring.prec])
+            unit = _random_series(ring, rng, (0, 0))
+            g = _random_element(ring, rng, regular=False)
+            g, kind = RingElement(ring, ring.series([0] * v + [1]) * unit, g.ell), "tie"
+        else:
+            g, kind = _random_element(ring, rng, regular=rng.random() < 0.5), "random"
+        gens.append(g)
+        kinds[kind] += 1
+    return gens
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_ideal_rows_match_per_generator_rows(field):
+    # one set of rows (0, t^a*e_k) per ideal spans what (0, v*e_k) per generator does
+    rng = random.Random(43)
+    kinds = dict.fromkeys(("zero", "zero_v", "tie", "random", "no_l_rows"), 0)
+    for _ in range(150):
+        ring = IdealizationRing(get_domain(field), rng.randint(1, 4), rng.randint(6, 40))
+        gens = _random_generators(ring, rng, kinds)
+        kinds["no_l_rows"] += all(g.v.is_zero() for g in gens)
+        I = ideal_from_generators(ring, gens)
+        assert (I.basis, I.pivots) == reduce_rows(ring, oracles.ideal_rows(ring, gens))
+        # the witness search's I^2, from unordered pairs, against the product of all pairs
+        square, expected = _square(ring, gens), ideal_product(I, I)
+        margin = ring.prec // 2
+        assert square == expected
+        assert square.margin_signature(margin) == expected.margin_signature(margin)
+    assert all(kinds.values()), kinds
