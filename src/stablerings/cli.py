@@ -223,7 +223,10 @@ def cmd_sweep(args) -> int:
 def cmd_alg(args) -> int:
     started = time.monotonic()
     with open(args.file, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
     A = quadalg.load_algebra_payload(payload)
     cls = quadalg.classify_handelman(A)
     result = {

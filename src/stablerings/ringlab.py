@@ -1,10 +1,10 @@
 """Theorem-level predicates on the monomial model.
 
 This module evaluates, for the monomial ring of a numerical semigroup S, the
-ring-theoretic quantities that the stability theory ties together: Hilbert
-function and multiplicity, the quadratic-extension test against the
-normalization, stability of every normalized module between S and its
-normalization, the Bass verdict (multiplicity at most 2), and the
+ring-theoretic quantities that the stability theory ties together: the
+multiplicity read off the Hilbert function, the quadratic-extension test
+against the normalization, stability of every normalized module between S
+and its normalization, the Bass verdict (multiplicity at most 2), and the
 two-generated-power and minimal-multiplicity equivalences.
 
 The census of the normalized ideals (count, stable count, largest mu)
@@ -12,9 +12,9 @@ comes from ``relideal._normalized_census``, which counts them without
 listing them.  The powers nI of one ideal are read off
 ``relideal._power_chain``, hole masks below the conductor that stop once a
 power repeats the one before: the two-generated-power checks count each
-power's generators with ``relideal._generator_mask``, and the Hilbert
-function reads a power of M against the gap mask of S, the three probes of
-the multiplicity reader off one chain.
+power's generators with ``relideal._generator_mask``, and the multiplicity
+reader reads its three Hilbert-function probes, each a power of M against
+the gap mask of S, off one chain.
 
 Quadratic test note: the extension test only needs pairs of gaps of S.  If
 x is a member of S then x + y always lies in y + S, and symmetrically for y.
@@ -41,21 +41,6 @@ from .relideal import (  # private per-mask helpers: public calls stay per semig
 # Past the reduction number, which is below the multiplicity, the powers of
 # an ideal repeat one mask, and the sweep's multiplicities are at most 17.
 N_MAX_CAP = 32
-
-
-def hilbert_function(S: NumericalSemigroup, n: int) -> int:
-    """The length of R/M^n in the monomial model: |S minus nM| (0 for n=0).
-
-    The least element of nM is x = n*multiplicity, so S minus nM is the
-    members of S below x plus those on the holes of nM, read off the last
-    mask of the power chain of M.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 0
-    *_, holes = _power_chain(max_ideal(S), n)
-    return _hilbert_length(S, n, holes)
 
 
 def _hilbert_length(S: NumericalSemigroup, n: int, holes: int) -> int:

@@ -2,11 +2,13 @@
 
 Sample algebras for the quadratic-algebra stack, ideal powers by repeated
 products or sums, translates of monomial ideals, semigroups from their gap
-sets and reduced random trial ideals: the production code reads powers off
-one chain (``stablerings.idealization.hilbert_lengths``,
-``stablerings.relideal._power_chain``), never needs a single power, never
-translates an ideal, builds semigroups from generators or member masks, and
-searches a trial's witness from its generators without reducing the ideal.
+sets, reduced random trial ideals and single values of the Hilbert
+function: the production code reads powers off one chain
+(``stablerings.idealization.hilbert_lengths``,
+``stablerings.relideal._power_chain``), never needs a single power or a
+single Hilbert value, never translates an ideal, builds semigroups from
+generators or member masks, and searches a trial's witness from its
+generators without reducing the ideal.
 """
 
 from itertools import product
@@ -20,7 +22,8 @@ from stablerings.idealization import (
 )
 from stablerings.numsg import NumericalSemigroup
 from stablerings.quadalg import StructureAlgebra, algebra_from_table, get_field
-from stablerings.relideal import RelativeIdeal, ideal_sum
+from stablerings.relideal import RelativeIdeal, _power_chain, ideal_sum, max_ideal
+from stablerings.ringlab import _hilbert_length
 
 
 def product_field_algebra(field_name: str, k: int) -> StructureAlgebra:
@@ -61,6 +64,15 @@ def f4_over_f2_algebra() -> StructureAlgebra:
 def quadratic_extension_algebra(field_name: str, a0: int, a1: int) -> StructureAlgebra:
     """F[x]/(x^2 - a1*x - a0): dimension 2 with e_1^2 = a0 + a1*e_1."""
     return algebra_from_table(field_name, 2, [[(1, 0), (0, 1)], [(0, 1), (a0, a1)]])
+
+
+def square_zero_algebra(field_name: str, d: int) -> StructureAlgebra:
+    """F[x_1, ..., x_{d-1}]/(x_1, ..., x_{d-1})^2: e_i*e_j = 0 for nonzero i, j."""
+    unit = [tuple(1 if k == i else 0 for k in range(d)) for i in range(d)]
+    zero = (0,) * d
+    return algebra_from_table(
+        field_name, d, [[unit[i + j] if i * j == 0 else zero for j in range(d)] for i in range(d)]
+    )
 
 
 def enumerate_f_algebras(field_name: str, dim: int):
@@ -123,3 +135,18 @@ def from_gaps(gaps) -> NumericalSemigroup:
     width = max(gaps, default=-1) + 2
     holes = sum(1 << z for z in gaps)
     return NumericalSemigroup.from_member_mask(((1 << width) - 1) & ~holes, width)
+
+
+def hilbert_function(S: NumericalSemigroup, n: int) -> int:
+    """The length of R/M^n in the monomial model: |S minus nM| (0 for n=0).
+
+    The least element of nM is x = n*multiplicity, so S minus nM is the
+    members of S below x plus those on the holes of nM, read off the last
+    mask of the power chain of M.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        return 0
+    *_, holes = _power_chain(max_ideal(S), n)
+    return _hilbert_length(S, n, holes)

@@ -38,6 +38,11 @@ The quadratic-extension test: ``is_monomial_quadratic`` scans the pairs of
 integers of T missing from S through ``contains``, for any oversemigroup T;
 ``stablerings.ringlab`` tests T = N with one shift-AND of the gap mask per
 gap.
+
+The quadratic-algebra pair test: ``is_quadratic_by_elimination`` decides
+whether x*y lies in span{1, x, y} by Gaussian elimination on the d x 3
+system, with inverses and negatives found by searching the field, where
+``stablerings.quadalg`` looks x*y + c*y up in the set span{1, x}.
 """
 
 from fractions import Fraction
@@ -390,3 +395,39 @@ def is_monomial_quadratic(S: NumericalSemigroup, T: NumericalSemigroup) -> bool:
             if not S.contains(x + y):
                 return False
     return True
+
+
+def in_span3(alg, x, y, target) -> bool:
+    """Is target a combination c0*1 + c1*x + c2*y over the base field?"""
+    f = alg.field
+
+    def inv(a):
+        return next(b for b in f.elements() if f.mul(a, b) == 1)
+
+    def neg(a):
+        return next(b for b in f.elements() if f.add(a, b) == 0)
+
+    cols = [alg.one(), x, y]
+    rows = [[cols[0][r], cols[1][r], cols[2][r], target[r]] for r in range(alg.dimension)]
+    pivots = 0
+    for col in range(3):
+        pr = next((r for r in range(pivots, len(rows)) if rows[r][col] != 0), None)
+        if pr is None:
+            continue
+        rows[pivots], rows[pr] = rows[pr], rows[pivots]
+        a = inv(rows[pivots][col])
+        rows[pivots] = [f.mul(a, v) for v in rows[pivots]]
+        for r in range(len(rows)):
+            if r != pivots and rows[r][col] != 0:
+                c = neg(rows[r][col])
+                rows[r] = [f.add(u, f.mul(c, v)) for u, v in zip(rows[r], rows[pivots])]
+        pivots += 1
+    return all(row[3] == 0 for row in rows[pivots:])
+
+
+def is_quadratic_by_elimination(alg) -> bool:
+    """True iff x*y lies in span{1, x, y} for every pair of elements, by elimination."""
+    elems = list(alg.elements())
+    return all(
+        in_span3(alg, x, y, alg.mul(x, y)) for i, x in enumerate(elems) for y in elems[i:]
+    )

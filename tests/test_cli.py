@@ -238,6 +238,34 @@ def test_alg_classify_invalid_table(capsys, tmp_path):
     assert "NotAssociative at (i,j,k)=" in err
 
 
+DUAL_TABLE = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
+MALFORMED_ALGEBRA_FILES = {
+    "table-int": {"field": "F2", "dim": 2, "table": 5},
+    "table-flat": {"field": "F2", "dim": 2, "table": [[5, 6], [7, 8]]},
+    "null-vector": {"field": "F2", "dim": 2, "table": [[[1, 0], None], [[0, 1], [0, 0]]]},
+    "table-str": {"field": "F2", "dim": 2, "table": "ab"},
+    "field-list": {"field": ["F2"], "dim": 2, "table": DUAL_TABLE},
+    "field-object": {"field": {"F2": 2}, "dim": 2, "table": DUAL_TABLE},
+    "dim-true": {"field": "F2", "dim": True, "table": [[[1]]]},
+    "dim-float": {"field": "F2", "dim": 2.0, "table": DUAL_TABLE},
+    "coefficient-true": {"field": "F2", "dim": 2, "table": [[[True, 0], [0, 1]], [[0, 1], [0, 0]]]},
+}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [json.dumps(p) for p in MALFORMED_ALGEBRA_FILES.values()]
+    + ['{"field": "F2", "dim": 2, "table": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+    ids=[*MALFORMED_ALGEBRA_FILES, "nested-too-deeply"],
+)
+def test_alg_classify_malformed_file(capsys, tmp_path, text):
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "alg", "classify", str(path), "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_alg_classify_missing_file(capsys):
     code, _, err = run(capsys, "alg", "classify", "/nonexistent/file.json")
     assert code == 2

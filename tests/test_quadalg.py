@@ -1,13 +1,14 @@
 """Structure-constant algebras: validation, quadratic test, classification."""
 
+import oracles
 import pytest
-
 from builders import (
     dual_numbers_algebra,
     enumerate_f_algebras,
     f4_over_f2_algebra,
     product_field_algebra,
     quadratic_extension_algebra,
+    square_zero_algebra,
 )
 from stablerings.errors import (
     NoIdentity,
@@ -35,7 +36,7 @@ def test_field_axioms_exhaustively():
             assert f.add(a, 0) == a and f.mul(a, 1) == a
             assert f.mul(a, 0) == 0
             if a != 0:
-                assert f.mul(a, f.inv(a)) == 1
+                assert any(f.mul(a, b) == 1 for b in elems)
             for b in elems:
                 assert f.add(a, b) == f.add(b, a)
                 assert f.mul(a, b) == f.mul(b, a)
@@ -155,6 +156,30 @@ def test_exhaustive_f2_f3_small_dimensions():
     assert ("F2", HandelmanClass.FxFxF_overF2) in seen_classes
     assert ("F3", HandelmanClass.FxFxF_overF2) not in seen_classes
     assert ("F3", HandelmanClass.QuadraticFieldExtension) in seen_classes
+
+
+def test_pair_test_matches_elimination_exhaustively():
+    verdicts = []
+    for name in ("F2", "F3"):
+        for dim in (1, 2, 3):
+            for A in enumerate_f_algebras(name, dim):
+                verdicts.append(is_quadratic_over_base(A))
+                assert verdicts[-1] is oracles.is_quadratic_by_elimination(A)
+    assert (len(verdicts), sum(verdicts)) == (808, 32)
+
+
+def test_pair_test_matches_elimination_on_families():
+    algebras = [f4_over_f2_algebra()]
+    for name in FIELDS:
+        algebras += [product_field_algebra(name, k) for k in (1, 2, 3)]
+        algebras.append(dual_numbers_algebra(name))
+    for name, q in (("F2", 2), ("F3", 3), ("F5", 5)):
+        algebras += [quadratic_extension_algebra(name, a, b) for a in range(q) for b in range(q)]
+    for name, d in (("F2", 5), ("F3", 4), ("F4", 3), ("F5", 3)):
+        algebras.append(square_zero_algebra(name, d))
+    verdicts = [is_quadratic_over_base(A) for A in algebras]
+    assert verdicts == [oracles.is_quadratic_by_elimination(A) for A in algebras]
+    assert (len(verdicts), sum(verdicts)) == (59, 56)
 
 
 def test_unique_quadratic_triple_product():

@@ -2,7 +2,7 @@
 
 import oracles
 import pytest
-from builders import nfold, translate
+from builders import hilbert_function, nfold, translate
 
 from stablerings.errors import CapExceeded
 from stablerings.numsg import NAT, enumerate_semigroups, from_generators
@@ -17,7 +17,6 @@ from stablerings.relideal import (
 from stablerings.ringlab import (
     N_MAX_CAP,
     greither_check,
-    hilbert_function,
     is_monomial_quadratic,
     minimal_multiplicity_check,
     multiplicity_via_hilbert,
