@@ -14,39 +14,40 @@ exactly when it is falsy.
 Ideals are handled as V-submodules of V^{1+r}, spanned by the rows (v, l)
 of the ring generators and the rows (0, t^a*e_k) for k = 1..r, with a the
 least valuation of the v's (V/t^N is a chain ring, so the v's generate
-t^a*V); the generator matrix is reduced to a canonical valuation-pivot
-echelon form.
-Pivots are selected globally by minimal valuation (ties to the smallest
-column, then the earliest row), made monic, and cleared from every other
-row, so pivot valuations are nondecreasing.  The form is canonical, so a
-module vector is a member exactly when adding it leaves the form unchanged.
-Each reduced row is t^v times a row that completes to a V-basis, so the
-length of V^{1+r} over the span is read off the pivots.
+t^a*V).  The rows are reduced to valuation pivots: pivots are selected
+globally by minimal valuation (ties to the smallest column, then the
+earliest row), so pivot valuations are nondecreasing and pivot columns
+distinct.  They are the pivots of the module's canonical echelon form, each
+pivot made monic and cleared from the other rows, which is never built:
+each of its rows is t^v times a row that completes to a V-basis and spans
+N - v dimensions over k, so the length of V^{1+r} over the span is read off
+the pivots.  Two modules, one inside the other, are equal exactly when
+their pivots are.
 
-The reduction runs on integer coefficient lists.  A work row (one not yet
-chosen as a pivot) matters only up to a unit of V, and a nonzero constant
-is one, so it is kept small: reduced mod p, or divided by the gcd of its
-coefficients over Q.  With the pivot's entry t^v*U and a row's entry t^v*Q
-in the pivot column, the row becomes U*row - Q*pivot: the elimination needs
-no inverse, and the new row is U times the row an exact elimination with a
-monic pivot gives, with the same valuations and so the same pivot choices
-(fraction-free elimination; Bareiss, Math. Comp. 22, 1968).  Each pivot is
-made monic once, as it moves to the result, by an integer inverse of U over
-a power of its constant term.  Result rows are exact, as integer lists over
-one common denominator in lowest terms, and become series only at the end.
+The reduction runs on integer coefficient lists.  A row matters only up to
+a unit of V, and a nonzero constant is one, so it is kept small: reduced
+mod p, or divided by the gcd of its coefficients over Q.  With the pivot's
+entry t^v*U and a row's entry t^v*Q in the pivot column, the row becomes
+U*row - Q*pivot: the elimination needs no inverse, and the new row is U
+times the row an exact elimination with a monic pivot gives, with the same
+valuations and so the same pivot choices (fraction-free elimination;
+Bareiss, Math. Comp. 22, 1968).
 
 Precision semantics: every stability verdict carries the margin N//2 at
-which it was certified.  Equality of reduced bases is compared on
-coefficients below the margin; a negative verdict is issued only when every
-candidate witness fails cleanly below the margin, and trials whose pivot
-data reach the margin report inconclusive instead.  The margin rule is this
-module's own convention for finite-precision certification.
+which it was certified.  A witness candidate x is a generator of I or a sum
+or difference of two, so each generator x*g of xI is a sum of products of
+two generators of I: xI lies inside I^2 exactly, and I^2 = xI exactly when
+their pivots agree.  A comparison is trusted only when every pivot
+valuation lies below the margin; a negative verdict is issued only when
+every candidate witness fails with all pivots below the margin, and trials
+whose pivots reach the margin report inconclusive instead.  The margin rule
+is this module's own convention for finite-precision certification.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -99,8 +100,8 @@ class CoeffDomain:
     """An exact coefficient field: F_p (coefficients are ints mod p) or Q (p None).
 
     Arithmetic is Python's own ``+ - *``; ``norm`` brings a result back to
-    its canonical representative.  ``_primitive`` and ``_lowest_terms`` are
-    the row reduction's only field-specific steps.
+    its canonical representative.  ``_primitive`` is the row reduction's
+    only field-specific step.
     """
 
     name: str
@@ -119,16 +120,6 @@ class CoeffDomain:
             return [[x % p for x in s] for s in row]
         g = gcd(*(gcd(*s) for s in row))
         return [[x // g for x in s] for s in row] if g > 1 else row
-
-    def _lowest_terms(self, row, den: int) -> tuple[list, int]:
-        """row/den as (integer row, denominator): den 1 over F_p, lowest terms over Q."""
-        if self.p:
-            p, inv = self.p, self.inv(den)
-            return [[x * inv % p for x in s] for s in row], 1
-        g = gcd(den, *(gcd(*s) for s in row))
-        if den < 0:
-            g = -g
-        return [[x // g for x in s] for s in row], den // g
 
     def rand(self, rng: random.Random):
         return rng.randrange(self.p) if self.p else rng.randint(-3, 3)
@@ -193,12 +184,14 @@ class TruncatedSeries:
         return TruncatedSeries(self.domain, self.prec, tuple(map(self.domain.norm, out)))
 
     def unit_inverse(self) -> "TruncatedSeries":
-        """Inverse of a unit (valuation 0): the row reduction's W/D, divided out."""
+        """Inverse of a unit (valuation 0): w_0 = 1/u_0, w_k = -w_0 * sum_{i>=1} u_i*w_(k-i)."""
         if self.valuation() != 0:
             raise ValueError("only units (valuation 0) are invertible")
-        w, den = _inverse(self.coeffs, self.domain.norm)
-        inv = self.domain.inv(den)
-        return TruncatedSeries.make(self.domain, self.prec, [c * inv for c in w])
+        d, u = self.domain, self.coeffs
+        w = [d.inv(u[0])]
+        for k in range(1, self.prec):
+            w.append(d.norm(-w[0] * sum(map(mul, u[1 : k + 1], reversed(w)))))
+        return TruncatedSeries(d, self.prec, tuple(w))
 
 
 @dataclass(frozen=True)
@@ -250,10 +243,6 @@ class RingElement:
 
     def is_zero(self) -> bool:
         return self.v.is_zero() and all(c.is_zero() for c in self.ell)
-
-    def is_regular(self) -> bool:
-        """Nonzerodivisor test: the V-component is nonzero at precision."""
-        return self.v.valuation() < self.ring.prec
 
     def __add__(self, other: "RingElement") -> "RingElement":
         _same_ring(self, other)
@@ -342,23 +331,6 @@ def _mul_sub(a, x, b=(), y=()) -> list:
     return out
 
 
-def _inverse(u, norm) -> tuple[list, int]:
-    """(W, D) with W/D = 1/u modulo t^len(u), for a unit u; D = u[0]^len(u).
-
-    The k-th coefficient of 1/u is w_k / u0^(k+1), where w_0 = 1 and
-    w_k = -sum_{i>=1} u_i * u0^(i-1) * w_(k-i), so W_k = w_k * u0^(m-1-k).
-    """
-    m = len(u)
-    powers = [1]
-    for _ in range(m):
-        powers.append(norm(powers[-1] * u[0]))
-    scaled = [norm(c * p) for c, p in zip(u[1:], powers)]
-    w = [1]
-    for _ in range(1, m):
-        w.append(norm(-sum(map(mul, scaled, reversed(w)))))
-    return [norm(c * p) for c, p in zip(w, reversed(powers[:m]))], powers[m]
-
-
 def _row_key(row, n: int) -> tuple[int, int]:
     """(valuation, column) of the minimal-valuation entry; (n, len) for zero."""
     v, col = n, len(row)
@@ -379,39 +351,26 @@ def _integer_row(row) -> list:
     return [[x.numerator * (den // x.denominator) for x in c] for c in entries]
 
 
-def _eliminate(row, u, q, pivot, v: int, col: int) -> list:
+def _eliminate(row, u, q, pivot, col: int) -> list:
     """u*row - q*pivot, for a pivot whose entry in column col is t^v*u.
 
-    q is the entry of row in column col divided by t^v, so that entry keeps
-    only u times its part below t^v.  Either u is a constant (the denominator
-    of a monic pivot) or the row has no coefficient below t^v (a work row).
+    q is the entry of row in column col divided by t^v.  Neither row has a
+    coefficient below t^v, so u*q*t^v - q*u*t^v clears that entry and every
+    other entry is t^v times (u*s - q*p) for the entries' parts s and p
+    above t^v.
     """
-    u0, out = u[0], []
-    for c, (s, p) in enumerate(zip(row, pivot)):
-        low = [u0 * x for x in s[:v]]
-        if c == col:
-            s = low + [0] * (len(s) - v)
-        elif any(s) or any(p):
-            s = low + _mul_sub(u, s[v:], q, p[v:])
-        out.append(s)
-    return out
+    return [
+        [0] * len(s) if c == col else _mul_sub(u, s, q, p) if any(s) or any(p) else s
+        for c, (s, p) in enumerate(zip(row, pivot))
+    ]
 
 
-def _to_series(d: CoeffDomain, n: int, ints, den: int) -> TruncatedSeries:
-    if den == 1:
-        return TruncatedSeries(d, n, tuple(ints))
-    return TruncatedSeries(
-        d, n, tuple(x // den if x % den == 0 else Fraction(x, den) for x in ints)
-    )
+def reduce_rows(ring: IdealizationRing, rows) -> tuple:
+    """The valuation pivots of the module spanned by a list of rows.
 
-
-def reduce_rows(ring: IdealizationRing, rows) -> tuple[tuple, tuple]:
-    """Canonical valuation-pivot echelon form of a list of module rows.
-
-    Returns (basis, pivots) where basis is a tuple of row tuples and pivots
-    the matching tuple of (column, valuation) pairs, valuations nondecreasing.
-    Work rows are integer rows up to a unit, result rows (integer lists,
-    common denominator); see the module docstring.
+    Returns the tuple of (column, valuation) pairs of the canonical echelon
+    form, valuations nondecreasing.  The rows are reduced as integer rows up
+    to a unit; see the module docstring.
     """
     d, n = ring.domain, ring.prec
     work = []
@@ -420,7 +379,6 @@ def reduce_rows(ring: IdealizationRing, rows) -> tuple[tuple, tuple]:
         key = _row_key(row, n)
         if key[0] < n:
             work.append((key, row))
-    result: list[tuple[list, int]] = []
     pivots: list[tuple[int, int]] = []
     while work:
         idx = min(range(len(work)), key=lambda i: work[i][0])
@@ -430,67 +388,40 @@ def reduce_rows(ring: IdealizationRing, rows) -> tuple[tuple, tuple]:
         for key, row in work:
             q = row[col][v:]
             if any(q):
-                row = d._primitive(_eliminate(row, u, q, pivot, v, col))
+                row = d._primitive(_eliminate(row, u, q, pivot, col))
                 key = _row_key(row, n)
                 if key[0] == n:
                     continue
             remaining.append((key, row))
         work = remaining
-        inv, den = _inverse(u, d.norm)
-        monic, den = d._lowest_terms(
-            [s[:v] + _mul_sub(inv, s[v:]) if any(s) else s for s in pivot], den
-        )
-        for j, (row, e) in enumerate(result):
-            # remove the coefficients of degree >= v in the pivot column
-            q = row[col][v:]
-            if any(q):
-                result[j] = d._lowest_terms(_eliminate(row, (den,), q, monic, v, col), e * den)
-        result.append((monic, den))
         pivots.append((col, v))
-    basis = tuple(tuple(_to_series(d, n, s, e) for s in row) for row, e in result)
-    return basis, tuple(pivots)
+    return tuple(pivots)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdealizationIdeal:
-    """A ring ideal of V*L with its canonical reduced module basis."""
+    """A ring ideal of V*L: its generators and the pivots of its module span.
+
+    Equal pivots identify a module only among modules one inside the other,
+    so ideals offer no ``==``.
+    """
 
     ring: IdealizationRing
-    ring_generators: tuple = dataclass_field(compare=False)
-    basis: tuple
+    ring_generators: tuple
     pivots: tuple
 
-    def is_regular(self) -> bool:
-        margin = self.ring.prec // 2
-        return any(g.v.valuation() < margin for g in self.ring_generators)
-
-    def contains_row(self, row) -> bool:
-        """Membership of a module vector: the canonical form does not grow."""
-        return reduce_rows(self.ring, self.basis + (tuple(row),))[0] == self.basis
-
-    def contains(self, x: RingElement) -> bool:
-        return self.contains_row(_element_row(x))
-
     def margin_signature(self, margin: int):
-        """Pivot and truncated-coefficient data below the margin.
+        """The pivots, or None when some pivot valuation reaches the margin.
 
-        Returns None when some pivot valuation reaches the margin, in which
-        case comparisons at this margin are not trustworthy.
+        A comparison at this margin is trusted only when neither side is None.
         """
         if any(v >= margin for _, v in self.pivots):
             return None
-        return tuple(
-            (col, v, tuple(s.coeffs[:margin] for s in row))
-            for (col, v), row in zip(self.pivots, self.basis)
-        )
-
-
-def _element_row(x: RingElement) -> tuple:
-    return (x.v,) + x.ell
+        return self.pivots
 
 
 def ideal_from_generators(ring: IdealizationRing, gens) -> IdealizationIdeal:
-    """The ring ideal generated by ``gens``, with reduced module basis.
+    """The ring ideal generated by ``gens``, with the pivots of its module span.
 
     R*(v, l) is spanned over V by (v, l) and the (0, v*e_k), so the ideal is
     spanned by the rows (v, l) of the generators and the rows (0, t^a*e_k)
@@ -510,11 +441,8 @@ def ideal_from_generators(ring: IdealizationRing, gens) -> IdealizationIdeal:
         # first, so that a tie on the pivot key picks a row with one nonzero entry
         zero, t_a = ring.zero_series(), ring.series([0] * a + [1])
         rows += [(zero,) * k + (t_a,) + (zero,) * (ring.rank - k) for k in range(1, ring.rank + 1)]
-    rows += [_element_row(g) for g in gens]
-    basis, pivots = reduce_rows(ring, rows)
-    return IdealizationIdeal(
-        ring=ring, ring_generators=tuple(gens), basis=basis, pivots=pivots
-    )
+    rows += [(g.v, *g.ell) for g in gens]
+    return IdealizationIdeal(ring, tuple(gens), reduce_rows(ring, rows))
 
 
 def ideal_product(I: IdealizationIdeal, J: IdealizationIdeal) -> IdealizationIdeal:
@@ -543,21 +471,6 @@ class StabilityVerdict:
         }
 
 
-def is_stable_ideal(I: IdealizationIdeal) -> StabilityVerdict:
-    """Does I^2 = x*I hold for some x in I, at the safe precision margin?
-
-    Candidates are the ring generators and their pairwise sums and
-    differences (the two-generator argument yields difference-style
-    witnesses; in characteristic 2 the two coincide), in order of
-    V-component valuation.  Equality is certified on coefficients below the
-    margin N//2; a candidate whose comparison data reaches the margin is
-    neither accepted nor counted as a clean failure.
-    """
-    if not I.is_regular():
-        raise NotRegular("no generator has V-component valuation below N/2")
-    return _witness_search(I.ring, I.ring_generators)
-
-
 def _square(ring: IdealizationRing, gens) -> IdealizationIdeal:
     """I^2 for the ideal I generated by gens, from the products a*b over unordered pairs.
 
@@ -568,9 +481,20 @@ def _square(ring: IdealizationRing, gens) -> IdealizationIdeal:
     )
 
 
-def _witness_search(ring: IdealizationRing, gens) -> StabilityVerdict:
-    """``is_stable_ideal`` for the regular ideal generated by gens, read off gens alone."""
+def is_stable_ideal(ring: IdealizationRing, gens) -> StabilityVerdict:
+    """Does I^2 = x*I hold for some x in the ideal I generated by gens, at the margin?
+
+    Candidates are the ring generators and their pairwise sums and
+    differences (the two-generator argument yields difference-style
+    witnesses; in characteristic 2 the two coincide), in order of
+    V-component valuation.  x*I lies inside I^2, so equal pivots below the
+    margin N//2 certify equality; a candidate whose pivots reach the margin
+    is neither accepted nor counted as a clean failure.  The ideal itself is
+    never reduced.
+    """
     margin = ring.prec // 2
+    if not any(g.v.valuation() < margin for g in gens):
+        raise NotRegular("no generator has V-component valuation below N/2")
     cands = list(gens)
     for i, a in enumerate(gens):
         for b in gens[i + 1 :]:
@@ -598,8 +522,8 @@ def _witness_search(ring: IdealizationRing, gens) -> StabilityVerdict:
 def hilbert_lengths(ring: IdealizationRing, n: int) -> list[int]:
     """dim_k R/M^k for k = 1, ..., n, from one chain of powers M, M^2, ..., M^n.
 
-    Each length is read off the pivots of the reduced basis of M^k inside
-    V^{1+r}: a row with pivot valuation v is t^v times a row that completes
+    Each length is read off the pivots of M^k inside V^{1+r}: a row of the
+    canonical form with pivot valuation v is t^v times a row that completes
     to a V-basis, so it spans N - v dimensions over k, and the rows' spans
     are independent because their pivot columns are distinct.  Must equal
     (1+r)k - r.
@@ -669,8 +593,7 @@ def stability_sweep(ring: IdealizationRing, trials: int, seed: int) -> dict:
     per_trial = []
     stable = not_stable = inconclusive = 0
     for _ in range(trials):
-        # the search reads only the generators, so the trial ideal is never reduced
-        verdict = _witness_search(ring, _random_regular_generators(ring, rng))
+        verdict = is_stable_ideal(ring, _random_regular_generators(ring, rng))
         per_trial.append(verdict.to_payload())
         if verdict.stable is True:
             stable += 1

@@ -15,6 +15,7 @@ regardless of worker count.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from multiprocessing import Pool
 
 from . import ringlab
@@ -157,40 +158,23 @@ def run_sweep(
     else:
         records = [_worker(t) for t in tasks]
 
-    counts_by_genus: dict[str, int] = {}
-    checks = {
-        name: {"checked": 0, "violations": []}
-        for name in CHECK_NAMES
-    }
-    checks["sally"]["ideals_checked"] = 0
-    checks["sally"]["boundary_cases"] = 0
-    checks["monomial_vs_bass"] = {"checked": 0, "divergences": []}
-
-    for rec in records:
-        g = str(rec["genus"])
-        counts_by_genus[g] = counts_by_genus.get(g, 0) + 1
-        for name in CHECK_NAMES:
-            if name == "sally":
-                if "sally" in rec:
-                    checks["sally"]["checked"] += 1
-                    checks["sally"]["ideals_checked"] += rec["sally"]["ideals"]
-                    checks["sally"]["boundary_cases"] += rec["sally"]["boundary"]
-            else:
-                checks[name]["checked"] += 1
-        for name, msgs in rec["violations"].items():
-            key = "divergences" if name == "monomial_vs_bass" else "violations"
-            checks[name][key].extend(msgs)
-
-    total = sum(
-        len(c.get("violations", ())) + len(c.get("divergences", ()))
-        for c in checks.values()
+    sallies = [rec["sally"] for rec in records if "sally" in rec]
+    checks = {}
+    for name in CHECK_NAMES:
+        key = "divergences" if name == "monomial_vs_bass" else "violations"
+        msgs = [m for rec in records for m in rec["violations"].get(name, ())]
+        checks[name] = {"checked": len(records), key: msgs}
+    checks["sally"].update(
+        checked=len(sallies),
+        ideals_checked=sum(s["ideals"] for s in sallies),
+        boundary_cases=sum(s["boundary"] for s in sallies),
     )
     return {
         "max_genus": max_genus,
         "n_max": n_max,
         "sally_genus_cap": sally_cap,
         "semigroup_count": len(semigroups),
-        "counts_by_genus": counts_by_genus,
+        "counts_by_genus": dict(Counter(str(rec["genus"]) for rec in records)),
         "checks": checks,
-        "violations_total": total,
+        "violations_total": sum(len(msgs) for rec in records for msgs in rec["violations"].values()),
     }

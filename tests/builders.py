@@ -2,24 +2,17 @@
 
 Sample algebras for the quadratic-algebra stack, ideal powers by repeated
 products or sums, translates of monomial ideals, semigroups from their gap
-sets, reduced random trial ideals and single values of the Hilbert
-function: the production code reads powers off one chain
-(``stablerings.idealization.hilbert_lengths``,
+sets and single values of the Hilbert function: the production code reads
+powers off one chain (``stablerings.idealization.hilbert_lengths``,
 ``stablerings.relideal._power_chain``), never needs a single power or a
-single Hilbert value, never translates an ideal, builds semigroups from
-generators or member masks, and searches a trial's witness from its
-generators without reducing the ideal.
+single Hilbert value, never translates an ideal, and builds semigroups from
+generators or member masks.
 """
 
 from itertools import product
 
 from stablerings.errors import NoIdentity, NotAssociative, NotCommutative
-from stablerings.idealization import (
-    IdealizationIdeal,
-    _random_regular_generators,
-    ideal_from_generators,
-    ideal_product,
-)
+from stablerings.idealization import IdealizationIdeal, ideal_product
 from stablerings.numsg import NumericalSemigroup
 from stablerings.quadalg import StructureAlgebra, algebra_from_table, get_field
 from stablerings.relideal import RelativeIdeal, _power_chain, ideal_sum, max_ideal
@@ -105,11 +98,6 @@ def ideal_power(I: IdealizationIdeal, n: int) -> IdealizationIdeal:
     for _ in range(n - 1):
         out = ideal_product(out, I)
     return out
-
-
-def random_regular_ideal(ring, rng) -> IdealizationIdeal:
-    """A seeded random two-generated regular ideal, drawn as ``stability_sweep`` draws a trial."""
-    return ideal_from_generators(ring, _random_regular_generators(ring, rng))
 
 
 def nfold(I: RelativeIdeal, n: int) -> RelativeIdeal:

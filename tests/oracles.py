@@ -22,11 +22,18 @@ reads it off the pivots.
 
 The idealization row reduction: ``reduce_rows`` is the series-based
 elimination that makes each pivot monic with its series inverse and clears
-the other rows with exact coefficients; ``contains_row`` decides membership
-by reduction against the pivots.  ``stablerings.idealization`` reduces
-integer rows up to a unit instead.  ``ideal_rows`` spans an ideal by the
-rows (v, l) and (0, v*e_k) of each generator (v, l), where
-``stablerings.idealization`` adds one set of rows (0, t^a*e_k) per ideal.
+the other rows with exact coefficients, giving the canonical basis;
+``contains_row`` decides membership by reduction against its pivots.
+``stablerings.idealization`` reduces integer rows up to a unit and keeps
+only the pivots.  ``ideal_rows`` spans an ideal by the rows (v, l) and
+(0, v*e_k) of each generator (v, l), where ``stablerings.idealization``
+adds one set of rows (0, t^a*e_k) per ideal.
+
+The idealization witness search: ``witness_verdict`` compares the
+canonical bases of I^2 and x*I, pivots and coefficients below the margin,
+built from all ordered generator products, where
+``stablerings.idealization`` compares the pivots alone, from the unordered
+products.
 
 Semigroup construction: ``semigroup_by_window_scan`` closes a window one
 integer at a time and ``semigroup_from_member_scan`` reads the minimal
@@ -45,7 +52,6 @@ system, with inverses and negatives found by searching the field, where
 ``stablerings.quadalg`` looks x*y + c*y up in the set span{1, x}.
 """
 
-from fractions import Fraction
 from math import gcd
 
 from stablerings.idealization import TruncatedSeries
@@ -189,8 +195,11 @@ def k_dimension(rows, p=None) -> int:
     """Dimension over k of the V-span of module rows, inside k^{(1+r)N}.
 
     Each row is a tuple of 1+r coefficient tuples of length N, over F_p or,
-    when p is None, over Q.  The span is spanned by the shifts t^s * row for
-    s < N, flattened to vectors and eliminated over k.
+    when p is None, integers standing for elements of Q.  The span is
+    spanned by the shifts t^s * row for s < N, flattened to vectors and
+    eliminated over k without division: a vector becomes a*vec - c*prow for
+    the pivot entry a and the vector's entry c, then is reduced mod p or
+    divided by the gcd of its entries.
     """
     vectors = []
     for row in rows:
@@ -202,11 +211,14 @@ def k_dimension(rows, p=None) -> int:
     pivot_rows: dict[int, list] = {}
     for vec in vectors:
         for col, prow in pivot_rows.items():
-            if vec[col]:
-                f = vec[col] * pow(prow[col], -1, p) if p else Fraction(vec[col]) / prow[col]
-                vec = [a - f * b for a, b in zip(vec, prow)]
+            c = vec[col]
+            if c:
+                vec = [prow[col] * a - c * b for a, b in zip(vec, prow)]
                 if p:
                     vec = [a % p for a in vec]
+                elif any(vec):
+                    g = gcd(*vec)
+                    vec = [a // g for a in vec]
         lead = next((c for c, a in enumerate(vec) if a), None)
         if lead is not None:
             pivot_rows[lead] = vec
@@ -285,6 +297,51 @@ def ideal_rows(ring, gens) -> list[tuple]:
             ell[k] = g.v
             rows.append((zero, *ell))
     return rows
+
+
+def ideal_basis(ring, elements) -> tuple[tuple, tuple]:
+    """(basis, pivots): the canonical basis of the ring ideal of elements."""
+    return reduce_rows(ring, ideal_rows(ring, elements))
+
+
+def margin_signature(ring, elements, margin: int):
+    """(column, valuation, coefficients below the margin) per canonical basis row
+    of the ring ideal of elements; None when a pivot valuation reaches the margin."""
+    basis, pivots = ideal_basis(ring, elements)
+    if any(v >= margin for _, v in pivots):
+        return None
+    return tuple(
+        (col, v, tuple(s.coeffs[:margin] for s in row)) for (col, v), row in zip(pivots, basis)
+    )
+
+
+def witness_candidates(gens) -> list:
+    """The generators, then a + b and a - b per pair, without repeats, by V-valuation."""
+    cands = list(gens)
+    for i, a in enumerate(gens):
+        for b in gens[i + 1 :]:
+            cands += (a + b, a - b)
+    return sorted(dict.fromkeys(cands), key=lambda g: g.v.valuation())
+
+
+def witness_verdict(ring, gens) -> dict:
+    """The payload of the stability verdict for the ideal of gens, by signatures.
+
+    The first nonzero candidate x whose x*I has the signature of I^2 is the
+    witness; with none, the verdict is inconclusive if some signature was
+    None and not stable otherwise.
+    """
+    margin = ring.prec // 2
+    square = margin_signature(ring, [a * b for a in gens for b in gens], margin)
+    unclear = square is None
+    for x in [] if unclear else witness_candidates(gens):
+        if x.is_zero():
+            continue
+        sig = margin_signature(ring, [x * g for g in gens], margin)
+        if sig == square:
+            return {"stable": True, "witness_valuation": x.v.valuation(), "margin": margin}
+        unclear = unclear or sig is None
+    return {"stable": None if unclear else False, "witness_valuation": None, "margin": margin}
 
 
 def semigroup_from_member_scan(mask: int, width: int) -> NumericalSemigroup:

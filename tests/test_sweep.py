@@ -1,7 +1,7 @@
 """The invariant-suite driver: structure, results, worker invariance."""
 
 from stablerings import sweep
-from stablerings.numsg import from_generators
+from stablerings.numsg import enumerate_semigroups, from_generators
 from stablerings.sweep import CHECK_NAMES, analyze_semigroup, clamp_jobs, run_sweep
 
 
@@ -32,6 +32,24 @@ def test_run_sweep_structure():
 
 def test_run_sweep_jobs_invariant():
     assert run_sweep(5, jobs=1) == run_sweep(5, jobs=3)
+
+
+def test_run_sweep_merges_violations(monkeypatch):
+    # every semigroup of genus 2 reports a tower violation and a monomial/Bass divergence
+    def flagged(args):
+        rec = analyze_semigroup(*args)
+        if rec["genus"] == 2:
+            rec["violations"] = {"tower": [rec["gens"] + ": t"], "monomial_vs_bass": [rec["gens"] + ": m"]}
+        return rec
+
+    monkeypatch.setattr(sweep, "_worker", flagged)
+    res = run_sweep(3, jobs=1, sally_cap=1)
+    names = [rec["gens"] for rec in map(analyze_semigroup, enumerate_semigroups(3)) if rec["genus"] == 2]
+    assert list(res["checks"]) == list(CHECK_NAMES)
+    assert res["checks"]["tower"] == {"checked": 8, "violations": [n + ": t" for n in names]}
+    assert res["checks"]["monomial_vs_bass"] == {"checked": 8, "divergences": [n + ": m" for n in names]}
+    assert res["checks"]["sally"] == {"checked": 2, "violations": [], "ideals_checked": 3, "boundary_cases": 1}
+    assert res["violations_total"] == 2 * len(names) == 4
 
 
 def test_sally_cap_limits_ideal_sweep():
