@@ -70,9 +70,10 @@ def test_series_valuation_additivity():
 
 def test_unit_inverse():
     for ring in (R1, RQ, make_ring("F3", 1, 12), make_ring("F5", 1, 12)):
-        u = ring.series([1] + [1] * (ring.prec - 1))
-        prod = u * u.unit_inverse()
-        assert prod == ring.series([1])
+        for lead in (1, 2, 3):
+            u = ring.series([lead] + [1] * (ring.prec - 1))
+            if u.valuation() == 0:
+                assert u * u.unit_inverse() == ring.series([1])
     with pytest.raises(ValueError):
         R1.series([0, 1]).unit_inverse()
 
@@ -178,6 +179,11 @@ def test_membership_of_generators_and_idempotence():
         assert oracles.reduce_rows(R2, basis) == (basis, pivots)
 
 
+def _canonical(I):
+    """The canonical basis and pivots of I, from the series oracle."""
+    return oracles.ideal_basis(I.ring, I.ring_generators)
+
+
 def test_reduction_canonical_across_generating_sets():
     rng = random.Random(9)
     unit = R2.element([1, 0, 1])
@@ -188,11 +194,6 @@ def test_reduction_canonical_across_generating_sets():
         assert I.pivots == J.pivots
         assert _canonical(I) == _canonical(J)
         assert I != J  # equal pivots do not identify an ideal, so ideals compare by identity
-
-
-def _canonical(I):
-    """The canonical basis and pivots of I, from the series oracle."""
-    return oracles.ideal_basis(I.ring, I.ring_generators)
 
 
 def test_product_commutative_associative():
