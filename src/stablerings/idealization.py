@@ -70,7 +70,7 @@ from .errors import (
 # random series are sparse), so WORK_CAP bounds trials * (1+r)^2 * N.  The
 # costliest admitted checks, whole `idealization check --field Q --seed 1`
 # runs on a shared 2-core Xeon with Python 3.11.7: rank 8, N = 256, 48
-# trials in 13.3 s; rank 1, N = 250, 1,000 trials in 12.3 s.
+# trials in 1.9-2.1 s; rank 1, N = 250, 1,000 trials in 1.7-2.0 s.
 PREC_CAP = 256
 RANK_CAP = 8
 TRIALS_CAP = 10_000

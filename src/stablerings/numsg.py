@@ -25,10 +25,10 @@ from math import gcd
 
 from .errors import CapExceeded, EmptyInput, GcdNotOne
 
-# a whole `sweep --max-genus 19` run at 2 jobs takes 24-31 s on a 2-core 2.1 GHz
-# Xeon, and 65 s with `--sally-genus-cap 14 --n-max 32`; at 20 that one takes
-# 99 s, too close to the 120 s ceiling
-ENUMERATION_GENUS_CAP = 19
+# a whole `sweep --max-genus 20` run at 2 jobs takes 17-19 s on a 2-core 2.1 GHz
+# Xeon, and 51-54 s with `--sally-genus-cap 14 --n-max 32`, inside the 120 s
+# ceiling; `sg report 7,8`, of genus 21, stays refused
+ENUMERATION_GENUS_CAP = 20
 WINDOW_CAP = 1 << 20
 GENERATOR_CAP = 256
 

@@ -18,9 +18,14 @@ at monomial level min(I+I) = 2 min(I), which pins the translation amount.
 ``is_stable`` runs the stability loop on them.  The powers I, 2I, ... are
 one chain of hole masks, ``_power_chain``.  The normalized ideals are
 generated gap by gap, never filtered.  The ring report's census lists none
-of them: it counts them by a recurrence on the up-sets of the gap poset,
-reads the largest mu off a maximum matching of comparable gaps, and walks
-only the stable ones, the semigroups containing S.
+of them.  It reads the largest mu off a maximum matching of comparable gaps,
+and the count and the stable count off those of the tree parent S + {F(S)},
+whose gap poset is S's without the maximal gap F(S): an ideal holds F(S)
+and is the parent's plus F(S), or misses the down-set of F(S).  The sweep's
+memo pass looks the parent up, as it looks up the blow-up tower of E(M).  A
+single call walks the ancestor chain on S's own masks: each ancestor is S
+plus the gaps above some gap f, and its gap poset is the prefix of S's up
+to f, with S's order.
 """
 
 from __future__ import annotations
@@ -232,25 +237,44 @@ def enumerate_normalized_ideals(
     return [RelativeIdeal(S, 0, holes) for holes in nodes]
 
 
-def _normalized_census(S: NumericalSemigroup) -> tuple[int, int, int]:
-    """(count, stable count, largest mu) over the normalized ideals of S, listing none.
+def _up_masks(S: NumericalSemigroup) -> dict[int, int]:
+    """The up-set of each gap y in the gap poset (t below u iff u - t is in S), keyed by the bit of y."""
+    gap_mask = S.gap_mask
+    return {1 << y: S.small_members << y & gap_mask for y in S.gaps()}
+
+
+def _census_counts(S: NumericalSemigroup, parent: tuple[int, int] | None = None) -> tuple[int, int]:
+    """(count, stable count) of the normalized ideals of S, from S's parent in the tree.
 
     Each is S plus an up-set U of the gap poset, t below u iff u - t is in S.
-    Count: U misses the least gap y left in R or holds all of ``up[y]``, so
-    count(R) = count(R - y) + count(R - up[y]), memoized on R.  Largest mu:
-    the generators of S + U are 0 and the minimal elements of U, so it is one
-    more than the width of the poset, by Dilworth's theorem the genus minus a
-    maximum matching of the strict comparabilities.  Stable count: the stable
-    ones are the semigroups containing S, walked from the largest gap down;
-    when a joins, every sum a + x with x > 0 in the ideal lies above a and is
-    decided, so a node is kept iff none of them is a hole.
+    The parent S + {F}, F the Frobenius number, has as gap poset the one of
+    S without its maximal element F.
+    Count: U holds F, and U - F is an up-set of the parent, or U misses the
+    down-set of F, so count(S) = count(parent) + count(gaps minus down F).
+    count(R) counts the up-sets inside R: they miss the least gap y of R or
+    hold all of ``up[y]``, so count(R) = count(R - y) + count(R - up[y]),
+    memoized on R.
+    Stable count: the stable ones are the semigroups containing S, and those
+    holding F contain the parent, so stable(S) = stable(parent) + the
+    oversemigroups with F a hole.  Only gaps outside the down-set of F may
+    join them (F - a in S would put F = a + (F - a) in), and gap 1 never
+    does (a semigroup holding 1 is N).  They are walked from the largest
+    such gap down; when a joins, every sum a + x with x > 0 in the ideal
+    lies above a and is decided, so a node is kept iff none of them is a
+    hole.
+
+    ``parent`` is the parent's pair, from a memo filled in enumeration
+    order.  Without it the ancestors are walked too, with one count memo:
+    each is S + {the gaps above its own Frobenius number f}, so its gap
+    mask is a prefix of S's, its order is S's (u - t < f for gaps u, t up
+    to f), its up-sets are S's cut to the prefix, and count(R) for R inside
+    the prefix needs no other cut.
     """
     if S.genus > ENUMERATION_GENUS_CAP:
         raise CapExceeded(f"genus {S.genus} exceeds cap {ENUMERATION_GENUS_CAP}")
     gaps = S.gaps()
     gap_mask = S.gap_mask
-    up = {1 << y: S.small_members << y & gap_mask for y in gaps}  # keyed by the bit of y
-
+    up = _up_masks(S)
     memo = {0: 1}
 
     def count(rest: int) -> int:
@@ -260,6 +284,34 @@ def _normalized_census(S: NumericalSemigroup) -> tuple[int, int, int]:
         memo[rest] = n = (memo.get(a) or count(a)) + (memo.get(b) or count(b))
         return n
 
+    # bit F(S) - z is set iff z <= F(S) is in S; shifted down by F(S) - f, the down-set of f
+    mirror = int(format(gap_mask ^ (1 << S.conductor) - 1, f"0{S.conductor}b")[::-1], 2)
+    ideals, stable = parent or (1, 1)  # N has one normalized ideal, itself
+    for j in range(0 if parent is None else S.genus - 1, S.genus):
+        f = gaps[j]
+        full = (2 << f) - 1
+        prefix = gap_mask & full
+        rest = prefix & ~(mirror >> (S.frobenius - f))
+        ideals += memo.get(rest) or count(rest)
+        nodes = [prefix]
+        joining = rest & ~2
+        while joining:
+            a = joining.bit_length() - 1
+            bit = 1 << a
+            joining ^= bit
+            nodes += [h for holes in nodes if not (full ^ (h := holes ^ bit)) << a & h]
+        stable += len(nodes)
+    return ideals, stable
+
+
+def _max_mu(S: NumericalSemigroup) -> int:
+    """The largest mu over the normalized ideals of S, listing none.
+
+    The generators of S + U are 0 and the minimal elements of U, so it is one
+    more than the width of the gap poset, by Dilworth's theorem the genus
+    minus a maximum matching of the strict comparabilities.
+    """
+    up = _up_masks(S)
     match = {}  # gap bit u -> the gap bit below it that it is matched to
 
     def augment(t: int, seen: list[int]) -> bool:
@@ -271,15 +323,7 @@ def _normalized_census(S: NumericalSemigroup) -> tuple[int, int, int]:
                 return True
         return False
 
-    width = S.genus - sum(augment(t, [0]) for t in up)
-
-    full = (1 << S.conductor) - 1
-    nodes = [gap_mask]
-    for a in reversed(gaps[1:]):
-        bit = 1 << a
-        nodes += [h for holes in nodes if not (full ^ (h := holes ^ bit)) << a & h]
-    # the last gap, 1, joins only the ideal with no other hole: a semigroup holding 1 is N
-    return memo.get(gap_mask) or count(gap_mask), len(nodes) + (S.genus > 0), 1 + width
+    return 1 + S.genus - sum(augment(t, [0]) for t in up)
 
 
 @dataclass(frozen=True)
@@ -310,9 +354,25 @@ def blowup_tower(S: NumericalSemigroup, cap: int = 64) -> TowerReport:
         if work > TOWER_WORK_CAP:
             raise CapExceeded(f"blow-up tower work exceeds cap {TOWER_WORK_CAP} after {len(tower) - 1} steps")
         tower.append(end_semigroup(max_ideal(tower[-1])))
-    return TowerReport(
-        tower=tuple(tower),
-        multiplicity_sequence=tuple(t.multiplicity for t in tower),
-        stabilization_index=len(tower) - 1,
-        reached_normalization=tower[-1].is_full,
-    )
+    return _tower_report(tuple(tower))
+
+
+def _tower_report(tower: tuple[NumericalSemigroup, ...]) -> TowerReport:
+    return TowerReport(tower, tuple(t.multiplicity for t in tower), len(tower) - 1, tower[-1].is_full)
+
+
+def _tree_entry(S: NumericalSemigroup, memo: dict) -> tuple[tuple[int, int], TowerReport]:
+    """S's census counts and blow-up tower, from the entries of two semigroups of smaller genus.
+
+    The parent S + {F(S)} and E(M) both have smaller genus, so an enumeration
+    genus by genus has put their entries in ``memo``, keyed by gap mask; the
+    entry of S joins it.  tower(S) = (S,) + tower(E(M)): one ``end_semigroup``
+    per semigroup.  Below genus 64 the tower is ``blowup_tower(S)``'s.
+    """
+    if S.is_full:
+        counts, tower = _census_counts(S), (S,)
+    else:
+        counts = _census_counts(S, memo[S.gap_mask ^ 1 << S.frobenius][0])
+        tower = (S,) + memo[end_semigroup(max_ideal(S)).gap_mask][1]
+    memo[S.gap_mask] = counts, tower
+    return counts, _tower_report(tower)

@@ -7,14 +7,16 @@ against the normalization, stability of every normalized module between S
 and its normalization, the Bass verdict (multiplicity at most 2), and the
 two-generated-power and minimal-multiplicity equivalences.
 
-The census of the normalized ideals (count, stable count, largest mu)
-comes from ``relideal._normalized_census``, which counts them without
-listing them.  The powers nI of one ideal are read off
-``relideal._power_chain``, hole masks below the conductor that stop once a
-power repeats the one before: the two-generated-power checks count each
-power's generators with ``relideal._generator_mask``, and the multiplicity
-reader reads its three Hilbert-function probes, each a power of M against
-the gap mask of S, off one chain.
+The census of the normalized ideals lists none of them: the count and the
+stable count come from ``relideal._census_counts``, by a recurrence along
+the semigroup tree (the sweep passes in the pair its memo pass derived from
+the parent), and the largest mu from ``relideal._max_mu``.  The powers nI
+of one ideal are read off ``relideal._power_chain``, hole masks below the
+conductor that stop once a power repeats the one before: the
+two-generated-power checks count each power's generators with
+``relideal._generator_mask``, and the multiplicity reader reads its three
+Hilbert-function probes, each a power of M against the gap mask of S, off
+one chain.
 
 Quadratic test note: the extension test only needs pairs of gaps of S.  If
 x is a member of S then x + y always lies in y + S, and symmetrically for y.
@@ -30,8 +32,9 @@ from .errors import CapExceeded, NotStabilized
 from .numsg import NumericalSemigroup
 from .relideal import (  # private per-mask helpers: public calls stay per semigroup or ideal
     RelativeIdeal,
+    _census_counts,
     _generator_mask,
-    _normalized_census,
+    _max_mu,
     _power_chain,
     is_stable,
     max_ideal,
@@ -108,9 +111,13 @@ class StableRingReport:
         }
 
 
-def stable_ring_report(S: NumericalSemigroup) -> StableRingReport:
-    """Check the stable / quadratic / Bass equivalence over all normalized ideals."""
-    ideal_count, stable_count, max_mu = _normalized_census(S)
+def stable_ring_report(S: NumericalSemigroup, counts: tuple[int, int] | None = None) -> StableRingReport:
+    """Check the stable / quadratic / Bass equivalence over all normalized ideals.
+
+    ``counts`` is (count, stable count) when the caller has them already;
+    without it they are derived up S's ancestor chain.
+    """
+    ideal_count, stable_count = counts or _census_counts(S)
     all_stable = stable_count == ideal_count
     quadratic = is_monomial_quadratic(S)
     bass = S.multiplicity <= 2
@@ -118,7 +125,7 @@ def stable_ring_report(S: NumericalSemigroup) -> StableRingReport:
         semigroup=S,
         ideal_count=ideal_count,
         stable_count=stable_count,
-        max_mu=max_mu,
+        max_mu=_max_mu(S),
         all_stable=all_stable,
         quadratic_over_normalization=quadratic,
         is_bass=bass,

@@ -8,6 +8,15 @@ behavior, and (below the Sally genus cap) the two-generated-power
 implication over every normalized ideal, whose verdict is the same for
 every translate of the ideal.
 
+The census counts and the blow-up tower of each semigroup come from one
+memo pass in the parent process, keyed by gap mask and run in enumeration
+order: S's parent S + {F(S)} and its blow-up E(M) both have smaller genus,
+so their entries are already there, and S's entry costs one top-level step
+of the census recurrences and one ``end_semigroup``.  Each task carries its
+entry, and the workers run only the checks that stay per semigroup.  The
+pool is forked before the pass starts, so the workers do not inherit the
+memo, and the pass feeds the pool lazily, overlapping the workers.
+
 Results merge in enumeration order, so the aggregate report is byte-stable
 regardless of worker count.
 """
@@ -21,12 +30,12 @@ from multiprocessing import Pool
 from . import ringlab
 from .errors import CapExceeded
 from .numsg import NumericalSemigroup, enumerate_semigroups
-from .relideal import blowup_tower, enumerate_normalized_ideals
+from .relideal import TowerReport, _tree_entry, blowup_tower, enumerate_normalized_ideals
 
 SALLY_GENUS_CAP = 8
 # the largest per-ideal sweep genus that keeps `sweep --max-genus 16 --n-max 32`
 # inside 120 s: 64 s at 14 and 155 s at 15 on a 2-core 2.1 GHz Xeon; at
-# `--max-genus 19` it takes 65 s at 14
+# `--max-genus 20` it takes 51-54 s at 14
 SALLY_GENUS_CAP_MAX = 14
 
 
@@ -34,15 +43,25 @@ def _gens_str(S: NumericalSemigroup) -> str:
     return ",".join(str(g) for g in S.minimal_generators)
 
 
-def analyze_semigroup(S: NumericalSemigroup, n_max: int = 8, sally_cap: int = SALLY_GENUS_CAP) -> dict:
-    """Run every per-semigroup check; violations come back verbatim."""
+def analyze_semigroup(
+    S: NumericalSemigroup,
+    n_max: int = 8,
+    sally_cap: int = SALLY_GENUS_CAP,
+    counts: tuple[int, int] | None = None,
+    tower: TowerReport | None = None,
+) -> dict:
+    """Run every per-semigroup check; violations come back verbatim.
+
+    ``counts`` and ``tower`` are S's census counts and blow-up tower from the
+    sweep's memo pass; without them they are derived here.
+    """
     name = _gens_str(S)
     violations: dict[str, list[str]] = {}
 
     def flag(check: str, msg: str) -> None:
         violations.setdefault(check, []).append(f"{name}: {msg}")
 
-    report = ringlab.stable_ring_report(S)
+    report = ringlab.stable_ring_report(S, counts)
     if not report.agreement:
         flag(
             "big_agreement",
@@ -74,7 +93,7 @@ def analyze_semigroup(S: NumericalSemigroup, n_max: int = 8, sally_cap: int = SA
             f"m={S.multiplicity} hilbert={via_hilbert} mu_norm={gre['mu_normalization']}",
         )
 
-    tower = blowup_tower(S)
+    tower = tower or blowup_tower(S)
     if not tower.reached_normalization:
         flag("tower", "blow-up tower did not reach the full monoid")
     elif tower.stabilization_index > max(S.genus, 1):
@@ -116,8 +135,17 @@ def analyze_semigroup(S: NumericalSemigroup, n_max: int = 8, sally_cap: int = SA
 
 
 def _worker(args) -> dict:
-    S, n_max, sally_cap = args
-    return analyze_semigroup(S, n_max, sally_cap)
+    return analyze_semigroup(*args)
+
+
+def _tasks(semigroups, n_max: int, sally_cap: int):
+    """The memo pass: each semigroup's task with its census counts and tower.
+
+    ``semigroups`` come genus by genus, so each one's parent and E(M) come before it.
+    """
+    memo: dict = {}
+    for S in semigroups:
+        yield (S, n_max, sally_cap, *_tree_entry(S, memo))
 
 
 CHECK_NAMES = (
@@ -150,11 +178,12 @@ def run_sweep(
             f"per-ideal sweep to genus {min(sally_cap, max_genus)} exceeds cap {SALLY_GENUS_CAP_MAX}"
         )
     semigroups = list(enumerate_semigroups(max_genus))
-    tasks = [(S, n_max, sally_cap) for S in semigroups]
-    jobs = clamp_jobs(jobs, len(tasks))
+    tasks = _tasks(semigroups, n_max, sally_cap)  # lazy: the pass runs as the tasks are drawn
+    jobs = clamp_jobs(jobs, len(semigroups))
     if jobs > 1:
+        # forked before the memo pass starts, so no worker holds a copy of the memo
         with Pool(processes=jobs) as pool:
-            records = pool.map(_worker, tasks, chunksize=16)
+            records = list(pool.imap(_worker, tasks, chunksize=16))
     else:
         records = [_worker(t) for t in tasks]
 

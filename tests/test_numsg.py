@@ -211,11 +211,11 @@ def test_enumeration_examples():
     assert got == [(1,), (2, 3)]
     assert sum(1 for _ in enumerate_semigroups(3)) == 8
     # OEIS A007323: the number of numerical semigroups of each genus, up to the cap
-    counts = [0] * 20
-    for S in enumerate_semigroups(19):
+    counts = [0] * 21
+    for S in enumerate_semigroups(20):
         counts[S.genus] += 1
     assert counts == [
-        1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857, 4806, 8045, 13467, 22464
+        1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857, 4806, 8045, 13467, 22464, 37396
     ]
 
 
@@ -226,8 +226,8 @@ def test_enumeration_is_duplicate_free_and_deterministic():
 
 
 def test_enumeration_cap():
-    with pytest.raises(CapExceeded):
-        list(enumerate_semigroups(20))
+    with pytest.raises(CapExceeded):  # the cap is 20; genus 21 stays refused
+        list(enumerate_semigroups(21))
     with pytest.raises(ValueError):
         list(enumerate_semigroups(-1))
 

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from stablerings.errors import AmbientMismatch, CapExceeded, EmptyInput
 from stablerings.numsg import ENUMERATION_GENUS_CAP, NAT, enumerate_semigroups, from_generators
 from stablerings.relideal import (
+    _census_counts,
     _generator_mask,
-    _normalized_census,
+    _max_mu,
     _stable_mask,
+    _tree_entry,
     blowup_tower,
     end_semigroup,
     enumerate_normalized_ideals,
@@ -238,11 +240,14 @@ def test_census_matches_per_mask_shapes():
 
 
 def test_census_matches_oracle_walk():
-    # the counting census against the census read off the full walk
+    # the counting census against the census read off the full walk: per call,
+    # up the ancestor chain, and from a memo filled in enumeration order
     totals = [0, 0, 0]
+    memo = {}
     for S in enumerate_semigroups(13):
-        census = _normalized_census(S)
-        assert census == oracles.normalized_census(S), str(S)
+        census = oracles.normalized_census(S)
+        assert (*_census_counts(S), _max_mu(S)) == census, str(S)
+        assert _tree_entry(S, memo)[0] == census[:2], str(S)
         totals = [totals[0] + census[0], totals[1] + census[1], max(totals[2], census[2])]
     assert totals == [1448090, 206095, 14]
 
@@ -252,7 +257,7 @@ def test_census_cap():
     S = from_generators({2, 2 * ENUMERATION_GENUS_CAP + 3})
     assert S.genus == ENUMERATION_GENUS_CAP + 1
     with pytest.raises(CapExceeded):
-        _normalized_census(S)
+        _census_counts(S)
 
 
 # random semigroups from 2-4 generators below 16, genus at most 14
@@ -303,8 +308,10 @@ def test_blowup_tower_cap_reported_not_raised():
 
 
 def test_tower_stabilizes_within_genus():
+    memo = {}
     for S in enumerate_semigroups(12):
         rep = blowup_tower(S)
+        assert _tree_entry(S, memo)[1] == rep, str(S)  # every field, the tower's semigroups too
         assert rep.reached_normalization
         assert rep.stabilization_index <= max(S.genus, 1)
         assert rep.multiplicity_sequence[-1] == 1
