@@ -34,14 +34,17 @@ valuations and so the same pivot choices (fraction-free elimination;
 Bareiss, Math. Comp. 22, 1968).
 
 Precision semantics: every stability verdict carries the margin N//2 at
-which it was certified.  A witness candidate x is a generator of I or a sum
-or difference of two, so each generator x*g of xI is a sum of products of
-two generators of I: xI lies inside I^2 exactly, and I^2 = xI exactly when
-their pivots agree.  A comparison is trusted only when every pivot
-valuation lies below the margin; a negative verdict is issued only when
-every candidate witness fails with all pivots below the margin, and trials
-whose pivots reach the margin report inconclusive instead.  The margin rule
-is this module's own convention for finite-precision certification.
+which it was certified.  Every ideal I with a regular generator is stable,
+with the witness g, a generator whose V-component has the least valuation
+(Lipman, Amer. J. Math. 93, 1971; Sally and Vasconcelos, J. Pure Appl.
+Algebra 4, 1974): every h in I is c*g + p with c in V and p in I ∩ P, and
+P^2 = 0, so h*h' = g*(c*c'*g + c*p' + c'*p) and I^2 = g*I holds exactly,
+in V/t^N too.  The one comparison of the pivots of I^2 and g*I is trusted
+only when every pivot valuation of I^2 lies below the margin; otherwise the
+verdict is inconclusive.  A clean mismatch, stable=False, means that the
+proved identity failed, which is a fault of this program, not a property of
+the ideal.  The margin rule is this module's own convention for
+finite-precision certification.
 """
 
 from __future__ import annotations
@@ -455,7 +458,10 @@ def ideal_product(I: IdealizationIdeal, J: IdealizationIdeal) -> IdealizationIde
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    """Outcome of the witness search; stable=None means inconclusive."""
+    """Outcome of the stability test: stable=None is inconclusive, False a fault.
+
+    ``witness`` is the least-valuation generator g when stable is True.
+    """
 
     stable: bool | None
     witness: RingElement | None
@@ -482,40 +488,24 @@ def _square(ring: IdealizationRing, gens) -> IdealizationIdeal:
 
 
 def is_stable_ideal(ring: IdealizationRing, gens) -> StabilityVerdict:
-    """Does I^2 = x*I hold for some x in the ideal I generated by gens, at the margin?
+    """Does I^2 = g*I hold, at the margin, for the ideal I generated by gens?
 
-    Candidates are the ring generators and their pairwise sums and
-    differences (the two-generator argument yields difference-style
-    witnesses; in characteristic 2 the two coincide), in order of
-    V-component valuation.  x*I lies inside I^2, so equal pivots below the
-    margin N//2 certify equality; a candidate whose pivots reach the margin
-    is neither accepted nor counted as a clean failure.  The ideal itself is
-    never reduced.
+    g is the generator whose V-component has the least valuation (the first
+    such generator on a tie), and I^2 = g*I holds exactly; see the module
+    docstring.  The pivots of I^2 below the margin N//2 certify the
+    verdict, and an I^2 whose pivots reach the margin is inconclusive.  A
+    g*I whose pivots differ from those of I^2 is a program fault, reported
+    as stable=False.  The ideal itself is never reduced.
     """
     margin = ring.prec // 2
-    if not any(g.v.valuation() < margin for g in gens):
+    g = min(gens, key=lambda h: h.v.valuation(), default=None)
+    if g is None or g.v.valuation() >= margin:
         raise NotRegular("no generator has V-component valuation below N/2")
-    cands = list(gens)
-    for i, a in enumerate(gens):
-        for b in gens[i + 1 :]:
-            # a-b and b-a generate the same ideal: one representative suffices
-            cands += (a + b, a - b)
-    ordered = sorted(dict.fromkeys(cands), key=lambda g: g.v.valuation())
     sig2 = _square(ring, gens).margin_signature(margin)
-    saw_unclear = sig2 is None
-    if sig2 is not None:
-        for x in ordered:
-            if x.is_zero():
-                continue
-            xI = ideal_from_generators(ring, [x * g for g in gens])
-            sig_x = xI.margin_signature(margin)
-            if sig_x is None:
-                saw_unclear = True
-                continue
-            if sig_x == sig2:
-                return StabilityVerdict(stable=True, witness=x, margin=margin)
-    if saw_unclear:
+    if sig2 is None:
         return StabilityVerdict(stable=None, witness=None, margin=margin)
+    if ideal_from_generators(ring, [g * h for h in gens]).margin_signature(margin) == sig2:
+        return StabilityVerdict(stable=True, witness=g, margin=margin)
     return StabilityVerdict(stable=False, witness=None, margin=margin)
 
 

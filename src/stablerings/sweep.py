@@ -17,8 +17,8 @@ entry, and the workers run only the checks that stay per semigroup.  The
 pool is forked before the pass starts, so the workers do not inherit the
 memo, and the pass feeds the pool lazily, overlapping the workers.
 
-Results merge in enumeration order, so the aggregate report is byte-stable
-regardless of worker count.
+Results merge in enumeration order as they arrive, so the aggregate report
+is byte-stable regardless of worker count and no record outlives its merge.
 """
 
 from __future__ import annotations
@@ -165,13 +165,23 @@ def clamp_jobs(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, tasks))
 
 
+def _records(tasks, jobs: int):
+    """The per-semigroup records, in task order, from a pool of ``jobs`` or serially."""
+    if jobs > 1:
+        # forked before the memo pass starts, so no worker holds a copy of the memo
+        with Pool(processes=jobs) as pool:
+            yield from pool.imap(_worker, tasks, chunksize=16)
+    else:
+        yield from map(_worker, tasks)
+
+
 def run_sweep(
     max_genus: int,
     jobs: int = 1,
     n_max: int = 8,
     sally_cap: int = SALLY_GENUS_CAP,
 ) -> dict:
-    """Analyze every semigroup of genus <= max_genus and merge the records."""
+    """Analyze every semigroup of genus <= max_genus, merging each record as it arrives."""
     ringlab.check_n_max(n_max)
     if min(sally_cap, max_genus) > SALLY_GENUS_CAP_MAX:
         raise CapExceeded(
@@ -179,31 +189,28 @@ def run_sweep(
         )
     semigroups = list(enumerate_semigroups(max_genus))
     tasks = _tasks(semigroups, n_max, sally_cap)  # lazy: the pass runs as the tasks are drawn
-    jobs = clamp_jobs(jobs, len(semigroups))
-    if jobs > 1:
-        # forked before the memo pass starts, so no worker holds a copy of the memo
-        with Pool(processes=jobs) as pool:
-            records = list(pool.imap(_worker, tasks, chunksize=16))
-    else:
-        records = [_worker(t) for t in tasks]
-
-    sallies = [rec["sally"] for rec in records if "sally" in rec]
+    msgs: dict[str, list[str]] = {name: [] for name in CHECK_NAMES}
+    by_genus = Counter()
+    sally = Counter()
+    for rec in _records(tasks, clamp_jobs(jobs, len(semigroups))):
+        by_genus[str(rec["genus"])] += 1
+        for name, found in rec["violations"].items():
+            msgs[name] += found
+        if "sally" in rec:
+            sally.update(checked=1, **rec["sally"])
     checks = {}
     for name in CHECK_NAMES:
         key = "divergences" if name == "monomial_vs_bass" else "violations"
-        msgs = [m for rec in records for m in rec["violations"].get(name, ())]
-        checks[name] = {"checked": len(records), key: msgs}
+        checks[name] = {"checked": len(semigroups), key: msgs[name]}
     checks["sally"].update(
-        checked=len(sallies),
-        ideals_checked=sum(s["ideals"] for s in sallies),
-        boundary_cases=sum(s["boundary"] for s in sallies),
+        checked=sally["checked"], ideals_checked=sally["ideals"], boundary_cases=sally["boundary"]
     )
     return {
         "max_genus": max_genus,
         "n_max": n_max,
         "sally_genus_cap": sally_cap,
         "semigroup_count": len(semigroups),
-        "counts_by_genus": dict(Counter(str(rec["genus"]) for rec in records)),
+        "counts_by_genus": dict(by_genus),
         "checks": checks,
-        "violations_total": sum(len(msgs) for rec in records for msgs in rec["violations"].values()),
+        "violations_total": sum(map(len, msgs.values())),
     }

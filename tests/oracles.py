@@ -29,11 +29,12 @@ only the pivots.  ``ideal_rows`` spans an ideal by the rows (v, l) and
 (0, v*e_k) of each generator (v, l), where ``stablerings.idealization``
 adds one set of rows (0, t^a*e_k) per ideal.
 
-The idealization witness search: ``witness_verdict`` compares the
-canonical bases of I^2 and x*I, pivots and coefficients below the margin,
-built from all ordered generator products, where
-``stablerings.idealization`` compares the pivots alone, from the unordered
-products.
+The idealization witness search: ``witness_verdict`` tries the generators
+and their pairwise sums and differences in order of V-valuation, comparing
+the canonical bases of I^2 and x*I, pivots and coefficients below the
+margin, built from all ordered generator products, where
+``stablerings.idealization`` compares the pivots of I^2 and g*I alone, for
+the one least-valuation generator g, from the unordered products.
 
 Semigroup construction: ``semigroup_by_window_scan`` closes a window one
 integer at a time and ``semigroup_from_member_scan`` reads the minimal

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stablerings import idealization
 from stablerings.errors import (
     BadPrecision,
     BadRank,
@@ -122,11 +123,17 @@ def test_ring_mismatch():
 
 
 def test_regularity_flags():
-    # a nonzerodivisor has a nonzero V-component; the witness search needs one below N/2
+    # a nonzerodivisor has a nonzero V-component; the stability test needs one below N/2
     assert R1.t_power(1).v.valuation() < R1.prec // 2
     assert R1.basis_ell(1).v.is_zero()
     with pytest.raises(NotRegular):
         is_stable_ideal(R1, [R1.basis_ell(1)])
+    with pytest.raises(NotRegular):
+        is_stable_ideal(R1, [])
+    half = R1.prec // 2
+    with pytest.raises(NotRegular):
+        is_stable_ideal(R1, [R1.basis_ell(1), R1.t_power(half)])
+    assert is_stable_ideal(R1, [R1.basis_ell(1), R1.t_power(half - 1)]).margin == half
 
 
 def test_ideal_reduction_examples():
@@ -519,5 +526,18 @@ def test_witness_candidates_lie_in_square(field):
             else:
                 assert (sig == square_sig) == (oracle_sig == expected_sig)
                 cases["equal" if sig == square_sig else "rejected"] += 1
-        assert oracles.witness_verdict(ring, gens) == is_stable_ideal(ring, gens).to_payload()
+        # I^2 = gI exactly for the least-valuation generator g, which is the witness
+        g = min(gens, key=lambda h: h.v.valuation())
+        assert ideal_from_generators(ring, [g * h for h in gens]).pivots == _square(ring, gens).pivots
+        payload = is_stable_ideal(ring, gens).to_payload()
+        assert oracles.witness_verdict(ring, gens) == payload
+        if payload["stable"]:
+            assert payload["witness_valuation"] == g.v.valuation()
     assert all(cases.values()), cases
+
+
+def test_mismatch_with_square_is_not_stable(monkeypatch):
+    # gI = I^2 is proved, so only a fault makes them differ; the comparison must still report it
+    monkeypatch.setattr(idealization, "_square", lambda ring, gens: ideal_from_generators(ring, [ring.one()]))
+    verdict = is_stable_ideal(R1, [R1.t_power(1), R1.basis_ell(1)])
+    assert verdict.stable is False and verdict.witness is None
