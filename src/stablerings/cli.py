@@ -1,10 +1,17 @@
 """Batch front end: parse inputs, run analyses, emit deterministic reports.
 
-Every command produces one report record: command echo, canonical input,
-result payload, tool version, seed, and elapsed time.  JSON is the machine
-interface (sorted keys, fixed indentation); text output is a thin flattened
-rendering of the same record.  With --no-timing the elapsed-time field is
-omitted, making reports byte-comparable; worker count never affects output.
+Each leaf command is declared once, in ``COMMANDS``, keyed by its argv
+words: its handler, its help text and its arguments.  ``build_parser``
+builds every subparser from that table and tags each leaf with its handler.
+A handler returns the command echo, the canonical input, the result payload
+and the exit code; ``main`` is the one report path, which times the handler,
+hands its record to ``emit`` and maps errors to exit codes.
+
+Every report record holds the command echo, canonical input, result payload,
+tool version, seed, and elapsed time.  JSON is the machine interface (sorted
+keys, fixed indentation); text output is a thin flattened rendering of the
+result.  With --no-timing the elapsed-time field is omitted, making reports
+byte-comparable; worker count never affects output.
 
 Exit codes: 0 success, 1 theorem violation or check failure, 2 usage or
 input error, 3 resource cap exceeded.
@@ -79,149 +86,67 @@ def emit(args, command: str, input_form: str, result: dict, started: float) -> N
             print(line)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="emit the JSON report")
-    p.add_argument("--seed", type=int, default=0, help="seed echoed in reports and used by randomized checks")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="worker processes for sweeps")
-    p.add_argument("--no-timing", action="store_true", help="omit elapsed time for byte-stable output")
+def _semigroup(args) -> tuple[numsg.NumericalSemigroup, str]:
+    S = numsg.from_generators(parse_generators(args.generators))
+    return S, _canonical(S.minimal_generators)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="stablerings",
-        description="Exact workbench for one-dimensional stable local ring models.",
-    )
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
-    sg = sub.add_parser("sg", help="numerical semigroup analyses")
-    sgsub = sg.add_subparsers(dest="sgcmd", required=True)
-
-    p = sgsub.add_parser("info", help="invariants of a semigroup")
-    p.add_argument("generators")
-    _add_common(p)
-
-    p = sgsub.add_parser("ideal", help="relative ideal analysis")
-    p.add_argument("generators")
-    p.add_argument("--ideal", required=True, help="comma-separated ideal generators (may be negative)")
-    p.add_argument("--stable", action="store_true", help="print only the stability verdict in text mode")
-    _add_common(p)
-
-    p = sgsub.add_parser("tower", help="blow-up tower of endomorphism semigroups")
-    p.add_argument("generators")
-    p.add_argument("--cap", type=int, default=64)
-    _add_common(p)
-
-    p = sgsub.add_parser("report", help="stable/quadratic/Bass agreement report")
-    p.add_argument("generators")
-    _add_common(p)
-
-    p = sgsub.add_parser("two-gen", help="two-generated power biconditional")
-    p.add_argument("generators")
-    p.add_argument("--n-max", type=int, default=8)
-    _add_common(p)
-
-    p = sub.add_parser("sweep", help="run the full invariant suite over all semigroups up to a genus")
-    p.add_argument("--max-genus", type=int, required=True)
-    p.add_argument("--n-max", type=int, default=8)
-    p.add_argument(
-        "--sally-genus-cap",
-        type=int,
-        default=sweep.SALLY_GENUS_CAP,
-        help="genus cap for the per-ideal two-generated-power sweep",
-    )
-    _add_common(p)
-
-    alg = sub.add_parser("alg", help="structure-constant algebra analyses")
-    algsub = alg.add_subparsers(dest="algcmd", required=True)
-    p = algsub.add_parser("classify", help="validate and classify an algebra file")
-    p.add_argument("file", help="JSON file: {field, dim, table}")
-    _add_common(p)
-
-    ide = sub.add_parser("idealization", help="truncated Nagata idealization checks")
-    idesub = ide.add_subparsers(dest="idecmd", required=True)
-    p = idesub.add_parser("check", help="square-zero prime, Hilbert slope, stability sweep")
-    p.add_argument("--field", default="F2", choices=sorted(idealization.DOMAINS))
-    p.add_argument("--rank", type=int, default=1)
-    p.add_argument("--prec", type=int, default=16)
-    p.add_argument("--trials", type=int, default=100)
-    _add_common(p)
-
-    return parser
+def _sg_info(args):
+    S, name = _semigroup(args)
+    return "sg info", name, {"semigroup": name, **numsg.invariants(S), "gaps": _canonical(S.gaps())}, 0
 
 
-def cmd_sg(args) -> int:
-    started = time.monotonic()
-    if args.sgcmd == "two-gen":
-        ringlab.check_n_max(args.n_max)
-    gens = parse_generators(args.generators)
-    S = numsg.from_generators(gens)
-    name = _canonical(S.minimal_generators)
-
-    if args.sgcmd == "info":
-        result = {"semigroup": name, **numsg.invariants(S), "gaps": _canonical(S.gaps())}
-        emit(args, "sg info", name, result, started)
-        return 0
-
-    if args.sgcmd == "ideal":
-        igens = set(parse_generators(args.ideal, allow_negative=True))
-        if len(igens) > numsg.GENERATOR_CAP:
-            raise CapExceeded(f"{len(igens)} distinct ideal generators exceed cap {numsg.GENERATOR_CAP}")
-        ideal = relideal.make_ideal(S, igens)
-        result = {
-            "semigroup": name,
-            "ideal": _canonical(ideal.minimal_generators),
-            "min": ideal.min_element,
-            "mu": relideal.minimal_generator_count(ideal),
-            "stable": relideal.is_stable(ideal),
-            "endomorphism_semigroup": _canonical(
-                relideal.end_semigroup(ideal).minimal_generators
-            ),
-        }
-        if args.stable and not args.json:
-            print(f"stable: {'true' if result['stable'] else 'false'}")
-            return 0
-        emit(args, "sg ideal", f"{name} --ideal {_canonical(ideal.minimal_generators)}", result, started)
-        return 0
-
-    if args.sgcmd == "tower":
-        rep = relideal.blowup_tower(S, cap=args.cap)
-        result = {
-            "semigroup": name,
-            "tower": [_canonical(t.minimal_generators) for t in rep.tower],
-            "multiplicity_sequence": _canonical(rep.multiplicity_sequence),
-            "stabilization_index": rep.stabilization_index,
-            "reached_normalization": rep.reached_normalization,
-        }
-        emit(args, "sg tower", name, result, started)
-        return 0
-
-    if args.sgcmd == "report":
-        rep = ringlab.stable_ring_report(S)
-        emit(args, "sg report", name, rep.to_payload(), started)
-        return 0
-
-    if args.sgcmd == "two-gen":
-        result = {"semigroup": name, **ringlab.two_generator_check(S, args.n_max)}
-        emit(args, "sg two-gen", name, result, started)
-        return 0
-
-    raise AssertionError(args.sgcmd)
+def _sg_ideal(args):
+    S, name = _semigroup(args)
+    igens = set(parse_generators(args.ideal, allow_negative=True))
+    if len(igens) > numsg.GENERATOR_CAP:
+        raise CapExceeded(f"{len(igens)} distinct ideal generators exceed cap {numsg.GENERATOR_CAP}")
+    ideal = relideal.make_ideal(S, igens)
+    ideal_name = _canonical(ideal.minimal_generators)
+    result = {
+        "semigroup": name,
+        "ideal": ideal_name,
+        "min": ideal.min_element,
+        "mu": relideal.minimal_generator_count(ideal),
+        "stable": relideal.is_stable(ideal),
+        "endomorphism_semigroup": _canonical(relideal.end_semigroup(ideal).minimal_generators),
+    }
+    if args.stable and not args.json:
+        result = {"stable": result["stable"]}
+    return "sg ideal", f"{name} --ideal {ideal_name}", result, 0
 
 
-def cmd_sweep(args) -> int:
-    started = time.monotonic()
-    result = sweep.run_sweep(
-        args.max_genus,
-        jobs=args.jobs,
-        n_max=args.n_max,
-        sally_cap=args.sally_genus_cap,
-    )
-    emit(args, f"sweep --max-genus {args.max_genus}", str(args.max_genus), result, started)
-    return 0 if result["violations_total"] == 0 else 1
+def _sg_tower(args):
+    S, name = _semigroup(args)
+    rep = relideal.blowup_tower(S, cap=args.cap)
+    result = {
+        "semigroup": name,
+        "tower": [_canonical(t.minimal_generators) for t in rep.tower],
+        "multiplicity_sequence": _canonical(rep.multiplicity_sequence),
+        "stabilization_index": rep.stabilization_index,
+        "reached_normalization": rep.reached_normalization,
+    }
+    return "sg tower", name, result, 0
 
 
-def cmd_alg(args) -> int:
-    started = time.monotonic()
+def _sg_report(args):
+    S, name = _semigroup(args)
+    return "sg report", name, ringlab.stable_ring_report(S).to_payload(), 0
+
+
+def _sg_two_gen(args):
+    ringlab.check_n_max(args.n_max)
+    S, name = _semigroup(args)
+    return "sg two-gen", name, {"semigroup": name, **ringlab.two_generator_check(S, args.n_max)}, 0
+
+
+def _sweep(args):
+    result = sweep.run_sweep(args.max_genus, args.jobs, args.n_max, args.sally_genus_cap)
+    code = 0 if result["violations_total"] == 0 else 1
+    return f"sweep --max-genus {args.max_genus}", str(args.max_genus), result, code
+
+
+def _alg_classify(args):
     with open(args.file, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -236,12 +161,10 @@ def cmd_alg(args) -> int:
         "class": cls.value,
         "maximal_ideals": quadalg.maximal_ideal_count(A),
     }
-    emit(args, "alg classify", f"{A.field.name} dim {A.dimension}", result, started)
-    return 0
+    return "alg classify", f"{A.field.name} dim {A.dimension}", result, 0
 
 
-def cmd_idealization(args) -> int:
-    started = time.monotonic()
+def _idealization_check(args):
     idealization.check_caps(args.rank, args.prec, args.trials)
     ring = idealization.make_ring(args.field, args.rank, args.prec)
 
@@ -250,32 +173,20 @@ def cmd_idealization(args) -> int:
     probes = [{"n": n, "length": length} for n, length in enumerate(lengths, 1)]
     skipped = [{"n": n, "reason": "PrecisionTooLow"} for n in range(top + 1, 7)]
     expected_slope = 1 + args.rank
-    diffs = [
-        probes[i]["length"] - probes[i - 1]["length"] for i in range(1, len(probes))
-    ]
+    diffs = [b - a for a, b in zip(lengths, lengths[1:])]
     slope_ok = bool(diffs) and all(d == expected_slope for d in diffs)
 
     prime = idealization.square_zero_prime_check(ring)
     stability = idealization.stability_sweep(ring, args.trials, args.seed)
 
-    ok = (
-        prime["p_squared_zero"]
-        and prime["quotient_is_dvr"]
-        and (slope_ok or not diffs)
-        and stability["not_stable"] == 0
-        and stability["inconclusive_rate"] < 0.05
-    )
+    ok = (prime["p_squared_zero"] and prime["quotient_is_dvr"] and (slope_ok or not diffs)
+          and stability["not_stable"] == 0 and stability["inconclusive_rate"] < 0.05)
     result = {
         "field": args.field,
         "rank": args.rank,
         "precision": args.prec,
         "square_zero_prime": prime,
-        "hilbert": {
-            "probes": probes,
-            "skipped": skipped,
-            "expected_slope": expected_slope,
-            "slope_ok": slope_ok,
-        },
+        "hilbert": dict(probes=probes, skipped=skipped, expected_slope=expected_slope, slope_ok=slope_ok),
         "stability": stability,
         "margin_convention": (
             "verdicts are certified on coefficients below prec//2; "
@@ -283,14 +194,94 @@ def cmd_idealization(args) -> int:
         ),
         "pass": ok,
     }
-    emit(
-        args,
-        f"idealization check --field {args.field} --rank {args.rank} --prec {args.prec}",
-        f"{args.field} rank {args.rank} prec {args.prec} trials {args.trials}",
-        result,
-        started,
+    command = f"idealization check --field {args.field} --rank {args.rank} --prec {args.prec}"
+    input_form = f"{args.field} rank {args.rank} prec {args.prec} trials {args.trials}"
+    return command, input_form, result, 0 if ok else 1
+
+
+def _arg(*flags, **kwargs) -> tuple:
+    return flags, kwargs
+
+
+GENERATORS = _arg("generators")
+
+# group words -> (help, dest of its leaves' subparsers)
+GROUPS = {
+    ("sg",): ("numerical semigroup analyses", "sgcmd"),
+    ("alg",): ("structure-constant algebra analyses", "algcmd"),
+    ("idealization",): ("truncated Nagata idealization checks", "idecmd"),
+}
+
+# argv words -> (handler, help, *leaf arguments), in --help order
+COMMANDS = {
+    ("sg", "info"): (_sg_info, "invariants of a semigroup", GENERATORS),
+    ("sg", "ideal"): (
+        _sg_ideal,
+        "relative ideal analysis",
+        GENERATORS,
+        _arg("--ideal", required=True, help="comma-separated ideal generators (may be negative)"),
+        _arg("--stable", action="store_true", help="print only the stability verdict in text mode"),
+    ),
+    ("sg", "tower"): (
+        _sg_tower, "blow-up tower of endomorphism semigroups", GENERATORS, _arg("--cap", type=int, default=64)
+    ),
+    ("sg", "report"): (_sg_report, "stable/quadratic/Bass agreement report", GENERATORS),
+    ("sg", "two-gen"): (
+        _sg_two_gen, "two-generated power biconditional", GENERATORS, _arg("--n-max", type=int, default=8)
+    ),
+    ("sweep",): (
+        _sweep,
+        "run the full invariant suite over all semigroups up to a genus",
+        _arg("--max-genus", type=int, required=True),
+        _arg("--n-max", type=int, default=8),
+        _arg(
+            "--sally-genus-cap",
+            type=int,
+            default=sweep.SALLY_GENUS_CAP,
+            help="genus cap for the per-ideal two-generated-power sweep",
+        ),
+    ),
+    ("alg", "classify"): (
+        _alg_classify,
+        "validate and classify an algebra file",
+        _arg("file", help="JSON file: {field, dim, table}"),
+    ),
+    ("idealization", "check"): (
+        _idealization_check,
+        "square-zero prime, Hilbert slope, stability sweep",
+        _arg("--field", default="F2", choices=sorted(idealization.DOMAINS)),
+        _arg("--rank", type=int, default=1),
+        _arg("--prec", type=int, default=16),
+        _arg("--trials", type=int, default=100),
+    ),
+}
+
+# every leaf takes these after its own arguments
+COMMON = (
+    _arg("--json", action="store_true", help="emit the JSON report"),
+    _arg("--seed", type=int, default=0, help="seed echoed in reports and used by randomized checks"),
+    _arg("--jobs", type=int, default=os.cpu_count() or 1, help="worker processes for sweeps"),
+    _arg("--no-timing", action="store_true", help="omit elapsed time for byte-stable output"),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="stablerings",
+        description="Exact workbench for one-dimensional stable local ring models.",
     )
-    return 0 if ok else 1
+    subparsers = {(): parser.add_subparsers(dest="cmd", required=True)}
+    for words, (handler, help_text, *arguments) in COMMANDS.items():
+        group = words[:-1]
+        if group not in subparsers:
+            group_help, dest = GROUPS[group]
+            group_parser = subparsers[()].add_parser(*group, help=group_help)
+            subparsers[group] = group_parser.add_subparsers(dest=dest, required=True)
+        p = subparsers[group].add_parser(words[-1], help=help_text)
+        for flags, kwargs in (*arguments, *COMMON):
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(run=handler)
+    return parser
 
 
 def _join_ideal_values(argv: list[str]) -> list[str]:
@@ -314,20 +305,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(_join_ideal_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    started = time.monotonic()
     try:
-        if args.cmd == "sg":
-            return cmd_sg(args)
-        if args.cmd == "sweep":
-            return cmd_sweep(args)
-        if args.cmd == "alg":
-            return cmd_alg(args)
-        if args.cmd == "idealization":
-            return cmd_idealization(args)
-        raise AssertionError(args.cmd)
+        command, input_form, result, code = args.run(args)
+        emit(args, command, input_form, result, started)
+        return code
     except CapExceeded as exc:
         print(f"error: CapExceeded: {exc}", file=sys.stderr)
         return 3
-    except (StableringsError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (StableringsError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

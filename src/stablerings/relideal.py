@@ -83,10 +83,6 @@ class RelativeIdeal:
         mask = ((1 << span) - 1) & ~self.holes
         return mask << shift if shift >= 0 else mask >> -shift
 
-    def __str__(self) -> str:
-        gens = ",".join(str(g) for g in self.minimal_generators)
-        return f"({gens})+{self.ambient}"
-
 
 def make_ideal(S: NumericalSemigroup, gens) -> RelativeIdeal:
     """The relative ideal of S generated by ``gens``."""

@@ -17,14 +17,17 @@ entry, and the workers run only the checks that stay per semigroup.  The
 pool is forked before the pass starts, so the workers do not inherit the
 memo, and the pass feeds the pool lazily, overlapping the workers.
 
-Results merge in enumeration order as they arrive, so the aggregate report
-is byte-stable regardless of worker count and no record outlives its merge.
+The semigroups stream from the enumeration into the pass, which holds them
+only through the memo's towers.  Results merge in enumeration order as they
+arrive, so the aggregate report is byte-stable regardless of worker count
+and no record outlives its merge.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
+from itertools import chain
 from multiprocessing import Pool
 
 from . import ringlab
@@ -187,21 +190,24 @@ def run_sweep(
         raise CapExceeded(
             f"per-ideal sweep to genus {min(sally_cap, max_genus)} exceeds cap {SALLY_GENUS_CAP_MAX}"
         )
-    semigroups = list(enumerate_semigroups(max_genus))
-    tasks = _tasks(semigroups, n_max, sally_cap)  # lazy: the pass runs as the tasks are drawn
+    semigroups = enumerate_semigroups(max_genus)
+    root = next(semigroups)  # a bad max_genus raises here, before any worker starts
+    tasks = _tasks(chain([root], semigroups), n_max, sally_cap)  # lazy: the pass runs as the tasks are drawn
     msgs: dict[str, list[str]] = {name: [] for name in CHECK_NAMES}
     by_genus = Counter()
     sally = Counter()
-    for rec in _records(tasks, clamp_jobs(jobs, len(semigroups))):
+    # every genus up to max_genus has a semigroup, so there are never fewer tasks than jobs
+    for rec in _records(tasks, clamp_jobs(jobs, max_genus + 1)):
         by_genus[str(rec["genus"])] += 1
         for name, found in rec["violations"].items():
             msgs[name] += found
         if "sally" in rec:
             sally.update(checked=1, **rec["sally"])
+    total = sum(by_genus.values())
     checks = {}
     for name in CHECK_NAMES:
         key = "divergences" if name == "monomial_vs_bass" else "violations"
-        checks[name] = {"checked": len(semigroups), key: msgs[name]}
+        checks[name] = {"checked": total, key: msgs[name]}
     checks["sally"].update(
         checked=sally["checked"], ideals_checked=sally["ideals"], boundary_cases=sally["boundary"]
     )
@@ -209,7 +215,7 @@ def run_sweep(
         "max_genus": max_genus,
         "n_max": n_max,
         "sally_genus_cap": sally_cap,
-        "semigroup_count": len(semigroups),
+        "semigroup_count": total,
         "counts_by_genus": dict(by_genus),
         "checks": checks,
         "violations_total": sum(map(len, msgs.values())),

@@ -56,6 +56,12 @@ def test_sg_ideal_stable_flag(capsys):
     code, out, _ = run(capsys, "sg", "ideal", "3,4,5", "--ideal", "0,1", "--stable")
     assert code == 0
     assert out.strip() == "stable: false"
+    # --stable trims only the text report
+    argv = ("sg", "ideal", "3,4,5", "--ideal", "0,1", "--json", "--no-timing")
+    code, out, _ = run(capsys, *argv, "--stable")
+    assert code == 0
+    assert out == run(capsys, *argv)[1]
+    assert json.loads(out)["result"]["endomorphism_semigroup"] == "3,4,5"
 
 
 def test_sg_ideal_full(capsys):
@@ -191,6 +197,15 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "nope")
     assert code == 2
+    # a group word without a leaf, or with an unknown one
+    for argv in (("sg",), ("sg", "bogus"), ("alg",), ("idealization",)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "usage: stablerings" in err
+    for argv in (("--help",), ("sg", "info", "--help")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.startswith("usage: stablerings")
 
 
 def test_alg_classify(capsys, tmp_path):
@@ -301,6 +316,18 @@ def test_idealization_ideal_q_golden(capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == IDEAL_Q_GOLDEN
+
+
+# sha256 of the stdout of `sweep --max-genus 12 --json --no-timing` (md5 b90ca5db...),
+# the benchmark's sweep-g12 report
+SWEEP_G12_GOLDEN = "b3fe92d47f8ca36c1b2bf631482746a6574add5b3b5ee2e5b89b74be3191ef1f"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_g12_golden(capsys, jobs):
+    code, out, _ = run(capsys, "sweep", "--max-genus", "12", "--json", "--no-timing", "--jobs", jobs)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_G12_GOLDEN
 
 
 def test_idealization_low_precision_reports_skips(capsys):
