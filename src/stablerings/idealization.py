@@ -11,6 +11,12 @@ exact ints or Fractions for Q.  Series arithmetic is ``+ - *`` followed by
 one ``CoeffDomain.norm`` per output coefficient, and a coefficient is zero
 exactly when it is falsy.
 
+An ideal is the list of its ring generators, and ``ideal_from_generators``
+returns its one computed form, the pivots of its module span: I^2 and g*I
+are the generator lists of pairwise products, and M^k is M^(k-1) times the
+generators [t, e_1, ..., e_r] of M.  Pivots carry no generators, so equal
+pivots say nothing about two ideals unless one lies inside the other.
+
 Ideals are handled as V-submodules of V^{1+r}, spanned by the rows (v, l)
 of the ring generators and the rows (0, t^a*e_k) for k = 1..r, with a the
 least valuation of the v's (V/t^N is a chain ring, so the v's generate
@@ -231,9 +237,9 @@ class IdealizationRing:
         ell[k - 1] = [0] * shift + [1]
         return self.element([], ell)
 
-    def maximal_ideal(self) -> "IdealizationIdeal":
-        gens = [self.t_power(1)] + [self.basis_ell(k) for k in range(1, self.rank + 1)]
-        return ideal_from_generators(self, gens)
+    def maximal_ideal(self) -> list:
+        """The generators [t, e_1, ..., e_r] of the maximal ideal tV + L."""
+        return [self.t_power(1)] + [self.basis_ell(k) for k in range(1, self.rank + 1)]
 
 
 @dataclass(frozen=True)
@@ -314,6 +320,11 @@ def _random_element(ring: IdealizationRing, rng: random.Random, regular: bool) -
         for _ in range(ring.rank)
     )
     return RingElement(ring, v, ell)
+
+
+def _random_p_element(ring: IdealizationRing, rng: random.Random) -> RingElement:
+    """A seeded random element (0, l) of P = 0*L."""
+    return RingElement(ring, ring.zero_series(), tuple(_random_series(ring, rng) for _ in range(ring.rank)))
 
 
 # --- module reduction -------------------------------------------------------
@@ -401,30 +412,8 @@ def reduce_rows(ring: IdealizationRing, rows) -> tuple:
     return tuple(pivots)
 
 
-@dataclass(frozen=True, eq=False)
-class IdealizationIdeal:
-    """A ring ideal of V*L: its generators and the pivots of its module span.
-
-    Equal pivots identify a module only among modules one inside the other,
-    so ideals offer no ``==``.
-    """
-
-    ring: IdealizationRing
-    ring_generators: tuple
-    pivots: tuple
-
-    def margin_signature(self, margin: int):
-        """The pivots, or None when some pivot valuation reaches the margin.
-
-        A comparison at this margin is trusted only when neither side is None.
-        """
-        if any(v >= margin for _, v in self.pivots):
-            return None
-        return self.pivots
-
-
-def ideal_from_generators(ring: IdealizationRing, gens) -> IdealizationIdeal:
-    """The ring ideal generated by ``gens``, with the pivots of its module span.
+def ideal_from_generators(ring: IdealizationRing, gens) -> tuple:
+    """The pivots of the module span of the ring ideal generated by ``gens``.
 
     R*(v, l) is spanned over V by (v, l) and the (0, v*e_k), so the ideal is
     spanned by the rows (v, l) of the generators and the rows (0, t^a*e_k)
@@ -445,15 +434,7 @@ def ideal_from_generators(ring: IdealizationRing, gens) -> IdealizationIdeal:
         zero, t_a = ring.zero_series(), ring.series([0] * a + [1])
         rows += [(zero,) * k + (t_a,) + (zero,) * (ring.rank - k) for k in range(1, ring.rank + 1)]
     rows += [(g.v, *g.ell) for g in gens]
-    return IdealizationIdeal(ring, tuple(gens), reduce_rows(ring, rows))
-
-
-def ideal_product(I: IdealizationIdeal, J: IdealizationIdeal) -> IdealizationIdeal:
-    """The ring-ideal product, generated by pairwise generator products."""
-    if I.ring != J.ring:
-        raise RingMismatch("ideals belong to different rings")
-    products = dict.fromkeys(a * b for a in I.ring_generators for b in J.ring_generators)
-    return ideal_from_generators(I.ring, list(products))
+    return reduce_rows(ring, rows)
 
 
 @dataclass(frozen=True)
@@ -477,10 +458,11 @@ class StabilityVerdict:
         }
 
 
-def _square(ring: IdealizationRing, gens) -> IdealizationIdeal:
-    """I^2 for the ideal I generated by gens, from the products a*b over unordered pairs.
+def _square(ring: IdealizationRing, gens) -> tuple:
+    """The pivots of I^2 for the ideal I generated by gens, from the products a*b over unordered pairs.
 
-    The products come in the order ``ideal_product(I, I)`` first meets them.
+    Each product keeps the place of its first occurrence among the products
+    over all ordered pairs.
     """
     return ideal_from_generators(
         ring, list(dict.fromkeys(a * b for i, a in enumerate(gens) for b in gens[i:]))
@@ -501,10 +483,10 @@ def is_stable_ideal(ring: IdealizationRing, gens) -> StabilityVerdict:
     g = min(gens, key=lambda h: h.v.valuation(), default=None)
     if g is None or g.v.valuation() >= margin:
         raise NotRegular("no generator has V-component valuation below N/2")
-    sig2 = _square(ring, gens).margin_signature(margin)
-    if sig2 is None:
+    square = _square(ring, gens)
+    if any(v >= margin for _, v in square):
         return StabilityVerdict(stable=None, witness=None, margin=margin)
-    if ideal_from_generators(ring, [g * h for h in gens]).margin_signature(margin) == sig2:
+    if ideal_from_generators(ring, [g * h for h in gens]) == square:
         return StabilityVerdict(stable=True, witness=g, margin=margin)
     return StabilityVerdict(stable=False, witness=None, margin=margin)
 
@@ -524,8 +506,8 @@ def hilbert_lengths(ring: IdealizationRing, n: int) -> list[int]:
     lengths = []
     for k in range(1, n + 1):
         if k > 1:
-            power = ideal_product(power, M)
-        pivots = power.pivots
+            power = list(dict.fromkeys(a * b for a in power for b in M))
+        pivots = ideal_from_generators(ring, power)
         lengths.append((1 + ring.rank - len(pivots)) * ring.prec + sum(v for _, v in pivots))
     return lengths
 
@@ -543,10 +525,7 @@ def square_zero_prime_check(ring: IdealizationRing) -> dict:
     probes = [
         ring.basis_ell(k, shift) for k in range(1, ring.rank + 1) for shift in (0, 1)
     ]
-    probes += [
-        RingElement(ring, ring.zero_series(), tuple(_random_series(ring, rng) for _ in range(ring.rank)))
-        for _ in range(4)
-    ]
+    probes += [_random_p_element(ring, rng) for _ in range(4)]
     for a in probes:
         for b in probes:
             if not (a * b).is_zero():
@@ -564,11 +543,7 @@ def _random_regular_generators(ring: IdealizationRing, rng: random.Random) -> li
     """Two seeded random generators; the first has V-valuation below N/2."""
     g1 = _random_element(ring, rng, regular=True)
     if rng.random() < 0.3:
-        g2 = RingElement(
-            ring,
-            ring.zero_series(),
-            tuple(_random_series(ring, rng) for _ in range(ring.rank)),
-        )
+        g2 = _random_p_element(ring, rng)
         if g2.is_zero():
             g2 = ring.basis_ell(1)
     else:

@@ -44,7 +44,6 @@ class NumericalSemigroup:
 
     minimal_generators: tuple[int, ...]
     conductor: int
-    frobenius: int
     multiplicity: int
     genus: int
     small_members: int
@@ -82,7 +81,6 @@ class NumericalSemigroup:
         return cls(
             minimal_generators=tuple(mingens),
             conductor=conductor,
-            frobenius=conductor - 1,
             multiplicity=multiplicity,
             genus=holes.bit_count(),
             small_members=members & ((1 << (conductor + 1)) - 1),
@@ -98,6 +96,11 @@ class NumericalSemigroup:
 
     def __contains__(self, z: int) -> bool:
         return self.contains(z)
+
+    @property
+    def frobenius(self) -> int:
+        """The largest integer outside S; -1 for the full monoid."""
+        return self.conductor - 1
 
     @property
     def embedding_dimension(self) -> int:

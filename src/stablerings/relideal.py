@@ -14,18 +14,20 @@ the gap mask of the semigroup itself.  The form is canonical, so equality is
 field equality, and every operation is a few shifts of one mask.  The
 stability test I+I = min(I)+I checks only the forced candidate x = min(I):
 at monomial level min(I+I) = 2 min(I), which pins the translation amount.
-``_generator_mask`` reads the generators off a hole mask, and only
-``is_stable`` runs the stability loop on them.  The powers I, 2I, ... are
-one chain of hole masks, ``_power_chain``.  The normalized ideals are
-generated gap by gap, never filtered.  The ring report's census lists none
-of them.  It reads the largest mu off a maximum matching of comparable gaps,
-and the count and the stable count off those of the tree parent S + {F(S)},
-whose gap poset is S's without the maximal gap F(S): an ideal holds F(S)
-and is the parent's plus F(S), or misses the down-set of F(S).  The sweep's
-memo pass looks the parent up, as it looks up the blow-up tower of E(M).  A
-single call walks the ancestor chain on S's own masks: each ancestor is S
-plus the gaps above some gap f, and its gap poset is the prefix of S's up
-to f, with S's order.
+The generators are held in one form, the cached ``generator_mask`` that
+``_generator_mask`` reads off a hole mask: ``mu`` is its bit count, and
+``_offsets`` is the one reader of its set bits, the generator offsets from
+min(I) that E(I), the stability test and the powers shift by.  The powers
+I, 2I, ... are one chain of hole masks, ``_power_chain``.  The normalized
+ideals are generated gap by gap, never filtered.  The ring report's census
+lists none of them.  It reads the largest mu off a maximum matching of
+comparable gaps, and the count and the stable count off those of the tree
+parent S + {F(S)}, whose gap poset is S's without the maximal gap F(S): an
+ideal holds F(S) and is the parent's plus F(S), or misses the down-set of
+F(S).  The sweep's memo pass looks the parent up, as it looks up the
+blow-up tower of E(M).  A single call walks the ancestor chain on S's own
+masks: each ancestor is S plus the gaps above some gap f, and its gap poset
+is the prefix of S's up to f, with S's order.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import AmbientMismatch, CapExceeded, EmptyInput
+from .errors import CapExceeded, EmptyInput
 from .numsg import ENUMERATION_GENUS_CAP, NumericalSemigroup
 
 # A blow-up step makes a few conductor-wide mask operations per minimal
@@ -59,16 +61,10 @@ class RelativeIdeal:
         """Bit k is set iff min_element + k is a minimal generator."""
         return _generator_mask(self.ambient, self.holes)
 
-    @cached_property
+    @property
     def minimal_generators(self) -> tuple[int, ...]:
-        """The members outside M + I, ascending (M the maximal ideal of S)."""
-        gens = self.generator_mask
-        out = []
-        while gens:
-            low = gens & -gens
-            out.append(self.min_element + low.bit_length() - 1)
-            gens ^= low
-        return tuple(out)
+        """The members outside M + I, ascending (M the maximal ideal of S), for display."""
+        return tuple(self.min_element + k for k in _offsets(self.generator_mask))
 
     def contains(self, z: int) -> bool:
         k = z - self.min_element
@@ -101,22 +97,6 @@ def make_ideal(S: NumericalSemigroup, gens) -> RelativeIdeal:
     return RelativeIdeal(S, lo, ((1 << c) - 1) & ~members)
 
 
-def ideal_sum(I: RelativeIdeal, J: RelativeIdeal) -> RelativeIdeal:
-    """The ideal generated by all pairwise generator sums (the product IJ).
-
-    I + J is the union of g + I over the generators g of J; its holes lie
-    below the conductor, so the shifted masks are cut there.
-    """
-    if I.ambient != J.ambient:
-        raise AmbientMismatch("ideals live over different semigroups")
-    full = (1 << I.ambient.conductor) - 1
-    m = full & ~I.holes
-    members = 0
-    for g in J.minimal_generators:
-        members |= m << (g - J.min_element)
-    return RelativeIdeal(I.ambient, I.min_element + J.min_element, full & ~members)
-
-
 def end_semigroup(I: RelativeIdeal) -> NumericalSemigroup:
     """The endomorphism semigroup E(I) = {z : z + I inside I}.
 
@@ -127,7 +107,7 @@ def end_semigroup(I: RelativeIdeal) -> NumericalSemigroup:
     shifted down by each generator offset, and that mask builds E(I).
     """
     width = I.ambient.conductor + 1
-    offsets = [g - I.min_element for g in I.minimal_generators]
+    offsets = _offsets(I.generator_mask)
     m = I.members_mask(I.min_element, width + offsets[-1])
     members = (1 << width) - 1
     for k in offsets:
@@ -142,7 +122,7 @@ def max_ideal(S: NumericalSemigroup) -> RelativeIdeal:
 
 def minimal_generator_count(I: RelativeIdeal) -> int:
     """mu(I): the number of minimal generators (graded Nakayama count)."""
-    return len(I.minimal_generators)
+    return I.generator_mask.bit_count()
 
 
 def is_stable(I: RelativeIdeal) -> bool:
@@ -155,16 +135,10 @@ def _stable_mask(holes: int, gens: int) -> bool:
 
     I + I is the union of I shifted by each generator offset k, and k = 0
     gives min(I) + I itself, so I is stable iff no member, shifted by an
-    offset k > 0, lands on a hole; members above the top hole never do.
+    offset k, lands on a hole; members above the top hole never do.
     """
     m = ((1 << holes.bit_length()) - 1) & ~holes
-    rest = gens & (gens - 1)
-    while rest:
-        low = rest & -rest
-        if m << (low.bit_length() - 1) & holes:
-            return False
-        rest ^= low
-    return True
+    return not any(m << k & holes for k in _offsets(gens))
 
 
 def _generator_mask(S: NumericalSemigroup, holes: int) -> int:
@@ -180,6 +154,16 @@ def _generator_mask(S: NumericalSemigroup, holes: int) -> int:
     return m & ~covered
 
 
+def _offsets(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending: one step per set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _power_chain(I: RelativeIdeal, k: int):
     """Yield the hole masks of I, 2I, ..., kI, each relative to its least element.
 
@@ -189,7 +173,7 @@ def _power_chain(I: RelativeIdeal, k: int):
     stops just after the first repeat.
     """
     full = (1 << I.ambient.conductor) - 1
-    offsets = [g - I.min_element for g in I.minimal_generators]
+    offsets = _offsets(I.generator_mask)
     holes = I.holes
     yield holes
     for _ in range(k - 1):

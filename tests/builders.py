@@ -1,21 +1,24 @@
 """Constructors that only the tests use.
 
-Sample algebras for the quadratic-algebra stack, ideal powers by repeated
-products or sums, translates of monomial ideals, semigroups from their gap
-sets and single values of the Hilbert function: the production code reads
-powers off one chain (``stablerings.idealization.hilbert_lengths``,
-``stablerings.relideal._power_chain``), never needs a single power or a
-single Hilbert value, never translates an ideal, and builds semigroups from
-generators or member masks.
+Sample algebras for the quadratic-algebra stack, sums of monomial ideals and
+products of idealization ideals with the powers built from them, translates
+of monomial ideals, semigroups from their gap sets and single values of the
+Hilbert function: the production code reads powers off one chain
+(``stablerings.idealization.hilbert_lengths``,
+``stablerings.relideal._power_chain``), never adds two different ideals,
+never needs a single power or a single Hilbert value, never translates an
+ideal, and builds semigroups from generators or member masks.  An
+idealization ideal is the list of its generators, as in
+``stablerings.idealization``, and ``ideal_product`` is the one product of
+two such lists.
 """
 
 from itertools import product
 
-from stablerings.errors import NoIdentity, NotAssociative, NotCommutative
-from stablerings.idealization import IdealizationIdeal, ideal_product
+from stablerings.errors import AmbientMismatch, NoIdentity, NotAssociative, NotCommutative
 from stablerings.numsg import NumericalSemigroup
 from stablerings.quadalg import StructureAlgebra, algebra_from_table, get_field
-from stablerings.relideal import RelativeIdeal, _power_chain, ideal_sum, max_ideal
+from stablerings.relideal import RelativeIdeal, _offsets, _power_chain, max_ideal
 from stablerings.ringlab import _hilbert_length
 
 
@@ -90,14 +93,37 @@ def enumerate_f_algebras(field_name: str, dim: int):
             yield algebra_from_table(field_name, dim, table)
         except (NotAssociative, NotCommutative, NoIdentity):
             continue
-def ideal_power(I: IdealizationIdeal, n: int) -> IdealizationIdeal:
-    """The n-fold product I ... I, n >= 1."""
+
+
+def ideal_product(I: list, J: list) -> list:
+    """The generators of the ring-ideal product IJ: the pairwise products, first occurrences kept."""
+    return list(dict.fromkeys(a * b for a in I for b in J))
+
+
+def ideal_power(I: list, n: int) -> list:
+    """The generators of the n-fold product I ... I, n >= 1."""
     if n < 1:
         raise ValueError("n must be at least 1")
     out = I
     for _ in range(n - 1):
         out = ideal_product(out, I)
     return out
+
+
+def ideal_sum(I: RelativeIdeal, J: RelativeIdeal) -> RelativeIdeal:
+    """The ideal generated by all pairwise generator sums (the product IJ).
+
+    I + J is the union of g + I over the generators g of J; its holes lie
+    below the conductor, so the shifted masks are cut there.
+    """
+    if I.ambient != J.ambient:
+        raise AmbientMismatch("ideals live over different semigroups")
+    full = (1 << I.ambient.conductor) - 1
+    m = full & ~I.holes
+    members = 0
+    for k in _offsets(J.generator_mask):
+        members |= m << k
+    return RelativeIdeal(I.ambient, I.min_element + J.min_element, full & ~members)
 
 
 def nfold(I: RelativeIdeal, n: int) -> RelativeIdeal:

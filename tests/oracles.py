@@ -13,7 +13,7 @@ and the largest mu off that list, where ``stablerings.relideal`` counts
 up-sets, matches comparable gaps and walks only the stable ideals.
 
 The ideal powers: ``power_two_generated`` builds each power as an ideal
-object with ``stablerings.relideal.ideal_sum`` and reads its generator
+object with ``builders.ideal_sum`` and reads its generator
 count, where ``stablerings.ringlab`` shifts one membership mask.
 
 The idealization length: ``k_dimension`` counts the k-dimension of a
@@ -55,10 +55,10 @@ system, with inverses and negatives found by searching the field, where
 
 from math import gcd
 
+from builders import ideal_sum as relideal_sum
 from stablerings.idealization import TruncatedSeries
 from stablerings.numsg import NumericalSemigroup
 from stablerings.relideal import RelativeIdeal, minimal_generator_count
-from stablerings.relideal import ideal_sum as relideal_sum
 
 
 def reduce_generators(S: NumericalSemigroup, gens) -> tuple[int, ...]:
@@ -381,7 +381,6 @@ def semigroup_from_member_scan(mask: int, width: int) -> NumericalSemigroup:
     return NumericalSemigroup(
         minimal_generators=tuple(mingens),
         conductor=conductor,
-        frobenius=conductor - 1,
         multiplicity=multiplicity,
         genus=genus,
         small_members=mask & ((1 << (conductor + 1)) - 1),

@@ -12,7 +12,7 @@ import sys
 import time
 
 import oracles
-from builders import enumerate_f_algebras, f4_over_f2_algebra, product_field_algebra, translate
+from builders import enumerate_f_algebras, f4_over_f2_algebra, ideal_sum, product_field_algebra, translate
 from stablerings.idealization import (
     hilbert_lengths,
     make_ring,
@@ -30,7 +30,6 @@ from stablerings.relideal import (
     blowup_tower,
     end_semigroup,
     enumerate_normalized_ideals,
-    ideal_sum,
     is_stable,
     max_ideal,
     minimal_generator_count,

@@ -1,10 +1,11 @@
 """Fractional-ideal calculus: minimal generators, E(I), stability, towers."""
 
 import math
+import random
 
 import oracles
 import pytest
-from builders import nfold, translate
+from builders import ideal_sum, nfold, translate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,12 +15,12 @@ from stablerings.relideal import (
     _census_counts,
     _generator_mask,
     _max_mu,
+    _offsets,
     _stable_mask,
     _tree_entry,
     blowup_tower,
     end_semigroup,
     enumerate_normalized_ideals,
-    ideal_sum,
     is_stable,
     make_ideal,
     max_ideal,
@@ -216,6 +217,18 @@ def test_enumerate_normalized_ideals_matches_filter_in_order():
         assert got == oracles.normalized_hole_masks(S), str(S)
         total += len(got)
     assert total == 181724
+
+
+def test_offsets_read_the_set_bits():
+    assert _offsets(0) == []
+    assert _offsets(1) == [0]
+    assert _offsets(1 << 885_000) == [885_000]
+    sparse = [3, 700, 99_999, (1 << 20) - 1]
+    assert _offsets(sum(1 << k for k in sparse)) == sparse
+    rng = random.Random(13)
+    for _ in range(200):
+        mask = rng.getrandbits(rng.randint(1, 300))
+        assert _offsets(mask) == [k for k, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
 
 
 def test_census_matches_per_mask_shapes():

@@ -2,13 +2,12 @@
 
 import oracles
 import pytest
-from builders import hilbert_function, nfold, translate
+from builders import hilbert_function, ideal_sum, nfold, translate
 
 from stablerings.errors import CapExceeded
 from stablerings.numsg import NAT, enumerate_semigroups, from_generators
 from stablerings.relideal import (
     enumerate_normalized_ideals,
-    ideal_sum,
     is_stable,
     make_ideal,
     max_ideal,
@@ -129,8 +128,6 @@ def test_stable_ring_report_examples():
     assert r.agreement
     # the module S + (1+S) is the stability failure: its square is everything
     I = make_ideal(S345, {0, 1})
-    from stablerings.relideal import ideal_sum, is_stable
-
     assert ideal_sum(I, I).minimal_generators == (0, 1, 2)
     assert not is_stable(I)
 
@@ -193,8 +190,6 @@ def test_sally_examples():
 
     # mu(2I) = 2 for I = (2,5): the square is (4,7) and 2+I = (4,7)
     I = make_ideal(S25, {2, 5})
-    from stablerings.relideal import ideal_sum
-
     assert ideal_sum(I, I).minimal_generators == (4, 7)
     r = sally_check(I, 3)
     assert r == {"hypothesis": True, "conclusion": True, "ok": True}
