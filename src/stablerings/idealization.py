@@ -7,15 +7,16 @@ module of finite rank r >= 1.  The ring V*L is V + L with multiplication
 by the multiplication law, and the quotient by P is V.
 
 Coefficients are plain Python numbers: integers reduced mod p for F_p, and
-exact ints or Fractions for Q.  Series arithmetic is ``+ - *`` followed by
-one ``CoeffDomain.norm`` per output coefficient, and a coefficient is zero
-exactly when it is falsy.
+exact ints or Fractions for Q.  Series arithmetic is ``+ - *``, reduced mod
+p over F_p only, and a coefficient is zero exactly when it is falsy; a ring
+product makes each module part v1*l2 + v2*l1 in one pass.
 
 An ideal is the list of its ring generators, and ``ideal_from_generators``
-returns its one computed form, the pivots of its module span: I^2 and g*I
-are the generator lists of pairwise products, and M^k is M^(k-1) times the
-generators [t, e_1, ..., e_r] of M.  Pivots carry no generators, so equal
-pivots say nothing about two ideals unless one lies inside the other.
+returns its one computed form, the pivots of its module span: I^2 is the
+table of products over unordered generator pairs and g*I its row at g, and
+M^k is M^(k-1) times the generators [t, e_1, ..., e_r] of M.  Pivots carry
+no generators, so equal pivots say nothing about two ideals unless one lies
+inside the other.
 
 Ideals are handled as V-submodules of V^{1+r}, spanned by the rows (v, l)
 of the ring generators and the rows (0, t^a*e_k) for k = 1..r, with a the
@@ -56,11 +57,12 @@ finite-precision certification.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm
-from operator import mul
+from operator import add, sub
 
 from .errors import (
     BadPrecision,
@@ -79,7 +81,7 @@ from .errors import (
 # random series are sparse), so WORK_CAP bounds trials * (1+r)^2 * N.  The
 # costliest admitted checks, whole `idealization check --field Q --seed 1`
 # runs on a shared 2-core Xeon with Python 3.11.7: rank 8, N = 256, 48
-# trials in 1.9-2.1 s; rank 1, N = 250, 1,000 trials in 1.7-2.0 s.
+# trials in 0.7-0.8 s; rank 1, N = 250, 1,000 trials in 0.8-0.9 s.
 PREC_CAP = 256
 RANK_CAP = 8
 TRIALS_CAP = 10_000
@@ -134,9 +136,7 @@ class CoeffDomain:
         return rng.randrange(self.p) if self.p else rng.randint(-3, 3)
 
     def rand_nonzero(self, rng: random.Random):
-        if self.p:
-            return rng.randrange(1, self.p)
-        return rng.choice([-3, -2, -1, 1, 2, 3])
+        return rng.randrange(1, self.p) if self.p else rng.choice([-3, -2, -1, 1, 2, 3])
 
 
 DOMAINS = {
@@ -166,41 +166,41 @@ class TruncatedSeries:
 
     @staticmethod
     def make(domain: CoeffDomain, prec: int, coeffs) -> "TruncatedSeries":
-        cs = [domain.norm(c) for c in coeffs[:prec]]
-        return TruncatedSeries(domain, prec, tuple(cs) + (0,) * (prec - len(cs)))
+        cs = list(coeffs[:prec])
+        return _series(domain, prec, cs + [0] * (prec - len(cs)))
 
     def valuation(self) -> int:
         """Least index of a nonzero coefficient; prec when zero at precision."""
-        return next((i for i, c in enumerate(self.coeffs) if c), self.prec)
+        return next(compress(range(self.prec), self.coeffs), self.prec)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        norm = self.domain.norm
-        return TruncatedSeries(
-            self.domain, self.prec, tuple(norm(a + b) for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return _series(self.domain, self.prec, map(add, self.coeffs, other.coeffs))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        norm = self.domain.norm
-        return TruncatedSeries(
-            self.domain, self.prec, tuple(norm(a - b) for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return _series(self.domain, self.prec, map(sub, self.coeffs, other.coeffs))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        out = _mul_sub(self.coeffs, other.coeffs)
-        return TruncatedSeries(self.domain, self.prec, tuple(map(self.domain.norm, out)))
+        return _series(self.domain, self.prec, _mul_add(self.coeffs, other.coeffs))
 
     def unit_inverse(self) -> "TruncatedSeries":
         """Inverse of a unit (valuation 0): w_0 = 1/u_0, w_k = -w_0 * sum_{i>=1} u_i*w_(k-i)."""
         if self.valuation() != 0:
             raise ValueError("only units (valuation 0) are invertible")
         d, u = self.domain, self.coeffs
+        terms = [(i, u[i]) for i in compress(range(1, self.prec), u[1:])]
         w = [d.inv(u[0])]
         for k in range(1, self.prec):
-            w.append(d.norm(-w[0] * sum(map(mul, u[1 : k + 1], reversed(w)))))
+            w.append(d.norm(-w[0] * sum(c * w[k - i] for i, c in terms if i <= k)))
         return TruncatedSeries(d, self.prec, tuple(w))
+
+
+def _series(domain: CoeffDomain, prec: int, coeffs) -> TruncatedSeries:
+    """The series of ``prec`` coefficients, reduced mod p over F_p only."""
+    p = domain.p
+    return TruncatedSeries(domain, prec, tuple([c % p for c in coeffs] if p else coeffs))
 
 
 @dataclass(frozen=True)
@@ -221,9 +221,7 @@ class IdealizationRing:
         ell = ell_coeffs or [[] for _ in range(self.rank)]
         if len(ell) != self.rank:
             raise ValueError(f"need {self.rank} module components")
-        return RingElement(
-            self, self.series(v_coeffs), tuple(self.series(c) for c in ell)
-        )
+        return RingElement(self, self.series(v_coeffs), tuple(map(self.series, ell)))
 
     def one(self) -> "RingElement":
         return self.element([1])
@@ -255,21 +253,21 @@ class RingElement:
 
     def __add__(self, other: "RingElement") -> "RingElement":
         _same_ring(self, other)
-        return RingElement(
-            self.ring, self.v + other.v, tuple(a + b for a, b in zip(self.ell, other.ell))
-        )
+        return RingElement(self.ring, self.v + other.v, tuple(map(add, self.ell, other.ell)))
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         _same_ring(self, other)
-        return RingElement(
-            self.ring, self.v - other.v, tuple(a - b for a, b in zip(self.ell, other.ell))
-        )
+        return RingElement(self.ring, self.v - other.v, tuple(map(sub, self.ell, other.ell)))
 
     def __mul__(self, other: "RingElement") -> "RingElement":
-        """(v1,l1)(v2,l2) = (v1*v2, v1*l2 + v2*l1)."""
+        """(v1,l1)(v2,l2) = (v1*v2, v1*l2 + v2*l1), each module part in one pass."""
         _same_ring(self, other)
-        ell = tuple(self.v * lb + other.v * la for la, lb in zip(self.ell, other.ell))
-        return RingElement(self.ring, self.v * other.v, ell)
+        a, b = self.v, other.v
+        ell = tuple(
+            _series(a.domain, a.prec, _mul_add(a.coeffs, lb.coeffs, b.coeffs, la.coeffs))
+            for la, lb in zip(self.ell, other.ell)
+        )
+        return RingElement(self.ring, a * b, ell)
 
 
 def _same_ring(a: RingElement, b: RingElement) -> None:
@@ -315,11 +313,8 @@ def _random_series(ring: IdealizationRing, rng: random.Random, val_range=(0, 4))
 def _random_element(ring: IdealizationRing, rng: random.Random, regular: bool) -> RingElement:
     val_range = (0, min(2, ring.prec // 2 - 1)) if regular else (0, 4)
     v = _random_series(ring, rng, val_range)
-    ell = tuple(
-        _random_series(ring, rng) if rng.random() < 0.8 else ring.zero_series()
-        for _ in range(ring.rank)
-    )
-    return RingElement(ring, v, ell)
+    ell = (_random_series(ring, rng) if rng.random() < 0.8 else ring.zero_series() for _ in range(ring.rank))
+    return RingElement(ring, v, tuple(ell))
 
 
 def _random_p_element(ring: IdealizationRing, rng: random.Random) -> RingElement:
@@ -330,14 +325,15 @@ def _random_p_element(ring: IdealizationRing, rng: random.Random) -> RingElement
 # --- module reduction -------------------------------------------------------
 
 
-def _mul_sub(a, x, b=(), y=()) -> list:
-    """a*x - b*y modulo t^len(x), on integer coefficient lists no longer than x."""
+def _mul_add(a, x, b=(), y=()) -> list:
+    """a*x + b*y modulo t^len(x), on coefficient lists no longer than x."""
     n = len(x)
     out = [0] * n
-    for f, g in ((a, x), ([-c for c in b], y)):
-        terms = [(j, e) for j, e in enumerate(g) if e]
-        for i, c in enumerate(f):
-            if c:
+    for f, g in ((a, x), (b, y)):
+        terms = [(j, g[j]) for j in compress(range(n), g)]
+        if terms:
+            for i in compress(range(n), f):
+                c = f[i]
                 for j, e in terms:
                     if i + j >= n:
                         break
@@ -349,10 +345,9 @@ def _row_key(row, n: int) -> tuple[int, int]:
     """(valuation, column) of the minimal-valuation entry; (n, len) for zero."""
     v, col = n, len(row)
     for c, s in enumerate(row):
-        for i in range(v):
-            if s[i]:
-                v, col = i, c
-                break
+        i = next(compress(range(v), s), v)
+        if i < v:
+            v, col = i, c
     return v, col
 
 
@@ -373,8 +368,9 @@ def _eliminate(row, u, q, pivot, col: int) -> list:
     other entry is t^v times (u*s - q*p) for the entries' parts s and p
     above t^v.
     """
+    q = [-c for c in q]
     return [
-        [0] * len(s) if c == col else _mul_sub(u, s, q, p) if any(s) or any(p) else s
+        [0] * len(s) if c == col else _mul_add(u, s, q, p) if any(s) or any(p) else s
         for c, (s, p) in enumerate(zip(row, pivot))
     ]
 
@@ -449,24 +445,18 @@ class StabilityVerdict:
     margin: int
 
     def to_payload(self) -> dict:
-        return {
-            "stable": self.stable,
-            "witness_valuation": (
-                self.witness.v.valuation() if self.witness is not None else None
-            ),
-            "margin": self.margin,
-        }
+        witness = self.witness.v.valuation() if self.witness is not None else None
+        return {"stable": self.stable, "witness_valuation": witness, "margin": self.margin}
 
 
-def _square(ring: IdealizationRing, gens) -> tuple:
-    """The pivots of I^2 for the ideal I generated by gens, from the products a*b over unordered pairs.
+def _products(gens) -> dict:
+    """The table of products gens[i]*gens[j], keyed by (i, j) with i <= j."""
+    return {(i, j): a * gens[j] for i, a in enumerate(gens) for j in range(i, len(gens))}
 
-    Each product keeps the place of its first occurrence among the products
-    over all ordered pairs.
-    """
-    return ideal_from_generators(
-        ring, list(dict.fromkeys(a * b for i, a in enumerate(gens) for b in gens[i:]))
-    )
+
+def _square(ring: IdealizationRing, products: dict) -> tuple:
+    """The pivots of I^2 from the product table, each product once, at its first place."""
+    return ideal_from_generators(ring, list(dict.fromkeys(products.values())))
 
 
 def is_stable_ideal(ring: IdealizationRing, gens) -> StabilityVerdict:
@@ -474,20 +464,23 @@ def is_stable_ideal(ring: IdealizationRing, gens) -> StabilityVerdict:
 
     g is the generator whose V-component has the least valuation (the first
     such generator on a tie), and I^2 = g*I holds exactly; see the module
-    docstring.  The pivots of I^2 below the margin N//2 certify the
-    verdict, and an I^2 whose pivots reach the margin is inconclusive.  A
-    g*I whose pivots differ from those of I^2 is a program fault, reported
-    as stable=False.  The ideal itself is never reduced.
+    docstring; I^2 and g*I share one product table.  The pivots of I^2
+    below the margin N//2 certify the verdict, and an I^2 whose pivots reach
+    the margin is inconclusive.  A g*I whose pivots differ from those of I^2
+    is a program fault, reported as stable=False.
     """
     margin = ring.prec // 2
-    g = min(gens, key=lambda h: h.v.valuation(), default=None)
-    if g is None or g.v.valuation() >= margin:
+    vals = [h.v.valuation() for h in gens]
+    k = min(range(len(gens)), key=vals.__getitem__, default=None)
+    if k is None or vals[k] >= margin:
         raise NotRegular("no generator has V-component valuation below N/2")
-    square = _square(ring, gens)
+    products = _products(gens)
+    square = _square(ring, products)
     if any(v >= margin for _, v in square):
         return StabilityVerdict(stable=None, witness=None, margin=margin)
-    if ideal_from_generators(ring, [g * h for h in gens]) == square:
-        return StabilityVerdict(stable=True, witness=g, margin=margin)
+    g_times_i = [products[min(k, j), max(k, j)] for j in range(len(gens))]
+    if ideal_from_generators(ring, g_times_i) == square:
+        return StabilityVerdict(stable=True, witness=gens[k], margin=margin)
     return StabilityVerdict(stable=False, witness=None, margin=margin)
 
 
@@ -521,15 +514,9 @@ def square_zero_prime_check(ring: IdealizationRing) -> dict:
     with t^N = 0 witnessing separatedness at precision.
     """
     rng = random.Random(7)
-    p_squared_zero = True
-    probes = [
-        ring.basis_ell(k, shift) for k in range(1, ring.rank + 1) for shift in (0, 1)
-    ]
+    probes = [ring.basis_ell(k, shift) for k in range(1, ring.rank + 1) for shift in (0, 1)]
     probes += [_random_p_element(ring, rng) for _ in range(4)]
-    for a in probes:
-        for b in probes:
-            if not (a * b).is_zero():
-                p_squared_zero = False
+    p_squared_zero = all((a * b).is_zero() for a in probes for b in probes)
     t = ring.series([0, 1])
     quotient_is_dvr = (
         t.valuation() == 1
@@ -555,22 +542,15 @@ def stability_sweep(ring: IdealizationRing, trials: int, seed: int) -> dict:
     """Run the stability test over seeded random regular ideals."""
     check_caps(ring.rank, ring.prec, trials)
     rng = random.Random(seed)
-    per_trial = []
-    stable = not_stable = inconclusive = 0
-    for _ in range(trials):
-        verdict = is_stable_ideal(ring, _random_regular_generators(ring, rng))
-        per_trial.append(verdict.to_payload())
-        if verdict.stable is True:
-            stable += 1
-        elif verdict.stable is False:
-            not_stable += 1
-        else:
-            inconclusive += 1
+    per_trial = [
+        is_stable_ideal(ring, _random_regular_generators(ring, rng)).to_payload() for _ in range(trials)
+    ]
+    counts = Counter(t["stable"] for t in per_trial)
     return {
         "trials": trials,
-        "stable": stable,
-        "not_stable": not_stable,
-        "inconclusive": inconclusive,
-        "inconclusive_rate": inconclusive / trials if trials else 0.0,
+        "stable": counts[True],
+        "not_stable": counts[False],
+        "inconclusive": counts[None],
+        "inconclusive_rate": counts[None] / trials if trials else 0.0,
         "per_trial": per_trial,
     }

@@ -134,7 +134,7 @@ def stable_ring_report(S: NumericalSemigroup, counts: tuple[int, int] | None = N
 
 
 def check_n_max(n_max: int) -> None:
-    """The power range 2..n_max must be nonempty and at most N_MAX_CAP."""
+    """The power range 2..n_max must be nonempty and at most N_MAX_CAP; checked where it enters."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     if n_max > N_MAX_CAP:
@@ -143,7 +143,6 @@ def check_n_max(n_max: int) -> None:
 
 def _power_two_generated(I: RelativeIdeal, n_max: int) -> bool:
     """Does some n-fold sum of I with 2 <= n <= n_max have at most two generators?"""
-    check_n_max(n_max)
     powers = _power_chain(I, n_max)
     next(powers)  # I itself
     return any(_generator_mask(I.ambient, holes).bit_count() <= 2 for holes in powers)
@@ -155,6 +154,11 @@ def two_generator_check(S: NumericalSemigroup, n_max: int = 8) -> dict:
     The biconditional under test: such a power exists iff the multiplicity is
     at most 2.
     """
+    check_n_max(n_max)
+    return _two_generator(S, n_max)
+
+
+def _two_generator(S: NumericalSemigroup, n_max: int) -> dict:
     power_two_generated = _power_two_generated(max_ideal(S), n_max)
     mult_le_2 = S.multiplicity <= 2
     return {
@@ -172,6 +176,11 @@ def sally_check(I: RelativeIdeal, n_max: int = 8) -> dict:
     Both sides are translation-invariant, so the verdict is the same for an
     ideal and any of its integral translates.
     """
+    check_n_max(n_max)
+    return _sally(I, n_max)
+
+
+def _sally(I: RelativeIdeal, n_max: int) -> dict:
     hypothesis = _power_two_generated(I, n_max)
     conclusion = I.generator_mask.bit_count() <= 2 and is_stable(I)
     return {

@@ -56,7 +56,8 @@ def analyze_semigroup(
     """Run every per-semigroup check; violations come back verbatim.
 
     ``counts`` and ``tower`` are S's census counts and blow-up tower from the
-    sweep's memo pass; without them they are derived here.
+    sweep's memo pass; without them they are derived here.  ``run_sweep``
+    checks ``n_max``.
     """
     name = _gens_str(S)
     violations: dict[str, list[str]] = {}
@@ -77,7 +78,7 @@ def analyze_semigroup(
             f"monomial verdict {report.all_stable} vs multiplicity verdict {report.is_bass}",
         )
 
-    two = ringlab.two_generator_check(S, n_max)
+    two = ringlab._two_generator(S, n_max)
     if not two["agree"]:
         flag("two_generator", f"power_two_generated={two['power_two_generated']} mult_le_2={two['mult_le_2']}")
 
@@ -127,7 +128,7 @@ def analyze_semigroup(
         ideals = 0
         boundary = 0
         for I in enumerate_normalized_ideals(S):
-            res = ringlab.sally_check(I, n_max)
+            res = ringlab._sally(I, n_max)
             ideals += 1
             if not res["ok"]:
                 flag("sally", f"ideal {I.minimal_generators}: {res}")

@@ -16,6 +16,11 @@ The ideal powers: ``power_two_generated`` builds each power as an ideal
 object with ``builders.ideal_sum`` and reads its generator
 count, where ``stablerings.ringlab`` shifts one membership mask.
 
+The idealization product: ``ring_product`` is (v1*v2, v1*l2 + v2*l1) by
+series products and sums, and ``series_product`` writes out the
+convolution, where ``stablerings.idealization`` builds each module part in
+one pass of its kernel.
+
 The idealization length: ``k_dimension`` counts the k-dimension of a
 V-span by Gaussian elimination over k, where ``stablerings.idealization``
 reads it off the pivots.
@@ -56,7 +61,7 @@ system, with inverses and negatives found by searching the field, where
 from math import gcd
 
 from builders import ideal_sum as relideal_sum
-from stablerings.idealization import TruncatedSeries
+from stablerings.idealization import RingElement, TruncatedSeries
 from stablerings.numsg import NumericalSemigroup
 from stablerings.relideal import RelativeIdeal, minimal_generator_count
 
@@ -314,6 +319,18 @@ def margin_signature(ring, elements, margin: int):
     return tuple(
         (col, v, tuple(s.coeffs[:margin] for s in row)) for (col, v), row in zip(pivots, basis)
     )
+
+
+def series_product(a, b, p=None) -> tuple:
+    """The coefficients sum_{i+j=k} a_i*b_j for k < len(a), reduced mod p when p is given."""
+    n = len(a)
+    out = [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n)]
+    return tuple(c % p for c in out) if p else tuple(out)
+
+
+def ring_product(a: RingElement, b: RingElement) -> RingElement:
+    """(v1*v2, v1*l2 + v2*l1) from the definition, by series products and sums."""
+    return RingElement(a.ring, a.v * b.v, tuple(a.v * lb + b.v * la for la, lb in zip(a.ell, b.ell)))
 
 
 def witness_candidates(gens) -> list:

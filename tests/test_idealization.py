@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablerings import idealization
+from stablerings import cli, idealization
 from stablerings.errors import (
     BadPrecision,
     BadRank,
@@ -32,7 +32,9 @@ from stablerings.idealization import (
     stability_sweep,
 )
 from stablerings.idealization import (
+    _products,
     _random_element,
+    _random_p_element,
     _random_regular_generators,
     _random_series,
     _square,
@@ -486,7 +488,7 @@ def test_ideal_rows_match_per_generator_rows(field):
         # the rows of I lie in the ring ideal, so equal pivots mean equal modules
         assert ideal_from_generators(ring, gens) == reduce_rows(ring, oracles.ideal_rows(ring, gens))
         # the stability test's I^2, from unordered pairs, against the product of all pairs
-        assert _square(ring, gens) == ideal_from_generators(ring, ideal_product(gens, gens))
+        assert _square(ring, _products(gens)) == ideal_from_generators(ring, ideal_product(gens, gens))
     assert all(kinds.values()), kinds
 
 
@@ -507,7 +509,7 @@ def test_witness_candidates_lie_in_square(field):
         margin = ring.prec // 2
         squares = [a * b for a in gens for b in gens]
         basis, pivots = oracles.ideal_basis(ring, squares)
-        square_sig = _signature(_square(ring, gens), margin)
+        square_sig = _signature(_square(ring, _products(gens)), margin)
         expected_sig = oracles.margin_signature(ring, squares, margin)
         for x in oracles.witness_candidates(gens):
             products = [x * g for g in gens]
@@ -523,7 +525,7 @@ def test_witness_candidates_lie_in_square(field):
                 cases["equal" if sig == square_sig else "rejected"] += 1
         # I^2 = gI exactly for the least-valuation generator g, which is the witness
         g = min(gens, key=lambda h: h.v.valuation())
-        assert ideal_from_generators(ring, [g * h for h in gens]) == _square(ring, gens)
+        assert ideal_from_generators(ring, [g * h for h in gens]) == _square(ring, _products(gens))
         payload = is_stable_ideal(ring, gens).to_payload()
         assert oracles.witness_verdict(ring, gens) == payload
         if payload["stable"]:
@@ -533,6 +535,73 @@ def test_witness_candidates_lie_in_square(field):
 
 def test_mismatch_with_square_is_not_stable(monkeypatch):
     # gI = I^2 is proved, so only a fault makes them differ; the comparison must still report it
-    monkeypatch.setattr(idealization, "_square", lambda ring, gens: ideal_from_generators(ring, [ring.one()]))
+    monkeypatch.setattr(idealization, "_square", lambda ring, products: ideal_from_generators(ring, [ring.one()]))
     verdict = is_stable_ideal(R1, [R1.t_power(1), R1.basis_ell(1)])
     assert verdict.stable is False and verdict.witness is None
+
+
+def _factors(ring, rng):
+    """Random ring elements: regular and not, in P, zero, and over Q with Fraction coefficients."""
+    out = [_random_element(ring, rng, regular=rng.random() < 0.5) for _ in range(4)]
+    out += [_random_p_element(ring, rng), ring.element([]), ring.one(), ring.t_power(ring.prec - 1)]
+    if ring.domain.p is None:
+        out.append(ring.element([Fraction(1, 3), 0, Fraction(-2, 7)], [[0, Fraction(5, 2)]] * ring.rank))
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_fused_product_matches_definition(field):
+    # each module part v1*l2 + v2*l1 is one pass of the kernel; the oracle adds two series products
+    rng = random.Random(53)
+    p = get_domain(field).p
+    for rank in (1, 2, 3):
+        for prec in (4, 5, 16):
+            ring = make_ring(field, rank, prec)
+            xs = _factors(ring, rng)
+            for a in xs:
+                for b in xs:
+                    assert a * b == oracles.ring_product(a, b)
+                    assert (a * b).v.coeffs == oracles.series_product(a.v.coeffs, b.v.coeffs, p)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_product_table_gives_square_and_g_times_i(field, monkeypatch):
+    # is_stable_ideal reduces I^2 from the whole table and g*I from g's row of it
+    reduced = []
+    monkeypatch.setattr(idealization, "ideal_from_generators",
+                        lambda ring, gens: reduced.append(gens) or ideal_from_generators(ring, gens))
+    rng = random.Random(59)
+    g_not_first = 0
+    for _ in range(30):
+        ring = make_ring(field, rng.randint(1, 3), rng.choice([8, 12, 16]))
+        gens = _random_regular_generators(ring, rng) + [_random_element(ring, rng, regular=False)]
+        gens = gens[: rng.randint(1, 3)]
+        rng.shuffle(gens)
+        reduced.clear()
+        verdict = is_stable_ideal(ring, gens)
+        assert reduced[0] == list(dict.fromkeys(a * b for a in gens for b in gens))
+        if verdict.stable is not None:
+            g = verdict.witness
+            assert g is min(gens, key=lambda h: h.v.valuation())
+            assert reduced[1] == [g * h for h in gens]
+            g_not_first += g is not gens[0]
+    assert g_not_first
+
+
+# sha256 of the stdout of `idealization check --field F --rank 8 --prec 256 --trials 4
+# --seed 1 --json --no-timing`, the densest admitted rank and precision, recorded
+# before I^2 and g*I shared their products
+DENSE_GOLDEN = {
+    "F2": "f7f508562563f42dc133bf5eade1bf1f36f3a01d68a98b5c96a66c7c02a98bcb",
+    "F3": "37a87eac2f795a596242deddeb73351846d93c83fc0801db1572b903959fa949",
+    "F5": "e3da13c48596c6c95e122a1db4dfdd66b68467d6e4d4c13e7e131e054ad99a46",
+    "Q": "c5e8d87ed4f30a49cfa00b5df77218c8992564b7edc734bac7b6478428888107",
+}
+
+
+@pytest.mark.parametrize("field", sorted(DENSE_GOLDEN))
+def test_densest_check_golden(field, capsys):
+    argv = ["idealization", "check", "--field", field, "--rank", "8", "--prec", "256"]
+    assert cli.main(argv + ["--trials", "4", "--seed", "1", "--json", "--no-timing"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == DENSE_GOLDEN[field]

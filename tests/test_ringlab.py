@@ -178,6 +178,10 @@ def test_two_generator_examples():
     with pytest.raises(CapExceeded):
         two_generator_check(S27, N_MAX_CAP + 1)
     assert two_generator_check(S345, N_MAX_CAP)["agree"]
+    with pytest.raises(ValueError):
+        sally_check(max_ideal(S27), 1)
+    with pytest.raises(CapExceeded):
+        sally_check(max_ideal(S27), N_MAX_CAP + 1)
 
 
 def test_sally_examples():

@@ -1,6 +1,9 @@
 """The invariant-suite driver: structure, results, worker invariance."""
 
-from stablerings import sweep
+import pytest
+
+from stablerings import ringlab, sweep
+from stablerings.errors import CapExceeded
 from stablerings.numsg import enumerate_semigroups, from_generators
 from stablerings.sweep import CHECK_NAMES, analyze_semigroup, clamp_jobs, run_sweep
 
@@ -50,6 +53,19 @@ def test_run_sweep_merges_violations(monkeypatch):
     assert res["checks"]["monomial_vs_bass"] == {"checked": 8, "divergences": [n + ": m" for n in names]}
     assert res["checks"]["sally"] == {"checked": 2, "violations": [], "ideals_checked": 3, "boundary_cases": 1}
     assert res["violations_total"] == 2 * len(names) == 4
+
+
+def test_n_max_is_checked_once_per_sweep(monkeypatch):
+    calls = []
+    check = ringlab.check_n_max
+    monkeypatch.setattr(ringlab, "check_n_max", lambda n_max: calls.append(n_max) or check(n_max))
+    res = run_sweep(6, jobs=1, n_max=5)
+    assert res["checks"]["sally"]["ideals_checked"] > 100
+    assert calls == [5]
+    with pytest.raises(ValueError):
+        run_sweep(3, jobs=1, n_max=1)
+    with pytest.raises(CapExceeded):
+        run_sweep(3, jobs=1, n_max=ringlab.N_MAX_CAP + 1)
 
 
 def test_sally_cap_limits_ideal_sweep():
