@@ -22,10 +22,6 @@ class CapExceeded(StableringsError):
     """An enumeration request exceeded the configured resource cap."""
 
 
-class AmbientMismatch(StableringsError):
-    """Two ideals over different ambient semigroups were combined."""
-
-
 class NotStabilized(StableringsError):
     """Hilbert differences failed to stabilize inside the probe window."""
 

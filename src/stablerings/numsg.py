@@ -25,9 +25,9 @@ from math import gcd
 
 from .errors import CapExceeded, EmptyInput, GcdNotOne
 
-# a whole `sweep --max-genus 20` run at 2 jobs takes 17-19 s on a 2-core 2.1 GHz
-# Xeon, and 51-54 s with `--sally-genus-cap 14 --n-max 32`, inside the 120 s
-# ceiling; `sg report 7,8`, of genus 21, stays refused
+# a whole `sweep --max-genus 20` run at 2 jobs takes 12-14 s on a 2-core 2.1 GHz
+# Xeon with Python 3.11.7, and 31 s with `--sally-genus-cap 14 --n-max 32`,
+# inside the 120 s ceiling; `sg report 7,8`, of genus 21, stays refused
 ENUMERATION_GENUS_CAP = 20
 WINDOW_CAP = 1 << 20
 GENERATOR_CAP = 256
@@ -118,6 +118,9 @@ class NumericalSemigroup:
 
     def gaps(self) -> tuple[int, ...]:
         """The finitely many nonnegative integers outside S, ascending."""
+        # a string reader: relideal._offsets rewrites the whole mask per set bit,
+        # 11.5 ms against 0.74 ms on the dense gap mask of <130,131> (conductor
+        # 16,770) on a 2-core 2.1 GHz Xeon with Python 3.11.7
         bits = bin(self.gap_mask)[:1:-1]  # character z is bit z
         return tuple(z for z, bit in enumerate(bits) if bit == "1")
 
@@ -192,7 +195,7 @@ def invariants(S: NumericalSemigroup) -> dict:
     }
 
 
-def enumerate_semigroups(max_genus: int, cap: int = ENUMERATION_GENUS_CAP):
+def enumerate_semigroups(max_genus: int):
     """Yield every numerical semigroup of genus <= max_genus exactly once.
 
     Walks the semigroup tree rooted at the full monoid: the children of S are
@@ -203,8 +206,8 @@ def enumerate_semigroups(max_genus: int, cap: int = ENUMERATION_GENUS_CAP):
     """
     if max_genus < 0:
         raise ValueError("max_genus must be nonnegative")
-    if max_genus > cap:
-        raise CapExceeded(f"max_genus {max_genus} exceeds cap {cap}")
+    if max_genus > ENUMERATION_GENUS_CAP:
+        raise CapExceeded(f"max_genus {max_genus} exceeds cap {ENUMERATION_GENUS_CAP}")
     level = [NAT]
     yield NAT
     for _ in range(max_genus):

@@ -12,19 +12,17 @@ I - min(I): the nonnegative integers it misses.  Since min(I) + S lies in I,
 the holes are gaps of S, so the mask lies below the conductor, exactly like
 the gap mask of the semigroup itself.  The form is canonical, so equality is
 field equality, and every operation is a few shifts of one mask.  The
-stability test I+I = min(I)+I checks only the forced candidate x = min(I):
-at monomial level min(I+I) = 2 min(I), which pins the translation amount.
-The generators are held in one form, the cached ``generator_mask`` that
+generators are held in one form, the cached ``generator_mask`` that
 ``_generator_mask`` reads off a hole mask: ``mu`` is its bit count, and
 ``_offsets`` is the one reader of its set bits, the generator offsets from
-min(I) that E(I), the stability test and the powers shift by.  The powers
-I, 2I, ... are one chain of hole masks, ``_power_chain``.  The normalized
-ideals are generated gap by gap, never filtered.  The ring report's census
-lists none of them.  It reads the largest mu off a maximum matching of
-comparable gaps, and the count and the stable count off those of the tree
-parent S + {F(S)}, whose gap poset is S's without the maximal gap F(S): an
-ideal holds F(S) and is the parent's plus F(S), or misses the down-set of
-F(S).  The sweep's memo pass looks the parent up, as it looks up the
+min(I) that E(I) and the powers shift by.  The powers I, 2I, ... are one
+chain of hole masks, ``_power_chain``.  Stability I+I = min(I)+I is the
+chain repeating at 2I: at monomial level min(I+I) = 2 min(I), which pins
+the translation amount.  The normalized ideals are generated gap by gap,
+never filtered.  The ring report's census lists none of them.  It reads the
+count and the stable count off those of the tree parent S + {F(S)}, whose
+gap poset is S's without the maximal gap F(S): an ideal holds F(S) and is
+the parent's plus F(S), or misses the down-set of F(S).  The sweep's memo pass looks the parent up, as it looks up the
 blow-up tower of E(M).  A single call walks the ancestor chain on S's own
 masks: each ancestor is S plus the gaps above some gap f, and its gap poset
 is the prefix of S's up to f, with S's order.
@@ -70,15 +68,6 @@ class RelativeIdeal:
         k = z - self.min_element
         return k >= 0 and not self.holes >> k & 1
 
-    def members_mask(self, lo: int, width: int) -> int:
-        """Bitmask of membership on [lo, lo + width)."""
-        shift = self.min_element - lo
-        span = width - shift  # the offsets from min_element the window reaches
-        if span <= 0:
-            return 0
-        mask = ((1 << span) - 1) & ~self.holes
-        return mask << shift if shift >= 0 else mask >> -shift
-
 
 def make_ideal(S: NumericalSemigroup, gens) -> RelativeIdeal:
     """The relative ideal of S generated by ``gens``."""
@@ -108,7 +97,7 @@ def end_semigroup(I: RelativeIdeal) -> NumericalSemigroup:
     """
     width = I.ambient.conductor + 1
     offsets = _offsets(I.generator_mask)
-    m = I.members_mask(I.min_element, width + offsets[-1])
+    m = ((1 << (width + offsets[-1])) - 1) & ~I.holes
     members = (1 << width) - 1
     for k in offsets:
         members &= m >> k
@@ -126,19 +115,9 @@ def minimal_generator_count(I: RelativeIdeal) -> int:
 
 
 def is_stable(I: RelativeIdeal) -> bool:
-    """True iff I + I = min(I) + I."""
-    return _stable_mask(I.holes, I.generator_mask)
-
-
-def _stable_mask(holes: int, gens: int) -> bool:
-    """Is the ideal with these holes and generator mask stable?
-
-    I + I is the union of I shifted by each generator offset k, and k = 0
-    gives min(I) + I itself, so I is stable iff no member, shifted by an
-    offset k, lands on a hole; members above the top hole never do.
-    """
-    m = ((1 << holes.bit_length()) - 1) & ~holes
-    return not any(m << k & holes for k in _offsets(gens))
+    """True iff I + I = min(I) + I: both start at 2 min(I), so iff the power chain repeats at 2I."""
+    holes, double = _power_chain(I, 2)
+    return double == holes
 
 
 def _generator_mask(S: NumericalSemigroup, holes: int) -> int:
@@ -155,7 +134,10 @@ def _generator_mask(S: NumericalSemigroup, holes: int) -> int:
 
 
 def _offsets(mask: int) -> list[int]:
-    """The positions of the set bits of mask, ascending: one step per set bit."""
+    """The positions of the set bits of mask, ascending, one step per set bit.
+
+    Meant for sparse masks such as generator masks: each step rewrites the whole mask.
+    """
     out = []
     while mask:
         low = mask & -mask
@@ -188,9 +170,7 @@ def _power_chain(I: RelativeIdeal, k: int):
         holes = power
 
 
-def enumerate_normalized_ideals(
-    S: NumericalSemigroup, cap: int = ENUMERATION_GENUS_CAP
-) -> list[RelativeIdeal]:
+def enumerate_normalized_ideals(S: NumericalSemigroup) -> list[RelativeIdeal]:
     """Every relative ideal I with min(I) = 0 and I inside the integers >= 0.
 
     These are exactly the S-modules between S and its normalization: each
@@ -202,8 +182,8 @@ def enumerate_normalized_ideals(
     hole" before "a joins".  They come in descending order of H, which is
     ascending order of the added gap set.
     """
-    if S.genus > cap:
-        raise CapExceeded(f"genus {S.genus} exceeds cap {cap}")
+    if S.genus > ENUMERATION_GENUS_CAP:
+        raise CapExceeded(f"genus {S.genus} exceeds cap {ENUMERATION_GENUS_CAP}")
     nodes = [S.gap_mask]
     for a in reversed(S.gaps()):
         need = sum(1 << (a + s) for s in S.minimal_generators)
@@ -215,12 +195,6 @@ def enumerate_normalized_ideals(
                 grown.append(holes ^ bit)
         nodes = grown
     return [RelativeIdeal(S, 0, holes) for holes in nodes]
-
-
-def _up_masks(S: NumericalSemigroup) -> dict[int, int]:
-    """The up-set of each gap y in the gap poset (t below u iff u - t is in S), keyed by the bit of y."""
-    gap_mask = S.gap_mask
-    return {1 << y: S.small_members << y & gap_mask for y in S.gaps()}
 
 
 def _census_counts(S: NumericalSemigroup, parent: tuple[int, int] | None = None) -> tuple[int, int]:
@@ -254,7 +228,7 @@ def _census_counts(S: NumericalSemigroup, parent: tuple[int, int] | None = None)
         raise CapExceeded(f"genus {S.genus} exceeds cap {ENUMERATION_GENUS_CAP}")
     gaps = S.gaps()
     gap_mask = S.gap_mask
-    up = _up_masks(S)
+    up = {1 << y: S.small_members << y & gap_mask for y in gaps}  # up-set of gap y, keyed by its bit
     memo = {0: 1}
 
     def count(rest: int) -> int:
@@ -282,28 +256,6 @@ def _census_counts(S: NumericalSemigroup, parent: tuple[int, int] | None = None)
             nodes += [h for holes in nodes if not (full ^ (h := holes ^ bit)) << a & h]
         stable += len(nodes)
     return ideals, stable
-
-
-def _max_mu(S: NumericalSemigroup) -> int:
-    """The largest mu over the normalized ideals of S, listing none.
-
-    The generators of S + U are 0 and the minimal elements of U, so it is one
-    more than the width of the gap poset, by Dilworth's theorem the genus
-    minus a maximum matching of the strict comparabilities.
-    """
-    up = _up_masks(S)
-    match = {}  # gap bit u -> the gap bit below it that it is matched to
-
-    def augment(t: int, seen: list[int]) -> bool:
-        while free := up[t] & ~t & ~seen[0]:
-            u = free & -free
-            seen[0] |= u
-            if u not in match or augment(match[u], seen):
-                match[u] = t
-                return True
-        return False
-
-    return 1 + S.genus - sum(augment(t, [0]) for t in up)
 
 
 @dataclass(frozen=True)

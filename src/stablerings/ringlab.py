@@ -10,7 +10,8 @@ two-generated-power and minimal-multiplicity equivalences.
 The census of the normalized ideals lists none of them: the count and the
 stable count come from ``relideal._census_counts``, by a recurrence along
 the semigroup tree (the sweep passes in the pair its memo pass derived from
-the parent), and the largest mu from ``relideal._max_mu``.  The powers nI
+the parent), and the largest mu is mu of the normalization, the one
+``greither_check`` reports.  The powers nI
 of one ideal are read off ``relideal._power_chain``, hole masks below the
 conductor that stop once a power repeats the one before: the
 two-generated-power checks count each power's generators with
@@ -34,7 +35,6 @@ from .relideal import (  # private per-mask helpers: public calls stay per semig
     RelativeIdeal,
     _census_counts,
     _generator_mask,
-    _max_mu,
     _power_chain,
     is_stable,
     max_ideal,
@@ -116,6 +116,12 @@ def stable_ring_report(S: NumericalSemigroup, counts: tuple[int, int] | None = N
 
     ``counts`` is (count, stable count) when the caller has them already;
     without it they are derived up S's ancestor chain.
+
+    The largest mu is mu of the normalization N, which is the multiplicity
+    m.  Two minimal generators x < y of a relative ideal I are incongruent
+    mod m: y = x + km with k >= 1 would put y in M + I.  So mu(I) <= m for
+    every I, and N, itself a normalized ideal, has the m generators
+    0, ..., m - 1.
     """
     ideal_count, stable_count = counts or _census_counts(S)
     all_stable = stable_count == ideal_count
@@ -125,7 +131,7 @@ def stable_ring_report(S: NumericalSemigroup, counts: tuple[int, int] | None = N
         semigroup=S,
         ideal_count=ideal_count,
         stable_count=stable_count,
-        max_mu=_max_mu(S),
+        max_mu=minimal_generator_count(RelativeIdeal(S, 0, 0)),
         all_stable=all_stable,
         quadratic_over_normalization=quadratic,
         is_bass=bass,

@@ -36,9 +36,10 @@ from .numsg import NumericalSemigroup, enumerate_semigroups
 from .relideal import TowerReport, _tree_entry, blowup_tower, enumerate_normalized_ideals
 
 SALLY_GENUS_CAP = 8
-# the largest per-ideal sweep genus that keeps `sweep --max-genus 16 --n-max 32`
-# inside 120 s: 64 s at 14 and 155 s at 15 on a 2-core 2.1 GHz Xeon; at
-# `--max-genus 20` it takes 51-54 s at 14
+# `sweep --max-genus 16 --n-max 32 --sally-genus-cap C` takes 21-22 s at C = 14
+# and 72 s at C = 15 on a 2-core 2.1 GHz Xeon with Python 3.11.7, and 31 s at
+# C = 14 with `--max-genus 20`; 15 fits the 120 s ceiling too, but 14 leaves
+# room to raise the genus cap
 SALLY_GENUS_CAP_MAX = 14
 
 

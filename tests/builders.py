@@ -10,16 +10,21 @@ never needs a single power or a single Hilbert value, never translates an
 ideal, and builds semigroups from generators or member masks.  An
 idealization ideal is the list of its generators, as in
 ``stablerings.idealization``, and ``ideal_product`` is the one product of
-two such lists.
+two such lists.  ``ideal_sum`` is the only raiser of ``AmbientMismatch``,
+so that error lives here too.
 """
 
 from itertools import product
 
-from stablerings.errors import AmbientMismatch, NoIdentity, NotAssociative, NotCommutative
+from stablerings.errors import NoIdentity, NotAssociative, NotCommutative, StableringsError
 from stablerings.numsg import NumericalSemigroup
 from stablerings.quadalg import StructureAlgebra, algebra_from_table, get_field
 from stablerings.relideal import RelativeIdeal, _offsets, _power_chain, max_ideal
 from stablerings.ringlab import _hilbert_length
+
+
+class AmbientMismatch(StableringsError):
+    """Two ideals over different ambient semigroups were combined."""
 
 
 def product_field_algebra(field_name: str, k: int) -> StructureAlgebra:

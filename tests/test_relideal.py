@@ -5,18 +5,17 @@ import random
 
 import oracles
 import pytest
-from builders import ideal_sum, nfold, translate
+from builders import AmbientMismatch, ideal_sum, nfold, translate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablerings.errors import AmbientMismatch, CapExceeded, EmptyInput
+from stablerings.errors import CapExceeded, EmptyInput
 from stablerings.numsg import ENUMERATION_GENUS_CAP, NAT, enumerate_semigroups, from_generators
 from stablerings.relideal import (
+    RelativeIdeal,
     _census_counts,
     _generator_mask,
-    _max_mu,
     _offsets,
-    _stable_mask,
     _tree_entry,
     blowup_tower,
     end_semigroup,
@@ -26,6 +25,7 @@ from stablerings.relideal import (
     max_ideal,
     minimal_generator_count,
 )
+from stablerings.ringlab import stable_ring_report
 
 S34 = from_generators({3, 4})
 S345 = from_generators({3, 4, 5})
@@ -233,14 +233,14 @@ def test_offsets_read_the_set_bits():
 
 def test_census_matches_per_mask_shapes():
     # the generators and stability the oracle walk carries, against
-    # _generator_mask and _stable_mask run on every finished mask
+    # _generator_mask and is_stable run on every finished mask
     totals = [0, 0, 0]
     for S in enumerate_semigroups(12):
         nodes = oracles.normalized_walk(S)
         shapes = []
         for holes, _, _ in nodes:
             gens = _generator_mask(S, holes)
-            shapes.append((gens, _stable_mask(holes, gens)))
+            shapes.append((gens, is_stable(RelativeIdeal(S, 0, holes))))
         assert [(gens, stable) for _, gens, stable in nodes] == shapes, str(S)
         census = (
             len(shapes),
@@ -259,10 +259,23 @@ def test_census_matches_oracle_walk():
     memo = {}
     for S in enumerate_semigroups(13):
         census = oracles.normalized_census(S)
-        assert (*_census_counts(S), _max_mu(S)) == census, str(S)
+        report = stable_ring_report(S)
+        assert (report.ideal_count, report.stable_count, report.max_mu) == census, str(S)
         assert _tree_entry(S, memo)[0] == census[:2], str(S)
         totals = [totals[0] + census[0], totals[1] + census[1], max(totals[2], census[2])]
     assert totals == [1448090, 206095, 14]
+
+
+def test_census_past_the_walk_genus():
+    # the oracle tests above stop at genus 13; multiplicities 2 and 3 keep the
+    # walk short up to the genus cap, and max_mu is the multiplicity
+    for gens in ({2, 29}, {2, 41}, {3, 16}, {3, 20}, {3, 22, 23}, {3, 31, 32}):
+        S = from_generators(gens)
+        assert 14 <= S.genus <= ENUMERATION_GENUS_CAP
+        report = stable_ring_report(S)
+        census = oracles.normalized_census(S)
+        assert (report.ideal_count, report.stable_count, report.max_mu) == census, str(S)
+        assert report.max_mu == S.multiplicity
 
 
 def test_census_cap():
@@ -296,7 +309,7 @@ def test_normalized_ideals_closed_random(S):
 
 def test_enumerate_normalized_ideals_cap():
     with pytest.raises(CapExceeded):
-        enumerate_normalized_ideals(from_generators({3, 4}), cap=2)
+        enumerate_normalized_ideals(from_generators({2, 2 * ENUMERATION_GENUS_CAP + 3}))
 
 
 def test_blowup_tower_examples():
@@ -343,7 +356,7 @@ def test_multiplicity_two_tower_structure():
         for i in range(rep.stabilization_index):
             cur, nxt = rep.tower[i], rep.tower[i + 1]
             width = cur.conductor + 4
-            m_i = max_ideal(cur).members_mask(0, width)
+            m_i = cur.members_mask(width) & ~1  # M_i = S_i minus 0
             assert m_i == nxt.members_mask(width - 2) << 2
             assert cur.members_mask(width) == S.members_mask(width) | m_i
 
@@ -385,3 +398,5 @@ def test_mu_is_nakayama_count_random(S, gens):
     )
     assert residue == minimal_generator_count(I)
     assert I.minimal_generators == oracles.reduce_generators(S, gens)
+    # generators are incongruent mod the multiplicity, whatever the least element
+    assert minimal_generator_count(I) <= S.multiplicity
