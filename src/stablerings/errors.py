@@ -62,10 +62,6 @@ class BadTrials(StableringsError):
     """A trial count was negative."""
 
 
-class RingMismatch(StableringsError):
-    """Two elements of different idealization rings were combined."""
-
-
 class NotRegular(StableringsError):
     """Ideal has no generator with a usable nonzerodivisor component."""
 

@@ -22,8 +22,9 @@ the translation amount.  The normalized ideals are generated gap by gap,
 never filtered.  The ring report's census lists none of them.  It reads the
 count and the stable count off those of the tree parent S + {F(S)}, whose
 gap poset is S's without the maximal gap F(S): an ideal holds F(S) and is
-the parent's plus F(S), or misses the down-set of F(S).  The sweep's memo pass looks the parent up, as it looks up the
-blow-up tower of E(M).  A single call walks the ancestor chain on S's own
+the parent's plus F(S), or misses the down-set of F(S).  The sweep's memo
+pass looks the parent up, as it looks up the blow-up tower of E(M).  A
+single call walks the ancestor chain on S's own
 masks: each ancestor is S plus the gaps above some gap f, and its gap poset
 is the prefix of S's up to f, with S's order.
 """

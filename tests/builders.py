@@ -8,10 +8,11 @@ Hilbert function: the production code reads powers off one chain
 ``stablerings.relideal._power_chain``), never adds two different ideals,
 never needs a single power or a single Hilbert value, never translates an
 ideal, and builds semigroups from generators or member masks.  An
-idealization ideal is the list of its generators, as in
-``stablerings.idealization``, and ``ideal_product`` is the one product of
-two such lists.  ``ideal_sum`` is the only raiser of ``AmbientMismatch``,
-so that error lives here too.
+idealization ideal is the list of its generators, each the row (v, l_1,
+..., l_r) of its series, as in ``stablerings.idealization``, and
+``ideal_product`` is the one product of two such lists in a ring.
+``ideal_sum`` is the only raiser of ``AmbientMismatch``, so that error
+lives here too.
 """
 
 from itertools import product
@@ -100,18 +101,18 @@ def enumerate_f_algebras(field_name: str, dim: int):
             continue
 
 
-def ideal_product(I: list, J: list) -> list:
+def ideal_product(ring, I: list, J: list) -> list:
     """The generators of the ring-ideal product IJ: the pairwise products, first occurrences kept."""
-    return list(dict.fromkeys(a * b for a in I for b in J))
+    return list(dict.fromkeys(ring.mul(a, b) for a in I for b in J))
 
 
-def ideal_power(I: list, n: int) -> list:
+def ideal_power(ring, I: list, n: int) -> list:
     """The generators of the n-fold product I ... I, n >= 1."""
     if n < 1:
         raise ValueError("n must be at least 1")
     out = I
     for _ in range(n - 1):
-        out = ideal_product(out, I)
+        out = ideal_product(ring, out, I)
     return out
 
 

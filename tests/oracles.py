@@ -17,9 +17,12 @@ object with ``builders.ideal_sum`` and reads its generator
 count, where ``stablerings.ringlab`` shifts one membership mask.
 
 The idealization product: ``ring_product`` is (v1*v2, v1*l2 + v2*l1) by
-series products and sums, and ``series_product`` writes out the
-convolution, where ``stablerings.idealization`` builds each module part in
-one pass of its kernel.
+``series_product``, which writes out the convolution, and coefficient-wise
+sums, where ``stablerings.idealization`` builds each part with its kernel
+and each module part in one pass.  A ring element is the tuple (v, l_1,
+..., l_r) of its series there, and here too; ``row_add`` and ``row_sub``
+add and subtract such rows coefficient by coefficient, since ``+`` on
+tuples concatenates.
 
 The idealization length: ``k_dimension`` counts the k-dimension of a
 V-span by Gaussian elimination over k, where ``stablerings.idealization``
@@ -37,7 +40,7 @@ adds one set of rows (0, t^a*e_k) per ideal.
 The idealization witness search: ``witness_verdict`` tries the generators
 and their pairwise sums and differences in order of V-valuation, comparing
 the canonical bases of I^2 and x*I, pivots and coefficients below the
-margin, built from all ordered generator products, where
+margin, built from all ordered generator products by ``ring_product``, where
 ``stablerings.idealization`` compares the pivots of I^2 and g*I alone, for
 the one least-valuation generator g, from the unordered products.
 
@@ -59,9 +62,10 @@ system, with inverses and negatives found by searching the field, where
 """
 
 from math import gcd
+from operator import add, sub
 
 from builders import ideal_sum as relideal_sum
-from stablerings.idealization import RingElement, TruncatedSeries
+from stablerings.idealization import TruncatedSeries
 from stablerings.numsg import NumericalSemigroup
 from stablerings.relideal import RelativeIdeal, minimal_generator_count
 
@@ -231,14 +235,31 @@ def k_dimension(rows, p=None) -> int:
     return len(pivot_rows)
 
 
+def _coefficientwise(op, s: TruncatedSeries, u: TruncatedSeries) -> TruncatedSeries:
+    """The series of op(s_k, u_k), reduced mod p over F_p."""
+    p = type(s).p
+    cs = map(op, s, u)
+    return type(s)([c % p for c in cs] if p else cs)
+
+
+def row_add(x, y) -> tuple:
+    """x + y, series by series and coefficient by coefficient."""
+    return tuple(_coefficientwise(add, s, u) for s, u in zip(x, y))
+
+
+def row_sub(x, y) -> tuple:
+    """x - y, series by series and coefficient by coefficient."""
+    return tuple(_coefficientwise(sub, s, u) for s, u in zip(x, y))
+
+
 def _shift_down(s: TruncatedSeries, k: int) -> TruncatedSeries:
     """Divide by t^k; requires valuation >= k for exactness."""
-    return TruncatedSeries(s.domain, s.prec, s.coeffs[k:] + (0,) * k)
+    return type(s)(s[k:] + (0,) * k)
 
 
 def _row_min(row) -> tuple[int, int]:
     """(valuation, column) of the minimal-valuation entry of a row."""
-    best_v, best_c = row[0].prec, len(row)
+    best_v, best_c = len(row[0]), len(row)
     for c, s in enumerate(row):
         v = s.valuation()
         if v < best_v:
@@ -254,7 +275,7 @@ def reduce_rows(ring, rows) -> tuple[tuple, tuple]:
     row, work and result alike.
     """
     n = ring.prec
-    work = [list(r) for r in rows if any(not s.is_zero() for s in r)]
+    work = [list(r) for r in rows if any(map(any, r))]
     result = []
     pivots = []
     while work:
@@ -271,10 +292,10 @@ def reduce_rows(ring, rows) -> tuple[tuple, tuple]:
         pivot = [s * unit for s in pivot]
         for row in work + result:
             q = _shift_down(row[col], v)
-            if not q.is_zero():
+            if any(q):
                 for c in range(len(row)):
-                    row[c] = row[c] - q * pivot[c]
-        work = [r for r in work if any(not s.is_zero() for s in r)]
+                    row[c] = _coefficientwise(sub, row[c], q * pivot[c])
+        work = [r for r in work if any(map(any, r))]
         result.append(pivot)
         pivots.append((col, v))
     return tuple(tuple(r) for r in result), tuple(pivots)
@@ -288,19 +309,19 @@ def contains_row(basis, pivots, row) -> bool:
         if e.valuation() >= v:
             q = _shift_down(e, v)
             for c in range(len(row)):
-                row[c] = row[c] - q * prow[c]
-    return all(s.is_zero() for s in row)
+                row[c] = _coefficientwise(sub, row[c], q * prow[c])
+    return not any(map(any, row))
 
 
 def ideal_rows(ring, gens) -> list[tuple]:
     """Module rows spanning the ring ideal of gens: (v, l) and (0, v*e_k) per generator."""
-    zero = ring.zero_series()
+    zero = ring.series([])
     rows = []
     for g in gens:
-        rows.append((g.v,) + g.ell)
+        rows.append(g)
         for k in range(ring.rank):
             ell = [zero] * ring.rank
-            ell[k] = g.v
+            ell[k] = g[0]
             rows.append((zero, *ell))
     return rows
 
@@ -317,7 +338,7 @@ def margin_signature(ring, elements, margin: int):
     if any(v >= margin for _, v in pivots):
         return None
     return tuple(
-        (col, v, tuple(s.coeffs[:margin] for s in row)) for (col, v), row in zip(pivots, basis)
+        (col, v, tuple(s[:margin] for s in row)) for (col, v), row in zip(pivots, basis)
     )
 
 
@@ -328,9 +349,16 @@ def series_product(a, b, p=None) -> tuple:
     return tuple(c % p for c in out) if p else tuple(out)
 
 
-def ring_product(a: RingElement, b: RingElement) -> RingElement:
+def ring_product(a, b) -> tuple:
     """(v1*v2, v1*l2 + v2*l1) from the definition, by series products and sums."""
-    return RingElement(a.ring, a.v * b.v, tuple(a.v * lb + b.v * la for la, lb in zip(a.ell, b.ell)))
+    v1, v2 = a[0], b[0]
+    series, p = type(v1), type(v1).p
+
+    def times(s, u):
+        return series(series_product(s, u, p))
+
+    ell = (_coefficientwise(add, times(v1, lb), times(v2, la)) for la, lb in zip(a[1:], b[1:]))
+    return (times(v1, v2), *ell)
 
 
 def witness_candidates(gens) -> list:
@@ -338,8 +366,8 @@ def witness_candidates(gens) -> list:
     cands = list(gens)
     for i, a in enumerate(gens):
         for b in gens[i + 1 :]:
-            cands += (a + b, a - b)
-    return sorted(dict.fromkeys(cands), key=lambda g: g.v.valuation())
+            cands += (row_add(a, b), row_sub(a, b))
+    return sorted(dict.fromkeys(cands), key=lambda g: g[0].valuation())
 
 
 def witness_verdict(ring, gens) -> dict:
@@ -350,14 +378,14 @@ def witness_verdict(ring, gens) -> dict:
     None and not stable otherwise.
     """
     margin = ring.prec // 2
-    square = margin_signature(ring, [a * b for a in gens for b in gens], margin)
+    square = margin_signature(ring, [ring_product(a, b) for a in gens for b in gens], margin)
     unclear = square is None
     for x in [] if unclear else witness_candidates(gens):
-        if x.is_zero():
+        if not any(map(any, x)):
             continue
-        sig = margin_signature(ring, [x * g for g in gens], margin)
+        sig = margin_signature(ring, [ring_product(x, g) for g in gens], margin)
         if sig == square:
-            return {"stable": True, "witness_valuation": x.v.valuation(), "margin": margin}
+            return {"stable": True, "witness_valuation": x[0].valuation(), "margin": margin}
         unclear = unclear or sig is None
     return {"stable": None if unclear else False, "witness_valuation": None, "margin": margin}
 

@@ -16,12 +16,12 @@ from stablerings.errors import (
     EmptyInput,
     NotRegular,
     PrecisionTooLow,
-    RingMismatch,
     UnsupportedField,
 )
 from stablerings.idealization import (
+    DOMAINS,
     IdealizationRing,
-    RingElement,
+    TruncatedSeries,
     get_domain,
     hilbert_lengths,
     ideal_from_generators,
@@ -32,6 +32,7 @@ from stablerings.idealization import (
     stability_sweep,
 )
 from stablerings.idealization import (
+    _is_zero,
     _products,
     _random_element,
     _random_p_element,
@@ -53,19 +54,19 @@ RQ = make_ring("Q", 3, 8)
 def test_series_basic_arithmetic():
     s = R1.series([1, 1])
     assert s.valuation() == 0
-    assert (s * s).coeffs[:3] == (1, 0, 1)
+    assert (s * s)[:3] == (1, 0, 1)
     t = R1.series([0, 1])
     assert t.valuation() == 1
     assert (t * t).valuation() == 2
-    assert R1.series([]).is_zero()
+    assert not any(R1.series([]))
     assert R1.series([]).valuation() == R1.prec
 
 
 def test_series_valuation_additivity():
     rng = random.Random(11)
     for _ in range(50):
-        a = _random_element(RQ, rng, regular=False).v
-        b = _random_element(RQ, rng, regular=False).v
+        a = _random_element(RQ, rng, regular=False)[0]
+        b = _random_element(RQ, rng, regular=False)[0]
         if a.valuation() + b.valuation() < RQ.prec:
             assert (a * b).valuation() == a.valuation() + b.valuation()
 
@@ -83,8 +84,8 @@ def test_unit_inverse():
 def test_rational_coefficients_are_exact():
     a = RQ.series([Fraction(1, 3), Fraction(2, 7)])
     b = a * a
-    assert b.coeffs[0] == Fraction(1, 9)
-    assert b.coeffs[1] == Fraction(4, 21)
+    assert b[0] == Fraction(1, 9)
+    assert b[1] == Fraction(4, 21)
 
 
 def test_make_ring_guards():
@@ -100,33 +101,23 @@ def test_make_ring_guards():
 def test_multiplication_law_examples():
     t = R1.t_power(1)
     e1 = R1.basis_ell(1)
-    p = t * e1
-    assert p.v.is_zero() and p.ell[0] == R1.series([0, 1])
+    p = R1.mul(t, e1)
+    assert not any(p[0]) and p[1] == R1.series([0, 1])
 
     # P squares to zero elementwise
     x = R1.element([], [[1, 1, 0, 1]])
     y = R1.element([], [[0, 1]])
-    assert (x * y).is_zero()
+    assert _is_zero(R1.mul(x, y))
 
     a = R2.element([1, 1], [[1], []])
     b = R2.element([1], [[], [1]])
-    c = a * b
-    assert c.v == R2.series([1, 1])
-    assert c.ell[0] == R2.series([1])
-    assert c.ell[1] == R2.series([1, 1])
-
-
-def test_ring_mismatch():
-    with pytest.raises(RingMismatch):
-        R1.one() * R2.one()
-    with pytest.raises(RingMismatch):
-        ideal_from_generators(R1, [R2.one()])
+    assert R2.mul(a, b) == (R2.series([1, 1]), R2.series([1]), R2.series([1, 1]))
 
 
 def test_regularity_flags():
     # a nonzerodivisor has a nonzero V-component; the stability test needs one below N/2
-    assert R1.t_power(1).v.valuation() < R1.prec // 2
-    assert R1.basis_ell(1).v.is_zero()
+    assert R1.t_power(1)[0].valuation() < R1.prec // 2
+    assert not any(R1.basis_ell(1)[0])
     with pytest.raises(NotRegular):
         is_stable_ideal(R1, [R1.basis_ell(1)])
     with pytest.raises(NotRegular):
@@ -142,7 +133,7 @@ def test_ideal_reduction_examples():
     I = ideal_from_generators(R1, [R1.t_power(1)])
     assert [v for _, v in I] == [1, 1]
 
-    unit = ideal_from_generators(R1, [R1.one()])
+    unit = ideal_from_generators(R1, [R1.t_power(0)])
     assert [v for _, v in unit] == [0, 0]
 
     J = [R1.basis_ell(1)]
@@ -158,7 +149,7 @@ def test_pivot_valuations_nondecreasing():
     rng = random.Random(5)
     for _ in range(60):
         gens = [_random_element(R2, rng, regular=False) for _ in range(3)]
-        if all(g.is_zero() for g in gens):
+        if all(map(_is_zero, gens)):
             continue
         pivots = ideal_from_generators(R2, gens)
         vals = [v for _, v in pivots]
@@ -171,18 +162,17 @@ def test_membership_of_generators_and_idempotence():
     rng = random.Random(3)
     for _ in range(60):
         gens = [_random_element(R2, rng, regular=False) for _ in range(2)]
-        if all(g.is_zero() for g in gens):
+        if all(map(_is_zero, gens)):
             continue
         got = ideal_from_generators(R2, gens)
         rows = oracles.ideal_rows(R2, gens)
         basis, pivots = oracles.reduce_rows(R2, rows)
         assert pivots == got
         for g in gens:
-            for x in (g, g * R2.t_power(1)):
+            for x in (g, R2.mul(g, R2.t_power(1))):
                 # a member leaves the pivots unchanged
-                row = (x.v,) + x.ell
-                assert reduce_rows(R2, rows + [row]) == got
-                assert oracles.contains_row(basis, pivots, row)
+                assert reduce_rows(R2, rows + [x]) == got
+                assert oracles.contains_row(basis, pivots, x)
         assert reduce_rows(R2, basis) == got
         assert oracles.reduce_rows(R2, basis) == (basis, pivots)
 
@@ -197,7 +187,7 @@ def test_reduction_canonical_across_generating_sets():
     unit = R2.element([1, 0, 1])
     for _ in range(40):
         gens = [_random_element(R2, rng, regular=True) for _ in range(2)]
-        other = [unit * gens[1], gens[0], gens[0] + gens[1]]
+        other = [R2.mul(unit, gens[1]), gens[0], oracles.row_add(gens[0], gens[1])]
         assert _pivots_and_canonical(gens) == _pivots_and_canonical(other)
 
 
@@ -207,20 +197,20 @@ def test_product_commutative_associative():
         A = [_random_element(R2, rng, True)]
         B = [_random_element(R2, rng, True), _random_element(R2, rng, False)]
         C = [_random_element(R2, rng, True)]
-        AB, BA = ideal_product(A, B), ideal_product(B, A)
+        AB, BA = ideal_product(R2, A, B), ideal_product(R2, B, A)
         assert _pivots_and_canonical(AB) == _pivots_and_canonical(BA)
-        left, right = ideal_product(AB, C), ideal_product(A, ideal_product(B, C))
+        left, right = ideal_product(R2, AB, C), ideal_product(R2, A, ideal_product(R2, B, C))
         assert _pivots_and_canonical(left) == _pivots_and_canonical(right)
 
 
 def test_stability_examples():
     v = is_stable_ideal(R1, [R1.t_power(1), R1.basis_ell(1)])
     assert v.stable is True
-    assert v.witness.v.valuation() == 1
+    assert v.witness[0].valuation() == 1
     assert v.margin == 8
 
-    v = is_stable_ideal(R1, [R1.one()])
-    assert v.stable is True and v.witness.v.valuation() == 0
+    v = is_stable_ideal(R1, [R1.t_power(0)])
+    assert v.stable is True and v.witness[0].valuation() == 0
 
     with pytest.raises(NotRegular):
         is_stable_ideal(R1, [R1.basis_ell(1)])
@@ -310,14 +300,11 @@ def test_length_from_pivots_matches_k_elimination(field):
                     _random_element(ring, rng, regular=rng.random() < 0.5)
                     for _ in range(rng.randint(1, 3))
                 ]
-                if not all(g.is_zero() for g in gens):
+                if not all(map(_is_zero, gens)):
                     ideals.append(gens)
-            powers = [ideal_power(ring.maximal_ideal(), n) for n in range(1, prec // 2 + 1)]
+            powers = [ideal_power(ring, ring.maximal_ideal(), n) for n in range(1, prec // 2 + 1)]
             # the k-dimension of the span of every (v, l) and (0, v*e_k) row
-            dims = [
-                k_dimension([tuple(s.coeffs for s in row) for row in oracles.ideal_rows(ring, I)], p)
-                for I in ideals + powers
-            ]
+            dims = [k_dimension(oracles.ideal_rows(ring, I), p) for I in ideals + powers]
             for I, dim in zip(ideals, dims):
                 assert sum(prec - v for _, v in ideal_from_generators(ring, I)) == dim
             for n, dim in enumerate(dims[len(ideals) :], 1):
@@ -345,7 +332,7 @@ def test_maximal_ideal_power_structure():
         ring = make_ring("F2", rank, 16)
         assert ring.maximal_ideal() == [ring.t_power(1)] + [ring.basis_ell(k) for k in range(1, rank + 1)]
         for n in (1, 2, 3):
-            P = ideal_from_generators(ring, ideal_power(ring.maximal_ideal(), n))
+            P = ideal_from_generators(ring, ideal_power(ring, ring.maximal_ideal(), n))
             vals = sorted(v for _, v in P)
             assert vals == sorted([n] + [n - 1] * rank)
 
@@ -354,7 +341,7 @@ def test_random_regular_ideal_is_regular():
     rng = random.Random(23)
     for _ in range(30):
         g1, _ = _random_regular_generators(R2, rng)
-        assert g1.v.valuation() < R2.prec // 2
+        assert g1[0].valuation() < R2.prec // 2
 
 
 def test_get_domain_guard():
@@ -367,7 +354,7 @@ FIELDS = ("F2", "F3", "F5", "Q")
 
 def _random_row(ring, rng, top):
     return tuple(
-        _random_series(ring, rng, (0, top)) if rng.random() < 0.7 else ring.zero_series()
+        _random_series(ring, rng, (0, top)) if rng.random() < 0.7 else ring.series([])
         for _ in range(1 + ring.rank)
     )
 
@@ -379,15 +366,15 @@ def _random_rows(ring, rng, kinds=None):
     rows = []
     if rng.random() < 0.25:
         gens = [_random_element(ring, rng, regular=rng.random() < 0.5) for _ in range(2)]
-        if not all(g.is_zero() for g in gens):
+        if not all(map(_is_zero, gens)):
             rows += oracles.ideal_basis(ring, gens)[0]
-            rows += oracles.ideal_basis(ring, [a * b for a in gens for b in gens])[0]
+            rows += oracles.ideal_basis(ring, [ring.mul(a, b) for a in gens for b in gens])[0]
             if kinds is not None:
                 kinds["reduced"] += 1
     for _ in range(rng.randint(1, 5)):
         kind = rng.random()
         if kind < 0.1:
-            rows.append((ring.zero_series(),) * (1 + ring.rank))
+            rows.append((ring.series([]),) * (1 + ring.rank))
             kind = "zero"
         elif kind < 0.35 and rows:
             # adding t^(v+1) * anything keeps the (valuation, column) of the row's minimum
@@ -397,7 +384,7 @@ def _random_rows(ring, rng, kinds=None):
                 continue
             shift = ring.series([0] * (v + 1) + [1])
             extra = _random_row(ring, rng, top)
-            rows.append(tuple(a + shift * b for a, b in zip(base, extra)))
+            rows.append(oracles.row_add(base, tuple(shift * b for b in extra)))
             kind = "tie"
         else:
             rows.append(_random_row(ring, rng, top))
@@ -422,7 +409,7 @@ def test_reduce_rows_matches_series_oracle(field):
         basis, expected = oracles.reduce_rows(ring, rows)
         assert pivots == expected
         fractions += any(
-            isinstance(x, Fraction) for row in rows for s in row for x in s.coeffs
+            isinstance(x, Fraction) for row in rows for s in row for x in s
         )
         t = ring.series([0, 1])
         for probe in (rng.choice(rows), tuple(t * s for s in rng.choice(rows)),
@@ -463,12 +450,12 @@ def _random_generators(ring, rng, kinds):
             g, kind = ring.element([]), "zero"
         elif kind < 0.35:
             ell = tuple(_random_series(ring, rng) for _ in range(ring.rank))
-            g, kind = RingElement(ring, ring.zero_series(), ell), "zero_v"
-        elif kind < 0.55 and gens and min(h.v.valuation() for h in gens) < ring.prec:
-            v = rng.choice([h.v.valuation() for h in gens if h.v.valuation() < ring.prec])
+            g, kind = (ring.series([]), *ell), "zero_v"
+        elif kind < 0.55 and gens and min(h[0].valuation() for h in gens) < ring.prec:
+            v = rng.choice([h[0].valuation() for h in gens if h[0].valuation() < ring.prec])
             unit = _random_series(ring, rng, (0, 0))
             g = _random_element(ring, rng, regular=False)
-            g, kind = RingElement(ring, ring.series([0] * v + [1]) * unit, g.ell), "tie"
+            g, kind = (ring.series([0] * v + [1]) * unit, *g[1:]), "tie"
         else:
             g, kind = _random_element(ring, rng, regular=rng.random() < 0.5), "random"
         gens.append(g)
@@ -484,11 +471,11 @@ def test_ideal_rows_match_per_generator_rows(field):
     for _ in range(150):
         ring = IdealizationRing(get_domain(field), rng.randint(1, 4), rng.randint(6, 40))
         gens = _random_generators(ring, rng, kinds)
-        kinds["no_l_rows"] += all(g.v.is_zero() for g in gens)
+        kinds["no_l_rows"] += all(not any(g[0]) for g in gens)
         # the rows of I lie in the ring ideal, so equal pivots mean equal modules
         assert ideal_from_generators(ring, gens) == reduce_rows(ring, oracles.ideal_rows(ring, gens))
         # the stability test's I^2, from unordered pairs, against the product of all pairs
-        assert _square(ring, _products(gens)) == ideal_from_generators(ring, ideal_product(gens, gens))
+        assert _square(ring, _products(ring, gens)) == ideal_from_generators(ring, ideal_product(ring, gens, gens))
     assert all(kinds.values()), kinds
 
 
@@ -507,12 +494,12 @@ def test_witness_candidates_lie_in_square(field):
         gens = _random_regular_generators(ring, rng) + [_random_element(ring, rng, regular=False)]
         gens = gens[: rng.randint(2, 3)]
         margin = ring.prec // 2
-        squares = [a * b for a in gens for b in gens]
+        squares = [ring.mul(a, b) for a in gens for b in gens]
         basis, pivots = oracles.ideal_basis(ring, squares)
-        square_sig = _signature(_square(ring, _products(gens)), margin)
+        square_sig = _signature(_square(ring, _products(ring, gens)), margin)
         expected_sig = oracles.margin_signature(ring, squares, margin)
         for x in oracles.witness_candidates(gens):
-            products = [x * g for g in gens]
+            products = [ring.mul(x, g) for g in gens]
             for row in oracles.ideal_rows(ring, products):
                 assert oracles.contains_row(basis, pivots, row)
             sig = _signature(ideal_from_generators(ring, products), margin)
@@ -524,18 +511,18 @@ def test_witness_candidates_lie_in_square(field):
                 assert (sig == square_sig) == (oracle_sig == expected_sig)
                 cases["equal" if sig == square_sig else "rejected"] += 1
         # I^2 = gI exactly for the least-valuation generator g, which is the witness
-        g = min(gens, key=lambda h: h.v.valuation())
-        assert ideal_from_generators(ring, [g * h for h in gens]) == _square(ring, _products(gens))
+        g = min(gens, key=lambda h: h[0].valuation())
+        assert ideal_from_generators(ring, [ring.mul(g, h) for h in gens]) == _square(ring, _products(ring, gens))
         payload = is_stable_ideal(ring, gens).to_payload()
         assert oracles.witness_verdict(ring, gens) == payload
         if payload["stable"]:
-            assert payload["witness_valuation"] == g.v.valuation()
+            assert payload["witness_valuation"] == g[0].valuation()
     assert all(cases.values()), cases
 
 
 def test_mismatch_with_square_is_not_stable(monkeypatch):
     # gI = I^2 is proved, so only a fault makes them differ; the comparison must still report it
-    monkeypatch.setattr(idealization, "_square", lambda ring, products: ideal_from_generators(ring, [ring.one()]))
+    monkeypatch.setattr(idealization, "_square", lambda ring, products: ideal_from_generators(ring, [ring.t_power(0)]))
     verdict = is_stable_ideal(R1, [R1.t_power(1), R1.basis_ell(1)])
     assert verdict.stable is False and verdict.witness is None
 
@@ -543,7 +530,7 @@ def test_mismatch_with_square_is_not_stable(monkeypatch):
 def _factors(ring, rng):
     """Random ring elements: regular and not, in P, zero, and over Q with Fraction coefficients."""
     out = [_random_element(ring, rng, regular=rng.random() < 0.5) for _ in range(4)]
-    out += [_random_p_element(ring, rng), ring.element([]), ring.one(), ring.t_power(ring.prec - 1)]
+    out += [_random_p_element(ring, rng), ring.element([]), ring.t_power(0), ring.t_power(ring.prec - 1)]
     if ring.domain.p is None:
         out.append(ring.element([Fraction(1, 3), 0, Fraction(-2, 7)], [[0, Fraction(5, 2)]] * ring.rank))
     return out
@@ -560,8 +547,25 @@ def test_fused_product_matches_definition(field):
             xs = _factors(ring, rng)
             for a in xs:
                 for b in xs:
-                    assert a * b == oracles.ring_product(a, b)
-                    assert (a * b).v.coeffs == oracles.series_product(a.v.coeffs, b.v.coeffs, p)
+                    assert ring.mul(a, b) == oracles.ring_product(a, b)
+                    assert ring.mul(a, b)[0] == oracles.series_product(a[0], b[0], p)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_series_mul_counts_ring_products(field, monkeypatch):
+    # perfbench's tracer counts ring products by patching TruncatedSeries.__mul__ by name,
+    # which a field class that defined its own __mul__ would bypass
+    assert "__mul__" not in vars(DOMAINS[field])
+    calls = []
+    series_mul = TruncatedSeries.__mul__
+    monkeypatch.setattr(TruncatedSeries, "__mul__", lambda a, b: calls.append(1) or series_mul(a, b))
+    ring = make_ring(field, 2, 8)
+    xs = _factors(ring, random.Random(61))
+    for a in xs:
+        for b in xs:
+            calls.clear()
+            assert ring.mul(a, b) == oracles.ring_product(a, b)
+            assert len(calls) == 1
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -579,11 +583,11 @@ def test_product_table_gives_square_and_g_times_i(field, monkeypatch):
         rng.shuffle(gens)
         reduced.clear()
         verdict = is_stable_ideal(ring, gens)
-        assert reduced[0] == list(dict.fromkeys(a * b for a in gens for b in gens))
+        assert reduced[0] == ideal_product(ring, gens, gens)
         if verdict.stable is not None:
             g = verdict.witness
-            assert g is min(gens, key=lambda h: h.v.valuation())
-            assert reduced[1] == [g * h for h in gens]
+            assert g is min(gens, key=lambda h: h[0].valuation())
+            assert reduced[1] == [ring.mul(g, h) for h in gens]
             g_not_first += g is not gens[0]
     assert g_not_first
 
@@ -605,3 +609,30 @@ def test_densest_check_golden(field, capsys):
     assert cli.main(argv + ["--trials", "4", "--seed", "1", "--json", "--no-timing"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == DENSE_GOLDEN[field]
+
+
+# (sha256 of the stdout, exit code) of `idealization check --field F --rank 2 --prec P
+# --trials 40 --seed 1 --json --no-timing`: at these precisions the margin N//2 is 2, 2
+# and 4, 11-22 of the 40 trials are inconclusive and every check exits 1
+LOW_PREC_GOLDEN = {
+    ("F2", 4): ("097d63ac62c445568f405d7850b8d9330c75b53716498e29973c1a2170c09398", 1),
+    ("F2", 5): ("b03037200b5b5a67c6bececd57974adda7d138c382d2c343b155d28a3f42510d", 1),
+    ("F2", 9): ("55ed533a20070c4e4864eb4f9852a0ab1d8fb4fd028b8a04a373a7a1366bffca", 1),
+    ("F3", 4): ("6e355a0541f34e648d6aeb45103e5566de5b83156bcbe3d14d2e038ac08fda86", 1),
+    ("F3", 5): ("5967715298ce79622efdda4967306b7267ac67216e3783f8f8ceb56c52f701e4", 1),
+    ("F3", 9): ("963d3f6617c152edaba3d372497e050450c8476d29a85d1b91c4136b82e8aa11", 1),
+    ("F5", 4): ("563ba933fbf7a9570fa8a9c8f721bc34b8393f765dfefb6b93e29522160f7156", 1),
+    ("F5", 5): ("4e0a39d64ebc5358482f00fb9cd7fcb85eb2f5ab194667f969ad62cd626caa4b", 1),
+    ("F5", 9): ("3cfed8d709158fcd6ef218cb1f96fb85c15fb378fec54231e2e84421767a5735", 1),
+    ("Q", 4): ("ab00c584e51b5f4bfda2d9920423615dc3ba68ec9d503f0a26a9aa397efc57fe", 1),
+    ("Q", 5): ("46544c24783de420af91619a80567d447f09cde2a55f07710ae066e2a9608937", 1),
+    ("Q", 9): ("b1510aaf7a6870baa1c69817be70f5b06eca48572b7ec4cf5f2be47cbac5e942", 1),
+}
+
+
+@pytest.mark.parametrize("field, prec", sorted(LOW_PREC_GOLDEN))
+def test_low_precision_check_golden(field, prec, capsys):
+    argv = ["idealization", "check", "--field", field, "--rank", "2", "--prec", str(prec)]
+    code = cli.main(argv + ["--trials", "40", "--seed", "1", "--json", "--no-timing"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (digest, code) == LOW_PREC_GOLDEN[field, prec]
