@@ -303,7 +303,7 @@ def _row_key(row, n: int) -> tuple[int, int]:
 
 
 def _integer_row(row) -> list:
-    """A nonzero constant multiple of a row of series, with integer entries."""
+    """A nonzero constant multiple of a row of series over Q, with integer entries."""
     if {int}.issuperset(map(type, chain(*row))):
         return [list(s) for s in row]
     den = lcm(*(x.denominator for x in chain(*row)))
@@ -335,7 +335,7 @@ def reduce_rows(ring: IdealizationRing, rows) -> tuple:
     d, n = ring.domain, ring.prec
     work = []
     for r in rows:
-        row = d._primitive(_integer_row(r))
+        row = d._primitive(r if d.p else _integer_row(r))  # F_p coefficients are ints by construction
         key = _row_key(row, n)
         if key[0] < n:
             work.append((key, row))

@@ -16,17 +16,20 @@ generators are held in one form, the cached ``generator_mask`` that
 ``_generator_mask`` reads off a hole mask: ``mu`` is its bit count, and
 ``_offsets`` is the one reader of its set bits, the generator offsets from
 min(I) that E(I) and the powers shift by.  The powers I, 2I, ... are one
-chain of hole masks, ``_power_chain``.  Stability I+I = min(I)+I is the
-chain repeating at 2I: at monomial level min(I+I) = 2 min(I), which pins
-the translation amount.  The normalized ideals are generated gap by gap,
-never filtered.  The ring report's census lists none of them.  It reads the
-count and the stable count off those of the tree parent S + {F(S)}, whose
-gap poset is S's without the maximal gap F(S): an ideal holds F(S) and is
-the parent's plus F(S), or misses the down-set of F(S).  The sweep's memo
-pass looks the parent up, as it looks up the blow-up tower of E(M).  A
-single call walks the ancestor chain on S's own
-masks: each ancestor is S plus the gaps above some gap f, and its gap poset
-is the prefix of S's up to f, with S's order.
+chain of hole masks, ``_power_chain``, which takes bare masks, so a caller
+that walks many ideals builds no ideal object.  Stability I+I = min(I)+I is
+the chain repeating at 2I: at monomial level min(I+I) = 2 min(I), which
+pins the translation amount.  The normalized ideals are generated gap by
+gap as bare hole masks, ``_normalized_holes``, never filtered.  The ring
+report's census lists none of them.  It reads the count and the stable
+count off those of the tree parent S + {F(S)}, whose gap poset is S's
+without the maximal gap F(S): an ideal holds F(S) and is the parent's plus
+F(S), or misses the down-set of F(S).  The sweep's memo pass looks the
+parent up, as it looks up the tower's multiplicity sequence of E(M), whose
+gap mask ``_blowup_gap_mask`` reads off S's by shifts; the blow-up tower
+builds each step from it too.  A single call walks the ancestor chain on
+S's own masks: each ancestor is S plus the gaps above some gap f, and its
+gap poset is the prefix of S's up to f, with S's order.
 """
 
 from __future__ import annotations
@@ -117,7 +120,7 @@ def minimal_generator_count(I: RelativeIdeal) -> int:
 
 def is_stable(I: RelativeIdeal) -> bool:
     """True iff I + I = min(I) + I: both start at 2 min(I), so iff the power chain repeats at 2I."""
-    holes, double = _power_chain(I, 2)
+    holes, double = _power_chain(I.ambient, I.holes, I.generator_mask, 2)
     return double == holes
 
 
@@ -147,17 +150,17 @@ def _offsets(mask: int) -> list[int]:
     return out
 
 
-def _power_chain(I: RelativeIdeal, k: int):
+def _power_chain(S: NumericalSemigroup, holes: int, gens: int, k: int):
     """Yield the hole masks of I, 2I, ..., kI, each relative to its least element.
 
+    I is the ideal of S with hole mask ``holes`` and generator mask ``gens``.
     The members of nI - n min(I) below the conductor are those of
     (n-1)I - (n-1) min(I) shifted by each generator offset of I.  Once a
     mask repeats the one before, every later power has it too, so the chain
     stops just after the first repeat.
     """
-    full = (1 << I.ambient.conductor) - 1
-    offsets = _offsets(I.generator_mask)
-    holes = I.holes
+    full = (1 << S.conductor) - 1
+    offsets = _offsets(gens)
     yield holes
     for _ in range(k - 1):
         members = full & ~holes
@@ -174,14 +177,22 @@ def _power_chain(I: RelativeIdeal, k: int):
 def enumerate_normalized_ideals(S: NumericalSemigroup) -> list[RelativeIdeal]:
     """Every relative ideal I with min(I) = 0 and I inside the integers >= 0.
 
-    These are exactly the S-modules between S and its normalization: each
-    misses a subset H of the gaps of S such that the members, shifted by any
-    minimal generator of S, never land in H.  There are at most 2^genus of
-    them, and only the valid ones are generated, gap by gap from the largest
-    down: a gap a may join the added set only after every gap a + s (s a
-    minimal generator) has, and each partial ideal is extended by "a stays a
-    hole" before "a joins".  They come in descending order of H, which is
-    ascending order of the added gap set.
+    These are exactly the S-modules between S and its normalization, in the
+    order of ``_normalized_holes``.
+    """
+    return [RelativeIdeal(S, 0, holes) for holes in _normalized_holes(S)]
+
+
+def _normalized_holes(S: NumericalSemigroup) -> list[int]:
+    """The hole masks of the normalized ideals of S.
+
+    Each misses a subset H of the gaps of S such that the members, shifted
+    by any minimal generator of S, never land in H.  There are at most
+    2^genus of them, and only the valid ones are generated, gap by gap from
+    the largest down: a gap a may join the added set only after every gap
+    a + s (s a minimal generator) has, and each partial ideal is extended by
+    "a stays a hole" before "a joins".  They come in descending order of H,
+    which is ascending order of the added gap set.
     """
     if S.genus > ENUMERATION_GENUS_CAP:
         raise CapExceeded(f"genus {S.genus} exceeds cap {ENUMERATION_GENUS_CAP}")
@@ -195,7 +206,7 @@ def enumerate_normalized_ideals(S: NumericalSemigroup) -> list[RelativeIdeal]:
             if not holes & need:
                 grown.append(holes ^ bit)
         nodes = grown
-    return [RelativeIdeal(S, 0, holes) for holes in nodes]
+    return nodes
 
 
 def _census_counts(S: NumericalSemigroup, parent: tuple[int, int] | None = None) -> tuple[int, int]:
@@ -286,26 +297,21 @@ def blowup_tower(S: NumericalSemigroup, cap: int = 64) -> TowerReport:
         work += (tower[-1].embedding_dimension + 8) * tower[-1].conductor
         if work > TOWER_WORK_CAP:
             raise CapExceeded(f"blow-up tower work exceeds cap {TOWER_WORK_CAP} after {len(tower) - 1} steps")
-        tower.append(end_semigroup(max_ideal(tower[-1])))
-    return _tower_report(tuple(tower))
+        gaps = _blowup_gap_mask(tower[-1])
+        width = gaps.bit_length() + 1
+        tower.append(NumericalSemigroup.from_member_mask(((1 << width) - 1) & ~gaps, width))
+    return TowerReport(tuple(tower), tuple(t.multiplicity for t in tower), len(tower) - 1, tower[-1].is_full)
 
 
-def _tower_report(tower: tuple[NumericalSemigroup, ...]) -> TowerReport:
-    return TowerReport(tower, tuple(t.multiplicity for t in tower), len(tower) - 1, tower[-1].is_full)
+def _blowup_gap_mask(S: NumericalSemigroup) -> int:
+    """The gap mask of E(M), M the maximal ideal of S, with no semigroup built.
 
-
-def _tree_entry(S: NumericalSemigroup, memo: dict) -> tuple[tuple[int, int], TowerReport]:
-    """S's census counts and blow-up tower, from the entries of two semigroups of smaller genus.
-
-    The parent S + {F(S)} and E(M) both have smaller genus, so an enumeration
-    genus by genus has put their entries in ``memo``, keyed by gap mask; the
-    entry of S joins it.  tower(S) = (S,) + tower(E(M)): one ``end_semigroup``
-    per semigroup.  Below genus 64 the tower is ``blowup_tower(S)``'s.
+    z >= 0 misses E(M) iff z + y is a gap for some y in M, and then z + s is
+    a gap for the minimal generator s with y in s + S: an OR of the gap mask
+    shifted down by each minimal generator.
     """
-    if S.is_full:
-        counts, tower = _census_counts(S), (S,)
-    else:
-        counts = _census_counts(S, memo[S.gap_mask ^ 1 << S.frobenius][0])
-        tower = (S,) + memo[end_semigroup(max_ideal(S)).gap_mask][1]
-    memo[S.gap_mask] = counts, tower
-    return counts, _tower_report(tower)
+    gaps = S.gap_mask
+    out = 0
+    for s in S.minimal_generators:
+        out |= gaps >> s
+    return out

@@ -11,13 +11,15 @@ The census of the normalized ideals lists none of them: the count and the
 stable count come from ``relideal._census_counts``, by a recurrence along
 the semigroup tree (the sweep passes in the pair its memo pass derived from
 the parent), and the largest mu is mu of the normalization, the one
-``greither_check`` reports.  The powers nI
-of one ideal are read off ``relideal._power_chain``, hole masks below the
-conductor that stop once a power repeats the one before: the
-two-generated-power checks count each power's generators with
-``relideal._generator_mask``, and the multiplicity reader reads its three
-Hilbert-function probes, each a power of M against the gap mask of S, off
-one chain.
+``greither_check`` reports.  The powers of M are one chain,
+``_max_ideal_chain``: the hole masks of ``relideal._power_chain`` below the
+conductor, through the first repeat.  The two-generated-power test counts
+the generators of M^2 ... M^n_max with ``relideal._generator_mask``, the
+minimal-multiplicity test asks whether the chain repeats at 2M, and the
+multiplicity reader takes its three Hilbert-function probes, each a power
+of M against the gap mask of S, off the same chain, which the sweep builds
+once per semigroup.  The Sally check runs on S and a bare hole mask, so the
+sweep's per-ideal pass builds no ideal object.
 
 Quadratic test note: the extension test only needs pairs of gaps of S.  If
 x is a member of S then x + y always lies in y + S, and symmetrically for y.
@@ -36,7 +38,6 @@ from .relideal import (  # private per-mask helpers: public calls stay per semig
     _census_counts,
     _generator_mask,
     _power_chain,
-    is_stable,
     max_ideal,
     minimal_generator_count,
 )
@@ -61,8 +62,23 @@ def multiplicity_via_hilbert(S: NumericalSemigroup) -> int:
     (n*multiplicity >= conductor there), and anchoring at the end is immune
     to accidental early plateaus.
     """
+    return _hilbert_multiplicity(S, _max_ideal_chain(S))
+
+
+def _max_ideal_chain(S: NumericalSemigroup) -> list[int]:
+    """The hole masks of M, 2M, ... through the first repeat: every power of M that a check reads.
+
+    M's generator offsets hold 0, so each mask lies inside the one before
+    and the chain repeats within conductor + 2 powers, inside the
+    2*conductor + 5 that the Hilbert probes reach; later powers repeat the
+    last mask.
+    """
+    M = max_ideal(S)
+    return list(_power_chain(S, M.holes, M.generator_mask, 2 * S.conductor + 5))
+
+
+def _hilbert_multiplicity(S: NumericalSemigroup, chain: list[int]) -> int:
     top = 2 * S.conductor + 4
-    chain = list(_power_chain(max_ideal(S), top + 1))  # a chain cut short repeats its last mask
     h_prev, h_top, h_last = (
         _hilbert_length(S, n, chain[min(n, len(chain)) - 1]) for n in (top - 1, top, top + 1)
     )
@@ -147,11 +163,12 @@ def check_n_max(n_max: int) -> None:
         raise CapExceeded(f"n_max {n_max} exceeds cap {N_MAX_CAP}")
 
 
-def _power_two_generated(I: RelativeIdeal, n_max: int) -> bool:
-    """Does some n-fold sum of I with 2 <= n <= n_max have at most two generators?"""
-    powers = _power_chain(I, n_max)
-    next(powers)  # I itself
-    return any(_generator_mask(I.ambient, holes).bit_count() <= 2 for holes in powers)
+def _power_two_generated(S: NumericalSemigroup, powers) -> bool:
+    """Does one of these hole masks, each a power of an ideal of S, have at most two generators?"""
+    for holes in powers:  # a plain loop: any() over a generator costs a tenth of the Sally pass
+        if _generator_mask(S, holes).bit_count() <= 2:
+            return True
+    return False
 
 
 def two_generator_check(S: NumericalSemigroup, n_max: int = 8) -> dict:
@@ -161,11 +178,11 @@ def two_generator_check(S: NumericalSemigroup, n_max: int = 8) -> dict:
     at most 2.
     """
     check_n_max(n_max)
-    return _two_generator(S, n_max)
+    return _two_generator(S, n_max, _max_ideal_chain(S))
 
 
-def _two_generator(S: NumericalSemigroup, n_max: int) -> dict:
-    power_two_generated = _power_two_generated(max_ideal(S), n_max)
+def _two_generator(S: NumericalSemigroup, n_max: int, chain: list[int]) -> dict:
+    power_two_generated = _power_two_generated(S, chain[1:n_max])
     mult_le_2 = S.multiplicity <= 2
     return {
         "power_two_generated": power_two_generated,
@@ -183,12 +200,17 @@ def sally_check(I: RelativeIdeal, n_max: int = 8) -> dict:
     ideal and any of its integral translates.
     """
     check_n_max(n_max)
-    return _sally(I, n_max)
+    return _sally(I.ambient, I.holes, n_max)
 
 
-def _sally(I: RelativeIdeal, n_max: int) -> dict:
-    hypothesis = _power_two_generated(I, n_max)
-    conclusion = I.generator_mask.bit_count() <= 2 and is_stable(I)
+def _sally(S: NumericalSemigroup, holes: int, n_max: int) -> dict:
+    """The Sally verdict of the ideal of S with this hole mask, whatever its least element."""
+    gens = _generator_mask(S, holes)
+    powers = _power_chain(S, holes, gens, n_max)
+    next(powers)  # I itself
+    double = next(powers)  # n_max >= 2
+    hypothesis = _generator_mask(S, double).bit_count() <= 2 or _power_two_generated(S, powers)
+    conclusion = gens.bit_count() <= 2 and double == holes  # stable: the chain repeats at 2I
     return {
         "hypothesis": hypothesis,
         "conclusion": conclusion,
@@ -215,7 +237,11 @@ def greither_check(S: NumericalSemigroup) -> dict:
 
 def minimal_multiplicity_check(S: NumericalSemigroup) -> dict:
     """Stable maximal ideal forces embedding dimension = multiplicity."""
-    m_stable = is_stable(max_ideal(S))
+    return _minimal_multiplicity(S, _max_ideal_chain(S))
+
+
+def _minimal_multiplicity(S: NumericalSemigroup, chain: list[int]) -> dict:
+    m_stable = chain[1] == chain[0]  # M + M = m + M: the chain repeats at 2M
     edim_eq_mult = S.embedding_dimension == S.multiplicity
     return {
         "m_stable": m_stable,

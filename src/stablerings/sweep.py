@@ -8,19 +8,24 @@ behavior, and (below the Sally genus cap) the two-generated-power
 implication over every normalized ideal, whose verdict is the same for
 every translate of the ideal.
 
-The census counts and the blow-up tower of each semigroup come from one
-memo pass in the parent process, keyed by gap mask and run in enumeration
-order: S's parent S + {F(S)} and its blow-up E(M) both have smaller genus,
-so their entries are already there, and S's entry costs one top-level step
-of the census recurrences and one ``end_semigroup``.  Each task carries its
-entry, and the workers run only the checks that stay per semigroup.  The
-pool is forked before the pass starts, so the workers do not inherit the
-memo, and the pass feeds the pool lazily, overlapping the workers.
+The census counts and the blow-up tower's multiplicity sequence of each
+semigroup come from one memo pass in the parent process, keyed by gap mask
+and run in enumeration order: S's parent S + {F(S)} has genus one less and
+its blow-up E(M) a smaller genus, so their entries are already there.  S's
+entry costs one top-level step of the census recurrences and a few shifts
+for the gap mask of E(M); the pass builds no semigroup, and it keeps counts
+only for the genus below.  Each task carries S, its counts and its
+sequence, and the workers run only the checks that stay per semigroup: the
+three checks on the powers of M read one chain, the tower's members are
+built only for multiplicity 2 (one semigroup per genus), and the Sally pass
+runs on the bare hole masks of the normalized ideals.  The pool is forked
+before the pass starts, so the workers do not inherit the memo, and the
+pass feeds the pool lazily, overlapping the workers.
 
-The semigroups stream from the enumeration into the pass, which holds them
-only through the memo's towers.  Results merge in enumeration order as they
-arrive, so the aggregate report is byte-stable regardless of worker count
-and no record outlives its merge.
+The semigroups stream from the enumeration into the pass, which holds none
+of them.  Results merge in enumeration order as they arrive, so the
+aggregate report is byte-stable regardless of worker count and no record
+outlives its merge.
 """
 
 from __future__ import annotations
@@ -33,11 +38,11 @@ from multiprocessing import Pool
 from . import ringlab
 from .errors import CapExceeded
 from .numsg import NumericalSemigroup, enumerate_semigroups
-from .relideal import TowerReport, _tree_entry, blowup_tower, enumerate_normalized_ideals
+from .relideal import RelativeIdeal, _blowup_gap_mask, _census_counts, _normalized_holes, blowup_tower
 
 SALLY_GENUS_CAP = 8
-# `sweep --max-genus 16 --n-max 32 --sally-genus-cap C` takes 21-22 s at C = 14
-# and 72 s at C = 15 on a 2-core 2.1 GHz Xeon with Python 3.11.7, and 31 s at
+# `sweep --max-genus 16 --n-max 32 --sally-genus-cap C` takes 16 s at C = 14
+# and 56 s at C = 15 on a 2-core 2.1 GHz Xeon with Python 3.11.7, and 25 s at
 # C = 14 with `--max-genus 20`; 15 fits the 120 s ceiling too, but 14 leaves
 # room to raise the genus cap
 SALLY_GENUS_CAP_MAX = 14
@@ -52,13 +57,13 @@ def analyze_semigroup(
     n_max: int = 8,
     sally_cap: int = SALLY_GENUS_CAP,
     counts: tuple[int, int] | None = None,
-    tower: TowerReport | None = None,
+    sequence: tuple[int, ...] | None = None,
 ) -> dict:
     """Run every per-semigroup check; violations come back verbatim.
 
-    ``counts`` and ``tower`` are S's census counts and blow-up tower from the
-    sweep's memo pass; without them they are derived here.  ``run_sweep``
-    checks ``n_max``.
+    ``counts`` and ``sequence`` are S's census counts and the multiplicity
+    sequence of its blow-up tower, from the sweep's memo pass; without them
+    they are derived here.  ``run_sweep`` checks ``n_max``.
     """
     name = _gens_str(S)
     violations: dict[str, list[str]] = {}
@@ -79,7 +84,8 @@ def analyze_semigroup(
             f"monomial verdict {report.all_stable} vs multiplicity verdict {report.is_bass}",
         )
 
-    two = ringlab._two_generator(S, n_max)
+    chain = ringlab._max_ideal_chain(S)  # M, 2M, ...: read by the next three checks
+    two = ringlab._two_generator(S, n_max, chain)
     if not two["agree"]:
         flag("two_generator", f"power_two_generated={two['power_two_generated']} mult_le_2={two['mult_le_2']}")
 
@@ -87,30 +93,30 @@ def analyze_semigroup(
     if not gre["agree"] or not gre["quadratic_when_two_generated"]:
         flag("greither", f"{gre}")
 
-    mm = ringlab.minimal_multiplicity_check(S)
+    mm = ringlab._minimal_multiplicity(S, chain)
     if not mm["ok"]:
         flag("minimal_multiplicity", f"{mm}")
 
-    via_hilbert = ringlab.multiplicity_via_hilbert(S)
+    via_hilbert = ringlab._hilbert_multiplicity(S, chain)
     if not (S.multiplicity == via_hilbert == gre["mu_normalization"]):
         flag(
             "multiplicity_triple",
             f"m={S.multiplicity} hilbert={via_hilbert} mu_norm={gre['mu_normalization']}",
         )
 
-    tower = tower or blowup_tower(S)
-    if not tower.reached_normalization:
+    sequence = sequence or blowup_tower(S).multiplicity_sequence
+    steps = len(sequence) - 1
+    if sequence[-1] != 1:  # only the full monoid has multiplicity 1
         flag("tower", "blow-up tower did not reach the full monoid")
-    elif tower.stabilization_index > max(S.genus, 1):
-        flag("tower", f"tower length {tower.stabilization_index} exceeds genus {S.genus}")
-    if S.multiplicity == 2:
-        expected = (2,) * S.genus + (1,)
-        if tower.multiplicity_sequence != expected:
-            flag("tower", f"multiplicity sequence {tower.multiplicity_sequence}")
-        if tower.stabilization_index != S.genus:
-            flag("tower", f"stabilization index {tower.stabilization_index} != genus {S.genus}")
-        for i in range(tower.stabilization_index):
-            cur, nxt = tower.tower[i], tower.tower[i + 1]
+    elif steps > max(S.genus, 1):
+        flag("tower", f"tower length {steps} exceeds genus {S.genus}")
+    if S.multiplicity == 2:  # <2, 2g + 1>, one per genus: the only check that reads the tower's members
+        if sequence != (2,) * S.genus + (1,):
+            flag("tower", f"multiplicity sequence {sequence}")
+        if steps != S.genus:
+            flag("tower", f"stabilization index {steps} != genus {S.genus}")
+        tower = blowup_tower(S).tower
+        for i, (cur, nxt) in enumerate(zip(tower, tower[1:])):
             width = cur.conductor + 4
             m_i = cur.members_mask(width) & ~1  # M_i = S_i minus 0
             if m_i != nxt.members_mask(width - 2) << 2:
@@ -126,16 +132,16 @@ def analyze_semigroup(
     }
 
     if S.genus <= sally_cap:
-        ideals = 0
+        ideals = _normalized_holes(S)
         boundary = 0
-        for I in enumerate_normalized_ideals(S):
-            res = ringlab._sally(I, n_max)
-            ideals += 1
+        principal = S.gap_mask  # S itself, whose only generator is min(I) = 0
+        for holes in ideals:
+            res = ringlab._sally(S, holes, n_max)
             if not res["ok"]:
-                flag("sally", f"ideal {I.minimal_generators}: {res}")
-            if res["hypothesis"] and I.generator_mask != 1:  # min(I) = 0 is not the only generator
+                flag("sally", f"ideal {RelativeIdeal(S, 0, holes).minimal_generators}: {res}")
+            if res["hypothesis"] and holes != principal:
                 boundary += 1
-        out["sally"] = {"ideals": ideals, "boundary": boundary}
+        out["sally"] = {"ideals": len(ideals), "boundary": boundary}
     return out
 
 
@@ -144,13 +150,29 @@ def _worker(args) -> dict:
 
 
 def _tasks(semigroups, n_max: int, sally_cap: int):
-    """The memo pass: each semigroup's task with its census counts and tower.
+    """The memo pass: each semigroup's task with its census counts and multiplicity sequence.
 
-    ``semigroups`` come genus by genus, so each one's parent and E(M) come before it.
+    ``semigroups`` come genus by genus.  The counts of S come from those of
+    its tree parent S + {F(S)}, of genus one less, so only the genus below
+    keeps its counts.  The sequence of S is its multiplicity followed by the
+    sequence of E(M), of smaller genus, found by its gap mask.
     """
-    memo: dict = {}
+    below: dict[int, tuple[int, int]] = {}
+    level: dict[int, tuple[int, int]] = {}
+    sequences: dict[int, tuple[int, ...]] = {}
+    genus = 0
     for S in semigroups:
-        yield (S, n_max, sally_cap, *_tree_entry(S, memo))
+        if S.genus != genus:
+            genus, below, level = S.genus, level, {}
+        gaps = S.gap_mask
+        if S.is_full:
+            counts, sequence = _census_counts(S), (1,)
+        else:
+            counts = _census_counts(S, below[gaps ^ 1 << S.frobenius])
+            sequence = (S.multiplicity,) + sequences[_blowup_gap_mask(S)]
+        level[gaps] = counts
+        sequences[gaps] = sequence
+        yield S, n_max, sally_cap, counts, sequence
 
 
 CHECK_NAMES = (

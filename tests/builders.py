@@ -168,5 +168,6 @@ def hilbert_function(S: NumericalSemigroup, n: int) -> int:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return 0
-    *_, holes = _power_chain(max_ideal(S), n)
+    M = max_ideal(S)
+    *_, holes = _power_chain(S, M.holes, M.generator_mask, n)
     return _hilbert_length(S, n, holes)

@@ -13,8 +13,10 @@ and the largest mu off that list, where ``stablerings.relideal`` counts
 up-sets, matches comparable gaps and walks only the stable ideals.
 
 The ideal powers: ``power_two_generated`` builds each power as an ideal
-object with ``builders.ideal_sum`` and reads its generator
-count, where ``stablerings.ringlab`` shifts one membership mask.
+object with ``builders.ideal_sum`` and reads its generator count, where
+``stablerings.ringlab`` shifts one membership mask.  It stops once a power
+is min(I) plus the one before, since (n+2)I = (n+1)I + I = min(I) + (n+1)I
+makes every later power a translate too.
 
 The idealization product: ``ring_product`` is (v1*v2, v1*l2 + v2*l1) by
 ``series_product``, which writes out the convolution, and coefficient-wise
@@ -148,9 +150,11 @@ def power_two_generated(I: RelativeIdeal, n_max: int) -> bool:
         raise ValueError("n_max must be at least 2")
     power = I
     for _ in range(2, n_max + 1):
-        power = relideal_sum(power, I)
+        previous, power = power, relideal_sum(power, I)
         if minimal_generator_count(power) <= 2:
             return True
+        if power.holes == previous.holes:  # power = min(I) + previous, and so is every later one
+            return False
     return False
 
 

@@ -330,6 +330,22 @@ def test_sweep_g12_golden(capsys, jobs):
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_G12_GOLDEN
 
 
+# sha256 of the stdout of `sweep --max-genus 10 --sally-genus-cap 10 --n-max 32
+# --json --no-timing`, recorded before the Sally pass ran on bare hole masks
+SALLY_N32_GOLDEN = "970cf96dba5165ba691c90c54283d8e172fc5896c105faa7e6c3ddca15da953c"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_sally_n32_golden(capsys, jobs):
+    code, out, _ = run(
+        capsys,
+        "sweep", "--max-genus", "10", "--sally-genus-cap", "10", "--n-max", "32",
+        "--json", "--no-timing", "--jobs", jobs,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SALLY_N32_GOLDEN
+
+
 def test_idealization_low_precision_reports_skips(capsys):
     code, out, _ = run(
         capsys,

@@ -16,7 +16,6 @@ from stablerings.relideal import (
     _census_counts,
     _generator_mask,
     _offsets,
-    _tree_entry,
     blowup_tower,
     end_semigroup,
     enumerate_normalized_ideals,
@@ -26,6 +25,7 @@ from stablerings.relideal import (
     minimal_generator_count,
 )
 from stablerings.ringlab import stable_ring_report
+from stablerings.sweep import _tasks
 
 S34 = from_generators({3, 4})
 S345 = from_generators({3, 4, 5})
@@ -254,14 +254,13 @@ def test_census_matches_per_mask_shapes():
 
 def test_census_matches_oracle_walk():
     # the counting census against the census read off the full walk: per call,
-    # up the ancestor chain, and from a memo filled in enumeration order
+    # up the ancestor chain, and from the sweep's memo pass
     totals = [0, 0, 0]
-    memo = {}
-    for S in enumerate_semigroups(13):
+    for S, _, _, counts, _ in _tasks(enumerate_semigroups(13), 8, 0):
         census = oracles.normalized_census(S)
         report = stable_ring_report(S)
         assert (report.ideal_count, report.stable_count, report.max_mu) == census, str(S)
-        assert _tree_entry(S, memo)[0] == census[:2], str(S)
+        assert counts == census[:2], str(S)
         totals = [totals[0] + census[0], totals[1] + census[1], max(totals[2], census[2])]
     assert totals == [1448090, 206095, 14]
 
@@ -334,10 +333,11 @@ def test_blowup_tower_cap_reported_not_raised():
 
 
 def test_tower_stabilizes_within_genus():
-    memo = {}
-    for S in enumerate_semigroups(12):
+    for S, _, _, _, sequence in _tasks(enumerate_semigroups(12), 8, 0):
         rep = blowup_tower(S)
-        assert _tree_entry(S, memo)[1] == rep, str(S)  # every field, the tower's semigroups too
+        assert sequence == rep.multiplicity_sequence, str(S)  # the sweep's memo pass
+        # each step against E(M) of the step before, built through the generators of M
+        assert rep.tower[1:] == tuple(end_semigroup(max_ideal(T)) for T in rep.tower[:-1]), str(S)
         assert rep.reached_normalization
         assert rep.stabilization_index <= max(S.genus, 1)
         assert rep.multiplicity_sequence[-1] == 1

@@ -4,9 +4,12 @@ import oracles
 import pytest
 from builders import hilbert_function, ideal_sum, nfold, translate
 
+from stablerings import ringlab
 from stablerings.errors import CapExceeded
 from stablerings.numsg import NAT, enumerate_semigroups, from_generators
 from stablerings.relideal import (
+    RelativeIdeal,
+    _normalized_holes,
     enumerate_normalized_ideals,
     is_stable,
     make_ideal,
@@ -240,6 +243,28 @@ def test_power_chain_matches_ideal_sum_oracle(n_max):
         assert res == _oracle_sally(M, n_max)
         fired += res["hypothesis"]
     assert 0 < fired < 1413
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 8, N_MAX_CAP])
+def test_one_chain_and_bare_mask_verdicts(n_max):
+    # the three checks the sweep reads off one chain of M, against the oracles
+    # and the public checks; the Sally verdict on bare hole masks, against the
+    # oracle on every normalized ideal of genus <= 10
+    ideals = 0
+    for S in enumerate_semigroups(10):
+        chain = ringlab._max_ideal_chain(S)
+        assert chain[-1] == chain[-2] and len(chain) <= S.conductor + 2, str(S)  # ends at its repeat
+        two = ringlab._two_generator(S, n_max, chain)
+        assert two == two_generator_check(S, n_max) == _oracle_two_generator(S, n_max), str(S)
+        mm = ringlab._minimal_multiplicity(S, chain)
+        assert mm == minimal_multiplicity_check(S), str(S)
+        assert mm["m_stable"] == oracles.is_stable_via_search(S, max_ideal(S).minimal_generators), str(S)
+        assert ringlab._hilbert_multiplicity(S, chain) == multiplicity_via_hilbert(S) == S.multiplicity
+        for holes in _normalized_holes(S):
+            I = RelativeIdeal(S, 0, holes)
+            assert ringlab._sally(S, holes, n_max) == sally_check(I, n_max) == _oracle_sally(I, n_max), str(S)
+            ideals += 1
+    assert ideals == 64151
 
 
 def test_greither_examples():

@@ -5,7 +5,8 @@ import pytest
 from stablerings import ringlab, sweep
 from stablerings.errors import CapExceeded
 from stablerings.numsg import enumerate_semigroups, from_generators
-from stablerings.sweep import CHECK_NAMES, analyze_semigroup, clamp_jobs, run_sweep
+from stablerings.relideal import _blowup_gap_mask, blowup_tower, end_semigroup, max_ideal
+from stablerings.sweep import CHECK_NAMES, _tasks, analyze_semigroup, clamp_jobs, run_sweep
 
 
 def test_analyze_single_semigroup():
@@ -21,6 +22,23 @@ def test_analyze_records_boundary_cases():
     # the full monoid over <2,3> is two-generated, so its hypothesis fires
     assert rec["sally"]["boundary"] >= 1
     assert rec["violations"] == {}
+
+
+def test_memo_pass_matches_end_semigroup_and_tower():
+    # the shifted-OR gap mask of E(M) against E(M) built from the generators
+    # of M, and the memo's multiplicity sequences against the towers
+    tasks = 0
+    for S, n_max, sally_cap, _, sequence in _tasks(enumerate_semigroups(14), 5, 3):
+        assert (n_max, sally_cap) == (5, 3)
+        assert _blowup_gap_mask(S) == end_semigroup(max_ideal(S)).gap_mask, str(S)
+        assert sequence == blowup_tower(S).multiplicity_sequence, str(S)
+        tasks += 1
+    assert tasks == 4107
+
+
+def test_analyze_semigroup_derives_what_the_memo_passes():
+    for S, *args in _tasks(enumerate_semigroups(7), 8, 7):
+        assert analyze_semigroup(S, *args) == analyze_semigroup(S), str(S)
 
 
 def test_run_sweep_structure():
