@@ -15,11 +15,11 @@ l_r) of its series, which is also its row in V^{1+r}.  ``ring.mul`` is the
 ring product, and it makes each module part v1*l2 + v2*l1 in one pass.
 
 An ideal is the list of its ring generators, and ``ideal_from_generators``
-returns its one computed form, the pivots of its module span: I^2 is the
-table of products over unordered generator pairs and g*I its row at g, and
-M^k is M^(k-1) times the generators [t, e_1, ..., e_r] of M.  Pivots carry
-no generators, so equal pivots say nothing about two ideals unless one lies
-inside the other.
+returns its one computed form, the pivots of its module span with their
+pivot rows: I^2 is the table of products over unordered generator pairs
+and g*I its row at g, and M^k is M^(k-1) times the generators [t, e_1, ...,
+e_r] of M.  Pivots carry no generators, so equal pivots say nothing about
+two ideals unless one lies inside the other.
 
 Ideals are handled as V-submodules of V^{1+r}, spanned by the rows (v, l)
 of the ring generators and the rows (0, t^a*e_k) for k = 1..r, with a the
@@ -32,7 +32,11 @@ pivot made monic and cleared from the other rows, which is never built:
 each of its rows is t^v times a row that completes to a V-basis and spans
 N - v dimensions over k, so the length of V^{1+r} over the span is read off
 the pivots.  Two modules, one inside the other, are equal exactly when
-their pivots are.
+their pivots are.  The pivot rows, as the reduction chose them, form an
+echelon: each is zero in the columns of the pivots before it and has no
+entry below its own valuation.  So a row lies in the module exactly when
+reducing it against them in pivot order, each column cleared as the
+reduction clears it, leaves zero.
 
 The reduction runs on integer coefficient lists.  A row matters only up to
 a unit of V, and a nonzero constant is one, so it is kept small: reduced
@@ -49,11 +53,13 @@ with the witness g, a generator whose V-component has the least valuation
 (Lipman, Amer. J. Math. 93, 1971; Sally and Vasconcelos, J. Pure Appl.
 Algebra 4, 1974): every h in I is c*g + p with c in V and p in I ∩ P, and
 P^2 = 0, so h*h' = g*(c*c'*g + c*p' + c'*p) and I^2 = g*I holds exactly,
-in V/t^N too.  The one comparison of the pivots of I^2 and g*I is trusted
-only when every pivot valuation of I^2 lies below the margin; otherwise the
-verdict is inconclusive.  A clean mismatch, stable=False, means that the
-proved identity failed, which is a fault of this program, not a property of
-the ideal.  The margin rule is this module's own convention for
+in V/t^N too.  The test reduces g*I once and checks that every other
+generator product lies in it; g*I lies in I^2, so then the two are equal
+and have the same pivots.  The verdict is trusted only when every pivot
+valuation of I^2 lies below the margin; otherwise it is inconclusive.  A
+product outside g*I at a clean margin, stable=False, means that the proved
+identity failed, which is a fault of this program, not a property of the
+ideal.  The margin rule is this module's own convention for
 finite-precision certification.
 """
 
@@ -82,7 +88,7 @@ from .errors import (
 # random series are sparse), so WORK_CAP bounds trials * (1+r)^2 * N.  The
 # costliest admitted checks, whole `idealization check --field Q --seed 1`
 # runs on a shared 2-core Xeon with Python 3.11.7: rank 8, N = 256, 48
-# trials in 0.7-0.8 s; rank 1, N = 250, 1,000 trials in 0.8-0.9 s.
+# trials in 0.31 s; rank 1, N = 250, 1,000 trials in 0.39 s.
 PREC_CAP = 256
 RANK_CAP = 8
 TRIALS_CAP = 10_000
@@ -325,12 +331,26 @@ def _eliminate(row, u, q, pivot, col: int) -> list:
     ]
 
 
-def reduce_rows(ring: IdealizationRing, rows) -> tuple:
+class Pivots(tuple):
+    """The (column, valuation) pivots of a module, valuations nondecreasing.
+
+    ``rows`` holds the pivot rows in pivot order: the integer rows, up to a
+    unit, that the reduction chose, each zero in the columns of the pivots
+    before it and with no entry below its own pivot's valuation.
+    """
+
+    def __new__(cls, pivots, rows):
+        self = super().__new__(cls, pivots)
+        self.rows = rows
+        return self
+
+
+def reduce_rows(ring: IdealizationRing, rows) -> Pivots:
     """The valuation pivots of the module spanned by a list of rows.
 
-    Returns the tuple of (column, valuation) pairs of the canonical echelon
-    form, valuations nondecreasing.  The rows are reduced as integer rows up
-    to a unit; see the module docstring.
+    Returns the (column, valuation) pairs of the canonical echelon form,
+    valuations nondecreasing, with the pivot rows.  The rows are reduced as
+    integer rows up to a unit; see the module docstring.
     """
     d, n = ring.domain, ring.prec
     work = []
@@ -340,6 +360,7 @@ def reduce_rows(ring: IdealizationRing, rows) -> tuple:
         if key[0] < n:
             work.append((key, row))
     pivots: list[tuple[int, int]] = []
+    pivot_rows = []
     while work:
         idx = min(range(len(work)), key=lambda i: work[i][0])
         (v, col), pivot = work.pop(idx)
@@ -355,10 +376,30 @@ def reduce_rows(ring: IdealizationRing, rows) -> tuple:
             remaining.append((key, row))
         work = remaining
         pivots.append((col, v))
-    return tuple(pivots)
+        pivot_rows.append(pivot)
+    return Pivots(pivots, pivot_rows)
 
 
-def ideal_from_generators(ring: IdealizationRing, gens) -> tuple:
+def _in_module(ring: IdealizationRing, pivots: Pivots, row) -> bool:
+    """Does the row lie in the module of these pivots?
+
+    It is reduced against the pivot rows in pivot order; see the module
+    docstring.  The rows from a pivot on have no entry below its valuation,
+    so an entry below it in the pivot's column is never cleared.
+    """
+    d = ring.domain
+    row = row if d.p else _integer_row(row)
+    for (col, v), pivot in zip(pivots, pivots.rows):
+        s = row[col]
+        if any(s[:v]):
+            return False
+        q = s[v:]
+        if any(q):
+            row = d._primitive(_eliminate(row, pivot[col][v:], q, pivot, col))
+    return _is_zero(row)
+
+
+def ideal_from_generators(ring: IdealizationRing, gens) -> Pivots:
     """The pivots of the module span of the ring ideal generated by ``gens``.
 
     R*(v, l) is spanned over V by (v, l) and the (0, v*e_k), so the ideal is
@@ -409,10 +450,13 @@ def is_stable_ideal(ring: IdealizationRing, gens) -> StabilityVerdict:
 
     g is the generator whose V-component has the least valuation (the first
     such generator on a tie), and I^2 = g*I holds exactly; see the module
-    docstring; I^2 and g*I share one product table.  The pivots of I^2
-    below the margin N//2 certify the verdict, and an I^2 whose pivots reach
-    the margin is inconclusive.  A g*I whose pivots differ from those of I^2
-    is a program fault, reported as stable=False.
+    docstring.  I^2 and g*I share one product table, and g*I, its row at g,
+    is the one reduction: I^2 is g*I exactly when every product outside that
+    row lies in g*I.  Then the pivots of g*I are those of I^2, and below the
+    margin N//2 they certify the verdict; an I^2 whose pivots reach the
+    margin is inconclusive.  A product outside g*I is a program fault: I^2
+    is then reduced from the whole table, and the verdict is stable=False,
+    or inconclusive if those pivots reach the margin.
     """
     margin = ring.prec // 2
     vals = [h[0].valuation() for h in gens]
@@ -420,13 +464,14 @@ def is_stable_ideal(ring: IdealizationRing, gens) -> StabilityVerdict:
     if k is None or vals[k] >= margin:
         raise NotRegular("no generator has V-component valuation below N/2")
     products = _products(ring, gens)
-    square = _square(ring, products)
+    g_row = [products[min(k, j), max(k, j)] for j in range(len(gens))]
+    g_times_i = ideal_from_generators(ring, g_row)
+    others = dict.fromkeys(x for key, x in products.items() if k not in key)
+    stable = all(_in_module(ring, g_times_i, x) for x in others)
+    square = g_times_i if stable else _square(ring, products)
     if any(v >= margin for _, v in square):
         return StabilityVerdict(stable=None, witness=None, margin=margin)
-    g_times_i = [products[min(k, j), max(k, j)] for j in range(len(gens))]
-    if ideal_from_generators(ring, g_times_i) == square:
-        return StabilityVerdict(stable=True, witness=gens[k], margin=margin)
-    return StabilityVerdict(stable=False, witness=None, margin=margin)
+    return StabilityVerdict(stable=stable, witness=gens[k] if stable else None, margin=margin)
 
 
 def hilbert_lengths(ring: IdealizationRing, n: int) -> list[int]:

@@ -226,12 +226,21 @@ def greither_check(S: NumericalSemigroup) -> dict:
     consequence of two-generation is asserted alongside.
     """
     mu = minimal_generator_count(RelativeIdeal(S, 0, 0))  # min 0, no holes
+    # the verdict reads the quadratic test only when mu <= 2
+    return _greither(S, mu, mu <= 2 and is_monomial_quadratic(S))
+
+
+def _greither(S: NumericalSemigroup, mu: int, quadratic: bool) -> dict:
+    """The Greither verdict from mu of the normalization and the quadratic test.
+
+    The sweep reads both off the semigroup's ring report.
+    """
     bass = S.multiplicity <= 2
     return {
         "mu_normalization": mu,
         "bass": bass,
         "agree": (mu <= 2) == bass,
-        "quadratic_when_two_generated": (mu > 2) or is_monomial_quadratic(S),
+        "quadratic_when_two_generated": (mu > 2) or quadratic,
     }
 
 

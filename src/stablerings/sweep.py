@@ -89,7 +89,7 @@ def analyze_semigroup(
     if not two["agree"]:
         flag("two_generator", f"power_two_generated={two['power_two_generated']} mult_le_2={two['mult_le_2']}")
 
-    gre = ringlab.greither_check(S)
+    gre = ringlab._greither(S, report.max_mu, report.quadratic_over_normalization)
     if not gre["agree"] or not gre["quadratic_when_two_generated"]:
         flag("greither", f"{gre}")
 

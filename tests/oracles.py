@@ -43,8 +43,10 @@ The idealization witness search: ``witness_verdict`` tries the generators
 and their pairwise sums and differences in order of V-valuation, comparing
 the canonical bases of I^2 and x*I, pivots and coefficients below the
 margin, built from all ordered generator products by ``ring_product``, where
-``stablerings.idealization`` compares the pivots of I^2 and g*I alone, for
-the one least-valuation generator g, from the unordered products.
+``stablerings.idealization`` reduces g*I alone, for the one least-valuation
+generator g, from the unordered products, and tests the other products for
+membership in it.  ``pivot_verdict`` is the comparison that test replaced:
+the pivots of I^2 against those of g*I, here from the canonical bases.
 
 Semigroup construction: ``semigroup_by_window_scan`` closes a window one
 integer at a time and ``semigroup_from_member_scan`` reads the minimal
@@ -392,6 +394,23 @@ def witness_verdict(ring, gens) -> dict:
             return {"stable": True, "witness_valuation": x[0].valuation(), "margin": margin}
         unclear = unclear or sig is None
     return {"stable": None if unclear else False, "witness_valuation": None, "margin": margin}
+
+
+def pivot_verdict(ring, gens) -> dict:
+    """The payload of the stability verdict by comparing the pivots of I^2 and g*I.
+
+    g is the first generator of least V-valuation, which must lie below the
+    margin.  The verdict is inconclusive if a pivot of I^2 reaches the
+    margin, stable if g*I has the pivots of I^2, and not stable otherwise.
+    """
+    margin = ring.prec // 2
+    g = min(gens, key=lambda h: h[0].valuation())
+    square = ideal_basis(ring, [ring_product(a, b) for a in gens for b in gens])[1]
+    if any(v >= margin for _, v in square):
+        return {"stable": None, "witness_valuation": None, "margin": margin}
+    if ideal_basis(ring, [ring_product(g, h) for h in gens])[1] == square:
+        return {"stable": True, "witness_valuation": g[0].valuation(), "margin": margin}
+    return {"stable": False, "witness_valuation": None, "margin": margin}
 
 
 def semigroup_from_member_scan(mask: int, width: int) -> NumericalSemigroup:

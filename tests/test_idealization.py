@@ -32,6 +32,7 @@ from stablerings.idealization import (
     stability_sweep,
 )
 from stablerings.idealization import (
+    _in_module,
     _is_zero,
     _products,
     _random_element,
@@ -520,11 +521,21 @@ def test_witness_candidates_lie_in_square(field):
     assert all(cases.values()), cases
 
 
+def _table_with(key, element):
+    """A stand-in for ``_products`` whose table holds ``element`` at ``key``."""
+    products = idealization._products
+    return lambda ring, gens: {**products(ring, gens), key: element}
+
+
 def test_mismatch_with_square_is_not_stable(monkeypatch):
-    # gI = I^2 is proved, so only a fault makes them differ; the comparison must still report it
-    monkeypatch.setattr(idealization, "_square", lambda ring, products: ideal_from_generators(ring, [ring.t_power(0)]))
+    # I^2 = gI is proved, so only a fault puts a product outside gI; the verdict must still report it
+    monkeypatch.setattr(idealization, "_products", _table_with((1, 1), R1.t_power(0)))
     verdict = is_stable_ideal(R1, [R1.t_power(1), R1.basis_ell(1)])
     assert verdict.stable is False and verdict.witness is None
+    # t^9 lies outside gI = (t^10, t^5*e_1), and I^2 then has the pivot t^9 past the margin 8
+    monkeypatch.setattr(idealization, "_products", _table_with((1, 1), R1.t_power(9)))
+    verdict = is_stable_ideal(R1, [R1.t_power(5), R1.basis_ell(1)])
+    assert verdict.stable is None and verdict.witness is None
 
 
 def _factors(ring, rng):
@@ -570,26 +581,99 @@ def test_series_mul_counts_ring_products(field, monkeypatch):
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_product_table_gives_square_and_g_times_i(field, monkeypatch):
-    # is_stable_ideal reduces I^2 from the whole table and g*I from g's row of it
+    # is_stable_ideal reduces g*I, g's row of the product table, once and tests the other
+    # products for membership in it; I^2 is reduced from the whole table only when one fails
     reduced = []
     monkeypatch.setattr(idealization, "ideal_from_generators",
                         lambda ring, gens: reduced.append(gens) or ideal_from_generators(ring, gens))
     rng = random.Random(59)
-    g_not_first = 0
+    cases = dict.fromkeys(("g_not_first", "unclear", "fault"), 0)
     for _ in range(30):
-        ring = make_ring(field, rng.randint(1, 3), rng.choice([8, 12, 16]))
+        ring = make_ring(field, rng.randint(1, 3), rng.choice([6, 8, 12, 16]))
         gens = _random_regular_generators(ring, rng) + [_random_element(ring, rng, regular=False)]
         gens = gens[: rng.randint(1, 3)]
         rng.shuffle(gens)
+        k = min(range(len(gens)), key=lambda j: gens[j][0].valuation())
+        g = gens[k]
         reduced.clear()
         verdict = is_stable_ideal(ring, gens)
-        assert reduced[0] == ideal_product(ring, gens, gens)
-        if verdict.stable is not None:
-            g = verdict.witness
-            assert g is min(gens, key=lambda h: h[0].valuation())
-            assert reduced[1] == [ring.mul(g, h) for h in gens]
-            g_not_first += g is not gens[0]
-    assert g_not_first
+        assert reduced == [[ring.mul(g, h) for h in gens]]
+        if verdict.stable is None:
+            cases["unclear"] += 1
+        else:
+            assert verdict.stable is True and verdict.witness is g
+            cases["g_not_first"] += k != 0
+        if len(gens) > 1 and g[0].valuation() > 0:
+            # a unit outside g's row is no member of g*I, whose V-components lie in t^(2v(g))V
+            j = (k + 1) % len(gens)
+            table = {**_products(ring, gens), (j, j): ring.t_power(0)}
+            with monkeypatch.context() as m:
+                m.setattr(idealization, "_products", lambda ring, gens: table)
+                reduced.clear()
+                verdict = is_stable_ideal(ring, gens)
+            assert reduced[1:] == [list(dict.fromkeys(table.values()))]
+            assert verdict.stable is False and verdict.witness is None
+            cases["fault"] += 1
+    assert all(cases.values()), cases
+
+
+def _span_member(ring, rng, rows):
+    """A V-combination of the rows, times a unit of V, whose lead over Q is a Fraction."""
+    d = ring.domain
+    out = ring.element([])
+    for row in rows:
+        c = _random_series(ring, rng, (0, ring.prec))
+        out = oracles.row_add(out, tuple(c * s for s in row))
+    lead = d.rand_nonzero(rng) if d.p else Fraction(d.rand_nonzero(rng), rng.randint(2, 5))
+    unit = ring.series([lead] + [d.rand(rng) for _ in range(rng.randint(0, 3))])
+    return tuple(unit * s for s in out)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_membership_matches_contains_row_oracle(field):
+    # the stability test's membership check, against reduction by the canonical basis
+    rng = random.Random(67)
+    kinds = dict.fromkeys(("zero", "member", "other_in", "other_out"), 0)
+    for _ in range(120):
+        ring = IdealizationRing(get_domain(field), rng.randint(1, 3), rng.randint(4, 24))
+        rows = _random_rows(ring, rng)
+        pivots = reduce_rows(ring, rows)
+        basis, expected = oracles.reduce_rows(ring, rows)
+        assert pivots == expected and len(pivots.rows) == len(pivots)
+        zero = ring.element([])
+        assert _in_module(ring, pivots, zero) and oracles.contains_row(basis, expected, zero)
+        kinds["zero"] += 1
+        member = _span_member(ring, rng, rows)
+        assert _in_module(ring, pivots, member) and oracles.contains_row(basis, expected, member)
+        kinds["member"] += 1
+        t = ring.series([0, 1])
+        for probe in (_random_row(ring, rng, ring.prec), tuple(t * s for s in member),
+                      oracles.row_add(member, _random_row(ring, rng, rng.choice([2, ring.prec])))):
+            inside = oracles.contains_row(basis, expected, probe)
+            assert _in_module(ring, pivots, probe) == inside
+            kinds["other_in" if inside else "other_out"] += 1
+    assert all(kinds.values()), kinds
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_stability_matches_old_pivot_comparison(field):
+    # the membership test against the comparison of the pivots of I^2 and g*I that it replaced
+    rng = random.Random(71)
+    kinds = dict.fromkeys(("zero", "zero_v", "tie", "random"), 0)
+    verdicts = dict.fromkeys((True, None, "not_regular"), 0)
+    for _ in range(100):
+        ring = IdealizationRing(get_domain(field), rng.randint(1, 3), rng.choice([4, 5, 6, 8, 9, 12, 16]))
+        gens = _random_generators(ring, rng, kinds)
+        if min(g[0].valuation() for g in gens) >= ring.prec // 2:
+            with pytest.raises(NotRegular):
+                is_stable_ideal(ring, gens)
+            verdicts["not_regular"] += 1
+            continue
+        payload = is_stable_ideal(ring, gens).to_payload()
+        assert payload == oracles.pivot_verdict(ring, gens)
+        verdicts[payload["stable"]] += 1
+    assert all(kinds.values()), kinds
+    assert all(verdicts.values()), verdicts
 
 
 # sha256 of the stdout of `idealization check --field F --rank 8 --prec 256 --trials 4

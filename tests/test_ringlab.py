@@ -283,6 +283,13 @@ def test_greither_mu_equals_multiplicity():
         assert greither_check(S)["mu_normalization"] == S.multiplicity
 
 
+def test_greither_from_the_report_matches_the_check():
+    # the sweep reads mu of the normalization and the quadratic test off the report
+    for S in enumerate_semigroups(9):
+        r = stable_ring_report(S)
+        assert ringlab._greither(S, r.max_mu, r.quadratic_over_normalization) == greither_check(S), str(S)
+
+
 def test_minimal_multiplicity_examples():
     assert minimal_multiplicity_check(S345) == {
         "m_stable": True,
