@@ -7,12 +7,15 @@ module of finite rank r >= 1.  The ring V*L is V + L with multiplication
 by the multiplication law, and the quotient by P is V.
 
 Coefficients are plain Python numbers: integers reduced mod p for F_p, and
-exact ints or Fractions for Q.  A series is the tuple of its N coefficients,
-and its class is its coefficient field (``DOMAINS``).  Its one arithmetic
-operation is ``*``, reduced mod p over F_p only, and a coefficient is zero
-exactly when it is falsy.  A ring element (v, l) is the tuple (v, l_1, ...,
-l_r) of its series, which is also its row in V^{1+r}.  ``ring.mul`` is the
-ring product, and it makes each module part v1*l2 + v2*l1 in one pass.
+exact ints or Fractions for Q.  A series is the tuple of the ascending
+(exponent, coefficient) pairs of its nonzero coefficients below N, and its
+class is its coefficient field at precision N (a ``DOMAINS`` entry, which
+each ring subclasses to set N).  Its one arithmetic operation is ``*``.
+Products, elimination, membership, pivot keys and valuations all run over
+the pairs, so their cost follows the nonzeros, not N.  A ring element (v, l)
+is the tuple (v, l_1, ..., l_r) of its series, which is also its row in
+V^{1+r}.  ``ring.mul`` is the ring product, and it makes each module part
+v1*l2 + v2*l1 in one pass.
 
 An ideal is the list of its ring generators, and ``ideal_from_generators``
 returns its one computed form, the pivots of its module span with their
@@ -38,7 +41,7 @@ entry below its own valuation.  So a row lies in the module exactly when
 reducing it against them in pivot order, each column cleared as the
 reduction clears it, leaves zero.
 
-The reduction runs on integer coefficient lists.  A row matters only up to
+The reduction runs on rows of integer pairs.  A row matters only up to
 a unit of V, and a nonzero constant is one, so it is kept small: reduced
 mod p, or divided by the gcd of its coefficients over Q.  With the pivot's
 entry t^v*U and a row's entry t^v*Q in the pivot column, the row becomes
@@ -69,7 +72,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from functools import cache
 from math import gcd, lcm
 
 from .errors import (
@@ -83,12 +86,12 @@ from .errors import (
     UnsupportedField,
 )
 
-# Size caps, checked before anything is allocated.  Each series holds at most
-# PREC_CAP coefficients.  A trial's cost grows about as (1+r)^2 * N (its
-# random series are sparse), so WORK_CAP bounds trials * (1+r)^2 * N.  The
-# costliest admitted checks, whole `idealization check --field Q --seed 1`
-# runs on a shared 2-core Xeon with Python 3.11.7: rank 8, N = 256, 48
-# trials in 0.31 s; rank 1, N = 250, 1,000 trials in 0.39 s.
+# Size caps, checked before anything is allocated.  A series has nonzeros only
+# below PREC_CAP.  WORK_CAP bounds trials * (1+r)^2 * N, but a trial's cost no
+# longer grows with N: the kernel runs over the nonzeros.  The costliest
+# admitted checks, whole `idealization check --field Q --seed 1` runs
+# in-process on a shared 2-core Xeon with Python 3.11.7: rank 8, N = 256,
+# 48 trials in 0.066 s; rank 1, N = 250, 1,000 trials in 0.12 s.
 PREC_CAP = 256
 RANK_CAP = 8
 TRIALS_CAP = 10_000
@@ -114,64 +117,85 @@ def check_caps(rank: int, prec: int, trials: int) -> None:
 
 
 class TruncatedSeries(tuple):
-    """A power series modulo t^N: the tuple of its N exact coefficients.
+    """A power series modulo t^n: the (exponent, coefficient) pairs of its nonzero coefficients.
 
+    The pairs ascend by exponent, every exponent lies below n, and no
+    coefficient is zero; over F_p each coefficient is reduced mod p.  So a
+    series has one form, and equality and hashing are those of the tuple.
     The coefficient field is the class: each ``DOMAINS`` entry is a subclass
-    that sets ``p``, the characteristic of F_p, or None over Q.  ``*`` is the
-    one series operation, and a series is zero exactly when no coefficient
-    is truthy.
+    that sets ``p``, the characteristic of F_p, or None over Q, and a ring
+    subclasses it once more to set ``n``.  ``*`` is the one series operation,
+    and a series is zero exactly when it is empty.
     """
 
     __slots__ = ()
     p: int | None
+    n: int
 
     @classmethod
-    def reduced(cls, coeffs) -> "TruncatedSeries":
-        """The series of these coefficients, reduced mod p over F_p only."""
+    def reduced(cls, pairs) -> "TruncatedSeries":
+        """The series of these ascending (exponent, coefficient) pairs, reduced mod p over F_p, zeros dropped."""
         p = cls.p
-        return cls([c % p for c in coeffs] if p else coeffs)
+        return cls([(e, c % p) for e, c in pairs if c % p] if p else [ec for ec in pairs if ec[1]])
+
+    @classmethod
+    def _mul_add(cls, a, x, b=(), y=()) -> "TruncatedSeries":
+        """a*x + b*y modulo t^n, over the pairs of the operands; reduced mod p over F_p, zeros dropped."""
+        n, out = cls.n, {}
+        for f, g in ((a, x), (b, y)):
+            for i, c in f:
+                for j, e in g:
+                    k = i + j
+                    if k >= n:
+                        break
+                    out[k] = out[k] + c * e if k in out else c * e
+        return cls.reduced(sorted(out.items()))
 
     @classmethod
     def _primitive(cls, row) -> list:
-        """A unit multiple of an integer row: reduced mod p, or over Q divided by its content."""
+        """A unit multiple of an integer row: over Q divided by its content; over F_p, reduced already, itself."""
         if cls.p:
-            p = cls.p
-            return [[x % p for x in s] for s in row]
-        g = gcd(*(gcd(*s) for s in row))
-        return [[x // g for x in s] for s in row] if g > 1 else row
+            return row
+        g = gcd(*[c for s in row for _, c in s])
+        return [[(e, c // g) for e, c in s] for s in row] if g > 1 else row
 
     @classmethod
     def rand(cls, rng: random.Random):
-        return rng.randrange(cls.p) if cls.p else rng.randint(-3, 3)
+        return rng.randrange(cls.p) if cls.p else rng.randrange(-3, 4)
 
     @classmethod
     def rand_nonzero(cls, rng: random.Random):
         return rng.randrange(1, cls.p) if cls.p else rng.choice([-3, -2, -1, 1, 2, 3])
 
     def valuation(self) -> int:
-        """Least index of a nonzero coefficient; N when zero at precision."""
-        return next(compress(range(len(self)), self), len(self))
+        """Least exponent of a nonzero coefficient; n when zero at precision."""
+        return self[0][0] if self else self.n
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self.reduced(_mul_add(self, other))
+        return self._mul_add(self, other)
 
     def unit_inverse(self) -> "TruncatedSeries":
         """Inverse of a unit (valuation 0): w_0 = 1/u_0, w_k = -w_0 * sum_{i>=1} u_i*w_(k-i)."""
         if self.valuation() != 0:
             raise ValueError("only units (valuation 0) are invertible")
-        p, n = self.p, len(self)
-        terms = [(i, self[i]) for i in compress(range(1, n), self[1:])]
-        w = [pow(self[0], p - 2, p) if p else 1 / Fraction(self[0])]
-        for k in range(1, n):
-            x = -w[0] * sum(c * w[k - i] for i, c in terms if i <= k)
+        p, u0 = self.p, self[0][1]
+        w = [pow(u0, p - 2, p) if p else 1 / Fraction(u0)]
+        for k in range(1, self.n):
+            x = -w[0] * sum(c * w[k - i] for i, c in self[1:] if i <= k)
             w.append(x % p if p else x)
-        return type(self)(w)
+        return self.reduced(enumerate(w))
 
 
 DOMAINS = {
     name: type(name, (TruncatedSeries,), {"__slots__": (), "p": p})
     for name, p in (("F2", 2), ("F3", 3), ("F5", 5), ("Q", None))
 }
+
+
+@cache
+def _at_precision(field: type[TruncatedSeries], n: int) -> type[TruncatedSeries]:
+    """The class of series over this field modulo t^n."""
+    return type(field.__name__, (field,), {"__slots__": (), "n": n})
 
 
 def get_domain(name: str) -> type[TruncatedSeries]:
@@ -188,16 +212,19 @@ class IdealizationRing:
     """The ring V*L at fixed rank and precision.
 
     An element (v, l) is the tuple (v, l_1, ..., l_r) of its series, which
-    is also its row in V^{1+r}; ``mul`` is the ring product.
+    is also its row in V^{1+r}; ``mul`` is the ring product.  ``domain`` is
+    the field's series class at this precision, which the ring builds.
     """
 
     domain: type[TruncatedSeries]
     rank: int
     prec: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "domain", _at_precision(self.domain, self.prec))
+
     def series(self, coeffs) -> TruncatedSeries:
-        cs = list(coeffs[: self.prec])
-        return self.domain.reduced(cs + [0] * (self.prec - len(cs)))
+        return self.domain.reduced(enumerate(coeffs[: self.prec]))
 
     def element(self, v_coeffs, ell_coeffs=None) -> tuple:
         ell = ell_coeffs or [[] for _ in range(self.rank)]
@@ -221,13 +248,13 @@ class IdealizationRing:
     def mul(self, x: tuple, y: tuple) -> tuple:
         """(v1,l1)(v2,l2) = (v1*v2, v1*l2 + v2*l1), each module part in one pass."""
         a, b = x[0], y[0]
-        reduced = self.domain.reduced
-        return (a * b, *(reduced(_mul_add(a, lb, b, la)) for la, lb in zip(x[1:], y[1:])))
+        mul_add = self.domain._mul_add
+        return (a * b, *(mul_add(a, lb, b, la) for la, lb in zip(x[1:], y[1:])))
 
 
 def _is_zero(x: tuple) -> bool:
-    """Is every coefficient of the element x zero?"""
-    return not any(chain(*x))
+    """Is every series of the element x zero?"""
+    return not any(x)
 
 
 def make_ring(field: str, r: int, N: int) -> IdealizationRing:
@@ -256,20 +283,15 @@ def make_ring(field: str, r: int, N: int) -> IdealizationRing:
 
 
 def _random_series(ring: IdealizationRing, rng: random.Random, val_range=(0, 4)) -> TruncatedSeries:
-    d = ring.domain
-    v = rng.randint(*val_range)
-    coeffs = [0] * ring.prec
-    if v < ring.prec:
-        coeffs[v] = d.rand_nonzero(rng)
-        for i in range(v + 1, min(v + 4, ring.prec)):
-            coeffs[i] = d.rand(rng)
-    return d.reduced(coeffs)
+    d, v = ring.domain, rng.randrange(val_range[0], val_range[1] + 1)
+    top = min(v + 4, ring.prec)
+    return d.reduced([(v, d.rand_nonzero(rng))] + [(i, d.rand(rng)) for i in range(v + 1, top)] if v < top else [])
 
 
 def _random_element(ring: IdealizationRing, rng: random.Random, regular: bool) -> tuple:
     val_range = (0, min(2, ring.prec // 2 - 1)) if regular else (0, 4)
     v = _random_series(ring, rng, val_range)
-    zero = ring.series([])
+    zero = ring.domain()
     ell = (_random_series(ring, rng) if rng.random() < 0.8 else zero for _ in range(ring.rank))
     return (v, *ell)
 
@@ -282,53 +304,32 @@ def _random_p_element(ring: IdealizationRing, rng: random.Random) -> tuple:
 # --- module reduction -------------------------------------------------------
 
 
-def _mul_add(a, x, b=(), y=()) -> list:
-    """a*x + b*y modulo t^len(x), on coefficient lists no longer than x."""
-    n = len(x)
-    out = [0] * n
-    for f, g in ((a, x), (b, y)):
-        terms = [(j, g[j]) for j in compress(range(n), g)]
-        if terms:
-            for i in compress(range(n), f):
-                c = f[i]
-                for j, e in terms:
-                    if i + j >= n:
-                        break
-                    out[i + j] += c * e
-    return out
-
-
 def _row_key(row, n: int) -> tuple[int, int]:
     """(valuation, column) of the minimal-valuation entry; (n, len) for zero."""
     v, col = n, len(row)
     for c, s in enumerate(row):
-        i = next(compress(range(v), s), v)
-        if i < v:
-            v, col = i, c
+        if s and s[0][0] < v:
+            v, col = s[0][0], c
     return v, col
 
 
-def _integer_row(row) -> list:
+def _integer_row(row):
     """A nonzero constant multiple of a row of series over Q, with integer entries."""
-    if {int}.issuperset(map(type, chain(*row))):
-        return [list(s) for s in row]
-    den = lcm(*(x.denominator for x in chain(*row)))
-    return [[x.numerator * (den // x.denominator) for x in s] for s in row]
+    if {type(c) for s in row for _, c in s} <= {int}:
+        return row
+    den = lcm(*(c.denominator for s in row for _, c in s))
+    return [[(e, c.numerator * (den // c.denominator)) for e, c in s] for s in row]
 
 
-def _eliminate(row, u, q, pivot, col: int) -> list:
-    """u*row - q*pivot, for a pivot whose entry in column col is t^v*u.
+def _eliminate(d: type[TruncatedSeries], row, u, pivot, col: int, v: int) -> list:
+    """u*row - q*pivot, for the pivot's entry t^v*u and the row's entry t^v*q in column col.
 
-    q is the entry of row in column col divided by t^v.  Neither row has a
-    coefficient below t^v, so u*q*t^v - q*u*t^v clears that entry and every
-    other entry is t^v times (u*s - q*p) for the entries' parts s and p
-    above t^v.
+    Neither entry has a coefficient below t^v, so that clears column col;
+    every other entry s of the row becomes u*s - q*p for the pivot's entry p.
     """
-    q = [-c for c in q]
-    return [
-        [0] * len(s) if c == col else _mul_add(u, s, q, p) if any(s) or any(p) else s
-        for c, (s, p) in enumerate(zip(row, pivot))
-    ]
+    q = [(e - v, -c) for e, c in row[col]]
+    mul_add = d._mul_add
+    return [() if c == col else mul_add(u, s, q, p) if s or p else s for c, (s, p) in enumerate(zip(row, pivot))]
 
 
 class Pivots(tuple):
@@ -359,17 +360,16 @@ def reduce_rows(ring: IdealizationRing, rows) -> Pivots:
         key = _row_key(row, n)
         if key[0] < n:
             work.append((key, row))
-    pivots: list[tuple[int, int]] = []
-    pivot_rows = []
+    pivots, pivot_rows = [], []
     while work:
-        idx = min(range(len(work)), key=lambda i: work[i][0])
+        keys = [key for key, _ in work]
+        idx = keys.index(min(keys))
         (v, col), pivot = work.pop(idx)
-        u = pivot[col][v:]
+        u = [(e - v, c) for e, c in pivot[col]]
         remaining = []
         for key, row in work:
-            q = row[col][v:]
-            if any(q):
-                row = d._primitive(_eliminate(row, u, q, pivot, col))
+            if row[col]:
+                row = d._primitive(_eliminate(d, row, u, pivot, col, v))
                 key = _row_key(row, n)
                 if key[0] == n:
                     continue
@@ -391,11 +391,10 @@ def _in_module(ring: IdealizationRing, pivots: Pivots, row) -> bool:
     row = row if d.p else _integer_row(row)
     for (col, v), pivot in zip(pivots, pivots.rows):
         s = row[col]
-        if any(s[:v]):
-            return False
-        q = s[v:]
-        if any(q):
-            row = d._primitive(_eliminate(row, pivot[col][v:], q, pivot, col))
+        if s:
+            if s[0][0] < v:
+                return False
+            row = d._primitive(_eliminate(d, row, [(e - v, c) for e, c in pivot[col]], pivot, col, v))
     return _is_zero(row)
 
 
@@ -413,7 +412,8 @@ def ideal_from_generators(ring: IdealizationRing, gens) -> Pivots:
     if not gens:
         raise EmptyInput("need at least one ideal generator")
     a = min(g[0].valuation() for g in gens)
-    zero, t_a = ring.series([]), ring.series([0] * a + [1])
+    d = ring.domain
+    zero, t_a = d(), d([(a, 1)] if a < ring.prec else [])
     # first, so that a tie on the pivot key picks a row with one nonzero entry
     rows = [(zero,) * k + (t_a,) + (zero,) * (ring.rank - k) for k in range(1, ring.rank + 1)]
     return reduce_rows(ring, rows + gens)

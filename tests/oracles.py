@@ -18,6 +18,13 @@ object with ``builders.ideal_sum`` and reads its generator count, where
 is min(I) plus the one before, since (n+2)I = (n+1)I + I = min(I) + (n+1)I
 makes every later power a translate too.
 
+The idealization series: the oracles compute on dense series, the tuples
+of all N coefficients, where ``stablerings.idealization`` keeps only the
+(exponent, coefficient) pairs of the nonzero ones.  ``dense`` reads a
+kernel series into that form, and each oracle takes and returns kernel
+series, converting at its edges, so the kernel and the oracles can be
+compared and mixed.
+
 The idealization product: ``ring_product`` is (v1*v2, v1*l2 + v2*l1) by
 ``series_product``, which writes out the convolution, and coefficient-wise
 sums, where ``stablerings.idealization`` builds each part with its kernel
@@ -30,7 +37,7 @@ The idealization length: ``k_dimension`` counts the k-dimension of a
 V-span by Gaussian elimination over k, where ``stablerings.idealization``
 reads it off the pivots.
 
-The idealization row reduction: ``reduce_rows`` is the series-based
+The idealization row reduction: ``reduce_rows`` is the dense-series
 elimination that makes each pivot monic with its series inverse and clears
 the other rows with exact coefficients, giving the canonical basis;
 ``contains_row`` decides membership by reduction against its pivots.
@@ -65,6 +72,7 @@ system, with inverses and negatives found by searching the field, where
 ``stablerings.quadalg`` looks x*y + c*y up in the set span{1, x}.
 """
 
+from fractions import Fraction
 from math import gcd
 from operator import add, sub
 
@@ -210,15 +218,15 @@ def is_stable_via_search(S: NumericalSemigroup, gens) -> bool:
 def k_dimension(rows, p=None) -> int:
     """Dimension over k of the V-span of module rows, inside k^{(1+r)N}.
 
-    Each row is a tuple of 1+r coefficient tuples of length N, over F_p or,
-    when p is None, integers standing for elements of Q.  The span is
+    Each row is a tuple of 1+r series, over F_p or, when p is None, with
+    integer coefficients standing for elements of Q.  The span is
     spanned by the shifts t^s * row for s < N, flattened to vectors and
     eliminated over k without division: a vector becomes a*vec - c*prow for
     the pivot entry a and the vector's entry c, then is reduced mod p or
     divided by the gcd of its entries.
     """
     vectors = []
-    for row in rows:
+    for row in map(_dense_row, rows):
         n = len(row[0])
         for shift in range(n):
             vec = [c for coeffs in row for c in ((0,) * shift + coeffs)[:n]]
@@ -241,11 +249,62 @@ def k_dimension(rows, p=None) -> int:
     return len(pivot_rows)
 
 
+def dense(s: TruncatedSeries) -> tuple:
+    """The N coefficients of a kernel series, zeros included."""
+    out = [0] * type(s).n
+    for e, c in s:
+        out[e] = c
+    return tuple(out)
+
+
+def _dense_row(row) -> list:
+    return [dense(s) for s in row]
+
+
+def _sparse(cls: type[TruncatedSeries], coeffs) -> TruncatedSeries:
+    """The kernel series of these N coefficients, reduced mod p over F_p."""
+    p = cls.p
+    return cls((e, c % p if p else c) for e, c in enumerate(coeffs) if (c % p if p else c))
+
+
+def _sparse_row(cls, row) -> tuple:
+    return tuple(_sparse(cls, s) for s in row)
+
+
+def _valuation(s: tuple) -> int:
+    """Least index of a nonzero coefficient of a dense series; N when zero."""
+    return next((i for i, c in enumerate(s) if c), len(s))
+
+
+def _convolve(a: tuple, b: tuple, p=None) -> tuple:
+    """The coefficients sum_{i+j=k} a_i*b_j for k < len(a), reduced mod p when p is given."""
+    n = len(a)
+    out = [0] * n
+    for j in (j for j in range(n) if b[j]):
+        for i in (i for i in range(n - j) if a[i]):
+            out[i + j] += a[i] * b[j]
+    return tuple(c % p for c in out) if p else tuple(out)
+
+
+def _dense_op(op, s: tuple, u: tuple, p=None) -> tuple:
+    """op(s_k, u_k) for each k, reduced mod p when p is given."""
+    cs = map(op, s, u)
+    return tuple(c % p for c in cs) if p else tuple(cs)
+
+
+def _inverse(u: tuple, p=None) -> tuple:
+    """The inverse of a dense unit: w_0 = 1/u_0, then w_k from sum_{i<=k} u_i*w_(k-i) = 0."""
+    w = [pow(u[0], p - 2, p) if p else 1 / Fraction(u[0])]
+    terms = [i for i in range(1, len(u)) if u[i]]
+    for k in range(1, len(u)):
+        x = -w[0] * sum(u[i] * w[k - i] for i in terms if i <= k)
+        w.append(x % p if p else x)
+    return tuple(w)
+
+
 def _coefficientwise(op, s: TruncatedSeries, u: TruncatedSeries) -> TruncatedSeries:
     """The series of op(s_k, u_k), reduced mod p over F_p."""
-    p = type(s).p
-    cs = map(op, s, u)
-    return type(s)([c % p for c in cs] if p else cs)
+    return _sparse(type(s), _dense_op(op, dense(s), dense(u), type(s).p))
 
 
 def row_add(x, y) -> tuple:
@@ -258,30 +317,30 @@ def row_sub(x, y) -> tuple:
     return tuple(_coefficientwise(sub, s, u) for s, u in zip(x, y))
 
 
-def _shift_down(s: TruncatedSeries, k: int) -> TruncatedSeries:
-    """Divide by t^k; requires valuation >= k for exactness."""
-    return type(s)(s[k:] + (0,) * k)
+def _shift_down(s: tuple, k: int) -> tuple:
+    """Divide a dense series by t^k; requires valuation >= k for exactness."""
+    return s[k:] + (0,) * k
 
 
 def _row_min(row) -> tuple[int, int]:
-    """(valuation, column) of the minimal-valuation entry of a row."""
+    """(valuation, column) of the minimal-valuation entry of a dense row."""
     best_v, best_c = len(row[0]), len(row)
     for c, s in enumerate(row):
-        v = s.valuation()
+        v = _valuation(s)
         if v < best_v:
             best_v, best_c = v, c
     return best_v, best_c
 
 
 def reduce_rows(ring, rows) -> tuple[tuple, tuple]:
-    """Canonical valuation-pivot echelon form, on series rows.
+    """Canonical valuation-pivot echelon form, on dense series rows.
 
     Pivots are chosen by minimal (valuation, column), ties to the earliest
     row, made monic by their series inverse and cleared from every other
-    row, work and result alike.
+    row, work and result alike.  The basis comes back as kernel rows.
     """
-    n = ring.prec
-    work = [list(r) for r in rows if any(map(any, r))]
+    n, p = ring.prec, ring.domain.p
+    work = [r for r in map(_dense_row, rows) if any(map(any, r))]
     result = []
     pivots = []
     while work:
@@ -294,28 +353,28 @@ def reduce_rows(ring, rows) -> tuple[tuple, tuple]:
             break
         v, col, idx = best
         pivot = work.pop(idx)
-        unit = _shift_down(pivot[col], v).unit_inverse()
-        pivot = [s * unit for s in pivot]
+        unit = _inverse(_shift_down(pivot[col], v), p)
+        pivot = [_convolve(s, unit, p) for s in pivot]
         for row in work + result:
             q = _shift_down(row[col], v)
             if any(q):
                 for c in range(len(row)):
-                    row[c] = _coefficientwise(sub, row[c], q * pivot[c])
+                    row[c] = _dense_op(sub, row[c], _convolve(q, pivot[c], p), p)
         work = [r for r in work if any(map(any, r))]
         result.append(pivot)
         pivots.append((col, v))
-    return tuple(tuple(r) for r in result), tuple(pivots)
+    return tuple(_sparse_row(ring.domain, r) for r in result), tuple(pivots)
 
 
 def contains_row(basis, pivots, row) -> bool:
-    """Membership of a module row, by reduction against the pivots in order."""
-    row = list(row)
-    for (col, v), prow in zip(pivots, basis):
+    """Membership of a module row, by reduction against the pivots in order, on dense series."""
+    p = type(row[0]).p
+    row = _dense_row(row)
+    for (col, v), prow in zip(pivots, map(_dense_row, basis)):
         e = row[col]
-        if e.valuation() >= v:
+        if _valuation(e) >= v:
             q = _shift_down(e, v)
-            for c in range(len(row)):
-                row[c] = _coefficientwise(sub, row[c], q * prow[c])
+            row = [_dense_op(sub, s, _convolve(q, ps, p), p) for s, ps in zip(row, prow)]
     return not any(map(any, row))
 
 
@@ -344,27 +403,25 @@ def margin_signature(ring, elements, margin: int):
     if any(v >= margin for _, v in pivots):
         return None
     return tuple(
-        (col, v, tuple(s[:margin] for s in row)) for (col, v), row in zip(pivots, basis)
+        (col, v, tuple(dense(s)[:margin] for s in row)) for (col, v), row in zip(pivots, basis)
     )
 
 
-def series_product(a, b, p=None) -> tuple:
-    """The coefficients sum_{i+j=k} a_i*b_j for k < len(a), reduced mod p when p is given."""
-    n = len(a)
-    out = [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n)]
-    return tuple(c % p for c in out) if p else tuple(out)
+def series_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """a*b by the written-out convolution of the dense series."""
+    return _sparse(type(a), _convolve(dense(a), dense(b), type(a).p))
 
 
 def ring_product(a, b) -> tuple:
-    """(v1*v2, v1*l2 + v2*l1) from the definition, by series products and sums."""
-    v1, v2 = a[0], b[0]
-    series, p = type(v1), type(v1).p
-
-    def times(s, u):
-        return series(series_product(s, u, p))
-
-    ell = (_coefficientwise(add, times(v1, lb), times(v2, la)) for la, lb in zip(a[1:], b[1:]))
-    return (times(v1, v2), *ell)
+    """(v1*v2, v1*l2 + v2*l1) from the definition, by dense series products and sums."""
+    series = type(a[0])
+    p = series.p
+    v1, v2 = dense(a[0]), dense(b[0])
+    ell = (
+        _dense_op(add, _convolve(v1, dense(lb), p), _convolve(v2, dense(la), p), p)
+        for la, lb in zip(a[1:], b[1:])
+    )
+    return tuple(_sparse(series, s) for s in (_convolve(v1, v2, p), *ell))
 
 
 def witness_candidates(gens) -> list:

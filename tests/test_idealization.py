@@ -55,7 +55,7 @@ RQ = make_ring("Q", 3, 8)
 def test_series_basic_arithmetic():
     s = R1.series([1, 1])
     assert s.valuation() == 0
-    assert (s * s)[:3] == (1, 0, 1)
+    assert oracles.dense(s * s)[:3] == (1, 0, 1)
     t = R1.series([0, 1])
     assert t.valuation() == 1
     assert (t * t).valuation() == 2
@@ -84,7 +84,7 @@ def test_unit_inverse():
 
 def test_rational_coefficients_are_exact():
     a = RQ.series([Fraction(1, 3), Fraction(2, 7)])
-    b = a * a
+    b = dict(a * a)
     assert b[0] == Fraction(1, 9)
     assert b[1] == Fraction(4, 21)
 
@@ -410,7 +410,7 @@ def test_reduce_rows_matches_series_oracle(field):
         basis, expected = oracles.reduce_rows(ring, rows)
         assert pivots == expected
         fractions += any(
-            isinstance(x, Fraction) for row in rows for s in row for x in s
+            isinstance(x, Fraction) for row in rows for s in row for _, x in s
         )
         t = ring.series([0, 1])
         for probe in (rng.choice(rows), tuple(t * s for s in rng.choice(rows)),
@@ -551,7 +551,6 @@ def _factors(ring, rng):
 def test_fused_product_matches_definition(field):
     # each module part v1*l2 + v2*l1 is one pass of the kernel; the oracle adds two series products
     rng = random.Random(53)
-    p = get_domain(field).p
     for rank in (1, 2, 3):
         for prec in (4, 5, 16):
             ring = make_ring(field, rank, prec)
@@ -559,7 +558,7 @@ def test_fused_product_matches_definition(field):
             for a in xs:
                 for b in xs:
                     assert ring.mul(a, b) == oracles.ring_product(a, b)
-                    assert ring.mul(a, b)[0] == oracles.series_product(a[0], b[0], p)
+                    assert ring.mul(a, b)[0] == oracles.series_product(a[0], b[0])
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -720,3 +719,93 @@ def test_low_precision_check_golden(field, prec, capsys):
     code = cli.main(argv + ["--trials", "40", "--seed", "1", "--json", "--no-timing"])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (digest, code) == LOW_PREC_GOLDEN[field, prec]
+
+
+# sha256 over the stdout and exit code of `idealization check --field F --rank R --prec N
+# --trials T --seed S --json --no-timing`, for F in FIELDS, (R, N, T) in GRID_POINTS and S
+# in (1, 2), in that order, recorded before series became (exponent, coefficient) pairs;
+# the checks at precisions 4, 5 and 9 have inconclusive trials and exit 1
+GRID_POINTS = ((1, 4, 30), (2, 5, 30), (3, 9, 30), (2, 16, 30), (4, 40, 8), (8, 64, 4))
+GRID_GOLDEN = "82a79f68b2bf59d11c113562eb70643ba8bedab8a61f4c883b9d1b169618bd5b"
+
+
+def test_check_grid_golden(capsys):
+    digest = hashlib.sha256()
+    for field in FIELDS:
+        for rank, prec, trials in GRID_POINTS:
+            for seed in (1, 2):
+                argv = ["idealization", "check", "--field", field, "--rank", str(rank), "--prec", str(prec)]
+                code = cli.main(argv + ["--trials", str(trials), "--seed", str(seed), "--json", "--no-timing"])
+                digest.update(capsys.readouterr().out.encode() + f"exit {code}\n".encode())
+    assert digest.hexdigest() == GRID_GOLDEN
+
+
+def _is_canonical(ring, s):
+    """Is s a series of the ring in the kernel's one form: ascending exponents below N,
+    no zero coefficient, and over F_p each coefficient reduced mod p?"""
+    exps = [e for e, _ in s]
+    p = ring.domain.p
+    return (
+        type(s) is ring.domain
+        and exps == sorted(set(exps))
+        and all(0 <= e < ring.prec for e in exps)
+        and all(0 < c < p if p else c != 0 for _, c in s)
+    )
+
+
+def _drawn_series(ring, data):
+    """A series of one of five kinds: zero, random, one with a nonzero coefficient at t^(N-1),
+    one built from coefficients that are multiples of p or out of range, and a power of t
+    times the inverse of a unit, whose coefficients over Q are Fractions."""
+    n, p = ring.prec, ring.domain.p
+    kind = data.draw(st.sampled_from(["zero", "random", "top", "unreduced", "inverse"]))
+    coeffs = [0] * n
+    if kind == "zero":
+        return ring.series([]), kind
+    if kind == "inverse":
+        lead = data.draw(st.sampled_from([2, -3, 5] if p is None else range(1, p)))
+        unit = ring.series([lead] + data.draw(st.lists(st.integers(-3, 3), max_size=3)))
+        shift = data.draw(st.integers(0, n - 1))
+        return ring.series([0] * shift + [1]) * unit.unit_inverse(), kind
+    terms = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(-3, 3), max_size=4))
+    for e, c in terms.items():
+        coeffs[e] = c
+    if kind == "top":
+        coeffs[n - 1] = data.draw(st.sampled_from([1, -1, 2]))
+    elif kind == "unreduced":
+        coeffs[data.draw(st.integers(0, n - 1))] = (p or 7) * data.draw(st.integers(-2, 2))
+        coeffs[data.draw(st.integers(0, n - 1))] = (p or 7) + 1
+    return ring.series(coeffs), kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(1, 4), st.integers(4, 64), st.data())
+def test_sparse_kernel_matches_dense_oracles(field, rank, prec, data):
+    # the pair-form kernel against the dense oracles: canonical form, products that overflow
+    # t^(N-1), inverses, and the pivots and membership of the rows and their products
+    ring = IdealizationRing(get_domain(field), rank, prec)
+    t = ring.series([0, 1])
+    top = ring.series([0] * (prec - 1) + [1])
+    assert t.valuation() == 1 and top.valuation() == prec - 1 and not t * top
+    xs = [tuple(_drawn_series(ring, data)[0] for _ in range(1 + rank)) for _ in range(3)]
+    xs.append(ring.element([1]))
+    for s in (t, top, *(s for x in xs for s in x)):
+        assert _is_canonical(ring, s)
+        assert oracles.dense(s) == tuple(dict(s).get(e, 0) for e in range(prec))
+        if s.valuation() == 0:
+            assert s * s.unit_inverse() == ring.series([1])
+    products = []
+    for x in xs:
+        for y in xs:
+            product = ring.mul(x, y)
+            assert all(_is_canonical(ring, s) for s in product)
+            assert product == oracles.ring_product(x, y)
+            assert x[0] * y[0] == oracles.series_product(x[0], y[0])
+            products.append(product)
+    rows = xs + products[: data.draw(st.integers(0, len(products)))]
+    pivots = reduce_rows(ring, rows)
+    basis, expected = oracles.reduce_rows(ring, rows)
+    assert pivots == expected
+    extra = tuple(_drawn_series(ring, data)[0] for _ in range(1 + rank))
+    for probe in (ring.element([]), rows[-1], tuple(t * s for s in rows[0]), extra, oracles.row_add(rows[0], extra)):
+        assert _in_module(ring, pivots, probe) == oracles.contains_row(basis, expected, probe)
