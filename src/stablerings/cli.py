@@ -137,7 +137,8 @@ def _sg_report(args):
 def _sg_two_gen(args):
     ringlab.check_n_max(args.n_max)
     S, name = _semigroup(args)
-    return "sg two-gen", name, {"semigroup": name, **ringlab.two_generator_check(S, args.n_max)}, 0
+    two = ringlab.two_generator_check(S, args.n_max, ringlab.max_ideal_chain(S))
+    return "sg two-gen", name, {"semigroup": name, **two}, 0
 
 
 def _sweep(args):

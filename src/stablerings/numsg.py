@@ -25,9 +25,9 @@ from math import gcd
 
 from .errors import CapExceeded, EmptyInput, GcdNotOne
 
-# a whole `sweep --max-genus 20` run at 2 jobs takes 9.5-9.6 s on a 2-core 2.1 GHz
-# Xeon with Python 3.11.7, and 25 s with `--sally-genus-cap 14 --n-max 32`,
-# inside the 120 s ceiling; `sg report 7,8`, of genus 21, stays refused
+# a whole `sweep --max-genus 20` run at 2 jobs takes 10.6 s on a shared 2-core
+# 2.1 GHz Xeon with Python 3.11.7, and 28-32 s with `--sally-genus-cap 14
+# --n-max 32`, inside the 120 s ceiling; `sg report 7,8`, of genus 21, stays refused
 ENUMERATION_GENUS_CAP = 20
 WINDOW_CAP = 1 << 20
 GENERATOR_CAP = 256

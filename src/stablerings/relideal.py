@@ -20,7 +20,8 @@ chain of hole masks, ``_power_chain``, which takes bare masks, so a caller
 that walks many ideals builds no ideal object.  Stability I+I = min(I)+I is
 the chain repeating at 2I: at monomial level min(I+I) = 2 min(I), which
 pins the translation amount.  The normalized ideals are generated gap by
-gap as bare hole masks, ``_normalized_holes``, never filtered.  The ring
+gap, never filtered, and ``enumerate_normalized_ideals`` returns them as
+bare hole masks, the one form the sweep's Sally pass reads.  The ring
 report's census lists none of them.  It reads the count and the stable
 count off those of the tree parent S + {F(S)}, whose gap poset is S's
 without the maximal gap F(S): an ideal holds F(S) and is the parent's plus
@@ -174,19 +175,11 @@ def _power_chain(S: NumericalSemigroup, holes: int, gens: int, k: int):
         holes = power
 
 
-def enumerate_normalized_ideals(S: NumericalSemigroup) -> list[RelativeIdeal]:
-    """Every relative ideal I with min(I) = 0 and I inside the integers >= 0.
+def enumerate_normalized_ideals(S: NumericalSemigroup) -> list[int]:
+    """The hole masks of the normalized ideals of S: every relative ideal I with min(I) = 0.
 
-    These are exactly the S-modules between S and its normalization, in the
-    order of ``_normalized_holes``.
-    """
-    return [RelativeIdeal(S, 0, holes) for holes in _normalized_holes(S)]
-
-
-def _normalized_holes(S: NumericalSemigroup) -> list[int]:
-    """The hole masks of the normalized ideals of S.
-
-    Each misses a subset H of the gaps of S such that the members, shifted
+    These are exactly the S-modules between S and its normalization.  Each
+    misses a subset H of the gaps of S such that the members, shifted
     by any minimal generator of S, never land in H.  There are at most
     2^genus of them, and only the valid ones are generated, gap by gap from
     the largest down: a gap a may join the added set only after every gap

@@ -7,19 +7,23 @@ against the normalization, stability of every normalized module between S
 and its normalization, the Bass verdict (multiplicity at most 2), and the
 two-generated-power and minimal-multiplicity equivalences.
 
-The census of the normalized ideals lists none of them: the count and the
-stable count come from ``relideal._census_counts``, by a recurrence along
-the semigroup tree (the sweep passes in the pair its memo pass derived from
-the parent), and the largest mu is mu of the normalization, the one
-``greither_check`` reports.  The powers of M are one chain,
-``_max_ideal_chain``: the hole masks of ``relideal._power_chain`` below the
-conductor, through the first repeat.  The two-generated-power test counts
-the generators of M^2 ... M^n_max with ``relideal._generator_mask``, the
-minimal-multiplicity test asks whether the chain repeats at 2M, and the
-multiplicity reader takes its three Hilbert-function probes, each a power
-of M against the gap mask of S, off the same chain, which the sweep builds
-once per semigroup.  The Sally check runs on S and a bare hole mask, so the
-sweep's per-ideal pass builds no ideal object.
+Each check has one form, the one the sweep runs, and it takes masks, not
+ideal objects.  The census of the normalized ideals lists none of them: the
+count and the stable count come from ``relideal._census_counts``, by a
+recurrence along the semigroup tree (the sweep passes in the pair its memo
+pass derived from the parent), and the largest mu is mu of the
+normalization, which ``greither_check`` reads off the report with the
+quadratic test.  The powers of M are one chain, ``max_ideal_chain``: the
+hole masks of ``relideal._power_chain`` below the conductor, through the
+first repeat.  ``two_generator_check`` counts the generators of M^2 ...
+M^n_max with ``relideal._generator_mask``, ``minimal_multiplicity_check``
+asks whether the chain repeats at 2M, and ``multiplicity_via_hilbert``
+takes its three Hilbert-function probes, each a power of M against the gap
+mask of S, off the same chain; the caller builds it once per semigroup and
+passes it to all three.  ``sally_check`` runs on S and a bare hole mask,
+so the sweep's per-ideal pass builds no ideal object.  The power range
+``n_max`` is checked by ``check_n_max`` where it enters, in the sweep and
+the CLI, not by the checks.
 
 Quadratic test note: the extension test only needs pairs of gaps of S.  If
 x is a member of S then x + y always lies in y + S, and symmetrically for y.
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 
 from .errors import CapExceeded, NotStabilized
 from .numsg import NumericalSemigroup
-from .relideal import (  # private per-mask helpers: public calls stay per semigroup or ideal
+from .relideal import (
     RelativeIdeal,
     _census_counts,
     _generator_mask,
@@ -54,18 +58,7 @@ def _hilbert_length(S: NumericalSemigroup, n: int, holes: int) -> int:
     return x - S.genus + gaps_from_x.bit_count() + (holes & ~gaps_from_x).bit_count()
 
 
-def multiplicity_via_hilbert(S: NumericalSemigroup) -> int:
-    """Recover the multiplicity as the stabilized Hilbert difference.
-
-    Probes n up to 2*conductor + 4 and requires the last two differences in
-    the window to agree; the window provably reaches the linear regime
-    (n*multiplicity >= conductor there), and anchoring at the end is immune
-    to accidental early plateaus.
-    """
-    return _hilbert_multiplicity(S, _max_ideal_chain(S))
-
-
-def _max_ideal_chain(S: NumericalSemigroup) -> list[int]:
+def max_ideal_chain(S: NumericalSemigroup) -> list[int]:
     """The hole masks of M, 2M, ... through the first repeat: every power of M that a check reads.
 
     M's generator offsets hold 0, so each mask lies inside the one before
@@ -77,7 +70,14 @@ def _max_ideal_chain(S: NumericalSemigroup) -> list[int]:
     return list(_power_chain(S, M.holes, M.generator_mask, 2 * S.conductor + 5))
 
 
-def _hilbert_multiplicity(S: NumericalSemigroup, chain: list[int]) -> int:
+def multiplicity_via_hilbert(S: NumericalSemigroup, chain: list[int]) -> int:
+    """Recover the multiplicity as the stabilized Hilbert difference, off ``max_ideal_chain(S)``.
+
+    Probes n up to 2*conductor + 4 and requires the last two differences in
+    the window to agree; the window provably reaches the linear regime
+    (n*multiplicity >= conductor there), and anchoring at the end is immune
+    to accidental early plateaus.
+    """
     top = 2 * S.conductor + 4
     h_prev, h_top, h_last = (
         _hilbert_length(S, n, chain[min(n, len(chain)) - 1]) for n in (top - 1, top, top + 1)
@@ -171,17 +171,12 @@ def _power_two_generated(S: NumericalSemigroup, powers) -> bool:
     return False
 
 
-def two_generator_check(S: NumericalSemigroup, n_max: int = 8) -> dict:
-    """Does some power M^n (2 <= n <= n_max) drop to two generators?
+def two_generator_check(S: NumericalSemigroup, n_max: int, chain: list[int]) -> dict:
+    """Does some power M^n (2 <= n <= n_max) drop to two generators?  Read off ``max_ideal_chain(S)``.
 
     The biconditional under test: such a power exists iff the multiplicity is
     at most 2.
     """
-    check_n_max(n_max)
-    return _two_generator(S, n_max, _max_ideal_chain(S))
-
-
-def _two_generator(S: NumericalSemigroup, n_max: int, chain: list[int]) -> dict:
     power_two_generated = _power_two_generated(S, chain[1:n_max])
     mult_le_2 = S.multiplicity <= 2
     return {
@@ -191,20 +186,14 @@ def _two_generator(S: NumericalSemigroup, n_max: int, chain: list[int]) -> dict:
     }
 
 
-def sally_check(I: RelativeIdeal, n_max: int = 8) -> dict:
-    """Two-generated power implies two-generated and stable.
+def sally_check(S: NumericalSemigroup, holes: int, n_max: int) -> dict:
+    """Two-generated power implies two-generated and stable, for the ideal of S with this hole mask.
 
     hypothesis: some n-fold sum of I with 2 <= n <= n_max has at most two
     minimal generators.  conclusion: I itself has at most two and is stable.
-    Both sides are translation-invariant, so the verdict is the same for an
-    ideal and any of its integral translates.
+    Both sides are translation-invariant, so the verdict is the same for
+    every least element of I, and the hole mask is all it reads.
     """
-    check_n_max(n_max)
-    return _sally(I.ambient, I.holes, n_max)
-
-
-def _sally(S: NumericalSemigroup, holes: int, n_max: int) -> dict:
-    """The Sally verdict of the ideal of S with this hole mask, whatever its least element."""
     gens = _generator_mask(S, holes)
     powers = _power_chain(S, holes, gens, n_max)
     next(powers)  # I itself
@@ -218,38 +207,25 @@ def _sally(S: NumericalSemigroup, holes: int, n_max: int) -> dict:
     }
 
 
-def greither_check(S: NumericalSemigroup) -> dict:
+def greither_check(report: StableRingReport) -> dict:
     """Generator count of the normalization as an S-module, vs the Bass verdict.
 
     mu_normalization is mu_S of the full monoid, which equals the
-    multiplicity; agree ties mu <= 2 to the Bass verdict, and the quadratic
-    consequence of two-generation is asserted alongside.
+    multiplicity (the report's ``max_mu``); agree ties mu <= 2 to the Bass
+    verdict, and the quadratic consequence of two-generation is asserted
+    alongside.
     """
-    mu = minimal_generator_count(RelativeIdeal(S, 0, 0))  # min 0, no holes
-    # the verdict reads the quadratic test only when mu <= 2
-    return _greither(S, mu, mu <= 2 and is_monomial_quadratic(S))
-
-
-def _greither(S: NumericalSemigroup, mu: int, quadratic: bool) -> dict:
-    """The Greither verdict from mu of the normalization and the quadratic test.
-
-    The sweep reads both off the semigroup's ring report.
-    """
-    bass = S.multiplicity <= 2
+    mu = report.max_mu
     return {
         "mu_normalization": mu,
-        "bass": bass,
-        "agree": (mu <= 2) == bass,
-        "quadratic_when_two_generated": (mu > 2) or quadratic,
+        "bass": report.is_bass,
+        "agree": (mu <= 2) == report.is_bass,
+        "quadratic_when_two_generated": (mu > 2) or report.quadratic_over_normalization,
     }
 
 
-def minimal_multiplicity_check(S: NumericalSemigroup) -> dict:
-    """Stable maximal ideal forces embedding dimension = multiplicity."""
-    return _minimal_multiplicity(S, _max_ideal_chain(S))
-
-
-def _minimal_multiplicity(S: NumericalSemigroup, chain: list[int]) -> dict:
+def minimal_multiplicity_check(S: NumericalSemigroup, chain: list[int]) -> dict:
+    """Stable maximal ideal forces embedding dimension = multiplicity.  Read off ``max_ideal_chain(S)``."""
     m_stable = chain[1] == chain[0]  # M + M = m + M: the chain repeats at 2M
     edim_eq_mult = S.embedding_dimension == S.multiplicity
     return {

@@ -15,17 +15,20 @@ its blow-up E(M) a smaller genus, so their entries are already there.  S's
 entry costs one top-level step of the census recurrences and a few shifts
 for the gap mask of E(M); the pass builds no semigroup, and it keeps counts
 only for the genus below.  Each task carries S, its counts and its
-sequence, and the workers run only the checks that stay per semigroup: the
-three checks on the powers of M read one chain, the tower's members are
-built only for multiplicity 2 (one semigroup per genus), and the Sally pass
-runs on the bare hole masks of the normalized ideals.  The pool is forked
+sequence, and the workers run only the checks that stay per semigroup,
+each through its one entry point in ``ringlab``: the three checks on the
+powers of M read one chain, ``ringlab.max_ideal_chain``, the tower's
+members are built only for multiplicity 2 (one semigroup per genus), and
+``ringlab.sally_check`` runs on the hole masks that
+``relideal.enumerate_normalized_ideals`` returns.  The pool is forked
 before the pass starts, so the workers do not inherit the memo, and the
 pass feeds the pool lazily, overlapping the workers.
 
 The semigroups stream from the enumeration into the pass, which holds none
-of them.  Results merge in enumeration order as they arrive, so the
-aggregate report is byte-stable regardless of worker count and no record
-outlives its merge.
+of them.  A record holds only what the merge reads: the genus, the
+violations and the Sally counters.  Records merge in enumeration order as
+they arrive, so the aggregate report is byte-stable regardless of worker
+count and no record outlives its merge.
 """
 
 from __future__ import annotations
@@ -38,13 +41,13 @@ from multiprocessing import Pool
 from . import ringlab
 from .errors import CapExceeded
 from .numsg import NumericalSemigroup, enumerate_semigroups
-from .relideal import RelativeIdeal, _blowup_gap_mask, _census_counts, _normalized_holes, blowup_tower
+from .relideal import RelativeIdeal, _blowup_gap_mask, _census_counts, blowup_tower, enumerate_normalized_ideals
 
 SALLY_GENUS_CAP = 8
-# `sweep --max-genus 16 --n-max 32 --sally-genus-cap C` takes 16 s at C = 14
-# and 56 s at C = 15 on a 2-core 2.1 GHz Xeon with Python 3.11.7, and 25 s at
-# C = 14 with `--max-genus 20`; 15 fits the 120 s ceiling too, but 14 leaves
-# room to raise the genus cap
+# `sweep --max-genus 16 --n-max 32 --sally-genus-cap C --jobs 2` takes 22 s at
+# C = 14 and 60 s at C = 15 on a shared 2-core 2.1 GHz Xeon with Python 3.11.7,
+# and 28-32 s at C = 14 with `--max-genus 20`; 15 fits the 120 s ceiling too,
+# but 14 leaves room to raise the genus cap
 SALLY_GENUS_CAP_MAX = 14
 
 
@@ -54,16 +57,17 @@ def _gens_str(S: NumericalSemigroup) -> str:
 
 def analyze_semigroup(
     S: NumericalSemigroup,
-    n_max: int = 8,
-    sally_cap: int = SALLY_GENUS_CAP,
-    counts: tuple[int, int] | None = None,
-    sequence: tuple[int, ...] | None = None,
+    n_max: int,
+    sally_cap: int,
+    counts: tuple[int, int],
+    sequence: tuple[int, ...],
 ) -> dict:
     """Run every per-semigroup check; violations come back verbatim.
 
     ``counts`` and ``sequence`` are S's census counts and the multiplicity
-    sequence of its blow-up tower, from the sweep's memo pass; without them
-    they are derived here.  ``run_sweep`` checks ``n_max``.
+    sequence of its blow-up tower, from the sweep's memo pass.  ``run_sweep``
+    checks ``n_max``.  The record holds what the merge reads: the genus, the
+    violations and, below the Sally cap, the Sally counters.
     """
     name = _gens_str(S)
     violations: dict[str, list[str]] = {}
@@ -84,27 +88,26 @@ def analyze_semigroup(
             f"monomial verdict {report.all_stable} vs multiplicity verdict {report.is_bass}",
         )
 
-    chain = ringlab._max_ideal_chain(S)  # M, 2M, ...: read by the next three checks
-    two = ringlab._two_generator(S, n_max, chain)
+    chain = ringlab.max_ideal_chain(S)  # M, 2M, ...: read by the next three checks
+    two = ringlab.two_generator_check(S, n_max, chain)
     if not two["agree"]:
         flag("two_generator", f"power_two_generated={two['power_two_generated']} mult_le_2={two['mult_le_2']}")
 
-    gre = ringlab._greither(S, report.max_mu, report.quadratic_over_normalization)
+    gre = ringlab.greither_check(report)
     if not gre["agree"] or not gre["quadratic_when_two_generated"]:
         flag("greither", f"{gre}")
 
-    mm = ringlab._minimal_multiplicity(S, chain)
+    mm = ringlab.minimal_multiplicity_check(S, chain)
     if not mm["ok"]:
         flag("minimal_multiplicity", f"{mm}")
 
-    via_hilbert = ringlab._hilbert_multiplicity(S, chain)
+    via_hilbert = ringlab.multiplicity_via_hilbert(S, chain)
     if not (S.multiplicity == via_hilbert == gre["mu_normalization"]):
         flag(
             "multiplicity_triple",
             f"m={S.multiplicity} hilbert={via_hilbert} mu_norm={gre['mu_normalization']}",
         )
 
-    sequence = sequence or blowup_tower(S).multiplicity_sequence
     steps = len(sequence) - 1
     if sequence[-1] != 1:  # only the full monoid has multiplicity 1
         flag("tower", "blow-up tower did not reach the full monoid")
@@ -124,19 +127,13 @@ def analyze_semigroup(
             if cur.members_mask(width) != S.members_mask(width) | m_i:
                 flag("tower", f"S_{i} != S union M_{i}")
 
-    out = {
-        "gens": name,
-        "genus": S.genus,
-        "report": report.to_payload(),
-        "violations": violations,
-    }
-
+    out = {"genus": S.genus, "violations": violations}
     if S.genus <= sally_cap:
-        ideals = _normalized_holes(S)
+        ideals = enumerate_normalized_ideals(S)
         boundary = 0
         principal = S.gap_mask  # S itself, whose only generator is min(I) = 0
         for holes in ideals:
-            res = ringlab._sally(S, holes, n_max)
+            res = ringlab.sally_check(S, holes, n_max)
             if not res["ok"]:
                 flag("sally", f"ideal {RelativeIdeal(S, 0, holes).minimal_generators}: {res}")
             if res["hypothesis"] and holes != principal:

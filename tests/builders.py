@@ -2,15 +2,16 @@
 
 Sample algebras for the quadratic-algebra stack, sums of monomial ideals and
 products of idealization ideals with the powers built from them, translates
-of monomial ideals, semigroups from their gap sets and single values of the
-Hilbert function: the production code reads powers off one chain
-(``stablerings.idealization.hilbert_lengths``,
+of monomial ideals, the normalized ideals as ideal objects, semigroups from
+their gap sets and single values of the Hilbert function: the production
+code reads powers off one chain (``stablerings.idealization.hilbert_lengths``,
 ``stablerings.relideal._power_chain``), never adds two different ideals,
 never needs a single power or a single Hilbert value, never translates an
-ideal, and builds semigroups from generators or member masks.  An
-idealization ideal is the list of its generators, each the row (v, l_1,
-..., l_r) of its series, as in ``stablerings.idealization``, and
-``ideal_product`` is the one product of two such lists in a ring.
+ideal, walks the normalized ideals as bare hole masks, and builds
+semigroups from generators or member masks.  An idealization ideal is the
+list of its generators, each the row (v, l_1, ..., l_r) of its series, as
+in ``stablerings.idealization``, and ``ideal_product`` is the one product
+of two such lists in a ring.
 ``ideal_sum`` is the only raiser of ``AmbientMismatch``, so that error
 lives here too.
 """
@@ -20,7 +21,7 @@ from itertools import product
 from stablerings.errors import NoIdentity, NotAssociative, NotCommutative, StableringsError
 from stablerings.numsg import NumericalSemigroup
 from stablerings.quadalg import StructureAlgebra, algebra_from_table, get_field
-from stablerings.relideal import RelativeIdeal, _offsets, _power_chain, max_ideal
+from stablerings.relideal import RelativeIdeal, _offsets, _power_chain, enumerate_normalized_ideals, max_ideal
 from stablerings.ringlab import _hilbert_length
 
 
@@ -145,6 +146,11 @@ def nfold(I: RelativeIdeal, n: int) -> RelativeIdeal:
 def translate(I: RelativeIdeal, t: int) -> RelativeIdeal:
     """The ideal t + I."""
     return RelativeIdeal(I.ambient, I.min_element + t, I.holes)
+
+
+def normalized_ideals(S: NumericalSemigroup) -> list[RelativeIdeal]:
+    """The normalized ideals of S as ideal objects, in the order of their hole masks."""
+    return [RelativeIdeal(S, 0, holes) for holes in enumerate_normalized_ideals(S)]
 
 
 def from_gaps(gaps) -> NumericalSemigroup:

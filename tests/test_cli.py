@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from stablerings import quadalg
+from stablerings import quadalg, ringlab
 from stablerings.cli import main, parse_generators
 from stablerings.numsg import GENERATOR_CAP
 
@@ -181,6 +181,15 @@ def test_n_max_below_two_is_usage_error(capsys):
         code, _, err = run(capsys, *argv, "--n-max", "1", "--json")
         assert code == 2
         assert "ValueError" in err
+
+
+def test_n_max_is_checked_once_per_two_gen(capsys, monkeypatch):
+    calls = []
+    check = ringlab.check_n_max
+    monkeypatch.setattr(ringlab, "check_n_max", lambda n_max: calls.append(n_max) or check(n_max))
+    code, out, _ = run(capsys, "sg", "two-gen", "3,4,5", "--n-max", "5", "--json", "--no-timing")
+    assert code == 0 and json.loads(out)["result"]["agree"]
+    assert calls == [5]
 
 
 def test_sweep_deterministic_output(capsys):

@@ -5,7 +5,7 @@ import random
 
 import oracles
 import pytest
-from builders import AmbientMismatch, ideal_sum, nfold, translate
+from builders import AmbientMismatch, ideal_sum, nfold, normalized_ideals, translate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +13,7 @@ from stablerings.errors import CapExceeded, EmptyInput
 from stablerings.numsg import ENUMERATION_GENUS_CAP, NAT, enumerate_semigroups, from_generators
 from stablerings.relideal import (
     RelativeIdeal,
+    _blowup_gap_mask,
     _census_counts,
     _generator_mask,
     _offsets,
@@ -89,7 +90,7 @@ def test_end_semigroup_examples():
 
 def test_end_semigroup_contains_ambient():
     for S in enumerate_semigroups(6):
-        for I in enumerate_normalized_ideals(S):
+        for I in normalized_ideals(S):
             E = end_semigroup(I)
             for z in range(S.conductor + 2):
                 if S.contains(z):
@@ -105,7 +106,7 @@ def test_stability_examples():
 
 def test_stability_three_routes_agree():
     for S in enumerate_semigroups(6):
-        for I in enumerate_normalized_ideals(S):
+        for I in normalized_ideals(S):
             a = is_stable(I)
             assert oracles.is_stable_via_endomorphism(S, I.minimal_generators) == a
             assert oracles.is_stable_via_search(S, I.minimal_generators) == a
@@ -125,7 +126,7 @@ def test_far_generators_are_dropped_before_any_mask():
 
 def test_stability_translation_invariant():
     for S in enumerate_semigroups(5):
-        for I in enumerate_normalized_ideals(S):
+        for I in normalized_ideals(S):
             assert is_stable(translate(I, S.conductor)) == is_stable(I)
             assert is_stable(translate(I, -3)) == is_stable(I)
 
@@ -133,7 +134,7 @@ def test_stability_translation_invariant():
 def test_generator_witness_forces_min():
     # if I+I = x+I for any generator x, then x is the least one and I is stable
     for S in enumerate_semigroups(5):
-        for I in enumerate_normalized_ideals(S):
+        for I in normalized_ideals(S):
             K = ideal_sum(I, I)
             for x in I.minimal_generators:
                 if translate(I, x) == K:
@@ -151,7 +152,7 @@ def test_mu_equals_nakayama_count():
     # mu(I) = |I \ (M+I)| with M the maximal ideal
     for S in enumerate_semigroups(6):
         M = max_ideal(S)
-        for I in enumerate_normalized_ideals(S):
+        for I in normalized_ideals(S):
             MI = ideal_sum(M, I)
             lo, width = I.min_element, 3 * (S.conductor + S.frobenius + 2)
             residue = sum(
@@ -190,7 +191,7 @@ def naive_normalized_ideals(S):
 def test_enumerate_normalized_ideals_examples():
     assert len(enumerate_normalized_ideals(NAT)) == 1
     assert len(enumerate_normalized_ideals(from_generators({2, 3}))) == 2
-    got = {I.minimal_generators for I in enumerate_normalized_ideals(S345)}
+    got = {I.minimal_generators for I in normalized_ideals(S345)}
     assert got == {(0,), (0, 1), (0, 2), (0, 1, 2)}
 
 
@@ -198,12 +199,12 @@ def test_enumerate_normalized_ideals_against_oracle():
     for S in enumerate_semigroups(6):
         got = sorted(
             tuple(g for g in I.minimal_generators if g != 0 or False)
-            for I in enumerate_normalized_ideals(S)
+            for I in normalized_ideals(S)
         )
         # compare as member sets: reconstruct gap subsets from the ideals
         got_sets = sorted(
             tuple(z for z in range(S.conductor) if I.contains(z) and not S.contains(z))
-            for I in enumerate_normalized_ideals(S)
+            for I in normalized_ideals(S)
         )
         assert got_sets == naive_normalized_ideals(S)
         assert len(got) <= 2**S.genus
@@ -213,7 +214,7 @@ def test_enumerate_normalized_ideals_matches_filter_in_order():
     # the gap-by-gap generation against the 2^genus filter, order included
     total = 0
     for S in enumerate_semigroups(11):
-        got = [I.holes for I in enumerate_normalized_ideals(S)]
+        got = enumerate_normalized_ideals(S)
         assert got == oracles.normalized_hole_masks(S), str(S)
         total += len(got)
     assert total == 181724
@@ -297,7 +298,7 @@ random_semigroups = (
 @settings(max_examples=150, deadline=None)
 @given(random_semigroups)
 def test_normalized_ideals_closed_random(S):
-    ideals = enumerate_normalized_ideals(S)
+    ideals = normalized_ideals(S)
     full = (1 << S.conductor) - 1
     for I in ideals:
         members = full & ~I.holes
@@ -330,6 +331,13 @@ def test_blowup_tower_cap_reported_not_raised():
     rep = blowup_tower(from_generators({5, 7, 9}), cap=1)
     assert not rep.reached_normalization
     assert len(rep.tower) == 2
+
+
+def test_blowup_gap_mask_is_end_semigroup_of_max_ideal():
+    # the shifted-OR gap mask of E(M) against E(M) built from the generators
+    # of M, semigroup by semigroup: the memo pass and the tower both read it
+    for S in enumerate_semigroups(8):
+        assert _blowup_gap_mask(S) == end_semigroup(max_ideal(S)).gap_mask, str(S)
 
 
 def test_tower_stabilizes_within_genus():

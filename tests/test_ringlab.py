@@ -2,14 +2,12 @@
 
 import oracles
 import pytest
-from builders import hilbert_function, ideal_sum, nfold, translate
+from builders import hilbert_function, ideal_sum, nfold, normalized_ideals, translate
 
-from stablerings import ringlab
-from stablerings.errors import CapExceeded
+from stablerings.errors import CapExceeded, NotStabilized
 from stablerings.numsg import NAT, enumerate_semigroups, from_generators
 from stablerings.relideal import (
     RelativeIdeal,
-    _normalized_holes,
     enumerate_normalized_ideals,
     is_stable,
     make_ideal,
@@ -18,8 +16,10 @@ from stablerings.relideal import (
 )
 from stablerings.ringlab import (
     N_MAX_CAP,
+    check_n_max,
     greither_check,
     is_monomial_quadratic,
+    max_ideal_chain,
     minimal_multiplicity_check,
     multiplicity_via_hilbert,
     sally_check,
@@ -88,11 +88,23 @@ def test_hilbert_tail_matches_explicit_powers():
 
 
 def test_multiplicity_via_hilbert():
-    assert multiplicity_via_hilbert(NAT) == 1
-    assert multiplicity_via_hilbert(S23) == 2
-    assert multiplicity_via_hilbert(S345) == 3
+    assert multiplicity_via_hilbert(NAT, max_ideal_chain(NAT)) == 1
+    assert multiplicity_via_hilbert(S23, max_ideal_chain(S23)) == 2
+    assert multiplicity_via_hilbert(S345, max_ideal_chain(S345)) == 3
     for S in enumerate_semigroups(8):
-        assert multiplicity_via_hilbert(S) == S.multiplicity
+        assert multiplicity_via_hilbert(S, max_ideal_chain(S)) == S.multiplicity
+
+
+def test_multiplicity_via_hilbert_refuses_an_unstabilized_window():
+    # a chain that runs to the last probe, 2*conductor + 5, and gains a hole
+    # there: the last two Hilbert differences then disagree
+    for S in (NAT, S23, S345):
+        chain = max_ideal_chain(S)
+        top = 2 * S.conductor + 4
+        padded = chain + [chain[-1]] * (top - len(chain))
+        assert multiplicity_via_hilbert(S, padded) == S.multiplicity
+        with pytest.raises(NotStabilized):
+            multiplicity_via_hilbert(S, padded + [chain[-1] | 1])
 
 
 def test_monomial_quadratic_examples():
@@ -166,46 +178,46 @@ def test_report_payload_field_names():
 
 
 def test_two_generator_examples():
-    r = two_generator_check(S27)
+    r = two_generator_check(S27, 8, max_ideal_chain(S27))
     assert r == {"power_two_generated": True, "mult_le_2": True, "agree": True}
     assert nfold(max_ideal(S27), 2).minimal_generators == (4, 9)
 
-    r = two_generator_check(S345)
+    r = two_generator_check(S345, 8, max_ideal_chain(S345))
     assert r == {"power_two_generated": False, "mult_le_2": False, "agree": True}
     for n in range(2, 9):
         assert nfold(max_ideal(S345), n).minimal_generators == (3 * n, 3 * n + 1, 3 * n + 2)
 
-    assert two_generator_check(NAT)["agree"]
+    assert two_generator_check(NAT, 8, max_ideal_chain(NAT))["agree"]
+    # n_max is checked where it enters, for both checks that read it
     with pytest.raises(ValueError):
-        two_generator_check(S27, 1)
+        check_n_max(1)
     with pytest.raises(CapExceeded):
-        two_generator_check(S27, N_MAX_CAP + 1)
-    assert two_generator_check(S345, N_MAX_CAP)["agree"]
-    with pytest.raises(ValueError):
-        sally_check(max_ideal(S27), 1)
-    with pytest.raises(CapExceeded):
-        sally_check(max_ideal(S27), N_MAX_CAP + 1)
+        check_n_max(N_MAX_CAP + 1)
+    check_n_max(2)
+    check_n_max(N_MAX_CAP)
+    assert two_generator_check(S345, N_MAX_CAP, max_ideal_chain(S345))["agree"]
 
 
 def test_sally_examples():
-    r = sally_check(max_ideal(S25), 3)
+    r = sally_check(S25, max_ideal(S25).holes, 3)
     assert r == {"hypothesis": True, "conclusion": True, "ok": True}
 
     # principal ideals satisfy everything
-    r = sally_check(make_ideal(S345, {3}), 2)
+    r = sally_check(S345, make_ideal(S345, {3}).holes, 2)
     assert r["hypothesis"] and r["conclusion"] and r["ok"]
 
     # mu(2I) = 2 for I = (2,5): the square is (4,7) and 2+I = (4,7)
     I = make_ideal(S25, {2, 5})
     assert ideal_sum(I, I).minimal_generators == (4, 7)
-    r = sally_check(I, 3)
+    r = sally_check(S25, I.holes, 3)
     assert r == {"hypothesis": True, "conclusion": True, "ok": True}
 
 
 def test_sally_translation_invariance():
     for S in enumerate_semigroups(5):
-        for I in enumerate_normalized_ideals(S):
-            assert sally_check(I, 6) == sally_check(translate(I, S.conductor), 6)
+        for I in normalized_ideals(S):
+            # the check reads only the hole mask; the oracle sees the least element
+            assert sally_check(S, I.holes, 6) == _oracle_sally(I, 6) == _oracle_sally(translate(I, S.conductor), 6)
 
 
 def _oracle_sally(I, n_max):
@@ -229,17 +241,17 @@ def test_power_chain_matches_ideal_sum_oracle(n_max):
     # every normalized ideal of genus <= 8 and its conductor translate
     ideals = 0
     for S in enumerate_semigroups(8):
-        for I in enumerate_normalized_ideals(S):
+        for I in normalized_ideals(S):
             for J in (I, translate(I, S.conductor)):
-                assert sally_check(J, n_max) == _oracle_sally(J, n_max)
+                assert sally_check(S, J.holes, n_max) == _oracle_sally(J, n_max)
             ideals += 1
     assert ideals == 7740
     # the maximal ideal of every semigroup of genus <= 12
     fired = 0
     for S in enumerate_semigroups(12):
         M = max_ideal(S)
-        assert two_generator_check(S, n_max) == _oracle_two_generator(S, n_max)
-        res = sally_check(M, n_max)
+        assert two_generator_check(S, n_max, max_ideal_chain(S)) == _oracle_two_generator(S, n_max)
+        res = sally_check(S, M.holes, n_max)
         assert res == _oracle_sally(M, n_max)
         fired += res["hypothesis"]
     assert 0 < fired < 1413
@@ -247,63 +259,71 @@ def test_power_chain_matches_ideal_sum_oracle(n_max):
 
 @pytest.mark.parametrize("n_max", [2, 3, 8, N_MAX_CAP])
 def test_one_chain_and_bare_mask_verdicts(n_max):
-    # the three checks the sweep reads off one chain of M, against the oracles
-    # and the public checks; the Sally verdict on bare hole masks, against the
-    # oracle on every normalized ideal of genus <= 10
+    # the three checks the sweep reads off one chain of M, against the oracles;
+    # the Sally verdict on bare hole masks, against the oracle on every
+    # normalized ideal of genus <= 10
     ideals = 0
     for S in enumerate_semigroups(10):
-        chain = ringlab._max_ideal_chain(S)
+        chain = max_ideal_chain(S)
         assert chain[-1] == chain[-2] and len(chain) <= S.conductor + 2, str(S)  # ends at its repeat
-        two = ringlab._two_generator(S, n_max, chain)
-        assert two == two_generator_check(S, n_max) == _oracle_two_generator(S, n_max), str(S)
-        mm = ringlab._minimal_multiplicity(S, chain)
-        assert mm == minimal_multiplicity_check(S), str(S)
+        assert two_generator_check(S, n_max, chain) == _oracle_two_generator(S, n_max), str(S)
+        mm = minimal_multiplicity_check(S, chain)
         assert mm["m_stable"] == oracles.is_stable_via_search(S, max_ideal(S).minimal_generators), str(S)
-        assert ringlab._hilbert_multiplicity(S, chain) == multiplicity_via_hilbert(S) == S.multiplicity
-        for holes in _normalized_holes(S):
+        assert multiplicity_via_hilbert(S, chain) == S.multiplicity
+        for holes in enumerate_normalized_ideals(S):
             I = RelativeIdeal(S, 0, holes)
-            assert ringlab._sally(S, holes, n_max) == sally_check(I, n_max) == _oracle_sally(I, n_max), str(S)
+            assert sally_check(S, holes, n_max) == _oracle_sally(I, n_max), str(S)
             ideals += 1
     assert ideals == 64151
 
 
 def test_greither_examples():
-    r = greither_check(from_generators({2, 9}))
+    r = greither_check(stable_ring_report(from_generators({2, 9})))
     assert r["mu_normalization"] == 2 and r["bass"] and r["agree"]
     assert r["quadratic_when_two_generated"]
 
-    r = greither_check(S345)
+    r = greither_check(stable_ring_report(S345))
     assert r["mu_normalization"] == 3 and not r["bass"] and r["agree"]
 
-    assert greither_check(NAT)["mu_normalization"] == 1
+    assert greither_check(stable_ring_report(NAT))["mu_normalization"] == 1
 
 
 def test_greither_mu_equals_multiplicity():
     for S in enumerate_semigroups(9):
-        assert greither_check(S)["mu_normalization"] == S.multiplicity
+        assert greither_check(stable_ring_report(S))["mu_normalization"] == S.multiplicity
 
 
 def test_greither_from_the_report_matches_the_check():
-    # the sweep reads mu of the normalization and the quadratic test off the report
+    # the check reads mu of the normalization and the quadratic test off the
+    # report; here mu is counted on the ideal N itself and the quadratic test
+    # is the pair oracle
     for S in enumerate_semigroups(9):
-        r = stable_ring_report(S)
-        assert ringlab._greither(S, r.max_mu, r.quadratic_over_normalization) == greither_check(S), str(S)
+        mu = minimal_generator_count(RelativeIdeal(S, 0, 0))
+        bass = S.multiplicity <= 2
+        expected = {
+            "mu_normalization": mu,
+            "bass": bass,
+            "agree": (mu <= 2) == bass,
+            "quadratic_when_two_generated": mu > 2 or oracles.is_monomial_quadratic(S, NAT),
+        }
+        assert greither_check(stable_ring_report(S)) == expected, str(S)
 
 
 def test_minimal_multiplicity_examples():
-    assert minimal_multiplicity_check(S345) == {
+    assert minimal_multiplicity_check(S345, max_ideal_chain(S345)) == {
         "m_stable": True,
         "edim_eq_mult": True,
         "ok": True,
     }
-    r = minimal_multiplicity_check(from_generators({3, 4}))
+    S34 = from_generators({3, 4})
+    r = minimal_multiplicity_check(S34, max_ideal_chain(S34))
     assert r["m_stable"] is False and r["ok"] is True
-    assert minimal_multiplicity_check(NAT)["ok"]
+    assert minimal_multiplicity_check(NAT, max_ideal_chain(NAT))["ok"]
 
 
 def test_minimal_multiplicity_property():
     for S in enumerate_semigroups(9):
-        assert minimal_multiplicity_check(S)["ok"]
+        assert minimal_multiplicity_check(S, max_ideal_chain(S))["ok"]
 
 
 def test_bass_forward_direction():

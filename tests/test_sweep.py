@@ -5,20 +5,32 @@ import pytest
 from stablerings import ringlab, sweep
 from stablerings.errors import CapExceeded
 from stablerings.numsg import enumerate_semigroups, from_generators
-from stablerings.relideal import _blowup_gap_mask, blowup_tower, end_semigroup, max_ideal
-from stablerings.sweep import CHECK_NAMES, _tasks, analyze_semigroup, clamp_jobs, run_sweep
+from stablerings.relideal import _blowup_gap_mask, _census_counts, blowup_tower, end_semigroup, max_ideal
+from stablerings.sweep import (
+    CHECK_NAMES,
+    SALLY_GENUS_CAP,
+    _gens_str,
+    _tasks,
+    analyze_semigroup,
+    clamp_jobs,
+    run_sweep,
+)
+
+
+def _analyze(S, n_max=8, sally_cap=SALLY_GENUS_CAP):
+    """One semigroup's record, its counts and sequence derived here rather than by the memo pass."""
+    return analyze_semigroup(S, n_max, sally_cap, _census_counts(S), blowup_tower(S).multiplicity_sequence)
 
 
 def test_analyze_single_semigroup():
-    rec = analyze_semigroup(from_generators({2, 5}))
-    assert rec["gens"] == "2,5"
-    assert rec["violations"] == {}
-    assert rec["report"]["agreement"] is True
-    assert rec["sally"]["ideals"] == 3
+    # the record holds what the merge reads and nothing else; no violation
+    # means the report's stable, quadratic and Bass verdicts agree
+    rec = _analyze(from_generators({2, 5}))
+    assert rec == {"genus": 2, "violations": {}, "sally": {"ideals": 3, "boundary": 2}}
 
 
 def test_analyze_records_boundary_cases():
-    rec = analyze_semigroup(from_generators({2, 3}))
+    rec = _analyze(from_generators({2, 3}))
     # the full monoid over <2,3> is two-generated, so its hypothesis fires
     assert rec["sally"]["boundary"] >= 1
     assert rec["violations"] == {}
@@ -38,7 +50,7 @@ def test_memo_pass_matches_end_semigroup_and_tower():
 
 def test_analyze_semigroup_derives_what_the_memo_passes():
     for S, *args in _tasks(enumerate_semigroups(7), 8, 7):
-        assert analyze_semigroup(S, *args) == analyze_semigroup(S), str(S)
+        assert analyze_semigroup(S, *args) == _analyze(S, 8, 7), str(S)
 
 
 def test_run_sweep_structure():
@@ -60,12 +72,13 @@ def test_run_sweep_merges_violations(monkeypatch):
     def flagged(args):
         rec = analyze_semigroup(*args)
         if rec["genus"] == 2:
-            rec["violations"] = {"tower": [rec["gens"] + ": t"], "monomial_vs_bass": [rec["gens"] + ": m"]}
+            name = _gens_str(args[0])
+            rec["violations"] = {"tower": [name + ": t"], "monomial_vs_bass": [name + ": m"]}
         return rec
 
     monkeypatch.setattr(sweep, "_worker", flagged)
     res = run_sweep(3, jobs=1, sally_cap=1)
-    names = [rec["gens"] for rec in map(analyze_semigroup, enumerate_semigroups(3)) if rec["genus"] == 2]
+    names = [_gens_str(S) for S in enumerate_semigroups(3) if S.genus == 2]
     assert list(res["checks"]) == list(CHECK_NAMES)
     assert res["checks"]["tower"] == {"checked": 8, "violations": [n + ": t" for n in names]}
     assert res["checks"]["monomial_vs_bass"] == {"checked": 8, "divergences": [n + ": m" for n in names]}
