@@ -25,9 +25,10 @@ from math import gcd
 
 from .errors import CapExceeded, EmptyInput, GcdNotOne
 
-# a whole `sweep --max-genus 20` run at 2 jobs takes 10.6 s on a shared 2-core
-# 2.1 GHz Xeon with Python 3.11.7, and 28-32 s with `--sally-genus-cap 14
-# --n-max 32`, inside the 120 s ceiling; `sg report 7,8`, of genus 21, stays refused
+# a whole `sweep --max-genus 20` run at 2 jobs takes 5.6-7.4 s in a fresh process
+# on a shared 2-core 2.1 GHz Xeon with Python 3.11.7, and 22-26 s with
+# `--sally-genus-cap 14 --n-max 32`, inside the 120 s ceiling; `sg report 7,8`,
+# of genus 21, stays refused
 ENUMERATION_GENUS_CAP = 20
 WINDOW_CAP = 1 << 20
 GENERATOR_CAP = 256
@@ -195,27 +196,38 @@ def invariants(S: NumericalSemigroup) -> dict:
     }
 
 
+def children(S: NumericalSemigroup):
+    """Yield the children of S in the semigroup tree, by removed generator ascending.
+
+    Removing a minimal generator g > F(S) leaves a semigroup of genus one
+    more, whose Frobenius number is g.  Every numerical semigroup T but N
+    is the child of exactly one, its parent T + {F(T)}.
+    """
+    for g in S.minimal_generators:
+        if g > S.frobenius:
+            yield NumericalSemigroup.from_member_mask(S.members_mask(g + 2) & ~(1 << g), g + 2)
+
+
+def check_genus(genus: int) -> None:
+    """A genus, or a bound on one, must lie in [0, ENUMERATION_GENUS_CAP]; checked before any work."""
+    if genus < 0:
+        raise ValueError("genus must be nonnegative")
+    if genus > ENUMERATION_GENUS_CAP:
+        raise CapExceeded(f"genus {genus} exceeds cap {ENUMERATION_GENUS_CAP}")
+
+
 def enumerate_semigroups(max_genus: int):
     """Yield every numerical semigroup of genus <= max_genus exactly once.
 
-    Walks the semigroup tree rooted at the full monoid: the children of S are
-    obtained by removing one minimal generator larger than the Frobenius
-    number, which raises the genus by exactly one.  Order is deterministic:
-    genus by genus, parents in enumeration order, children by removed
-    generator.
+    Walks the semigroup tree rooted at the full monoid, breadth first.
+    Order is deterministic: genus by genus, parents in enumeration order,
+    children by removed generator.  The generators removed on the path from
+    N to S are the gaps of S in ascending order, so within a genus this is
+    lexicographic order of ``S.gaps()``.
     """
-    if max_genus < 0:
-        raise ValueError("max_genus must be nonnegative")
-    if max_genus > ENUMERATION_GENUS_CAP:
-        raise CapExceeded(f"max_genus {max_genus} exceeds cap {ENUMERATION_GENUS_CAP}")
+    check_genus(max_genus)
     level = [NAT]
     yield NAT
     for _ in range(max_genus):
-        nxt = []
-        for S in level:
-            for g in S.minimal_generators:
-                if g > S.frobenius:
-                    child = S.members_mask(g + 2) & ~(1 << g)
-                    nxt.append(NumericalSemigroup.from_member_mask(child, g + 2))
-        level = nxt
+        level = [child for S in level for child in children(S)]
         yield from level

@@ -25,12 +25,13 @@ bare hole masks, the one form the sweep's Sally pass reads.  The ring
 report's census lists none of them.  It reads the count and the stable
 count off those of the tree parent S + {F(S)}, whose gap poset is S's
 without the maximal gap F(S): an ideal holds F(S) and is the parent's plus
-F(S), or misses the down-set of F(S).  The sweep's memo pass looks the
-parent up, as it looks up the tower's multiplicity sequence of E(M), whose
-gap mask ``_blowup_gap_mask`` reads off S's by shifts; the blow-up tower
-builds each step from it too.  A single call walks the ancestor chain on
-S's own masks: each ancestor is S plus the gaps above some gap f, and its
-gap poset is the prefix of S's up to f, with S's order.
+F(S), or misses the down-set of F(S).  The sweep's walk passes the
+parent's pair down its stack, from parent to child.  A single call walks
+the ancestor chain on S's own masks: each ancestor is S plus the gaps
+above some gap f, and its gap poset is the prefix of S's up to f, with S's
+order.  The gap mask of E(M) is read off S's by shifts,
+``_blowup_gap_mask``, and ``_from_gap_mask`` builds E(M) from it, for each
+step of the blow-up tower and for the sweep's multiplicity sequences.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CapExceeded, EmptyInput
-from .numsg import ENUMERATION_GENUS_CAP, NumericalSemigroup
+from .numsg import NumericalSemigroup, check_genus
 
 # A blow-up step makes a few conductor-wide mask operations per minimal
 # generator, and about as many as eight generators would besides: the work
@@ -187,8 +188,7 @@ def enumerate_normalized_ideals(S: NumericalSemigroup) -> list[int]:
     "a stays a hole" before "a joins".  They come in descending order of H,
     which is ascending order of the added gap set.
     """
-    if S.genus > ENUMERATION_GENUS_CAP:
-        raise CapExceeded(f"genus {S.genus} exceeds cap {ENUMERATION_GENUS_CAP}")
+    check_genus(S.genus)
     nodes = [S.gap_mask]
     for a in reversed(S.gaps()):
         need = sum(1 << (a + s) for s in S.minimal_generators)
@@ -222,15 +222,14 @@ def _census_counts(S: NumericalSemigroup, parent: tuple[int, int] | None = None)
     lies above a and is decided, so a node is kept iff none of them is a
     hole.
 
-    ``parent`` is the parent's pair, from a memo filled in enumeration
-    order.  Without it the ancestors are walked too, with one count memo:
-    each is S + {the gaps above its own Frobenius number f}, so its gap
-    mask is a prefix of S's, its order is S's (u - t < f for gaps u, t up
-    to f), its up-sets are S's cut to the prefix, and count(R) for R inside
-    the prefix needs no other cut.
+    ``parent`` is the parent's pair, which the sweep's walk carries down
+    from parent to child.  Without it the ancestors are walked too, with
+    one count memo: each is S + {the gaps above its own Frobenius number
+    f}, so its gap mask is a prefix of S's, its order is S's (u - t < f for
+    gaps u, t up to f), its up-sets are S's cut to the prefix, and count(R)
+    for R inside the prefix needs no other cut.
     """
-    if S.genus > ENUMERATION_GENUS_CAP:
-        raise CapExceeded(f"genus {S.genus} exceeds cap {ENUMERATION_GENUS_CAP}")
+    check_genus(S.genus)
     gaps = S.gaps()
     gap_mask = S.gap_mask
     up = {1 << y: S.small_members << y & gap_mask for y in gaps}  # up-set of gap y, keyed by its bit
@@ -290,9 +289,7 @@ def blowup_tower(S: NumericalSemigroup, cap: int = 64) -> TowerReport:
         work += (tower[-1].embedding_dimension + 8) * tower[-1].conductor
         if work > TOWER_WORK_CAP:
             raise CapExceeded(f"blow-up tower work exceeds cap {TOWER_WORK_CAP} after {len(tower) - 1} steps")
-        gaps = _blowup_gap_mask(tower[-1])
-        width = gaps.bit_length() + 1
-        tower.append(NumericalSemigroup.from_member_mask(((1 << width) - 1) & ~gaps, width))
+        tower.append(_from_gap_mask(_blowup_gap_mask(tower[-1])))
     return TowerReport(tuple(tower), tuple(t.multiplicity for t in tower), len(tower) - 1, tower[-1].is_full)
 
 
@@ -308,3 +305,9 @@ def _blowup_gap_mask(S: NumericalSemigroup) -> int:
     for s in S.minimal_generators:
         out |= gaps >> s
     return out
+
+
+def _from_gap_mask(gaps: int) -> NumericalSemigroup:
+    """The semigroup whose gap mask is ``gaps``, such as E(M)'s from ``_blowup_gap_mask``."""
+    width = gaps.bit_length() + 1
+    return NumericalSemigroup.from_member_mask(((1 << width) - 1) & ~gaps, width)

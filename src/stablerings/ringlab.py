@@ -10,8 +10,8 @@ two-generated-power and minimal-multiplicity equivalences.
 Each check has one form, the one the sweep runs, and it takes masks, not
 ideal objects.  The census of the normalized ideals lists none of them: the
 count and the stable count come from ``relideal._census_counts``, by a
-recurrence along the semigroup tree (the sweep passes in the pair its memo
-pass derived from the parent), and the largest mu is mu of the
+recurrence along the semigroup tree (the sweep passes in the pair its walk
+derived from the parent's), and the largest mu is mu of the
 normalization, which ``greither_check`` reads off the report with the
 quadratic test.  The powers of M are one chain, ``max_ideal_chain``: the
 hole masks of ``relideal._power_chain`` below the conductor, through the

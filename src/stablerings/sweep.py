@@ -1,53 +1,57 @@
 """The exhaustive invariant suite over enumerated semigroups.
 
-One worker analyzes one semigroup: the stable/quadratic/Bass agreement over
-all its normalized ideals, the two-generated-power biconditional, the
-normalization generator count, minimal multiplicity, the multiplicity triple
-(least element vs Hilbert slope vs normalization generators), blow-up tower
-behavior, and (below the Sally genus cap) the two-generated-power
-implication over every normalized ideal, whose verdict is the same for
-every translate of the ideal.
-
-The census counts and the blow-up tower's multiplicity sequence of each
-semigroup come from one memo pass in the parent process, keyed by gap mask
-and run in enumeration order: S's parent S + {F(S)} has genus one less and
-its blow-up E(M) a smaller genus, so their entries are already there.  S's
-entry costs one top-level step of the census recurrences and a few shifts
-for the gap mask of E(M); the pass builds no semigroup, and it keeps counts
-only for the genus below.  Each task carries S, its counts and its
-sequence, and the workers run only the checks that stay per semigroup,
-each through its one entry point in ``ringlab``: the three checks on the
-powers of M read one chain, ``ringlab.max_ideal_chain``, the tower's
+``analyze_semigroup`` runs every check on one semigroup: the
+stable/quadratic/Bass agreement over all its normalized ideals, the
+two-generated-power biconditional, the normalization generator count,
+minimal multiplicity, the multiplicity triple (least element vs Hilbert
+slope vs normalization generators), blow-up tower behavior, and (below the
+Sally genus cap) the two-generated-power implication over every normalized
+ideal, whose verdict is the same for every translate of the ideal.  Each
+check goes through its one entry point in ``ringlab``: the three checks on
+the powers of M read one chain, ``ringlab.max_ideal_chain``, the tower's
 members are built only for multiplicity 2 (one semigroup per genus), and
 ``ringlab.sally_check`` runs on the hole masks that
-``relideal.enumerate_normalized_ideals`` returns.  The pool is forked
-before the pass starts, so the workers do not inherit the memo, and the
-pass feeds the pool lazily, overlapping the workers.
+``relideal.enumerate_normalized_ideals`` returns.
 
-The semigroups stream from the enumeration into the pass, which holds none
-of them.  A record holds only what the merge reads: the genus, the
-violations and the Sally counters.  Records merge in enumeration order as
-they arrive, so the aggregate report is byte-stable regardless of worker
-count and no record outlives its merge.
+The sweep is one walk of the semigroup tree, split into subtrees as
+Fromentin and Hivert split it ("Exploring the tree of numerical
+semigroups", Math. Comp. 85, 2016).  The parent enumerates the semigroups
+up to a root genus, and each task walks one subtree depth first: a root's
+down to the sweep's genus, or N's down to the genus above the roots.  A
+child's census counts come from its parent's, one top-level step of the
+census recurrences, so they pass down the walk's stack and no memo holds
+them.  The multiplicity sequence of S's blow-up tower is (m,) + that of
+E(M), an oversemigroup of smaller genus that may lie outside the subtree;
+a memo keyed by gap mask, owned by the walk, holds the sequences it has
+seen, and E(M) is built only when the memo misses.  ``--jobs 1`` runs the
+tasks in the parent, more jobs in a forked pool, and both run the same
+task function.
+
+A task returns one aggregate: its semigroups by genus, its Sally counters
+and the violations of each flagged semigroup, keyed by (genus, gaps).  The
+merge sums the counts and orders the violations by that key, which is
+enumeration order (``numsg.enumerate_semigroups``), so the report is
+byte-stable regardless of worker count.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
-from itertools import chain
+from itertools import starmap
 from multiprocessing import Pool
 
 from . import ringlab
 from .errors import CapExceeded
-from .numsg import NumericalSemigroup, enumerate_semigroups
-from .relideal import RelativeIdeal, _blowup_gap_mask, _census_counts, blowup_tower, enumerate_normalized_ideals
+from .numsg import NAT, NumericalSemigroup, check_genus, children, enumerate_semigroups
+from .relideal import RelativeIdeal, _blowup_gap_mask, _census_counts, _from_gap_mask
+from .relideal import blowup_tower, enumerate_normalized_ideals
 
 SALLY_GENUS_CAP = 8
-# `sweep --max-genus 16 --n-max 32 --sally-genus-cap C --jobs 2` takes 22 s at
-# C = 14 and 60 s at C = 15 on a shared 2-core 2.1 GHz Xeon with Python 3.11.7,
-# and 28-32 s at C = 14 with `--max-genus 20`; 15 fits the 120 s ceiling too,
-# but 14 leaves room to raise the genus cap
+# `sweep --max-genus 16 --n-max 32 --sally-genus-cap C --jobs 2` takes 19-20 s at
+# C = 14 and 55 s at C = 15 in a fresh process on a shared 2-core 2.1 GHz Xeon
+# with Python 3.11.7, and 22-26 s at C = 14 with `--max-genus 20`; 15 fits the
+# 120 s ceiling too, but 14 leaves room to raise the genus cap
 SALLY_GENUS_CAP_MAX = 14
 
 
@@ -65,9 +69,9 @@ def analyze_semigroup(
     """Run every per-semigroup check; violations come back verbatim.
 
     ``counts`` and ``sequence`` are S's census counts and the multiplicity
-    sequence of its blow-up tower, from the sweep's memo pass.  ``run_sweep``
-    checks ``n_max``.  The record holds what the merge reads: the genus, the
-    violations and, below the Sally cap, the Sally counters.
+    sequence of its blow-up tower, from the sweep's walk.  ``run_sweep``
+    checks ``n_max``.  The record holds what the merge reads: the violations
+    and, below the Sally cap, the Sally counters.
     """
     name = _gens_str(S)
     violations: dict[str, list[str]] = {}
@@ -127,7 +131,7 @@ def analyze_semigroup(
             if cur.members_mask(width) != S.members_mask(width) | m_i:
                 flag("tower", f"S_{i} != S union M_{i}")
 
-    out = {"genus": S.genus, "violations": violations}
+    out = {"violations": violations}
     if S.genus <= sally_cap:
         ideals = enumerate_normalized_ideals(S)
         boundary = 0
@@ -140,36 +144,6 @@ def analyze_semigroup(
                 boundary += 1
         out["sally"] = {"ideals": len(ideals), "boundary": boundary}
     return out
-
-
-def _worker(args) -> dict:
-    return analyze_semigroup(*args)
-
-
-def _tasks(semigroups, n_max: int, sally_cap: int):
-    """The memo pass: each semigroup's task with its census counts and multiplicity sequence.
-
-    ``semigroups`` come genus by genus.  The counts of S come from those of
-    its tree parent S + {F(S)}, of genus one less, so only the genus below
-    keeps its counts.  The sequence of S is its multiplicity followed by the
-    sequence of E(M), of smaller genus, found by its gap mask.
-    """
-    below: dict[int, tuple[int, int]] = {}
-    level: dict[int, tuple[int, int]] = {}
-    sequences: dict[int, tuple[int, ...]] = {}
-    genus = 0
-    for S in semigroups:
-        if S.genus != genus:
-            genus, below, level = S.genus, level, {}
-        gaps = S.gap_mask
-        if S.is_full:
-            counts, sequence = _census_counts(S), (1,)
-        else:
-            counts = _census_counts(S, below[gaps ^ 1 << S.frobenius])
-            sequence = (S.multiplicity,) + sequences[_blowup_gap_mask(S)]
-        level[gaps] = counts
-        sequences[gaps] = sequence
-        yield S, n_max, sally_cap, counts, sequence
 
 
 CHECK_NAMES = (
@@ -189,14 +163,42 @@ def clamp_jobs(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, tasks))
 
 
-def _records(tasks, jobs: int):
-    """The per-semigroup records, in task order, from a pool of ``jobs`` or serially."""
-    if jobs > 1:
-        # forked before the memo pass starts, so no worker holds a copy of the memo
-        with Pool(processes=jobs) as pool:
-            yield from pool.imap(_worker, tasks, chunksize=16)
-    else:
-        yield from map(_worker, tasks)
+def _walk(root: NumericalSemigroup, max_genus: int):
+    """Yield (S, counts, sequence) for root and its subtree down to max_genus, depth first.
+
+    ``counts`` is S's census pair, which a child derives from its parent's
+    as the walk pushes it.  ``sequence`` is the multiplicity sequence of
+    S's blow-up tower, (m,) + the sequence of E(M), memoized by gap mask
+    for the walk alone.
+    """
+    sequences = {0: (1,)}  # the full monoid's
+
+    def sequence(gaps: int, S: NumericalSemigroup | None = None) -> tuple[int, ...]:
+        """The sequence of the semigroup with these gaps, S if the caller has it built."""
+        if gaps not in sequences:
+            S = S or _from_gap_mask(gaps)
+            sequences[gaps] = (S.multiplicity,) + sequence(_blowup_gap_mask(S))
+        return sequences[gaps]
+
+    stack = [(root, _census_counts(root))]
+    while stack:
+        S, counts = stack.pop()
+        yield S, counts, sequence(S.gap_mask, S)
+        if S.genus < max_genus:
+            stack += [(child, _census_counts(child, counts)) for child in children(S)]
+
+
+def _task(root: NumericalSemigroup, max_genus: int, n_max: int, sally_cap: int) -> tuple:
+    """Analyze a subtree: its semigroups by genus, Sally counters and violations keyed by (genus, gaps)."""
+    by_genus, sally, violations = Counter(), Counter(), []
+    for S, counts, sequence in _walk(root, max_genus):
+        rec = analyze_semigroup(S, n_max, sally_cap, counts, sequence)
+        by_genus[S.genus] += 1
+        if rec["violations"]:
+            violations.append(((S.genus, S.gaps()), rec["violations"]))
+        if "sally" in rec:
+            sally.update(checked=1, **rec["sally"])
+    return by_genus, sally, violations
 
 
 def run_sweep(
@@ -205,30 +207,42 @@ def run_sweep(
     n_max: int = 8,
     sally_cap: int = SALLY_GENUS_CAP,
 ) -> dict:
-    """Analyze every semigroup of genus <= max_genus, merging each record as it arrives."""
+    """Analyze every semigroup of genus <= max_genus, one task per subtree of the semigroup tree."""
     ringlab.check_n_max(n_max)
+    check_genus(max_genus)
     if min(sally_cap, max_genus) > SALLY_GENUS_CAP_MAX:
         raise CapExceeded(
             f"per-ideal sweep to genus {min(sally_cap, max_genus)} exceeds cap {SALLY_GENUS_CAP_MAX}"
         )
-    semigroups = enumerate_semigroups(max_genus)
-    root = next(semigroups)  # a bad max_genus raises here, before any worker starts
-    tasks = _tasks(chain([root], semigroups), n_max, sally_cap)  # lazy: the pass runs as the tasks are drawn
-    msgs: dict[str, list[str]] = {name: [] for name in CHECK_NAMES}
-    by_genus = Counter()
-    sally = Counter()
-    # every genus up to max_genus has a semigroup, so there are never fewer tasks than jobs
-    for rec in _records(tasks, clamp_jobs(jobs, max_genus + 1)):
-        by_genus[str(rec["genus"])] += 1
-        for name, found in rec["violations"].items():
-            msgs[name] += found
-        if "sally" in rec:
-            sally.update(checked=1, **rec["sally"])
-    total = sum(by_genus.values())
+    # The roots are the semigroups of the root genus, and each task walks one
+    # subtree: a root's down to max_genus, or N's down to the genus above the
+    # roots.  The root genus is max_genus - 7, so no subtree below a root is
+    # more than seven genera deep, but at least the Sally cap, so no semigroup
+    # below a root runs the Sally pass.  That pass is the costliest check, and
+    # its cost falls on the near-ordinary semigroups, which all lie in the
+    # ordinary semigroup's subtree: at genus 12 and root genus 5 that one task
+    # held 77% of the work.  At genus 20 the 1,001 semigroups of genus 13 are
+    # the roots, and the ordinary one's subtree holds a third of the work.  N's
+    # task goes first, as it is among the largest.
+    root_genus = max(max_genus - 7, min(sally_cap, max_genus), 0)
+    roots = [S for S in enumerate_semigroups(root_genus) if S.genus == root_genus]
+    tasks = [(S, max_genus, n_max, sally_cap) for S in roots]
+    if root_genus:
+        tasks.insert(0, (NAT, root_genus - 1, n_max, sally_cap))
+    jobs = clamp_jobs(jobs, len(tasks))
+    if jobs > 1:
+        with Pool(processes=jobs) as pool:
+            results = pool.starmap(_task, tasks, chunksize=1)
+    else:
+        results = starmap(_task, tasks)
+    genera, sallies, found = zip(*results)
+    by_genus, sally = sum(genera, Counter()), sum(sallies, Counter())
+    # each semigroup's violations once, in enumeration order: its (genus, gaps) key is unique
+    ordered = [violations for _, violations in sorted(v for part in found for v in part)]
     checks = {}
     for name in CHECK_NAMES:
         key = "divergences" if name == "monomial_vs_bass" else "violations"
-        checks[name] = {"checked": total, key: msgs[name]}
+        checks[name] = {"checked": by_genus.total(), key: [line for v in ordered for line in v.get(name, ())]}
     checks["sally"].update(
         checked=sally["checked"], ideals_checked=sally["ideals"], boundary_cases=sally["boundary"]
     )
@@ -236,8 +250,8 @@ def run_sweep(
         "max_genus": max_genus,
         "n_max": n_max,
         "sally_genus_cap": sally_cap,
-        "semigroup_count": total,
-        "counts_by_genus": dict(by_genus),
+        "semigroup_count": by_genus.total(),
+        "counts_by_genus": {str(g): by_genus[g] for g in sorted(by_genus)},
         "checks": checks,
-        "violations_total": sum(map(len, msgs.values())),
+        "violations_total": sum(len(lines) for v in ordered for lines in v.values()),
     }

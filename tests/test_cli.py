@@ -8,7 +8,7 @@ import pytest
 
 from stablerings import quadalg, ringlab
 from stablerings.cli import main, parse_generators
-from stablerings.numsg import GENERATOR_CAP
+from stablerings.numsg import ENUMERATION_GENUS_CAP, GENERATOR_CAP
 
 
 def run(capsys, *argv):
@@ -122,12 +122,13 @@ def test_sweep_genus_cap(capsys):
         ("sg", "two-gen", "3,4,5", "--n-max", "100000000"),
         ("sweep", "--max-genus", "3", "--n-max", "100000000"),
         ("sweep", "--max-genus", "16", "--sally-genus-cap", "15"),
+        ("sweep", "--max-genus", str(ENUMERATION_GENUS_CAP + 1)),  # refused before the walk starts
     ],
 )
 def test_sweep_knob_caps(capsys, argv):
     started = time.monotonic()
-    code, _, err = run(capsys, *argv, "--json")
-    assert code == 3
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 3 and out == ""
     assert "CapExceeded" in err
     assert time.monotonic() - started < 5.0
 
@@ -206,6 +207,8 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "nope")
     assert code == 2
+    code, out, _ = run(capsys, "sweep", "--max-genus", "-1")
+    assert code == 2 and out == ""
     # a group word without a leaf, or with an unknown one
     for argv in (("sg",), ("sg", "bogus"), ("alg",), ("idealization",)):
         code, out, err = run(capsys, *argv)
@@ -337,6 +340,18 @@ def test_sweep_g12_golden(capsys, jobs):
     code, out, _ = run(capsys, "sweep", "--max-genus", "12", "--json", "--no-timing", "--jobs", jobs)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_G12_GOLDEN
+
+
+# sha256 of the stdout of `sweep --max-genus 16 --json --no-timing` (md5 1c673718...),
+# recorded before the sweep walked subtrees; its 118 root tasks run the pool and the merge
+SWEEP_G16_GOLDEN = "f23db30175cda58095c9053282d46961859c1380331c82d4d328d7734fb75f0e"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_g16_golden(capsys, jobs):
+    code, out, _ = run(capsys, "sweep", "--max-genus", "16", "--json", "--no-timing", "--jobs", jobs)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_G16_GOLDEN
 
 
 # sha256 of the stdout of `sweep --max-genus 10 --sally-genus-cap 10 --n-max 32

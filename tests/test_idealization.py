@@ -536,6 +536,11 @@ def test_mismatch_with_square_is_not_stable(monkeypatch):
     monkeypatch.setattr(idealization, "_products", _table_with((1, 1), R1.t_power(9)))
     verdict = is_stable_ideal(R1, [R1.t_power(5), R1.basis_ell(1)])
     assert verdict.stable is None and verdict.witness is None
+    # t^7 lies outside gI too, whose pivot t^10 reaches the margin, but I^2 = (t^7, t^5*e_1) does not:
+    # the verdict must come from I^2
+    monkeypatch.setattr(idealization, "_products", _table_with((1, 1), R1.t_power(7)))
+    verdict = is_stable_ideal(R1, [R1.t_power(5), R1.basis_ell(1)])
+    assert verdict.stable is False and verdict.witness is None
 
 
 def _factors(ring, rng):

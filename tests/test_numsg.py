@@ -15,6 +15,7 @@ from stablerings.numsg import (
     NAT,
     WINDOW_CAP,
     NumericalSemigroup,
+    children,
     enumerate_semigroups,
     from_generators,
     invariants,
@@ -223,6 +224,21 @@ def test_enumeration_is_duplicate_free_and_deterministic():
     seen = [S.minimal_generators for S in enumerate_semigroups(8)]
     assert len(seen) == len(set(seen)) == 156
     assert seen == [S.minimal_generators for S in enumerate_semigroups(8)]
+
+
+def test_enumeration_order_is_gap_order():
+    # the sweep merges its subtrees' violations by (genus, gaps), which must be enumeration order
+    keys = [(S.genus, S.gaps()) for S in enumerate_semigroups(12)]
+    assert keys == sorted(keys)
+    assert len(set(keys)) == len(keys) == 1413
+
+
+def test_children_remove_one_generator_above_frobenius():
+    # a child has one gap more, its new Frobenius number, so S is its parent S + {F}
+    for S in enumerate_semigroups(8):
+        kids = list(children(S))
+        assert [T.frobenius for T in kids] == [g for g in S.minimal_generators if g > S.frobenius]
+        assert all(T.gaps()[:-1] == S.gaps() for T in kids)
 
 
 def test_enumeration_cap():

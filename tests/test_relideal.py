@@ -26,7 +26,7 @@ from stablerings.relideal import (
     minimal_generator_count,
 )
 from stablerings.ringlab import stable_ring_report
-from stablerings.sweep import _tasks
+from stablerings.sweep import _walk
 
 S34 = from_generators({3, 4})
 S345 = from_generators({3, 4, 5})
@@ -255,9 +255,9 @@ def test_census_matches_per_mask_shapes():
 
 def test_census_matches_oracle_walk():
     # the counting census against the census read off the full walk: per call,
-    # up the ancestor chain, and from the sweep's memo pass
+    # up the ancestor chain, and down the sweep's walk
     totals = [0, 0, 0]
-    for S, _, _, counts, _ in _tasks(enumerate_semigroups(13), 8, 0):
+    for S, counts, _ in _walk(NAT, 13):
         census = oracles.normalized_census(S)
         report = stable_ring_report(S)
         assert (report.ideal_count, report.stable_count, report.max_mu) == census, str(S)
@@ -335,15 +335,15 @@ def test_blowup_tower_cap_reported_not_raised():
 
 def test_blowup_gap_mask_is_end_semigroup_of_max_ideal():
     # the shifted-OR gap mask of E(M) against E(M) built from the generators
-    # of M, semigroup by semigroup: the memo pass and the tower both read it
+    # of M, semigroup by semigroup: the sweep's walk and the tower both read it
     for S in enumerate_semigroups(8):
         assert _blowup_gap_mask(S) == end_semigroup(max_ideal(S)).gap_mask, str(S)
 
 
 def test_tower_stabilizes_within_genus():
-    for S, _, _, _, sequence in _tasks(enumerate_semigroups(12), 8, 0):
+    for S, _, sequence in _walk(NAT, 12):
         rep = blowup_tower(S)
-        assert sequence == rep.multiplicity_sequence, str(S)  # the sweep's memo pass
+        assert sequence == rep.multiplicity_sequence, str(S)  # the sweep's walk
         # each step against E(M) of the step before, built through the generators of M
         assert rep.tower[1:] == tuple(end_semigroup(max_ideal(T)) for T in rep.tower[:-1]), str(S)
         assert rep.reached_normalization

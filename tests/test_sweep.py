@@ -4,13 +4,13 @@ import pytest
 
 from stablerings import ringlab, sweep
 from stablerings.errors import CapExceeded
-from stablerings.numsg import enumerate_semigroups, from_generators
+from stablerings.numsg import NAT, enumerate_semigroups, from_generators
 from stablerings.relideal import _blowup_gap_mask, _census_counts, blowup_tower, end_semigroup, max_ideal
 from stablerings.sweep import (
     CHECK_NAMES,
     SALLY_GENUS_CAP,
     _gens_str,
-    _tasks,
+    _walk,
     analyze_semigroup,
     clamp_jobs,
     run_sweep,
@@ -18,7 +18,7 @@ from stablerings.sweep import (
 
 
 def _analyze(S, n_max=8, sally_cap=SALLY_GENUS_CAP):
-    """One semigroup's record, its counts and sequence derived here rather than by the memo pass."""
+    """One semigroup's record, its counts and sequence derived here rather than by the walk."""
     return analyze_semigroup(S, n_max, sally_cap, _census_counts(S), blowup_tower(S).multiplicity_sequence)
 
 
@@ -26,7 +26,7 @@ def test_analyze_single_semigroup():
     # the record holds what the merge reads and nothing else; no violation
     # means the report's stable, quadratic and Bass verdicts agree
     rec = _analyze(from_generators({2, 5}))
-    assert rec == {"genus": 2, "violations": {}, "sally": {"ideals": 3, "boundary": 2}}
+    assert rec == {"violations": {}, "sally": {"ideals": 3, "boundary": 2}}
 
 
 def test_analyze_records_boundary_cases():
@@ -38,19 +38,23 @@ def test_analyze_records_boundary_cases():
 
 def test_memo_pass_matches_end_semigroup_and_tower():
     # the shifted-OR gap mask of E(M) against E(M) built from the generators
-    # of M, and the memo's multiplicity sequences against the towers
+    # of M, and the walk's multiplicity sequences against the towers, over
+    # the tasks of run_sweep(14, sally_cap=7): N's subtree down to genus 6,
+    # and the subtree of each semigroup of genus 7 down to genus 14, each
+    # walk with its own memo
     tasks = 0
-    for S, n_max, sally_cap, _, sequence in _tasks(enumerate_semigroups(14), 5, 3):
-        assert (n_max, sally_cap) == (5, 3)
-        assert _blowup_gap_mask(S) == end_semigroup(max_ideal(S)).gap_mask, str(S)
-        assert sequence == blowup_tower(S).multiplicity_sequence, str(S)
-        tasks += 1
+    roots = [S for S in enumerate_semigroups(7) if S.genus == 7]
+    for root, max_genus in [(NAT, 6)] + [(S, 14) for S in roots]:
+        for S, _, sequence in _walk(root, max_genus):
+            assert _blowup_gap_mask(S) == end_semigroup(max_ideal(S)).gap_mask, str(S)
+            assert sequence == blowup_tower(S).multiplicity_sequence, str(S)
+            tasks += 1
     assert tasks == 4107
 
 
 def test_analyze_semigroup_derives_what_the_memo_passes():
-    for S, *args in _tasks(enumerate_semigroups(7), 8, 7):
-        assert analyze_semigroup(S, *args) == _analyze(S, 8, 7), str(S)
+    for S, counts, sequence in _walk(NAT, 7):
+        assert analyze_semigroup(S, 8, 7, counts, sequence) == _analyze(S, 8, 7), str(S)
 
 
 def test_run_sweep_structure():
@@ -64,19 +68,25 @@ def test_run_sweep_structure():
 
 
 def test_run_sweep_jobs_invariant():
-    assert run_sweep(5, jobs=1) == run_sweep(5, jobs=3)
+    # root genus 8, the Sally cap: 68 tasks, so jobs=3 starts a pool of two workers
+    assert run_sweep(9, jobs=1) == run_sweep(9, jobs=3)
 
 
-def test_run_sweep_merges_violations(monkeypatch):
-    # every semigroup of genus 2 reports a tower violation and a monomial/Bass divergence
-    def flagged(args):
-        rec = analyze_semigroup(*args)
-        if rec["genus"] == 2:
-            name = _gens_str(args[0])
+def _flagging(monkeypatch, genera):
+    """Make every semigroup of these genera report a tower violation and a monomial/Bass divergence."""
+
+    def flagged(S, *args):
+        rec = analyze_semigroup(S, *args)
+        if S.genus in genera:
+            name = _gens_str(S)
             rec["violations"] = {"tower": [name + ": t"], "monomial_vs_bass": [name + ": m"]}
         return rec
 
-    monkeypatch.setattr(sweep, "_worker", flagged)
+    monkeypatch.setattr(sweep, "analyze_semigroup", flagged)
+
+
+def test_run_sweep_merges_violations(monkeypatch):
+    _flagging(monkeypatch, {2})
     res = run_sweep(3, jobs=1, sally_cap=1)
     names = [_gens_str(S) for S in enumerate_semigroups(3) if S.genus == 2]
     assert list(res["checks"]) == list(CHECK_NAMES)
@@ -84,6 +94,20 @@ def test_run_sweep_merges_violations(monkeypatch):
     assert res["checks"]["monomial_vs_bass"] == {"checked": 8, "divergences": [n + ": m" for n in names]}
     assert res["checks"]["sally"] == {"checked": 2, "violations": [], "ideals_checked": 3, "boundary_cases": 1}
     assert res["violations_total"] == 2 * len(names) == 4
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_sweep_merges_violations_across_subtrees(monkeypatch, jobs):
+    # root genus 2: genus 1 lies in the walk from N, and genera 3 and 4 in
+    # the subtrees of both <3,4,5> and <2,5>, which walk them depth first
+    _flagging(monkeypatch, {1, 3, 4})
+    res = run_sweep(9, jobs=jobs, sally_cap=1)
+    names = [_gens_str(S) for S in enumerate_semigroups(4) if S.genus in (1, 3, 4)]
+    assert len(names) == 12
+    assert res["checks"]["tower"] == {"checked": 274, "violations": [n + ": t" for n in names]}
+    assert res["checks"]["monomial_vs_bass"] == {"checked": 274, "divergences": [n + ": m" for n in names]}
+    assert res["violations_total"] == 2 * len(names)
+    assert res["counts_by_genus"] == {str(g): n for g, n in enumerate((1, 1, 2, 4, 7, 12, 23, 39, 67, 118))}
 
 
 def test_n_max_is_checked_once_per_sweep(monkeypatch):
