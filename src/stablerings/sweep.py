@@ -173,11 +173,11 @@ def _walk(root: NumericalSemigroup, max_genus: int):
     """
     sequences = {0: (1,)}  # the full monoid's
 
-    def sequence(gaps: int, S: NumericalSemigroup | None = None) -> tuple[int, ...]:
-        """The sequence of the semigroup with these gaps, S if the caller has it built."""
+    def sequence(gaps: int, S: NumericalSemigroup | None) -> tuple[int, ...]:
+        """The sequence of the semigroup with these gaps: S, or None if the caller has not built it."""
         if gaps not in sequences:
             S = S or _from_gap_mask(gaps)
-            sequences[gaps] = (S.multiplicity,) + sequence(_blowup_gap_mask(S))
+            sequences[gaps] = (S.multiplicity,) + sequence(_blowup_gap_mask(S), None)
         return sequences[gaps]
 
     stack = [(root, _census_counts(root))]
