@@ -90,6 +90,46 @@ def test_sg_report(capsys):
     assert result["agreement"] and result["max_mu"] == 2
 
 
+# sha256 of the stdout of `sg report G --json --no-timing` and of `sg report G
+# --no-timing`, recorded while the report was a dataclass with a payload method
+SG_REPORT_GOLDEN = {
+    "1": (
+        "88b2dfcc934e73b68ff70a3a49c43d6e2233b961b67a7c82c80e469a66fe4db3",
+        "3cadf79282acf510c3766b9245a9fac2b785b2b67bb669b1ce58500b800d312a",
+    ),
+    "2,5": (
+        "4dbd63ec7a48732c04caf55f9451cfa2c1df763d2bb6fe2f456df203e8465b4c",
+        "49fe824ad995961eb92bdce321e1aea33493891267425455d900e949da58608f",
+    ),
+    "3,4,5": (
+        "9cd99f1972f4d37eec277d0704530e04b4bfabf266bfb7da9d6d27fd9481fca8",
+        "ea6df4882f0dfb06ccc2160a150909811fd67a52b1567f6b3cee9936f557333a",
+    ),
+    "2,41": (
+        "762437d8e96be1337fc3f4e0490406e5e74fe783b69508d6da430894b2c8653b",
+        "0695e3391ed1e13435d05841fce6bf77d8059843b74114e7723901d7c26eb54b",
+    ),
+    "4,6,9,11": (
+        "b02088335bf0247e3954bd4f6412f56ea3900fa806bd76e6849d96daf773f53b",
+        "17d832ebd15806281dea1c946bd3ac17e6f54d490a58d40d18bf4c5050666a3b",
+    ),
+    ",".join(map(str, range(21, 42))): (  # the ordinary semigroup of genus 20
+        "ec033ee98fdc08cb76b58f60df2b84a9fca7bf3ee917fc0e909802623a802f2c",
+        "7c46a8d64c47f62a7a5d1c48690c44fde51064f67371d21b1b3cd7a6199c5679",
+    ),
+}
+
+
+@pytest.mark.parametrize("gens", list(SG_REPORT_GOLDEN))
+def test_sg_report_golden(capsys, gens):
+    digests = []
+    for form in (["--json"], []):
+        code, out, _ = run(capsys, "sg", "report", gens, *form, "--no-timing")
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == SG_REPORT_GOLDEN[gens]
+
+
 def test_sg_two_gen(capsys):
     code, out, _ = run(capsys, "sg", "two-gen", "2,7", "--json", "--no-timing")
     assert code == 0

@@ -23,8 +23,9 @@ import pytest
 import test_idealization
 import test_relideal
 import test_ringlab
+import test_sweep
 
-from stablerings import idealization, relideal, sweep
+from stablerings import idealization, relideal, ringlab, sweep
 from stablerings.idealization import TruncatedSeries
 
 # (function, text, mutated text, the test that must fail under the mutant)
@@ -48,6 +49,12 @@ MUTANTS = (
         "_census_counts(child, counts)",
         "_census_counts(child, _census_counts(root))",
         test_relideal.test_census_matches_oracle_walk,
+    ),
+    (  # the report's agreement leaves out the Bass verdict
+        ringlab.stable_ring_report,
+        "agreement=all_stable == quadratic == bass",
+        "agreement=all_stable == quadratic",
+        test_sweep.test_violation_messages_read_the_report,
     ),
     (
         idealization._in_module,

@@ -36,6 +36,23 @@ def test_analyze_records_boundary_cases():
     assert rec["violations"] == {}
 
 
+def test_violation_messages_read_the_report(monkeypatch):
+    # the report's verdicts forced apart on <2,5>: the counts (3, 2) make one
+    # normalized ideal unstable, the quadratic test says no and the Hilbert
+    # slope reads 3, while the multiplicity, and so the Bass verdict, stays 2
+    monkeypatch.setattr(ringlab, "is_monomial_quadratic", lambda S: False)
+    monkeypatch.setattr(ringlab, "multiplicity_via_hilbert", lambda S, chain: 3)
+    S = from_generators({2, 5})
+    rec = analyze_semigroup(S, 8, SALLY_GENUS_CAP, (3, 2), blowup_tower(S).multiplicity_sequence)
+    greither = {"mu_normalization": 2, "bass": True, "agree": True, "quadratic_when_two_generated": False}
+    assert rec["violations"] == {
+        "big_agreement": ["2,5: all_stable=False quadratic=False bass=True"],
+        "monomial_vs_bass": ["2,5: monomial verdict False vs multiplicity verdict True"],
+        "greither": [f"2,5: {greither}"],
+        "multiplicity_triple": ["2,5: m=2 hilbert=3 mu_norm=2"],
+    }
+
+
 def test_memo_pass_matches_end_semigroup_and_tower():
     # the shifted-OR gap mask of E(M) against E(M) built from the generators
     # of M, and the walk's multiplicity sequences against the towers, over
