@@ -131,7 +131,7 @@ def _sg_tower(args):
 
 def _sg_report(args):
     S, name = _semigroup(args)
-    return "sg report", name, ringlab.stable_ring_report(S).to_payload(), 0
+    return "sg report", name, ringlab.stable_ring_report(S), 0
 
 
 def _sg_two_gen(args):

@@ -50,13 +50,14 @@ times the row an exact elimination with a monic pivot gives, with the same
 valuations and so the same pivot choices (fraction-free elimination;
 Bareiss, Math. Comp. 22, 1968).
 
-Precision semantics: every stability verdict carries the margin N//2 at
-which it was certified.  Every ideal I with a regular generator is stable,
-with the witness g, a generator whose V-component has the least valuation
-(Lipman, Amer. J. Math. 93, 1971; Sally and Vasconcelos, J. Pure Appl.
-Algebra 4, 1974): every h in I is c*g + p with c in V and p in I ∩ P, and
-P^2 = 0, so h*h' = g*(c*c'*g + c*p' + c'*p) and I^2 = g*I holds exactly,
-in V/t^N too.  The test reduces g*I once and checks that every other
+Precision semantics: every stability verdict is the dict a trial prints,
+``stable``, ``witness_valuation`` and ``margin``, and it carries the margin
+N//2 at which it was certified.  Every ideal I with a regular generator is
+stable, with the witness g, a generator whose V-component has the least
+valuation (Lipman, Amer. J. Math. 93, 1971; Sally and Vasconcelos, J. Pure
+Appl. Algebra 4, 1974): every h in I is c*g + p with c in V and p in I ∩ P,
+and P^2 = 0, so h*h' = g*(c*c'*g + c*p' + c'*p) and I^2 = g*I holds
+exactly, in V/t^N too.  The test reduces g*I once and checks that every other
 generator product lies in it; g*I lies in I^2, so then the two are equal
 and have the same pivots.  The verdict is trusted only when every pivot
 valuation of I^2 lies below the margin; otherwise it is inconclusive.  A
@@ -75,6 +76,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
+from . import Payload
 from .errors import (
     BadPrecision,
     BadRank,
@@ -419,22 +421,6 @@ def ideal_from_generators(ring: IdealizationRing, gens) -> Pivots:
     return reduce_rows(ring, rows + gens)
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
-    """Outcome of the stability test: stable=None is inconclusive, False a fault.
-
-    ``witness`` is the least-valuation generator g when stable is True.
-    """
-
-    stable: bool | None
-    witness: tuple | None
-    margin: int
-
-    def to_payload(self) -> dict:
-        witness = self.witness[0].valuation() if self.witness is not None else None
-        return {"stable": self.stable, "witness_valuation": witness, "margin": self.margin}
-
-
 def _products(ring: IdealizationRing, gens) -> dict:
     """The table of products gens[i]*gens[j], keyed by (i, j) with i <= j."""
     return {(i, j): ring.mul(a, gens[j]) for i, a in enumerate(gens) for j in range(i, len(gens))}
@@ -445,8 +431,14 @@ def _square(ring: IdealizationRing, products: dict) -> tuple:
     return ideal_from_generators(ring, list(dict.fromkeys(products.values())))
 
 
-def is_stable_ideal(ring: IdealizationRing, gens) -> StabilityVerdict:
+def is_stable_ideal(ring: IdealizationRing, gens) -> dict:
     """Does I^2 = g*I hold, at the margin, for the ideal I generated by gens?
+
+    The verdict is the dict a trial prints: ``stable``, ``witness_valuation``
+    and ``margin``.  ``stable`` is True when I^2 = g*I is certified, None
+    when the verdict is inconclusive at the margin, and False only on a
+    program fault.  ``witness_valuation`` is the valuation of g's
+    V-component when stable is True, else None; ``margin`` is N//2.
 
     g is the generator whose V-component has the least valuation (the first
     such generator on a tie), and I^2 = g*I holds exactly; see the module
@@ -470,8 +462,8 @@ def is_stable_ideal(ring: IdealizationRing, gens) -> StabilityVerdict:
     stable = all(_in_module(ring, g_times_i, x) for x in others)
     square = g_times_i if stable else _square(ring, products)
     if any(v >= margin for _, v in square):
-        return StabilityVerdict(stable=None, witness=None, margin=margin)
-    return StabilityVerdict(stable=stable, witness=gens[k] if stable else None, margin=margin)
+        stable = None
+    return Payload(stable=stable, witness_valuation=vals[k] if stable else None, margin=margin)
 
 
 def hilbert_lengths(ring: IdealizationRing, n: int) -> list[int]:
@@ -532,9 +524,7 @@ def stability_sweep(ring: IdealizationRing, trials: int, seed: int) -> dict:
     """Run the stability test over seeded random regular ideals."""
     check_caps(ring.rank, ring.prec, trials)
     rng = random.Random(seed)
-    per_trial = [
-        is_stable_ideal(ring, _random_regular_generators(ring, rng)).to_payload() for _ in range(trials)
-    ]
+    per_trial = [is_stable_ideal(ring, _random_regular_generators(ring, rng)) for _ in range(trials)]
     counts = Counter(t["stable"] for t in per_trial)
     return {
         "trials": trials,

@@ -8,22 +8,24 @@ and its normalization, the Bass verdict (multiplicity at most 2), and the
 two-generated-power and minimal-multiplicity equivalences.
 
 Each check has one form, the one the sweep runs, and it takes masks, not
-ideal objects.  The census of the normalized ideals lists none of them: the
-count and the stable count come from ``relideal._census_counts``, by a
-recurrence along the semigroup tree (the sweep passes in the pair its walk
-derived from the parent's), and the largest mu is mu of the
-normalization, which ``greither_check`` reads off the report with the
-quadratic test.  The powers of M are one chain, ``max_ideal_chain``: the
-hole masks of ``relideal._power_chain`` below the conductor, through the
-first repeat.  ``two_generator_check`` counts the generators of M^2 ...
-M^n_max with ``relideal._generator_mask``, ``minimal_multiplicity_check``
-asks whether the chain repeats at 2M, and ``multiplicity_via_hilbert``
-takes its three Hilbert-function probes, each a power of M against the gap
-mask of S, off the same chain; the caller builds it once per semigroup and
-passes it to all three.  ``sally_check`` runs on S and a bare hole mask,
-so the sweep's per-ideal pass builds no ideal object.  The power range
-``n_max`` is checked by ``check_n_max`` where it enters, in the sweep and
-the CLI, not by the checks.
+ideal objects.  Each returns the dict that the CLI prints, the ring report
+included: ``stable_ring_report`` returns the ``sg report`` payload, and the
+sweep and ``greither_check`` read it by its keys.  The census of the
+normalized ideals lists none of them: the count and the stable count come
+from ``relideal._census_counts``, by a recurrence along the semigroup tree
+(the sweep passes in the pair its walk derived from the parent's), and the
+largest mu is mu of the normalization, which ``greither_check`` reads off
+the report with the quadratic test.  The powers of M are one chain,
+``max_ideal_chain``: the hole masks of ``relideal._power_chain`` below the
+conductor, through the first repeat.  ``two_generator_check`` counts the
+generators of M^2 ... M^n_max with ``relideal._generator_mask``,
+``minimal_multiplicity_check`` asks whether the chain repeats at 2M, and
+``multiplicity_via_hilbert`` takes its three Hilbert-function probes, each
+a power of M against the gap mask of S, off the same chain; the caller
+builds it once per semigroup and passes it to all three.  ``sally_check``
+runs on S and a bare hole mask, so the sweep's per-ideal pass builds no
+ideal object.  The power range ``n_max`` is checked by ``check_n_max``
+where it enters, in the sweep and the CLI, not by the checks.
 
 Quadratic test note: the extension test only needs pairs of gaps of S.  If
 x is a member of S then x + y always lies in y + S, and symmetrically for y.
@@ -33,8 +35,7 @@ x meets itself iff x plus some gap is a gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from . import Payload
 from .errors import CapExceeded, NotStabilized
 from .numsg import NumericalSemigroup
 from .relideal import (
@@ -100,35 +101,14 @@ def is_monomial_quadratic(S: NumericalSemigroup) -> bool:
     return not any(gaps << x & gaps for x in S.gaps())
 
 
-@dataclass(frozen=True)
-class StableRingReport:
-    """The three-way equivalence data for one semigroup."""
-
-    semigroup: NumericalSemigroup
-    ideal_count: int
-    stable_count: int
-    max_mu: int
-    all_stable: bool
-    quadratic_over_normalization: bool
-    is_bass: bool
-    agreement: bool
-
-    def to_payload(self) -> dict:
-        """JSON-stable field names."""
-        return {
-            "semigroup": ",".join(str(g) for g in self.semigroup.minimal_generators),
-            "ideal_count": self.ideal_count,
-            "stable_count": self.stable_count,
-            "max_mu": self.max_mu,
-            "all_stable": self.all_stable,
-            "quadratic": self.quadratic_over_normalization,
-            "bass": self.is_bass,
-            "agreement": self.agreement,
-        }
-
-
-def stable_ring_report(S: NumericalSemigroup, counts: tuple[int, int] | None = None) -> StableRingReport:
+def stable_ring_report(S: NumericalSemigroup, counts: tuple[int, int] | None = None) -> dict:
     """Check the stable / quadratic / Bass equivalence over all normalized ideals.
+
+    The report is the dict the CLI prints: ``semigroup`` (the minimal
+    generators, comma-separated), ``ideal_count`` and ``stable_count`` of
+    the normalized ideals, their largest mu ``max_mu``, the three verdicts
+    ``all_stable``, ``quadratic`` (the normalization is quadratic over S)
+    and ``bass`` (multiplicity at most 2), and their ``agreement``.
 
     ``counts`` is (count, stable count) when the caller has them already;
     without it they are derived up S's ancestor chain.
@@ -143,14 +123,14 @@ def stable_ring_report(S: NumericalSemigroup, counts: tuple[int, int] | None = N
     all_stable = stable_count == ideal_count
     quadratic = is_monomial_quadratic(S)
     bass = S.multiplicity <= 2
-    return StableRingReport(
-        semigroup=S,
+    return Payload(
+        semigroup=",".join(str(g) for g in S.minimal_generators),
         ideal_count=ideal_count,
         stable_count=stable_count,
         max_mu=minimal_generator_count(RelativeIdeal(S, 0, 0)),
         all_stable=all_stable,
-        quadratic_over_normalization=quadratic,
-        is_bass=bass,
+        quadratic=quadratic,
+        bass=bass,
         agreement=all_stable == quadratic == bass,
     )
 
@@ -207,7 +187,7 @@ def sally_check(S: NumericalSemigroup, holes: int, n_max: int) -> dict:
     }
 
 
-def greither_check(report: StableRingReport) -> dict:
+def greither_check(report: dict) -> dict:
     """Generator count of the normalization as an S-module, vs the Bass verdict.
 
     mu_normalization is mu_S of the full monoid, which equals the
@@ -215,12 +195,12 @@ def greither_check(report: StableRingReport) -> dict:
     verdict, and the quadratic consequence of two-generation is asserted
     alongside.
     """
-    mu = report.max_mu
+    mu = report["max_mu"]
     return {
         "mu_normalization": mu,
-        "bass": report.is_bass,
-        "agree": (mu <= 2) == report.is_bass,
-        "quadratic_when_two_generated": (mu > 2) or report.quadratic_over_normalization,
+        "bass": report["bass"],
+        "agree": (mu <= 2) == report["bass"],
+        "quadratic_when_two_generated": (mu > 2) or report["quadratic"],
     }
 
 

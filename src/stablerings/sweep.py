@@ -7,11 +7,13 @@ minimal multiplicity, the multiplicity triple (least element vs Hilbert
 slope vs normalization generators), blow-up tower behavior, and (below the
 Sally genus cap) the two-generated-power implication over every normalized
 ideal, whose verdict is the same for every translate of the ideal.  Each
-check goes through its one entry point in ``ringlab``: the three checks on
-the powers of M read one chain, ``ringlab.max_ideal_chain``, the tower's
-members are built only for multiplicity 2 (one semigroup per genus), and
-``ringlab.sally_check`` runs on the hole masks that
-``relideal.enumerate_normalized_ideals`` returns.
+check goes through its one entry point in ``ringlab``: the ring report is
+the dict that ``sg report`` prints, whose ``semigroup`` entry names the
+semigroup in each violation line, the three checks on the powers of M read
+one chain, ``ringlab.max_ideal_chain``, the tower's members are built only
+for multiplicity 2 (one semigroup per genus), and ``ringlab.sally_check``
+runs on the hole masks that ``relideal.enumerate_normalized_ideals``
+returns.
 
 The sweep is one walk of the semigroup tree, split into subtrees as
 Fromentin and Hivert split it ("Exploring the tree of numerical
@@ -55,10 +57,6 @@ SALLY_GENUS_CAP = 8
 SALLY_GENUS_CAP_MAX = 14
 
 
-def _gens_str(S: NumericalSemigroup) -> str:
-    return ",".join(str(g) for g in S.minimal_generators)
-
-
 def analyze_semigroup(
     S: NumericalSemigroup,
     n_max: int,
@@ -73,24 +71,17 @@ def analyze_semigroup(
     checks ``n_max``.  The record holds what the merge reads: the violations
     and, below the Sally cap, the Sally counters.
     """
-    name = _gens_str(S)
+    report = ringlab.stable_ring_report(S, counts)
     violations: dict[str, list[str]] = {}
 
     def flag(check: str, msg: str) -> None:
-        violations.setdefault(check, []).append(f"{name}: {msg}")
+        violations.setdefault(check, []).append(f"{report['semigroup']}: {msg}")
 
-    report = ringlab.stable_ring_report(S, counts)
-    if not report.agreement:
-        flag(
-            "big_agreement",
-            f"all_stable={report.all_stable} quadratic={report.quadratic_over_normalization} "
-            f"bass={report.is_bass}",
-        )
-    if report.is_bass != report.all_stable:
-        flag(
-            "monomial_vs_bass",
-            f"monomial verdict {report.all_stable} vs multiplicity verdict {report.is_bass}",
-        )
+    all_stable, bass = report["all_stable"], report["bass"]
+    if not report["agreement"]:
+        flag("big_agreement", f"all_stable={all_stable} quadratic={report['quadratic']} bass={bass}")
+    if bass != all_stable:
+        flag("monomial_vs_bass", f"monomial verdict {all_stable} vs multiplicity verdict {bass}")
 
     chain = ringlab.max_ideal_chain(S)  # M, 2M, ...: read by the next three checks
     two = ringlab.two_generator_check(S, n_max, chain)

@@ -64,10 +64,10 @@ def test_criterion_1_big_agreement_sweep():
     for S in enumerate_semigroups(12):
         rep = stable_ring_report(S)
         checked += 1
-        ideals += rep.ideal_count
-        stable += rep.stable_count
-        max_mu = max(max_mu, rep.max_mu)
-        if not rep.agreement:
+        ideals += rep["ideal_count"]
+        stable += rep["stable_count"]
+        max_mu = max(max_mu, rep["max_mu"])
+        if not rep["agreement"]:
             disagreements.append(str(S))
     elapsed = time.monotonic() - started
     totals = (ideals, stable, max_mu)
@@ -142,7 +142,7 @@ def _criterion_4_semigroup(S):
                 census[1] += b
                 census[2] = max(census[2], len(gens))
     rep = stable_ring_report(S)
-    if (rep.ideal_count, rep.stable_count, rep.max_mu) != tuple(census):
+    if (rep["ideal_count"], rep["stable_count"], rep["max_mu"]) != tuple(census):
         mismatches.append((str(S), "report", census))
     return checked, mismatches
 

@@ -135,19 +135,19 @@ def test_monomial_quadratic_via_raw_pairs():
 
 def test_stable_ring_report_examples():
     r = stable_ring_report(S25)
-    assert (r.all_stable, r.quadratic_over_normalization, r.is_bass) == (True, True, True)
-    assert r.max_mu == 2 and r.agreement
+    assert (r["all_stable"], r["quadratic"], r["bass"]) == (True, True, True)
+    assert r["max_mu"] == 2 and r["agreement"]
 
     r = stable_ring_report(S345)
-    assert (r.all_stable, r.quadratic_over_normalization, r.is_bass) == (False, False, False)
-    assert r.agreement
+    assert (r["all_stable"], r["quadratic"], r["bass"]) == (False, False, False)
+    assert r["agreement"]
     # the module S + (1+S) is the stability failure: its square is everything
     I = make_ideal(S345, {0, 1})
     assert ideal_sum(I, I).minimal_generators == (0, 1, 2)
     assert not is_stable(I)
 
     r = stable_ring_report(NAT)
-    assert r.all_stable and r.agreement and r.ideal_count == 1
+    assert r["all_stable"] and r["agreement"] and r["ideal_count"] == 1
 
 
 def test_stable_count_is_oversemigroup_count():
@@ -158,14 +158,15 @@ def test_stable_count_is_oversemigroup_count():
     total = 0
     for S, gaps in zip(semigroups, gap_masks):
         over = sum(1 for t in gap_masks if not t & ~gaps)
-        assert stable_ring_report(S).stable_count == over, str(S)
+        assert stable_ring_report(S)["stable_count"] == over, str(S)
         total += over
     assert total == 88134
 
 
 def test_report_payload_field_names():
-    payload = stable_ring_report(S25).to_payload()
-    assert set(payload) == {
+    # the text form prints the keys in this order
+    payload = stable_ring_report(S25)
+    assert list(payload) == [
         "semigroup",
         "ideal_count",
         "stable_count",
@@ -174,7 +175,8 @@ def test_report_payload_field_names():
         "quadratic",
         "bass",
         "agreement",
-    }
+    ]
+    assert payload["semigroup"] == "2,5"
 
 
 def test_two_generator_examples():
@@ -332,4 +334,4 @@ def test_bass_forward_direction():
         if S.multiplicity > 2:
             continue
         r = stable_ring_report(S)
-        assert r.all_stable and r.max_mu <= 2
+        assert r["all_stable"] and r["max_mu"] <= 2
