@@ -130,6 +130,129 @@ def test_sg_report_golden(capsys, gens):
     assert tuple(digests) == SG_REPORT_GOLDEN[gens]
 
 
+def _digest(capsys, *argv):
+    code, out, _ = run(capsys, *argv, "--no-timing")
+    assert code == 0
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+# sha256 of the stdout of `sg info G --json --no-timing` and of `sg info G
+# --no-timing`, recorded while a semigroup was stored as a member mask
+SG_INFO_GOLDEN = {
+    "1": (
+        "d3a28af1cd1da79bd6684a58de03fc5e225c69044a7bf7884da14a1c6295439e",
+        "1cbd821c6f96f09436bc4ba6adcd9e57b32221803dd5f3cbb9e495a722417917",
+    ),
+    "2,5": (
+        "c3e7cb1714a3f21a7692987caf5295a4cae3f0d3623a6860d609d0885f22f2bb",
+        "b86d3ffa5be424753326de5d15c6305e1630c0fa5e04a75f60b8619f9cb68fe3",
+    ),
+    "3,4,5": (
+        "00303f1b6b824f9049d2e81bce479a40d291786899af7055e88013d6ed399f72",
+        "e0b592d5f9a904ba64e4fdb304ff660e53f202e73b6d5379417611e2c43ce149",
+    ),
+    "4,6,9,11": (
+        "530eaad42167054749cac4b175a9c8fd08ae75cb575fc8c81075dee25b37f0fd",
+        "cf4c7cd4a164faff64f279b31e1d6c4728371f01b2ad4c3b989dace9a9e4f6a1",
+    ),
+    "130,131": (
+        "5c1251640c73d8e0a17c34f4d146262a2d93f2d27ecd9635b79c8c8531f95ebd",
+        "655c10e27f5880c8ac1d32f9febe57abd58c9be6f67e97c59789b58a169e006a",
+    ),
+}
+
+
+@pytest.mark.parametrize("gens", list(SG_INFO_GOLDEN))
+def test_sg_info_golden(capsys, gens):
+    forms = (["--json"], [])
+    assert tuple(_digest(capsys, "sg", "info", gens, *form) for form in forms) == SG_INFO_GOLDEN[gens]
+
+
+# sha256 of the stdout of `sg ideal G --ideal=I` with `--json`, as text and as
+# text with `--stable`, each with --no-timing, recorded while E(I) was an AND
+# of shifted member windows
+SG_IDEAL_GOLDEN = {
+    ("1", "0"): (
+        "0b24f43e5913df8259bf655a52ab00bd0ba06b5e473ce0b9fb690b1e075634db",
+        "b27da5ff223fd8dd3fbe52f5062781c5c02f404deebc0727d70ce34d9e28f2cc",
+        "280a0989a260e62fa8543260b88b9880c8ac0367c301b72d2d77b924f358b8b3",
+    ),
+    ("3,4,5", "0,1"): (
+        "8791c28fd653fec9acbadce084a66a54a31384161c8fa4bc43c34b35732a22d0",
+        "b6811f3866cef70c6de8b12ed5426d55548bee9d78baee1b834027ffe419797c",
+        "83c7f5f1d541ac4a11121986ed5187a0350854b93052bda1292acd1e21a56923",
+    ),
+    ("3,4,5", "-5,0,1"): (
+        "af7765b80c201de3d03ccbac2788c3c44c4ec92f4faca4c06f243ab0d657f922",
+        "8dfab52a0d0ffaa90d0c2efb72fa078ee59ea2bf77908af9882958d874d9cc7b",
+        "280a0989a260e62fa8543260b88b9880c8ac0367c301b72d2d77b924f358b8b3",
+    ),
+    ("2,7", "-3,0,4"): (
+        "61e685394f1085232fb1ef711ff3d0ce358bc89d646707f3a31c3b32986440c9",
+        "69090b7b45063f69a4a9cb4a755be2df4e5db6e735d42faeb2db6f8f923ce628",
+        "280a0989a260e62fa8543260b88b9880c8ac0367c301b72d2d77b924f358b8b3",
+    ),
+    ("5,7,9", "-4,0,3"): (
+        "be8a56b34554cdc75efcd446bdca5623266f719d25f84dc6093dfa5e13d0518e",
+        "b0b61ac3c74395eeeebebce296efd1defa7d9c284e60b162310ad393822642de",
+        "83c7f5f1d541ac4a11121986ed5187a0350854b93052bda1292acd1e21a56923",
+    ),
+    ("4,6,9,11", "-2,0,3"): (
+        "f4c65a937bad825759055b8bcf473f9b8cce0b3929ad27a48273e4f462a1e47a",
+        "ecd39ae1067c10db4169088b172f189b4f89d74153f24663e09385bd7c702a0c",
+        "83c7f5f1d541ac4a11121986ed5187a0350854b93052bda1292acd1e21a56923",
+    ),
+    ("130,131", "-7,0,1,65"): (
+        "300f4b6ad86d4da59812fc7d3d17304d34c82986574e3c196160e96136c1be45",
+        "ba14c2ca2d6b7784849dd8c41cdff29a1013c401541350290d20602db59ac7e4",
+        "83c7f5f1d541ac4a11121986ed5187a0350854b93052bda1292acd1e21a56923",
+    ),
+}
+
+
+@pytest.mark.parametrize("gens, ideal", list(SG_IDEAL_GOLDEN))
+def test_sg_ideal_golden(capsys, gens, ideal):
+    forms = (["--json"], [], ["--stable"])
+    digests = tuple(_digest(capsys, "sg", "ideal", gens, f"--ideal={ideal}", *form) for form in forms)
+    assert digests == SG_IDEAL_GOLDEN[gens, ideal]
+
+
+# sha256 of the stdout of `sg tower ARGS --json --no-timing` and of `sg tower
+# ARGS --no-timing`, recorded while the tower came back as a report record
+SG_TOWER_GOLDEN = {
+    ("1",): (
+        "bb22f7c370cca46e47afc1f4963e162c4773d90abb871d0ab33f1520221c4cae",
+        "92892538c774cb1ca54c8cac4612845c5ec1da15220d07838649a2d53e537a8f",
+    ),
+    ("2,7",): (
+        "bed42d861212dc4b1e257784b23c3de61aedf9c2dbceb86b91585da6a2444045",
+        "43d6217d68912227136f23d6dc3ea0387acc89a4ee408625ea0199b1957c7fba",
+    ),
+    ("3,4,5",): (
+        "021e7306e744dee76dc22f98d24292a6da05248c8885ab6b2300346267e28e87",
+        "b27b99349fa608e82f53ff23a7af5bea59b6ad53964986ac1e2eaa616deb4dbb",
+    ),
+    ("4,6,9,11",): (
+        "22b9eb4feef54a75f899df699ceaf079a5b3d112923cd35302278e66259b0cc3",
+        "b046e9208389e81f0dd2ed697aa565eaf62713bbdfe664c631a4edf27aa27d24",
+    ),
+    ("130,131",): (
+        "86aa5115311de6d155c92d4b435a465742d0c5e420d9315e3b39644c29dbdd10",
+        "97d7aef48d95604cfcb14fd700f5cfb0ea2d304bd50207afab4d94a9142d8a0a",
+    ),
+    ("5,7,9", "--cap", "1"): (
+        "2338e9fe7e55dfe264d295bdf444642ef448b3cc25e177ad11cf2da07a1e41da",
+        "ca5f55befbd59dd9bcd6c310634021d35cf899371647653a95af636757b4e1c1",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(SG_TOWER_GOLDEN))
+def test_sg_tower_golden(capsys, argv):
+    forms = (["--json"], [])
+    assert tuple(_digest(capsys, "sg", "tower", *argv, *form) for form in forms) == SG_TOWER_GOLDEN[argv]
+
+
 def test_sg_two_gen(capsys):
     code, out, _ = run(capsys, "sg", "two-gen", "2,7", "--json", "--no-timing")
     assert code == 0
