@@ -118,13 +118,13 @@ def _sg_ideal(args):
 
 def _sg_tower(args):
     S, name = _semigroup(args)
-    rep = relideal.blowup_tower(S, cap=args.cap)
+    tower = relideal.blowup_tower(S, cap=args.cap)
     result = {
         "semigroup": name,
-        "tower": [_canonical(t.minimal_generators) for t in rep.tower],
-        "multiplicity_sequence": _canonical(rep.multiplicity_sequence),
-        "stabilization_index": rep.stabilization_index,
-        "reached_normalization": rep.reached_normalization,
+        "tower": [_canonical(t.minimal_generators) for t in tower],
+        "multiplicity_sequence": _canonical(t.multiplicity for t in tower),
+        "stabilization_index": len(tower) - 1,
+        "reached_normalization": tower[-1].is_full,
     }
     return "sg tower", name, result, 0
 

@@ -6,16 +6,16 @@ k[[t^s : s in S]]: the maximal ideal is S minus 0, the multiplicity is the
 least positive element, and the embedding dimension is the number of minimal
 generators.
 
-Membership is tabulated once on the window [0, c] where c is the conductor
-(the least c with [c, oo) inside S); cofiniteness makes that window complete
-information, so every query reduces to it, and its complement, the gap
-mask, is the one reader of the gaps.  One constructor,
-``NumericalSemigroup.from_member_mask``, builds every value from a
-membership bitmask with whole-mask operations, recomputing the minimal
-generators (so two values are equal iff their generator tuples are) and
-checking closure under each.  ``from_generators`` sizes its window by
-doubling, so it refuses more than ``GENERATOR_CAP`` distinct generators or
-a window past ``WINDOW_CAP`` bits with :class:`CapExceeded`.
+A value is stored as its gap mask: bit z is set iff z is a gap, a
+nonnegative integer outside S.  Cofiniteness makes the mask finite, and its
+bit length is the conductor (the least c with [c, oo) inside S), so every
+membership query is one shift of it.  One constructor,
+``NumericalSemigroup.from_gap_mask``, builds every value from a gap mask
+with whole-mask operations, recomputing the minimal generators (so two
+values are equal iff their generator tuples are) and checking closure
+under each.  ``from_generators`` sizes its window by doubling, so it
+refuses more than ``GENERATOR_CAP`` distinct generators or a window past
+``WINDOW_CAP`` bits with :class:`CapExceeded`.
 """
 
 from __future__ import annotations
@@ -38,62 +38,55 @@ GENERATOR_CAP = 256
 class NumericalSemigroup:
     """A numerical semigroup in canonical form.
 
-    ``small_members`` is a bitmask over [0, conductor]: bit z is set iff z is
-    a member.  Everything above the conductor is a member, everything
-    negative is not.
+    ``gap_mask`` is the bitmask of the gaps: bit z is set iff z >= 0 is not
+    a member.  Every z at or past its bit length, the conductor, is a
+    member, and every negative z is not.
     """
 
     minimal_generators: tuple[int, ...]
     conductor: int
     multiplicity: int
     genus: int
-    small_members: int
+    gap_mask: int
 
     @classmethod
-    def from_member_mask(cls, mask: int, width: int) -> "NumericalSemigroup":
-        """The semigroup whose membership on [0, width) is ``mask``.
+    def from_gap_mask(cls, gaps: int) -> "NumericalSemigroup":
+        """The semigroup whose gap mask is ``gaps``.
 
-        Every z in [width, oo) counts as a member, and bit width - 1 must be
-        set, so the window reaches the conductor.  The minimal generators are
-        found in ascending order: each is the least positive member outside
-        the union of g + S over the generators g found before it.  Every
-        member is a sum of them, so S is closed under addition iff it is
-        closed under adding each one; a mask that is not raises ValueError.
+        The minimal generators are found in ascending order: each is the
+        least positive member outside the union of g + S over the generators
+        g found before it.  Every member is a sum of them, so S is closed
+        under addition iff it is closed under adding each one; a mask that
+        is not raises ValueError, and so does a mask with bit 0 set or a
+        negative one, whose gaps would not be finitely many.
         """
-        if not mask & 1:
-            raise ValueError("0 must be a member")
-        holes = ((1 << width) - 1) & ~mask
-        conductor = holes.bit_length()
-        if conductor >= width:
-            raise ValueError("window does not reach the conductor")
-        low = (holes | 1) + 1 & ~holes  # lowest clear bit of holes | 1
+        if gaps & 1 or gaps < 0:
+            raise ValueError("0 must be a member and the gaps finitely many")
+        conductor = gaps.bit_length()
+        low = (gaps | 1) + 1 & ~gaps  # lowest clear bit of gaps | 1
         multiplicity = low.bit_length() - 1
         # a minimal generator s > multiplicity has s - multiplicity a gap,
         # so every one is at most conductor + multiplicity
-        members = ((1 << (conductor + multiplicity + 1)) - 1) & ~holes
+        members = ((1 << (conductor + multiplicity + 1)) - 1) & ~gaps
         mingens = []
         rest = members & ~1  # the positive members not yet sums of found generators
         while rest:
             g = (rest & -rest).bit_length() - 1
-            if holes >> g & members:
-                raise ValueError(f"membership mask not closed under adding {g}")
+            if gaps >> g & members:
+                raise ValueError(f"gap mask not closed under adding {g}")
             mingens.append(g)
             rest &= ~(members << g)
         return cls(
             minimal_generators=tuple(mingens),
             conductor=conductor,
             multiplicity=multiplicity,
-            genus=holes.bit_count(),
-            small_members=members & ((1 << (conductor + 1)) - 1),
+            genus=gaps.bit_count(),
+            gap_mask=gaps,
         )
 
     def contains(self, z: int) -> bool:
-        """Membership test; constant time via the tabulated window."""
-        if z < 0:
-            return False
-        if z >= self.conductor:
-            return True
-        return bool(self.small_members >> z & 1)
+        """Membership test: one shift of the gap mask."""
+        return z >= 0 and not self.gap_mask >> z & 1
 
     def __contains__(self, z: int) -> bool:
         return self.contains(z)
@@ -112,11 +105,6 @@ class NumericalSemigroup:
         """True iff S is all of the nonnegative integers."""
         return self.conductor == 0
 
-    @property
-    def gap_mask(self) -> int:
-        """Bitmask of the gaps: bit z is set iff z is not a member."""
-        return ((1 << self.conductor) - 1) & ~self.small_members
-
     def gaps(self) -> tuple[int, ...]:
         """The finitely many nonnegative integers outside S, ascending."""
         # a string reader: relideal._offsets rewrites the whole mask per set bit,
@@ -127,8 +115,7 @@ class NumericalSemigroup:
 
     def members_mask(self, width: int) -> int:
         """Bitmask of membership on [0, width)."""
-        full_above = ((1 << max(width - self.conductor, 0)) - 1) << self.conductor
-        return (self.small_members | full_above) & ((1 << width) - 1)
+        return ((1 << width) - 1) & ~self.gap_mask
 
     def __str__(self) -> str:
         return "<" + ",".join(str(g) for g in self.minimal_generators) + ">"
@@ -137,8 +124,8 @@ class NumericalSemigroup:
 def from_generators(gens) -> NumericalSemigroup:
     """The numerical semigroup generated by ``gens``.
 
-    Redundant generators are dropped; conductor, gaps and the membership
-    table are computed exactly.  Raises :class:`GcdNotOne` when the given
+    Redundant generators are dropped; the conductor and the gap mask are
+    computed exactly.  Raises :class:`GcdNotOne` when the given
     integers do not generate a cofinite monoid, and :class:`CapExceeded`
     past ``GENERATOR_CAP`` distinct generators or when the membership window
     would outgrow ``WINDOW_CAP`` bits.
@@ -178,7 +165,7 @@ def from_generators(gens) -> NumericalSemigroup:
                 mask = (mask | mask << step) & window
                 step *= 2
         if mask >> (width - m) == (1 << m) - 1:
-            return NumericalSemigroup.from_member_mask(mask, width)
+            return NumericalSemigroup.from_gap_mask(window & ~mask)
         width *= 2
 
 
@@ -205,7 +192,7 @@ def children(S: NumericalSemigroup):
     """
     for g in S.minimal_generators:
         if g > S.frobenius:
-            yield NumericalSemigroup.from_member_mask(S.members_mask(g + 2) & ~(1 << g), g + 2)
+            yield NumericalSemigroup.from_gap_mask(S.gap_mask | 1 << g)
 
 
 def check_genus(genus: int) -> None:

@@ -29,9 +29,12 @@ F(S), or misses the down-set of F(S).  The sweep's walk passes the
 parent's pair down its stack, from parent to child.  A single call walks
 the ancestor chain on S's own masks: each ancestor is S plus the gaps
 above some gap f, and its gap poset is the prefix of S's up to f, with S's
-order.  The gap mask of E(M) is read off S's by shifts,
-``_blowup_gap_mask``, and ``_from_gap_mask`` builds E(M) from it, for each
-step of the blow-up tower and for the sweep's multiplicity sequences.
+order.  E(I) is read off I's holes by one shift-OR, ``_end_gap_mask``:
+z misses E(I) iff z + k is a hole for some generator offset k.  With S's
+gap mask and minimal generators the same shift-OR gives the gap mask of
+E(M), ``_blowup_gap_mask``, for each step of the blow-up tower and for the
+sweep's multiplicity sequences, and ``NumericalSemigroup.from_gap_mask``
+builds the semigroup from either.
 """
 
 from __future__ import annotations
@@ -96,18 +99,10 @@ def end_semigroup(I: RelativeIdeal) -> NumericalSemigroup:
     """The endomorphism semigroup E(I) = {z : z + I inside I}.
 
     E(I) always contains the ambient S and is itself a numerical semigroup:
-    negative z would push min(I) below itself, and z >= conductor(S) acts via
-    z + g in g + S.  So the window [0, conductor] is complete.  There z is
-    a member iff z + g lies in I for every generator g, an AND of I's mask
-    shifted down by each generator offset, and that mask builds E(I).
+    negative z would push min(I) below itself.  Its gap mask is
+    ``_end_gap_mask`` of I's holes and generator offsets.
     """
-    width = I.ambient.conductor + 1
-    offsets = _offsets(I.generator_mask)
-    m = ((1 << (width + offsets[-1])) - 1) & ~I.holes
-    members = (1 << width) - 1
-    for k in offsets:
-        members &= m >> k
-    return NumericalSemigroup.from_member_mask(members, width)
+    return NumericalSemigroup.from_gap_mask(_end_gap_mask(I.holes, _offsets(I.generator_mask)))
 
 
 def max_ideal(S: NumericalSemigroup) -> RelativeIdeal:
@@ -232,7 +227,7 @@ def _census_counts(S: NumericalSemigroup, parent: tuple[int, int] | None = None)
     check_genus(S.genus)
     gaps = S.gaps()
     gap_mask = S.gap_mask
-    up = {1 << y: S.small_members << y & gap_mask for y in gaps}  # up-set of gap y, keyed by its bit
+    up = {1 << y: ~gap_mask << y & gap_mask for y in gaps}  # up-set of gap y, keyed by its bit
     memo = {0: 1}
 
     def count(rest: int) -> int:
@@ -262,24 +257,14 @@ def _census_counts(S: NumericalSemigroup, parent: tuple[int, int] | None = None)
     return ideals, stable
 
 
-@dataclass(frozen=True)
-class TowerReport:
-    """The blow-up chain S_0, S_1, ... with S_{i+1} = E(max ideal of S_i)."""
-
-    tower: tuple[NumericalSemigroup, ...]
-    multiplicity_sequence: tuple[int, ...]
-    stabilization_index: int
-    reached_normalization: bool
-
-
-def blowup_tower(S: NumericalSemigroup, cap: int = 64) -> TowerReport:
-    """Iterate S -> E(M) until the full monoid is reached or cap steps pass.
+def blowup_tower(S: NumericalSemigroup, cap: int = 64) -> tuple[NumericalSemigroup, ...]:
+    """The blow-up chain S, E(M), ...: iterate S -> E(M) until the full monoid or cap steps.
 
     The chain strictly increases until it stabilizes at the normalization
     (the Frobenius number joins E(M) at every proper step), so it reaches the
-    full monoid within genus(S) steps; cap exhaustion is reported in the
-    record rather than raised.  Past ``TOWER_WORK_CAP`` the tower raises
-    :class:`CapExceeded` before the next step, whatever ``cap`` is.
+    full monoid within genus(S) steps; when cap steps pass first, the chain
+    ends short of it rather than raising.  Past ``TOWER_WORK_CAP`` the tower
+    raises :class:`CapExceeded` before the next step, whatever ``cap`` is.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -289,25 +274,27 @@ def blowup_tower(S: NumericalSemigroup, cap: int = 64) -> TowerReport:
         work += (tower[-1].embedding_dimension + 8) * tower[-1].conductor
         if work > TOWER_WORK_CAP:
             raise CapExceeded(f"blow-up tower work exceeds cap {TOWER_WORK_CAP} after {len(tower) - 1} steps")
-        tower.append(_from_gap_mask(_blowup_gap_mask(tower[-1])))
-    return TowerReport(tuple(tower), tuple(t.multiplicity for t in tower), len(tower) - 1, tower[-1].is_full)
+        tower.append(NumericalSemigroup.from_gap_mask(_blowup_gap_mask(tower[-1])))
+    return tuple(tower)
+
+
+def _end_gap_mask(holes: int, offsets) -> int:
+    """The gap mask of E(I), for the ideal I - t with these holes and generator offsets.
+
+    z >= 0 misses E(I) iff z + g misses I for some minimal generator g of
+    I, that is iff z + k is a hole for the offset k = g - t: an OR of the
+    hole mask shifted down by each offset.  Any t <= min(I) serves.
+    """
+    out = 0
+    for k in offsets:
+        out |= holes >> k
+    return out
 
 
 def _blowup_gap_mask(S: NumericalSemigroup) -> int:
     """The gap mask of E(M), M the maximal ideal of S, with no semigroup built.
 
-    z >= 0 misses E(M) iff z + y is a gap for some y in M, and then z + s is
-    a gap for the minimal generator s with y in s + S: an OR of the gap mask
-    shifted down by each minimal generator.
+    M's minimal generators are S's, and M - 0 misses the gaps and 0; as
+    z + s > 0, it is ``_end_gap_mask`` of S's gap mask and generators.
     """
-    gaps = S.gap_mask
-    out = 0
-    for s in S.minimal_generators:
-        out |= gaps >> s
-    return out
-
-
-def _from_gap_mask(gaps: int) -> NumericalSemigroup:
-    """The semigroup whose gap mask is ``gaps``, such as E(M)'s from ``_blowup_gap_mask``."""
-    width = gaps.bit_length() + 1
-    return NumericalSemigroup.from_member_mask(((1 << width) - 1) & ~gaps, width)
+    return _end_gap_mask(S.gap_mask, S.minimal_generators)

@@ -46,7 +46,7 @@ from multiprocessing import Pool
 from . import ringlab
 from .errors import CapExceeded
 from .numsg import NAT, NumericalSemigroup, check_genus, children, enumerate_semigroups
-from .relideal import RelativeIdeal, _blowup_gap_mask, _census_counts, _from_gap_mask
+from .relideal import RelativeIdeal, _blowup_gap_mask, _census_counts
 from .relideal import blowup_tower, enumerate_normalized_ideals
 
 SALLY_GENUS_CAP = 8
@@ -113,7 +113,7 @@ def analyze_semigroup(
             flag("tower", f"multiplicity sequence {sequence}")
         if steps != S.genus:
             flag("tower", f"stabilization index {steps} != genus {S.genus}")
-        tower = blowup_tower(S).tower
+        tower = blowup_tower(S)
         for i, (cur, nxt) in enumerate(zip(tower, tower[1:])):
             width = cur.conductor + 4
             m_i = cur.members_mask(width) & ~1  # M_i = S_i minus 0
@@ -167,7 +167,7 @@ def _walk(root: NumericalSemigroup, max_genus: int):
     def sequence(gaps: int, S: NumericalSemigroup | None) -> tuple[int, ...]:
         """The sequence of the semigroup with these gaps: S, or None if the caller has not built it."""
         if gaps not in sequences:
-            S = S or _from_gap_mask(gaps)
+            S = S or NumericalSemigroup.from_gap_mask(gaps)
             sequences[gaps] = (S.multiplicity,) + sequence(_blowup_gap_mask(S), None)
         return sequences[gaps]
 

@@ -158,9 +158,7 @@ def from_gaps(gaps) -> NumericalSemigroup:
     gaps = set(gaps)
     if gaps and min(gaps) < 1:
         raise ValueError("gaps must be positive integers")
-    width = max(gaps, default=-1) + 2
-    holes = sum(1 << z for z in gaps)
-    return NumericalSemigroup.from_member_mask(((1 << width) - 1) & ~holes, width)
+    return NumericalSemigroup.from_gap_mask(sum(1 << z for z in gaps))
 
 
 def hilbert_function(S: NumericalSemigroup, n: int) -> int:

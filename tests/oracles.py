@@ -55,11 +55,12 @@ generator g, from the unordered products, and tests the other products for
 membership in it.  ``pivot_verdict`` is the comparison that test replaced:
 the pivots of I^2 against those of g*I, here from the canonical bases.
 
-Semigroup construction: ``semigroup_by_window_scan`` closes a window one
-integer at a time and ``semigroup_from_member_scan`` reads the minimal
-generators off a membership mask with a quadratic scan, where
-``stablerings.numsg`` works on whole masks.  ``apery_set`` lists the least
-member of each residue class by scanning the integers.
+Semigroup construction: ``member_scan`` decides membership one integer at
+a time, ``semigroup_by_window_scan`` closes a window with it and
+``semigroup_from_member_scan`` reads the minimal generators off a
+membership mask with a quadratic scan, where ``stablerings.numsg`` works on
+whole gap masks.  ``apery_set`` lists the least member of each residue
+class by scanning the integers.
 
 The quadratic-extension test: ``is_monomial_quadratic`` scans the pairs of
 integers of T missing from S through ``contains``, for any oversemigroup T;
@@ -101,7 +102,7 @@ def normalized_hole_masks(S: NumericalSemigroup) -> list[int]:
     """
     c = S.conductor
     full = (1 << c) - 1
-    gap_mask = full & ~S.small_members
+    gap_mask = S.gap_mask
     # a generator at or past the conductor shifts every member out of range
     shifts = [s for s in S.minimal_generators if s < c]
     out = []
@@ -508,8 +509,20 @@ def semigroup_from_member_scan(mask: int, width: int) -> NumericalSemigroup:
         conductor=conductor,
         multiplicity=multiplicity,
         genus=genus,
-        small_members=mask & ((1 << (conductor + 1)) - 1),
+        gap_mask=((1 << conductor) - 1) & ~mask,
     )
+
+
+def member_scan(gens, width: int) -> int:
+    """The membership mask on [0, width) of the monoid generated by ``gens``, one integer at a time.
+
+    z > 0 is a member iff z - a is one for some generator a <= z.
+    """
+    mask = 1
+    for z in range(1, width):
+        if any(a <= z and mask >> (z - a) & 1 for a in gens):
+            mask |= 1 << z
+    return mask
 
 
 def semigroup_by_window_scan(gens) -> NumericalSemigroup:
@@ -529,10 +542,7 @@ def semigroup_by_window_scan(gens) -> NumericalSemigroup:
     width = max(gens) + 1
     while True:
         width *= 2
-        mask = 1
-        for z in range(1, width):
-            if any(a <= z and mask >> (z - a) & 1 for a in gens):
-                mask |= 1 << z
+        mask = member_scan(gens, width)
         run = 0
         for z in range(width):
             run = run + 1 if mask >> z & 1 else 0

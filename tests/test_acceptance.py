@@ -185,18 +185,17 @@ def test_criterion_6_tower_properties():
         if S.multiplicity != 2:
             continue
         count += 1
-        rep = blowup_tower(S)
-        if rep.multiplicity_sequence != (2,) * S.genus + (1,):
-            failures.append(f"{S}: sequence {rep.multiplicity_sequence}")
-        if rep.stabilization_index != S.genus or not rep.reached_normalization:
+        tower = blowup_tower(S)
+        sequence = tuple(T.multiplicity for T in tower)
+        if sequence != (2,) * S.genus + (1,):
+            failures.append(f"{S}: sequence {sequence}")
+        if len(tower) - 1 != S.genus or not tower[-1].is_full:
             failures.append(f"{S}: index")
-        for i in range(rep.stabilization_index):
-            cur, nxt = rep.tower[i], rep.tower[i + 1]
+        for i, (cur, nxt) in enumerate(zip(tower, tower[1:])):
             width = cur.conductor + 4
             if cur.members_mask(width) & ~1 != nxt.members_mask(width - 2) << 2:
                 failures.append(f"{S}: M_{i} != 2 + S_{i+1}")
-    rep345 = blowup_tower(from_generators({3, 4, 5}))
-    if [t.minimal_generators for t in rep345.tower] != [(3, 4, 5), (1,)]:
+    if [t.minimal_generators for t in blowup_tower(from_generators({3, 4, 5}))] != [(3, 4, 5), (1,)]:
         failures.append("<3,4,5> tower")
     report(6, not failures, f"{count} multiplicity-2 semigroups, {len(failures)} failures")
 

@@ -21,12 +21,14 @@ from functools import partial
 
 import pytest
 import test_idealization
+import test_numsg
 import test_relideal
 import test_ringlab
 import test_sweep
 
 from stablerings import idealization, relideal, ringlab, sweep
 from stablerings.idealization import TruncatedSeries
+from stablerings.numsg import NumericalSemigroup
 
 # (function, text, mutated text, the test that must fail under the mutant)
 MUTANTS = (
@@ -40,9 +42,21 @@ MUTANTS = (
     (relideal._census_counts, "<< a & h]", "<< a]", test_relideal.test_census_matches_oracle_walk),
     (
         relideal._blowup_gap_mask,
-        "for s in S.minimal_generators:",
-        "for s in S.minimal_generators[:1]:",
+        "S.minimal_generators)",
+        "S.minimal_generators[:1])",
         test_relideal.test_blowup_gap_mask_is_end_semigroup_of_max_ideal,
+    ),
+    (  # E(I) loses the shift by the least generator offset
+        relideal._end_gap_mask,
+        "for k in offsets:",
+        "for k in offsets[1:]:",
+        test_relideal.test_end_semigroup_matches_endomorphism_oracle,
+    ),
+    (
+        NumericalSemigroup.from_gap_mask,
+        "if gaps >> g & members:",
+        "if False:",
+        test_numsg.test_closure_is_checked_on_wide_windows,
     ),
     (  # children take the task root's counts instead of their parent's
         sweep._walk,

@@ -148,18 +148,51 @@ def test_from_generators_matches_window_scan_on_random_sets():
         checked += 1
 
 
+def _refused(gaps: int) -> bool:
+    """Does ``from_gap_mask`` raise ValueError on this mask?"""
+    try:
+        NumericalSemigroup.from_gap_mask(gaps)
+    except ValueError:
+        return True
+    return False
+
+
 def test_closure_is_checked_on_wide_windows():
-    # 300 is a member but 300 + 300 is not: a window past 512 bits
-    with pytest.raises(ValueError):
-        from_gaps([*range(1, 300), *range(301, 601)])
-    width = 4000
-    members = ((1 << width) - 1) & ~(1 << 3000)  # 1 + 2999 lands on the hole
-    with pytest.raises(ValueError):
-        NumericalSemigroup.from_member_mask(members, width)
-    with pytest.raises(ValueError):
-        NumericalSemigroup.from_member_mask(members & ~1, width)
-    with pytest.raises(ValueError):
-        NumericalSemigroup.from_member_mask(1, width)  # no run of members at the top
+    # 300 is a member but 300 + 300 is not: a mask past 512 bits
+    wide = sum(1 << z for z in [*range(1, 300), *range(301, 601)])
+    # 1 + 2999 lands on the gap 3000; with bit 0 set, 0 is no member either
+    for gaps in (wide, 1 << 3000, 1 << 3000 | 1):
+        assert _refused(gaps), gaps.bit_length()
+
+
+def _scanned_semigroups():
+    """The tree to genus 10 and <130,131>, each with its member scan on [0, conductor + multiplicity + 2)."""
+    for S in [*enumerate_semigroups(10), from_generators([130, 131])]:
+        yield S, oracles.member_scan(S.minimal_generators, S.conductor + S.multiplicity + 2)
+
+
+def test_contains_matches_member_scan():
+    for S, scan in _scanned_semigroups():
+        for z in range(-3, S.conductor + S.multiplicity + 2):
+            assert S.contains(z) == (z >= 0 and bool(scan >> z & 1)), (str(S), z)
+        assert not any(S.contains(z) for z in S.gaps())
+        assert S.contains(S.conductor) and S.contains(10**12) and not S.contains(-(10**12))
+
+
+def test_members_mask_matches_member_scan():
+    # widths below, at and above the conductor
+    for S, scan in _scanned_semigroups():
+        c = S.conductor
+        for width in (0, c // 2, max(c - 1, 0), c, c + 1, c + S.multiplicity + 2):
+            assert S.members_mask(width) == scan & ((1 << width) - 1), (str(S), width)
+
+
+def test_gap_mask_round_trip():
+    for S, _ in _scanned_semigroups():
+        assert NumericalSemigroup.from_gap_mask(S.gap_mask) == S
+    for gaps in (1, -2):  # 0 a gap; infinitely many gaps
+        with pytest.raises(ValueError):
+            NumericalSemigroup.from_gap_mask(gaps)
 
 
 def test_construction_caps_at_their_boundaries():

@@ -97,6 +97,22 @@ def test_end_semigroup_contains_ambient():
                     assert E.contains(z)
 
 
+def test_end_semigroup_matches_endomorphism_oracle():
+    # ideals of several generators with a negative minimum: the normalized
+    # ideals of mu >= 2 moved down past 0, and two ideals of <130,131>
+    cases = [
+        (S, [g - S.multiplicity - 1 for g in I.minimal_generators])
+        for S in enumerate_semigroups(7)
+        for I in normalized_ideals(S)
+        if len(I.minimal_generators) >= 2
+    ]
+    S = from_generators({130, 131})
+    cases += [(S, [-7, 0, 1, 65]), (S, [-130, -1, 262])]
+    for S, gens in cases:
+        assert end_semigroup(make_ideal(S, gens)).gaps() == oracles.endomorphism_gaps(S, gens), (str(S), gens)
+    assert len(cases) > 1000
+
+
 def test_stability_examples():
     assert is_stable(max_ideal(S345)) is True
     assert is_stable(max_ideal(S34)) is False
@@ -302,7 +318,7 @@ def test_normalized_ideals_closed_random(S):
     full = (1 << S.conductor) - 1
     for I in ideals:
         members = full & ~I.holes
-        assert I.min_element == 0 and I.holes & S.small_members == 0
+        assert I.min_element == 0 and I.holes & ~S.gap_mask == 0
         assert all(members << s & I.holes == 0 for s in S.minimal_generators)
     assert len(ideals) == len(oracles.normalized_hole_masks(S))
 
@@ -312,25 +328,28 @@ def test_enumerate_normalized_ideals_cap():
         enumerate_normalized_ideals(from_generators({2, 2 * ENUMERATION_GENUS_CAP + 3}))
 
 
+def multiplicities(tower):
+    return tuple(T.multiplicity for T in tower)
+
+
 def test_blowup_tower_examples():
-    rep = blowup_tower(S27)
-    assert [t.minimal_generators for t in rep.tower] == [(2, 7), (2, 5), (2, 3), (1,)]
-    assert rep.multiplicity_sequence == (2, 2, 2, 1)
-    assert rep.stabilization_index == 3
-    assert rep.reached_normalization
+    tower = blowup_tower(S27)
+    assert [t.minimal_generators for t in tower] == [(2, 7), (2, 5), (2, 3), (1,)]
+    assert multiplicities(tower) == (2, 2, 2, 1)
+    assert len(tower) - 1 == 3
+    assert tower[-1].is_full
 
-    rep = blowup_tower(NAT)
-    assert rep.tower == (NAT,) and rep.stabilization_index == 0
+    assert blowup_tower(NAT) == (NAT,)
 
-    rep = blowup_tower(S345)
-    assert [t.minimal_generators for t in rep.tower] == [(3, 4, 5), (1,)]
-    assert rep.multiplicity_sequence == (3, 1)
+    tower = blowup_tower(S345)
+    assert [t.minimal_generators for t in tower] == [(3, 4, 5), (1,)]
+    assert multiplicities(tower) == (3, 1)
 
 
 def test_blowup_tower_cap_reported_not_raised():
-    rep = blowup_tower(from_generators({5, 7, 9}), cap=1)
-    assert not rep.reached_normalization
-    assert len(rep.tower) == 2
+    tower = blowup_tower(from_generators({5, 7, 9}), cap=1)
+    assert not tower[-1].is_full
+    assert len(tower) == 2
 
 
 def test_blowup_gap_mask_is_end_semigroup_of_max_ideal():
@@ -342,15 +361,15 @@ def test_blowup_gap_mask_is_end_semigroup_of_max_ideal():
 
 def test_tower_stabilizes_within_genus():
     for S, _, sequence in _walk(NAT, 12):
-        rep = blowup_tower(S)
-        assert sequence == rep.multiplicity_sequence, str(S)  # the sweep's walk
+        tower = blowup_tower(S)
+        seq = multiplicities(tower)
+        assert sequence == seq, str(S)  # the sweep's walk
         # each step against E(M) of the step before, built through the generators of M
-        assert rep.tower[1:] == tuple(end_semigroup(max_ideal(T)) for T in rep.tower[:-1]), str(S)
-        assert rep.reached_normalization
-        assert rep.stabilization_index <= max(S.genus, 1)
-        assert rep.multiplicity_sequence[-1] == 1
+        assert tower[1:] == tuple(end_semigroup(max_ideal(T)) for T in tower[:-1]), str(S)
+        assert tower[-1].is_full
+        assert len(tower) - 1 <= max(S.genus, 1)
+        assert seq[-1] == 1
         # multiplicities never increase along the tower
-        seq = rep.multiplicity_sequence
         assert all(seq[i] >= seq[i + 1] for i in range(len(seq) - 1))
 
 
@@ -358,11 +377,10 @@ def test_multiplicity_two_tower_structure():
     for S in enumerate_semigroups(10):
         if S.multiplicity != 2:
             continue
-        rep = blowup_tower(S)
-        assert rep.multiplicity_sequence == (2,) * S.genus + (1,)
-        assert rep.stabilization_index == S.genus
-        for i in range(rep.stabilization_index):
-            cur, nxt = rep.tower[i], rep.tower[i + 1]
+        tower = blowup_tower(S)
+        assert multiplicities(tower) == (2,) * S.genus + (1,)
+        assert len(tower) - 1 == S.genus
+        for cur, nxt in zip(tower, tower[1:]):
             width = cur.conductor + 4
             m_i = cur.members_mask(width) & ~1  # M_i = S_i minus 0
             assert m_i == nxt.members_mask(width - 2) << 2

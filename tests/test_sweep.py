@@ -16,9 +16,14 @@ from stablerings.sweep import (
 )
 
 
+def _sequence(S):
+    """The multiplicity sequence of S's blow-up tower, read off the tower."""
+    return tuple(T.multiplicity for T in blowup_tower(S))
+
+
 def _analyze(S, n_max=8, sally_cap=SALLY_GENUS_CAP):
     """One semigroup's record, its counts and sequence derived here rather than by the walk."""
-    return analyze_semigroup(S, n_max, sally_cap, _census_counts(S), blowup_tower(S).multiplicity_sequence)
+    return analyze_semigroup(S, n_max, sally_cap, _census_counts(S), _sequence(S))
 
 
 def test_analyze_single_semigroup():
@@ -42,7 +47,7 @@ def test_violation_messages_read_the_report(monkeypatch):
     monkeypatch.setattr(ringlab, "is_monomial_quadratic", lambda S: False)
     monkeypatch.setattr(ringlab, "multiplicity_via_hilbert", lambda S, chain: 3)
     S = from_generators({2, 5})
-    rec = analyze_semigroup(S, 8, SALLY_GENUS_CAP, (3, 2), blowup_tower(S).multiplicity_sequence)
+    rec = analyze_semigroup(S, 8, SALLY_GENUS_CAP, (3, 2), _sequence(S))
     greither = {"mu_normalization": 2, "bass": True, "agree": True, "quadratic_when_two_generated": False}
     assert rec["violations"] == {
         "big_agreement": ["2,5: all_stable=False quadratic=False bass=True"],
@@ -63,7 +68,7 @@ def test_memo_pass_matches_end_semigroup_and_tower():
     for root, max_genus in [(NAT, 6)] + [(S, 14) for S in roots]:
         for S, _, sequence in _walk(root, max_genus):
             assert _blowup_gap_mask(S) == end_semigroup(max_ideal(S)).gap_mask, str(S)
-            assert sequence == blowup_tower(S).multiplicity_sequence, str(S)
+            assert sequence == _sequence(S), str(S)
             tasks += 1
     assert tasks == 4107
 
