@@ -70,8 +70,7 @@ finite-precision certification.
 from __future__ import annotations
 
 import random
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -209,8 +208,7 @@ def get_domain(name: str) -> type[TruncatedSeries]:
         ) from None
 
 
-@dataclass(frozen=True)
-class IdealizationRing:
+class IdealizationRing(namedtuple("IdealizationRing", "domain rank prec")):
     """The ring V*L at fixed rank and precision.
 
     An element (v, l) is the tuple (v, l_1, ..., l_r) of its series, which
@@ -218,12 +216,10 @@ class IdealizationRing:
     the field's series class at this precision, which the ring builds.
     """
 
-    domain: type[TruncatedSeries]
-    rank: int
-    prec: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "domain", _at_precision(self.domain, self.prec))
+    def __new__(cls, domain: type[TruncatedSeries], rank: int, prec: int):
+        return super().__new__(cls, _at_precision(domain, prec), rank, prec)
 
     def series(self, coeffs) -> TruncatedSeries:
         return self.domain.reduced(enumerate(coeffs[: self.prec]))

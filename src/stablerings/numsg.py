@@ -20,8 +20,8 @@ refuses more than ``GENERATOR_CAP`` distinct generators or a window past
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import CapExceeded, EmptyInput, GcdNotOne
 
@@ -34,8 +34,7 @@ WINDOW_CAP = 1 << 20
 GENERATOR_CAP = 256
 
 
-@dataclass(frozen=True)
-class NumericalSemigroup:
+class NumericalSemigroup(NamedTuple):
     """A numerical semigroup in canonical form.
 
     ``gap_mask`` is the bitmask of the gaps: bit z is set iff z >= 0 is not

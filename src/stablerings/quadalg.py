@@ -20,9 +20,9 @@ ideals.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from enum import Enum
 from itertools import product
+from typing import NamedTuple
 
 from .errors import (
     NoIdentity,
@@ -40,8 +40,7 @@ ELEMENT_SCAN_BOUND = 10**4
 PAIR_TEST_BOUND = 50_000
 
 
-@dataclass(frozen=True)
-class SmallField:
+class SmallField(NamedTuple):
     """Arithmetic for one of F2, F3, F4, F5.
 
     Elements are the integers 0..q-1.  The prime fields use arithmetic mod p;
@@ -77,8 +76,7 @@ def get_field(name: str) -> SmallField:
     raise UnsupportedField(f"supported fields are {sorted(FIELDS)}, not {name!r}")
 
 
-@dataclass(frozen=True)
-class StructureAlgebra:
+class StructureAlgebra(NamedTuple):
     """A validated commutative unital algebra given by structure constants."""
 
     field: SmallField

@@ -12,7 +12,7 @@ I - min(I): the nonnegative integers it misses.  Since min(I) + S lies in I,
 the holes are gaps of S, so the mask lies below the conductor, exactly like
 the gap mask of the semigroup itself.  The form is canonical, so equality is
 field equality, and every operation is a few shifts of one mask.  The
-generators are held in one form, the cached ``generator_mask`` that
+generators are held in one form, the ``generator_mask`` property that
 ``_generator_mask`` reads off a hole mask: ``mu`` is its bit count, and
 ``_offsets`` is the one reader of its set bits, the generator offsets from
 min(I) that E(I) and the powers shift by.  The powers I, 2I, ... are one
@@ -39,8 +39,7 @@ builds the semigroup from either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 from .errors import CapExceeded, EmptyInput
 from .numsg import NumericalSemigroup, check_genus
@@ -51,8 +50,7 @@ from .numsg import NumericalSemigroup, check_genus
 TOWER_WORK_CAP = 3 * 10**9
 
 
-@dataclass(frozen=True)
-class RelativeIdeal:
+class RelativeIdeal(NamedTuple):
     """A relative ideal: its least element and the holes of I - min(I).
 
     Bit k of ``holes`` is set iff min_element + k is not a member; every
@@ -63,7 +61,7 @@ class RelativeIdeal:
     min_element: int
     holes: int
 
-    @cached_property
+    @property
     def generator_mask(self) -> int:
         """Bit k is set iff min_element + k is a minimal generator."""
         return _generator_mask(self.ambient, self.holes)

@@ -41,7 +41,6 @@ from __future__ import annotations
 import os
 from collections import Counter
 from itertools import starmap
-from multiprocessing import Pool
 
 from . import ringlab
 from .errors import CapExceeded
@@ -222,6 +221,9 @@ def run_sweep(
         tasks.insert(0, (NAT, root_genus - 1, n_max, sally_cap))
     jobs = clamp_jobs(jobs, len(tasks))
     if jobs > 1:
+        # imported here, so that no other command's start-up pays for it
+        from multiprocessing import Pool
+
         with Pool(processes=jobs) as pool:
             results = pool.starmap(_task, tasks, chunksize=1)
     else:

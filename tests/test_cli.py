@@ -2,11 +2,17 @@
 
 import hashlib
 import json
+import os
+import pickle
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from stablerings import quadalg, ringlab
+import stablerings
+from stablerings import idealization, numsg, quadalg, relideal, ringlab, sweep
 from stablerings.cli import main, parse_generators
 from stablerings.numsg import ENUMERATION_GENUS_CAP, GENERATOR_CAP
 
@@ -613,3 +619,70 @@ def test_idealization_seed_changes_trials_not_verdict(capsys):
     code2, out2, _ = run(capsys, *base, "--seed", "1")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# Run in a fresh interpreter without site hooks (-S), so that only the
+# package's own imports count: what importing the CLI loads, the exit code
+# of a one-job sweep, and whether that sweep loaded multiprocessing.
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+from stablerings import cli
+loaded = [m for m in ("dataclasses", "inspect", "multiprocessing") if m in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["sweep", "--max-genus", "6", "--jobs", "1", "--json", "--no-timing"])
+print(json.dumps([loaded, code, "multiprocessing" in sys.modules]))
+"""
+
+
+def test_cli_import_skips_dataclasses_and_multiprocessing():
+    env = dict(os.environ, PYTHONPATH=str(Path(stablerings.__file__).parents[1]))
+    argv = [sys.executable, "-S", "-c", IMPORT_PROBE]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=60)
+    # only the pool branch of a sweep imports multiprocessing
+    assert json.loads(proc.stdout) == [[], 0, False]
+
+
+def _values():
+    """One value of each record type, built twice by its constructors, and one of its fields."""
+    S = numsg.from_generators([3, 5])
+    F3 = quadalg.get_field("F3")
+    table = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]  # F2[x]/(x^2)
+    return [
+        (S, numsg.from_generators([5, 3]), "genus"),
+        (relideal.make_ideal(S, [0, 2]), relideal.make_ideal(S, [2, 0, 5]), "holes"),
+        (F3, quadalg.SmallField(F3.name, F3.q, F3.add, F3.mul), "q"),
+        (quadalg.algebra_from_table("F2", 2, table), quadalg.algebra_from_table("F2", 2, table), "dimension"),
+        (idealization.make_ring("Q", 2, 10), idealization.make_ring("Q", 2, 10), "rank"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "a, b, field",
+    _values(),
+    ids=["NumericalSemigroup", "RelativeIdeal", "SmallField", "StructureAlgebra", "IdealizationRing"],
+)
+def test_record_types_are_immutable_values(a, b, field):
+    assert a is not b and a == b and hash(a) == hash(b)
+    for name in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+
+
+def test_record_values_survive_the_pool_wire():
+    S = numsg.from_generators([4, 6, 9, 11])
+    assert pickle.loads(pickle.dumps(S)) == S
+    args = (S, 12, 8, sweep.SALLY_GENUS_CAP)  # one sweep._task argument tuple
+    assert pickle.loads(pickle.dumps(args)) == args
+
+
+def test_ring_lifts_its_domain_to_its_precision():
+    ring = idealization.IdealizationRing(idealization.get_domain("Q"), 2, 10)
+    assert ring.domain.n == 10
+    assert ring == idealization.make_ring("Q", 2, 10)
+
+
+def test_generator_mask_is_recomputed_alike():
+    I = relideal.make_ideal(numsg.from_generators([4, 6, 9, 11]), [0, 2, 3])
+    expected = relideal._generator_mask(I.ambient, I.holes)
+    assert I.generator_mask == expected
+    assert I.generator_mask == expected
