@@ -539,6 +539,60 @@ def test_sweep_sally_n32_golden(capsys, jobs):
     assert hashlib.sha256(out.encode()).hexdigest() == SALLY_N32_GOLDEN
 
 
+# (sha256 of the stdout of `idealization check --field F --rank R --prec N --trials T
+# --seed 1 --json --no-timing`, the same of its text output, exit code), recorded
+# while rational coefficients could be Fractions: F2, F3 and F5 in the shape of the
+# benchmark's ideal-fp workload, and Q at the two least precisions, where trials go
+# inconclusive
+IDEAL_CHECK_GOLDEN = {
+    ("F2", 3, 64, 60): (
+        "e4eb032c90111149fd5112d8fa1b3d241c03e38a461edccac8dd333e08bff5fa",
+        "971500eb21fd9a78cb015a885cc15c52c6a0b130935f9ec836c7099199db03e2",
+        0,
+    ),
+    ("F3", 3, 64, 60): (
+        "8f5270e077f02cb8c505a11696bcc7c8f42ee08db5f171906ead0c5ec70b2423",
+        "1b36c3d18560361ef29b09661d2763d338dced0595ef9c903cf334cdafa947c8",
+        0,
+    ),
+    ("F5", 3, 64, 60): (
+        "15009ad922f2d39121aef45d16a1157fe47f056379eb1d218076ce6e93c4cb1c",
+        "5a3c66fb7da3547225fd7d9589185153de995aa6e5a1be9e191ffc334d8cb901",
+        0,
+    ),
+    ("Q", 1, 4, 30): (
+        "1adf1a3f0dd10d79461c667625a0e5f97f394d26d370ff6e25a2e66961b9be6e",
+        "7795ac7158c6debf795a5f2f1ce0ffd9464f1a291d0ebba7375b5d1f5703114e",
+        1,
+    ),
+    ("Q", 8, 4, 30): (
+        "a51aedd9e3acd41fd60e7d36d248ed3c9e9ab2f2a9eebcc38c58f82e80c56522",
+        "4223e05fd9d2411d45ce9e14eeeb81b4da5f28d1796ffd4abca23b8da5c8a398",
+        1,
+    ),
+    ("Q", 1, 5, 30): (
+        "96c38786282893bac1fffa7b54898153333b5ed249ce8c848d4c3259a997b417",
+        "eac2806246d95d94530143827f9b85be6ead21e39bba8a34a1b77df079e72066",
+        1,
+    ),
+    ("Q", 8, 5, 30): (
+        "ded3846198e081217a180784959fab8e516b794581c8168bc5acc8dc012c5c25",
+        "e400ee2e15ab71b01ade170dab2a34802ac94d5bb09d21412f8a431b86ba1563",
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("field, rank, prec, trials", list(IDEAL_CHECK_GOLDEN))
+def test_idealization_check_golden(capsys, field, rank, prec, trials):
+    argv = ["idealization", "check", "--field", field, "--rank", str(rank), "--prec", str(prec)]
+    argv += ["--trials", str(trials), "--seed", "1", "--no-timing"]
+    runs = [run(capsys, *argv, *form) for form in (["--json"], [])]
+    digests = tuple(hashlib.sha256(out.encode()).hexdigest() for _, out, _ in runs)
+    assert runs[0][0] == runs[1][0]
+    assert (*digests, runs[0][0]) == IDEAL_CHECK_GOLDEN[field, rank, prec, trials]
+
+
 def test_idealization_low_precision_reports_skips(capsys):
     code, out, _ = run(
         capsys,
@@ -567,22 +621,36 @@ def test_idealization_negative_trials(capsys):
     assert "BadTrials" in err
 
 
-@pytest.mark.parametrize(
-    "knob",
-    [
-        ("--prec", "1000000000"),
-        ("--rank", "1000000000"),
-        ("--trials", "1000000000"),
-        # every knob within its own cap, the product past the work cap
-        ("--field", "Q", "--rank", "8", "--prec", "256", "--trials", "10000"),
-    ],
-)
+IDEALIZATION_CAP_KNOBS = [
+    ("--prec", "1000000000"),
+    ("--rank", "1000000000"),
+    ("--trials", "1000000000"),
+    # every knob within its own cap, the product past the work cap
+    ("--field", "Q", "--rank", "8", "--prec", "256", "--trials", "10000"),
+]
+
+
+@pytest.mark.parametrize("knob", IDEALIZATION_CAP_KNOBS)
 def test_idealization_caps(capsys, knob):
     started = time.monotonic()
     code, _, err = run(capsys, "idealization", "check", *knob, "--json")
     assert code == 3
     assert "CapExceeded" in err
     assert time.monotonic() - started < 5.0
+
+
+@pytest.mark.parametrize(
+    "knob, expected",
+    [(knob, (3, "CapExceeded")) for knob in IDEALIZATION_CAP_KNOBS] + [(("--trials", "-1"), (2, "BadTrials"))],
+)
+def test_idealization_caps_refuse_before_the_ring(capsys, monkeypatch, knob, expected):
+    # the caps are checked once, where the sizes enter: no ring is built for a refused check
+    def unreachable(*args):
+        raise AssertionError("a ring was built for a refused check")
+
+    monkeypatch.setattr(idealization, "make_ring", unreachable)
+    code, _, err = run(capsys, "idealization", "check", *knob, "--json")
+    assert (code, err.split(":")[1].strip()) == expected
 
 
 def test_alg_classify_pair_bound(capsys, tmp_path, monkeypatch):

@@ -745,6 +745,31 @@ def test_check_grid_golden(capsys):
     assert digest.hexdigest() == GRID_GOLDEN
 
 
+@pytest.mark.parametrize("rank, prec", [(1, 4), (1, 64), (8, 4), (8, 64)])
+def test_rational_checks_feed_the_kernel_integers(rank, prec, monkeypatch, capsys):
+    # over Q the kernel takes integer coefficients only: a generator scaled by a
+    # nonzero constant spans the same ideal, so the checks never make a Fraction
+    seen = {"reduce_rows": 0, "_in_module": 0}
+
+    def spy(name):
+        kernel = getattr(idealization, name)
+
+        def call(ring, *args):
+            rows = [*args[0].rows, args[1]] if name == "_in_module" else args[0]
+            assert {type(c) for row in rows for s in row for _, c in s} <= {int}
+            seen[name] += 1
+            return kernel(ring, *args)
+
+        return call
+
+    for name in seen:
+        monkeypatch.setattr(idealization, name, spy(name))
+    argv = ["idealization", "check", "--field", "Q", "--rank", str(rank), "--prec", str(prec)]
+    cli.main(argv + ["--trials", "30", "--seed", "1", "--json", "--no-timing"])
+    capsys.readouterr()
+    assert all(seen.values()), seen
+
+
 def _is_canonical(ring, s):
     """Is s a series of the ring in the kernel's one form: ascending exponents below N,
     no zero coefficient, and over F_p each coefficient reduced mod p?"""
