@@ -175,12 +175,12 @@ def _idealization_check(args):
     skipped = [{"n": n, "reason": "PrecisionTooLow"} for n in range(top + 1, 7)]
     expected_slope = 1 + args.rank
     diffs = [b - a for a, b in zip(lengths, lengths[1:])]
-    slope_ok = bool(diffs) and all(d == expected_slope for d in diffs)
+    slope_ok = all(d == expected_slope for d in diffs)
 
     prime = idealization.square_zero_prime_check(ring)
     stability = idealization.stability_sweep(ring, args.trials, args.seed)
 
-    ok = (prime["p_squared_zero"] and prime["quotient_is_dvr"] and (slope_ok or not diffs)
+    ok = (prime["p_squared_zero"] and prime["quotient_is_dvr"] and slope_ok
           and stability["not_stable"] == 0 and stability["inconclusive_rate"] < 0.05)
     result = {
         "field": args.field,

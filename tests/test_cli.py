@@ -691,14 +691,16 @@ def test_idealization_seed_changes_trials_not_verdict(capsys):
 
 # Run in a fresh interpreter without site hooks (-S), so that only the
 # package's own imports count: what importing the CLI loads, the exit code
-# of a one-job sweep, and whether that sweep loaded multiprocessing.
+# of a one-job sweep, whether that sweep loaded multiprocessing, the exit
+# code of a check over Q, and whether that check loaded fractions.
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 from stablerings import cli
-loaded = [m for m in ("dataclasses", "inspect", "multiprocessing") if m in sys.modules]
+loaded = [m for m in ("dataclasses", "fractions", "inspect", "multiprocessing") if m in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["sweep", "--max-genus", "6", "--jobs", "1", "--json", "--no-timing"])
-print(json.dumps([loaded, code, "multiprocessing" in sys.modules]))
+    check = cli.main(["idealization", "check", "--field", "Q", "--trials", "5", "--json", "--no-timing"])
+print(json.dumps([loaded, code, "multiprocessing" in sys.modules, check, "fractions" in sys.modules]))
 """
 
 
@@ -706,8 +708,9 @@ def test_cli_import_skips_dataclasses_and_multiprocessing():
     env = dict(os.environ, PYTHONPATH=str(Path(stablerings.__file__).parents[1]))
     argv = [sys.executable, "-S", "-c", IMPORT_PROBE]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=60)
-    # only the pool branch of a sweep imports multiprocessing
-    assert json.loads(proc.stdout) == [[], 0, False]
+    # only the pool branch of a sweep imports multiprocessing, and rational
+    # coefficients are integers, so nothing imports fractions
+    assert json.loads(proc.stdout) == [[], 0, False, 0, False]
 
 
 def _values():
