@@ -354,7 +354,7 @@ def _random_row(ring, rng, top):
 def _integral(row):
     """The row times the lcm of its coefficients' denominators, a unit of V: the same span, integer coefficients."""
     den = lcm(*(c.denominator for s in row for _, c in s))
-    return tuple(type(s)((e, int(c * den)) for e, c in s) for s in row), den
+    return tuple(type(s)((e, int(c * den)) for e, c in s) for s in row)
 
 
 def _random_rows(ring, rng, kinds=None):
@@ -368,11 +368,10 @@ def _random_rows(ring, rng, kinds=None):
         if not all(map(_is_zero, gens)):
             basis = oracles.ideal_basis(ring, gens)[0]
             basis += oracles.ideal_basis(ring, [ring.mul(a, b) for a in gens for b in gens])[0]
-            cleared = [_integral(row) for row in basis]
-            rows += [row for row, _ in cleared]
+            rows += map(_integral, basis)
             if kinds is not None:
                 kinds["reduced"] += 1
-                kinds["cleared"] += any(den > 1 for _, den in cleared)
+                kinds["cleared"] += any(c.denominator > 1 for row in basis for s in row for _, c in s)
     for _ in range(rng.randint(1, 5)):
         kind = rng.random()
         if kind < 0.1:
