@@ -11,7 +11,7 @@ integers over Q too.  Every question asked here (stability, Hilbert
 lengths, P^2 = 0) is about ideals, and scaling a generator by a nonzero
 constant, a unit of V, leaves its ideal unchanged; so a generator with
 rational coefficients is given by a multiple with integer ones, and no
-operation here makes a Fraction.  A series is the tuple of the ascending
+coefficient here has a denominator.  A series is the tuple of the ascending
 (exponent, coefficient) pairs of its nonzero coefficients below N, and its
 class is its coefficient field at precision N (a ``DOMAINS`` entry, which
 each ring subclasses to set N).  Its one arithmetic operation is ``*``.
