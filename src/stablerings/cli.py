@@ -29,8 +29,8 @@ from . import __version__, idealization, numsg, quadalg, relideal, ringlab, swee
 from .errors import CapExceeded, StableringsError
 
 
-def parse_generators(text: str, allow_negative: bool = False) -> list[int]:
-    """Accept '3,4,5' or bracketed forms like '<3,4,5>'."""
+def parse_generators(text: str) -> list[int]:
+    """Accept '3,4,5' or bracketed forms like '<3,4,5>'; the builders check the values."""
     cleaned = text.strip().strip("<>").strip("⟨⟩")
     try:
         gens = [int(p) for p in cleaned.replace(" ", "").split(",") if p != ""]
@@ -38,8 +38,6 @@ def parse_generators(text: str, allow_negative: bool = False) -> list[int]:
         raise ValueError(f"cannot parse generator list {text!r}") from None
     if not gens:
         raise ValueError(f"cannot parse generator list {text!r}")
-    if not allow_negative and min(gens) < 1:
-        raise ValueError("semigroup generators must be positive")
     return gens
 
 
@@ -98,10 +96,7 @@ def _sg_info(args):
 
 def _sg_ideal(args):
     S, name = _semigroup(args)
-    igens = set(parse_generators(args.ideal, allow_negative=True))
-    if len(igens) > numsg.GENERATOR_CAP:
-        raise CapExceeded(f"{len(igens)} distinct ideal generators exceed cap {numsg.GENERATOR_CAP}")
-    ideal = relideal.make_ideal(S, igens)
+    ideal = relideal.make_ideal(S, parse_generators(args.ideal))
     ideal_name = _canonical(ideal.minimal_generators)
     result = {
         "semigroup": name,

@@ -43,7 +43,7 @@ class UnsupportedField(StableringsError):
 
 
 class TooLarge(CapExceeded):
-    """Algebra is too large for the exhaustive element scans or pair test."""
+    """Algebra is too large for the exhaustive pair test."""
 
 
 class Unclassifiable(StableringsError):

@@ -87,9 +87,6 @@ class NumericalSemigroup(NamedTuple):
         """Membership test: one shift of the gap mask."""
         return z >= 0 and not self.gap_mask >> z & 1
 
-    def __contains__(self, z: int) -> bool:
-        return self.contains(z)
-
     @property
     def frobenius(self) -> int:
         """The largest integer outside S; -1 for the full monoid."""
@@ -124,19 +121,20 @@ def from_generators(gens) -> NumericalSemigroup:
     """The numerical semigroup generated by ``gens``.
 
     Redundant generators are dropped; the conductor and the gap mask are
-    computed exactly.  Raises :class:`GcdNotOne` when the given
-    integers do not generate a cofinite monoid, and :class:`CapExceeded`
-    past ``GENERATOR_CAP`` distinct generators or when the membership window
-    would outgrow ``WINDOW_CAP`` bits.
+    computed exactly.  Raises ValueError on a generator below 1, before
+    any cap, :class:`GcdNotOne` when the given integers do not generate a
+    cofinite monoid, and :class:`CapExceeded` past ``GENERATOR_CAP``
+    distinct generators or when the membership window would outgrow
+    ``WINDOW_CAP`` bits.
     """
     gens = set(gens)
     if not gens:
         raise EmptyInput("need at least one generator")
+    if min(gens) < 1:
+        raise ValueError("semigroup generators must be positive")
     if len(gens) > GENERATOR_CAP:
         raise CapExceeded(f"{len(gens)} distinct generators exceed cap {GENERATOR_CAP}")
     gens = sorted(gens)
-    if gens[0] < 1:
-        raise ValueError("generators must be positive integers")
     g = 0
     for a in gens:
         g = gcd(g, a)

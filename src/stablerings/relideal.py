@@ -42,7 +42,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import CapExceeded, EmptyInput
-from .numsg import NumericalSemigroup, check_genus
+from .numsg import GENERATOR_CAP, NumericalSemigroup, check_genus
 
 # A blow-up step makes a few conductor-wide mask operations per minimal
 # generator, and about as many as eight generators would besides: the work
@@ -77,10 +77,15 @@ class RelativeIdeal(NamedTuple):
 
 
 def make_ideal(S: NumericalSemigroup, gens) -> RelativeIdeal:
-    """The relative ideal of S generated by ``gens``."""
+    """The relative ideal of S generated by ``gens``.
+
+    Raises :class:`CapExceeded` past ``GENERATOR_CAP`` distinct generators.
+    """
     gens = set(gens)
     if not gens:
         raise EmptyInput("need at least one ideal generator")
+    if len(gens) > GENERATOR_CAP:
+        raise CapExceeded(f"{len(gens)} distinct ideal generators exceed cap {GENERATOR_CAP}")
     lo = min(gens)
     c = S.conductor
     members = 0

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import pytest
 
 import stablerings
 from stablerings import idealization, numsg, quadalg, relideal, ringlab, sweep
-from stablerings.cli import main, parse_generators
+from stablerings.cli import COMMANDS, COMMON, main, parse_generators
 from stablerings.numsg import ENUMERATION_GENUS_CAP, GENERATOR_CAP
 
 
@@ -27,11 +28,11 @@ def test_parse_generators_forms():
     assert parse_generators("3,4,5") == [3, 4, 5]
     assert parse_generators("<3,4,5>") == [3, 4, 5]
     assert parse_generators("⟨3,4,5⟩") == [3, 4, 5]
-    assert parse_generators("0,-2", allow_negative=True) == [0, -2]
-    with pytest.raises(ValueError):
-        parse_generators("a,b")
-    with pytest.raises(ValueError):
-        parse_generators("0,2")
+    # it only parses: the semigroup and the ideal builders check the values
+    assert parse_generators("0,-2") == [0, -2]
+    for text in ("a,b", ",", "<>"):
+        with pytest.raises(ValueError, match="^cannot parse generator list"):
+            parse_generators(text)
 
 
 def test_sg_info(capsys):
@@ -654,31 +655,129 @@ def test_idealization_caps_refuse_before_the_ring(capsys, monkeypatch, knob, exp
 
 
 def test_alg_classify_pair_bound(capsys, tmp_path, monkeypatch):
+    # the bound is checked from field and dim before the table is validated,
+    # whatever its dimension; validation multiplies basis vectors
+    def unreachable(*args):
+        raise AssertionError("an oversized table was validated")
+
+    monkeypatch.setattr(quadalg.StructureAlgebra, "mul", unreachable)
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"field": "F2", "dim": 1000000000, "table": []}))
     # F2[x_1..x_12]/(x_1..x_12)^2: valid, 8,192 elements, 33.5M pairs
     d = 13
     unit = [[1 if k == i else 0 for k in range(d)] for i in range(d)]
     table = [[unit[i + j] if i * j == 0 else [0] * d for j in range(d)] for i in range(d)]
     path = tmp_path / "square_zero_13.json"
     path.write_text(json.dumps({"field": "F2", "dim": d, "table": table}))
-    started = time.monotonic()
-    code, _, err = run(capsys, "alg", "classify", str(path), "--json")
-    assert code == 3
-    assert "pair-test bound" in err
-    assert time.monotonic() - started < 5.0
-
-    # the bound is checked before the table is validated, whatever its dimension
-    def unreachable(*args):
-        raise AssertionError("an oversized table was validated")
-
-    monkeypatch.setattr(quadalg, "algebra_from_table", unreachable)
-    huge = tmp_path / "huge.json"
-    huge.write_text(json.dumps({"field": "F2", "dim": 1000000000, "table": []}))
-    for p in (path, huge):
+    for p in (huge, path):
         started = time.monotonic()
-        code, _, err = run(capsys, "alg", "classify", str(p), "--json")
-        assert code == 3
+        code, out, err = run(capsys, "alg", "classify", str(p), "--json")
+        assert (code, out) == (3, "")
         assert "pair-test bound" in err
         assert time.monotonic() - started < 1.0
+
+
+# the cap of each integer knob in the command table; None for a knob without one
+KNOB_CAPS = {
+    "--cap": None,
+    "--n-max": ringlab.N_MAX_CAP,
+    "--max-genus": ENUMERATION_GENUS_CAP,
+    "--sally-genus-cap": sweep.SALLY_GENUS_CAP_MAX,
+    "--rank": idealization.RANK_CAP,
+    "--prec": idealization.PREC_CAP,
+    "--trials": idealization.TRIALS_CAP,
+    "--seed": None,
+    "--jobs": None,
+}
+MALFORMED_GENERATORS = [
+    "", ",", "a,b", "3;5", "0,3", "-1,3", "4,6", "3,1000000000", "2," + str(10**100 + 1),
+    ",".join(str(z) for z in range(1000, 1001 + GENERATOR_CAP)),
+]
+MALFORMED_IDEALS = [
+    ",", "x", "-1,0", "0," + str(10**100), str(-(10**100)) + ",0",
+    ",".join(str(z) for z in range(GENERATOR_CAP + 1)),
+]
+DUAL_NUMBERS = {"field": "F2", "dim": 2, "table": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]}
+MALFORMED_ALGEBRAS = [
+    "not json", "[" * 100_000, b"\xff", "[1, 2, 3]", "{}",
+    *(
+        json.dumps({**DUAL_NUMBERS, **change})
+        for change in (
+            {"dim": True}, {"dim": "2"}, {"dim": 0}, {"dim": -1}, {"dim": 10**100}, {"dim": 13},
+            {"field": "F9"}, {"field": 2}, {"table": [[[1, 0], [0, 1]], [[0, 1], [0, True]]]},
+            {"table": [[[1, 0], [0, 1]], [[1, 1], [0, 0]]]}, {"table": [[[1, 0], [0, 1]]]},
+        )
+    ),
+]
+
+
+class OverBudget(Exception):
+    """A command ran past its alarm."""
+
+
+def _contract_argvs(tmp_path):
+    """argv for each argument of each command in COMMANDS: malformed or at the edge of its cap.
+
+    Every other argument holds a cheap admitted value, so an admitted argv
+    costs at most a genus-4 sweep or a 5-trial idealization check.
+    """
+    files = []
+    for i, text in enumerate([json.dumps(DUAL_NUMBERS), *MALFORMED_ALGEBRAS]):
+        path = tmp_path / f"algebra_{i}.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        files.append(str(path))
+    admitted = {"generators": "3,5", "--ideal": "0,2", "--max-genus": "4", "--trials": "5", "file": files[0]}
+    drawn = {"generators": MALFORMED_GENERATORS, "--ideal": MALFORMED_IDEALS,
+             "file": files[1:] + [str(tmp_path / "missing.json"), str(tmp_path)]}
+    for words, (_, _, *arguments) in COMMANDS.items():
+        base = list(words)
+        for (flag, *_), _ in arguments:
+            if flag in admitted:
+                base += [flag, admitted[flag]] if flag.startswith("-") else [admitted[flag]]
+        base += ["--jobs", "1", "--json"]
+        for flags, kwargs in (*arguments, *COMMON):
+            flag = flags[0]
+            if kwargs.get("type") is int:
+                cap = KNOB_CAPS[flag]  # a new integer knob needs its cap here
+                values = ["0", "-1", "x", "2" if flag == "--jobs" else str(10**100)]  # no pool past 2
+                values += [] if cap is None else [str(cap + 1)]
+            elif "choices" in kwargs:
+                values = ["F7"]
+            else:
+                values = drawn.get(flag, [])
+            for value in values:
+                if flag.startswith("-"):
+                    yield [*base, f"{flag}={value}"]
+                else:
+                    yield [value if arg == admitted[flag] else arg for arg in base]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs signal.alarm")
+def test_resource_contract_from_the_command_table(capsys, tmp_path):
+    # no argv drives the tool past a second or two, out of the exit-code
+    # contract, or into a traceback; refusals print nothing on stdout
+    def over_budget(signum, frame):
+        raise OverBudget
+
+    faults = []
+    previous = signal.signal(signal.SIGALRM, over_budget)
+    try:
+        for argv in _contract_argvs(tmp_path):
+            signal.alarm(2)
+            try:
+                code = main(argv)
+            except Exception as exc:  # the contract is that none escapes
+                code = type(exc).__name__
+            finally:
+                signal.alarm(0)
+            out = capsys.readouterr().out
+            if code in (0, 1):
+                json.loads(out)
+            elif code not in (2, 3) or out:
+                faults.append((argv[:4], code, out[:80]))
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert faults == []
 
 
 def test_idealization_seed_changes_trials_not_verdict(capsys):

@@ -22,11 +22,12 @@ from functools import partial
 import pytest
 import test_idealization
 import test_numsg
+import test_quadalg
 import test_relideal
 import test_ringlab
 import test_sweep
 
-from stablerings import idealization, relideal, ringlab, sweep
+from stablerings import idealization, quadalg, relideal, ringlab, sweep
 from stablerings.idealization import TruncatedSeries
 from stablerings.numsg import NumericalSemigroup
 
@@ -105,6 +106,18 @@ MUTANTS = (
         "for j in range(i, len(gens))}",
         "for j in range(i, len(gens)) if (i, j) != (0, 0)}",
         partial(test_idealization.test_witness_candidates_lie_in_square, "F5"),
+    ),
+    (  # an algebra is built, its table validated, with no pair bound
+        quadalg.algebra_from_table,
+        "_check_pair_bound(field.q, dim)",
+        "None",
+        test_quadalg.test_size_guard,
+    ),
+    (
+        relideal.make_ideal,
+        "if len(gens) > GENERATOR_CAP:",
+        "if False:",
+        test_relideal.test_make_ideal_caps_its_generators,
     ),
 )
 

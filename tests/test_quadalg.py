@@ -14,7 +14,7 @@ from stablerings.errors import (
     NoIdentity,
     NotAssociative,
     NotCommutative,
-    TooLarge,
+    StableringsError,
     UnsupportedField,
 )
 from stablerings.quadalg import (
@@ -132,12 +132,26 @@ def test_maximal_ideal_counts():
     assert maximal_ideal_count(product_field_algebra("F3", 2)) == 2
 
 
+def _refusal(field_name, dim, table=()):
+    """``type: message`` of the error that building this algebra raises, or None."""
+    try:
+        algebra_from_table(field_name, dim, table)
+    except (StableringsError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
 def test_size_guard():
-    big = product_field_algebra("F5", 6)  # 5^6 > 10^4
-    with pytest.raises(TooLarge):
-        is_quadratic_over_base(big)
-    with pytest.raises(TooLarge):
-        maximal_ideal_count(big)
+    # the pair bound refuses an algebra as it is built, from its field and dim
+    # before its table is validated: the empty table would be a ValueError
+    bound = "element pairs exceed the pair-test bound of 50000"
+    assert _refusal("F5", 4) == f"TooLarge: 195625 {bound}"
+    assert _refusal("F2", 10**9) == f"TooLarge: more than 2147516416 {bound}"
+    assert _refusal("F2", 8) == "ValueError: table must be d x d vectors of length d"  # 32,896 pairs pass
+    # before the bound: the type of dim, then the field, then dim >= 1
+    assert _refusal("F9", True) == "ValueError: dim must be an integer"
+    assert _refusal("F9", 10**9).startswith("UnsupportedField: ")
+    assert _refusal("F2", -(10**9)) == "ValueError: dimension must be at least 1"
 
 
 def test_exhaustive_f2_f3_small_dimensions():

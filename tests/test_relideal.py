@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablerings.errors import CapExceeded, EmptyInput
-from stablerings.numsg import ENUMERATION_GENUS_CAP, NAT, enumerate_semigroups, from_generators
+from stablerings.numsg import ENUMERATION_GENUS_CAP, GENERATOR_CAP, NAT, enumerate_semigroups, from_generators
 from stablerings.relideal import (
     RelativeIdeal,
     _blowup_gap_mask,
@@ -50,6 +50,17 @@ def test_make_ideal_reduces_generators():
     assert make_ideal(S25, {-2, 1}).minimal_generators == (-2, 1)
     with pytest.raises(EmptyInput):
         make_ideal(S345, [])
+
+
+def test_make_ideal_caps_its_generators():
+    # the cap is checked where an ideal is built from outside generators
+    assert make_ideal(S345, range(GENERATOR_CAP)).min_element == 0
+    try:
+        make_ideal(S345, range(GENERATOR_CAP + 1))
+        message = None
+    except CapExceeded as exc:
+        message = str(exc)
+    assert message == f"{GENERATOR_CAP + 1} distinct ideal generators exceed cap {GENERATOR_CAP}"
 
 
 def test_ideal_membership_matches_raw_union():
