@@ -1,8 +1,10 @@
 """The invariant-suite driver: structure, results, worker invariance."""
 
+import os
+
 import pytest
 
-from stablerings import ringlab, sweep
+from stablerings import cli, ringlab, sweep
 from stablerings.errors import CapExceeded
 from stablerings.numsg import NAT, enumerate_semigroups, from_generators
 from stablerings.relideal import _blowup_gap_mask, _census_counts, blowup_tower, end_semigroup, max_ideal
@@ -134,6 +136,63 @@ def test_run_sweep_merges_violations_across_subtrees(monkeypatch, jobs):
     assert res["checks"]["monomial_vs_bass"] == {"checked": 274, "divergences": [n + ": m" for n in names]}
     assert res["violations_total"] == 2 * len(names)
     assert res["counts_by_genus"] == {str(g): n for g, n in enumerate((1, 1, 2, 4, 7, 12, 23, 39, 67, 118))}
+
+
+def _forked(monkeypatch):
+    """The pids of the processes forked from here on; two CPUs, so ``jobs=2`` starts two workers."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return pids
+
+
+def _assert_reaped(pids):
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _failing_root(monkeypatch, fail):
+    """Make the walk from <2,17>, one of the 67 roots of run_sweep(9), call fail() in the worker."""
+    walk = sweep._walk
+
+    def failing(root, max_genus):
+        if root.minimal_generators == (2, 17):
+            fail()
+        return walk(root, max_genus)
+
+    monkeypatch.setattr(sweep, "_walk", failing)
+
+
+def test_pool_reaps_its_workers(monkeypatch):
+    pids = _forked(monkeypatch)
+    assert run_sweep(9, jobs=2)["semigroup_count"] == 274
+    _assert_reaped(pids)
+
+
+def _cap_exceeded():
+    raise CapExceeded("marked root")
+
+
+def test_worker_error_keeps_its_type(monkeypatch, capsys):
+    pids = _forked(monkeypatch)
+    _failing_root(monkeypatch, _cap_exceeded)
+    with pytest.raises(CapExceeded, match="marked root"):
+        run_sweep(9, jobs=2)
+    _assert_reaped(pids)
+    # the CLI maps it to exit 3 and prints no report
+    assert cli.main(["sweep", "--max-genus", "9", "--jobs", "2"]) == 3
+    assert capsys.readouterr().out == ""
+    _assert_reaped(pids)
 
 
 def test_n_max_is_checked_once_per_sweep(monkeypatch):
