@@ -155,7 +155,8 @@ def _alg_classify(args):
         "dim": A.dimension,
         "quadratic": cls != quadalg.HandelmanClass.NotQuadratic,
         "class": cls.value,
-        "maximal_ideals": quadalg.maximal_ideal_count(A),
+        # a quadratic class fixes the count, so only a non-quadratic algebra is scanned
+        "maximal_ideals": quadalg.CLASS_MAXIMAL_IDEALS.get(cls) or quadalg.maximal_ideal_count(A),
     }
     return "alg classify", f"{A.field.name} dim {A.dimension}", result, 0
 

@@ -87,6 +87,8 @@ class NumericalSemigroup(NamedTuple):
         """Membership test: one shift of the gap mask."""
         return z >= 0 and not self.gap_mask >> z & 1
 
+    __contains__ = contains  # `z in S` tests membership, not the record's fields
+
     @property
     def frobenius(self) -> int:
         """The largest integer outside S; -1 for the full monoid."""

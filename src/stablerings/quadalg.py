@@ -199,6 +199,16 @@ class HandelmanClass(Enum):
     NotQuadratic = "NotQuadratic"
 
 
+# the maximal ideal count of each quadratic class, which ``classify_handelman`` checks
+CLASS_MAXIMAL_IDEALS = {
+    HandelmanClass.BaseField: 1,
+    HandelmanClass.QuadraticFieldExtension: 1,
+    HandelmanClass.LocalSquareZeroMax: 1,
+    HandelmanClass.FxF: 2,
+    HandelmanClass.FxFxF_overF2: 3,
+}
+
+
 def _nilpotents(A: StructureAlgebra) -> list[tuple[int, ...]]:
     # x is nilpotent iff x^d = 0: the multiplication operator is a d x d
     # matrix, so nilpotency shows up by the d-th power

@@ -75,6 +75,8 @@ class RelativeIdeal(NamedTuple):
         k = z - self.min_element
         return k >= 0 and not self.holes >> k & 1
 
+    __contains__ = contains  # `z in I` tests membership, not the record's fields
+
 
 def make_ideal(S: NumericalSemigroup, gens) -> RelativeIdeal:
     """The relative ideal of S generated by ``gens``.
@@ -209,8 +211,9 @@ def _census_counts(S: NumericalSemigroup, parent: tuple[int, int] | None = None)
     Count: U holds F, and U - F is an up-set of the parent, or U misses the
     down-set of F, so count(S) = count(parent) + count(gaps minus down F).
     count(R) counts the up-sets inside R: they miss the least gap y of R or
-    hold all of ``up[y]``, so count(R) = count(R - y) + count(R - up[y]),
-    memoized on R.
+    hold all of its up-set, so count(R) = count(R - y) + count(R - up(y)),
+    memoized on R.  R lies inside the gaps, so R - up(y) is R minus
+    (y + S), one shift of the gap mask.
     Stable count: the stable ones are the semigroups containing S, and those
     holding F contain the parent, so stable(S) = stable(parent) + the
     oversemigroups with F a hole.  Only gaps outside the down-set of F may
@@ -221,30 +224,28 @@ def _census_counts(S: NumericalSemigroup, parent: tuple[int, int] | None = None)
     hole.
 
     ``parent`` is the parent's pair, which the sweep's walk carries down
-    from parent to child.  Without it the ancestors are walked too, with
-    one count memo: each is S + {the gaps above its own Frobenius number
-    f}, so its gap mask is a prefix of S's, its order is S's (u - t < f for
-    gaps u, t up to f), its up-sets are S's cut to the prefix, and count(R)
-    for R inside the prefix needs no other cut.
+    from parent to child, and then only f = F(S) is read.  Without it the
+    ancestors are walked too, one for each gap f, with one count memo:
+    each is S + {the gaps above its own Frobenius number f}, so its gap
+    mask is a prefix of S's, its order is S's (u - t < f for gaps u, t up
+    to f), its up-sets are S's cut to the prefix, and count(R) for R inside
+    the prefix needs no other cut.
     """
     check_genus(S.genus)
-    gaps = S.gaps()
     gap_mask = S.gap_mask
-    up = {1 << y: ~gap_mask << y & gap_mask for y in gaps}  # up-set of gap y, keyed by its bit
     memo = {0: 1}
 
     def count(rest: int) -> int:
         # every count is at least 1, so a memo miss is the only falsy lookup
         low = rest & -rest
-        a, b = rest ^ low, rest & ~up[low]
+        a, b = rest ^ low, rest & ~(~gap_mask << low.bit_length() - 1)
         memo[rest] = n = (memo.get(a) or count(a)) + (memo.get(b) or count(b))
         return n
 
     # bit F(S) - z is set iff z <= F(S) is in S; shifted down by F(S) - f, the down-set of f
     mirror = int(format(gap_mask ^ (1 << S.conductor) - 1, f"0{S.conductor}b")[::-1], 2)
     ideals, stable = parent or (1, 1)  # N has one normalized ideal, itself
-    for j in range(0 if parent is None else S.genus - 1, S.genus):
-        f = gaps[j]
+    for f in S.gaps() if parent is None else (S.frobenius,):
         full = (2 << f) - 1
         prefix = gap_mask & full
         rest = prefix & ~(mirror >> (S.frobenius - f))

@@ -26,8 +26,10 @@ them.  The multiplicity sequence of S's blow-up tower is (m,) + that of
 E(M), an oversemigroup of smaller genus that may lie outside the subtree;
 a memo keyed by gap mask, owned by the walk, holds the sequences it has
 seen, and E(M) is built only when the memo misses.  ``--jobs 1`` runs the
-tasks in the parent, more jobs in a forked pool, and both run the same
-task function.
+tasks in the parent; more jobs run them in workers that the parent forks
+itself (``_pool``), without ``multiprocessing``, whose import and pool
+start-up cost more than the forks and pipes.  Both run the same task
+function, and the workers inherit the parent's modules as they are.
 
 A task returns one aggregate: its semigroups by genus, its Sally counters
 and the violations of each flagged semigroup, keyed by (genus, gaps).  The
@@ -149,7 +151,9 @@ CHECK_NAMES = (
 
 
 def clamp_jobs(jobs: int, tasks: int) -> int:
-    """Worker processes to start: at least 1, at most the CPUs and the tasks."""
+    """Worker processes to start: at least 1, at most the CPUs and the tasks, and 1 without ``os.fork``."""
+    if not hasattr(os, "fork"):
+        return 1
     return max(1, min(jobs, os.cpu_count() or 1, tasks))
 
 
@@ -191,6 +195,101 @@ def _task(root: NumericalSemigroup, max_genus: int, n_max: int, sally_cap: int) 
     return by_genus, sally, violations
 
 
+def _serve(tasks: list[tuple], width: int, claims: int, reply: int) -> None:
+    """A worker's loop: run the tasks whose indices arrive on ``claims`` until EOF, then answer on ``reply``.
+
+    The answer is one pickled list of (index, result) pairs, or the exception
+    that stopped the worker; one that does not survive pickling is sent as a
+    RuntimeError with its text.
+    """
+    import pickle
+
+    try:
+        done = []
+        while index := os.read(claims, width):
+            i = int(index)
+            done.append((i, _task(*tasks[i])))
+        data = pickle.dumps(done)
+    except Exception as exc:  # the parent re-raises it
+        try:
+            data = pickle.dumps(exc)
+            pickle.loads(data)
+        except Exception:
+            data = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+    with open(reply, "wb") as fh:
+        fh.write(data)
+
+
+def _pool(tasks: list[tuple], jobs: int) -> list[tuple]:
+    """``_task`` over every task in ``jobs`` forked workers: the results in task order.
+
+    After the forks the parent writes each task's index, at one fixed width,
+    to one pipe that every worker reads one index at a time.  A pipe write of
+    at most PIPE_BUF bytes is atomic, so the pipe holds whole indices only
+    and a read of that width takes one: a worker takes the next unclaimed
+    task when it finishes one, and the first task goes first.  Each worker
+    answers over a pipe of its own (``_serve``) and ends in ``os._exit``, so
+    it never returns into its caller's frames or flushes the buffers it
+    inherited.  A worker's exception is raised here, and a worker that ends
+    without an answer raises RuntimeError.  Every worker is reaped before
+    this returns or raises; on an error, those still running are killed
+    first.  Forking is safe in a process without threads, and the package
+    starts none.
+    """
+    import pickle
+
+    width = len(str(len(tasks) - 1))
+    claims, offers = os.pipe()
+    pipes = [os.pipe() for _ in range(jobs)]  # (parent's end, worker's end)
+    fds = {claims, offers}.union(*pipes)  # open in the parent
+    pids, results = [], {}
+
+    def close(*ends: int) -> None:
+        for fd in ends:
+            fds.remove(fd)
+            os.close(fd)
+
+    try:
+        for _, reply in pipes:
+            pid = os.fork()
+            if not pid:
+                try:
+                    for fd in fds - {claims, reply}:
+                        os.close(fd)
+                    _serve(tasks, width, claims, reply)
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+        close(claims, *(reply for _, reply in pipes))
+        try:
+            for i in range(len(tasks)):
+                os.write(offers, b"%0*d" % (width, i))
+        except BrokenPipeError:  # every worker has ended; its answer, or its lack of one, says why
+            pass
+        close(offers)
+        for pid, (answer, _) in zip(pids, pipes):
+            fds.remove(answer)
+            with open(answer, "rb") as fh:
+                data = fh.read()
+            if not data:
+                raise RuntimeError(f"sweep worker {pid} ended without a result")
+            done = pickle.loads(data)
+            if isinstance(done, Exception):
+                raise done
+            results.update(done)
+    except BaseException:
+        import signal
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        close(*list(fds))
+        for pid in pids:
+            os.waitpid(pid, 0)
+    return [results[i] for i in sorted(results)]
+
+
 def run_sweep(
     max_genus: int,
     jobs: int = 1,
@@ -220,14 +319,7 @@ def run_sweep(
     if root_genus:
         tasks.insert(0, (NAT, root_genus - 1, n_max, sally_cap))
     jobs = clamp_jobs(jobs, len(tasks))
-    if jobs > 1:
-        # imported here, so that no other command's start-up pays for it
-        from multiprocessing import Pool
-
-        with Pool(processes=jobs) as pool:
-            results = pool.starmap(_task, tasks, chunksize=1)
-    else:
-        results = starmap(_task, tasks)
+    results = _pool(tasks, jobs) if jobs > 1 else starmap(_task, tasks)
     genera, sallies, found = zip(*results)
     by_genus, sally = sum(genera, Counter()), sum(sallies, Counter())
     # each semigroup's violations once, in enumeration order: its (genus, gaps) key is unique

@@ -390,18 +390,21 @@ def test_usage_errors(capsys):
         assert out.startswith("usage: stablerings")
 
 
+DUAL_TABLE = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
+
+
+def _cube(q):
+    """The structure table of F_q x F_q x F_q on the basis 1, e, f: e and f orthogonal idempotents."""
+    return {"field": f"F{q}", "dim": 3, "table": [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], [0, 1, 0], [0, 0, 0]],
+        [[0, 0, 1], [0, 0, 0], [0, 0, 1]],
+    ]}
+
+
 def test_alg_classify(capsys, tmp_path):
-    table = {
-        "field": "F2",
-        "dim": 3,
-        "table": [
-            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-            [[0, 1, 0], [0, 1, 0], [0, 0, 0]],
-            [[0, 0, 1], [0, 0, 0], [0, 0, 1]],
-        ],
-    }
     path = tmp_path / "f222.json"
-    path.write_text(json.dumps(table))
+    path.write_text(json.dumps(_cube(2)))
     code, out, _ = run(capsys, "alg", "classify", str(path), "--json", "--no-timing")
     assert code == 0
     result = json.loads(out)["result"]
@@ -416,6 +419,73 @@ def test_alg_classify_local(capsys, tmp_path):
     code, out, _ = run(capsys, "alg", "classify", str(path))
     assert code == 0
     assert "class: LocalSquareZeroMax" in out
+
+
+F4_TABLE = {"field": "F2", "dim": 2, "table": [[[1, 0], [0, 1]], [[0, 1], [1, 1]]]}
+# sha256 of the stdout of `alg classify FILE --json --no-timing` and of `alg
+# classify FILE --no-timing`, recorded while the CLI scanned the idempotents
+# of every algebra after classifying it
+ALG_CLASSIFY_GOLDEN = {
+    "F3-base": (
+        {"field": "F3", "dim": 1, "table": [[[1]]]},
+        "599270ea1bf958bd113be1008102bdfcda07bcc5007b6572fa9516d0ab4625e5",
+        "62e12ba722059d10155d88121988444493f322e88207fd876420c53a182f7939",
+    ),
+    "F4-over-F2": (
+        F4_TABLE,
+        "01e70adf947f2fd619557e61dca1affe2b7a6bfa50b45e71d0121aaa398fee6a",
+        "aaff1a6f9cd114d0a30347ea5429cd01acbe6e4d0b0c08c9edf3a66601ac9b16",
+    ),
+    "F5-dual": (
+        {"field": "F5", "dim": 2, "table": DUAL_TABLE},
+        "d8444fd9284930e330e6be0f92ce56ebb607a11cb62982be8d8553416d0b27ca",
+        "c4707d64daa7bbfcabd6ceb3b58f7013e656573b75f9e195830b1eb37eb9a3ad",
+    ),
+    "F2xF2": (
+        {"field": "F2", "dim": 2, "table": [[[1, 0], [0, 1]], [[0, 1], [0, 1]]]},
+        "ead2368e3794f3ff18675bbf012272c21625acdb7af6bb0a57640a4a81ca623b",
+        "a6b9797b8856c250119c63e2bfa64464e7b05eba60849fc9f06f3cc06dd23513",
+    ),
+    "F2^3": (
+        _cube(2),
+        "004d763ed43ec7d8dee41f729655f0a9102c10c98372d6117e2b29ae95b9a1fe",
+        "8ca2dd9db1a8318821ca6eaaf386ca0b8f311315e9d62cecea49c812d635531e",
+    ),
+    "F3^3": (  # not quadratic, three maximal ideals
+        _cube(3),
+        "caca02d3db9fb910a6a5d40f03f928b25963857481e604f987358b66dbfc9ddc",
+        "be3473d12b7e83bac057500322ca0dcd8f54471dadc5220b831cce1d8cf67aa5",
+    ),
+    "F8-over-F2": (  # not quadratic, local
+        {"field": "F2", "dim": 3, "table": [
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[0, 1, 0], [0, 0, 1], [1, 1, 0]],
+            [[0, 0, 1], [1, 1, 0], [0, 1, 1]],
+        ]},
+        "1eb3c8aabea9ad17bf3ea6c29819d3f3312f54c8bee5e247f27303ef90aaa1f3",
+        "d75f30d694df2a8476959185f69118f8a712c5adeeaceedc743edf16de2a1e3f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ALG_CLASSIFY_GOLDEN))
+def test_alg_classify_golden(capsys, tmp_path, name):
+    table, *golden = ALG_CLASSIFY_GOLDEN[name]
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(table))
+    assert [_digest(capsys, "alg", "classify", str(path), *form) for form in (["--json"], [])] == golden
+
+
+def test_alg_classify_scans_the_idempotents_once(capsys, tmp_path, monkeypatch):
+    scans = []
+    count = quadalg.maximal_ideal_count
+    monkeypatch.setattr(quadalg, "maximal_ideal_count", lambda A: scans.append(A) or count(A))
+    path = tmp_path / "f4.json"
+    path.write_text(json.dumps(F4_TABLE))
+    code, out, _ = run(capsys, "alg", "classify", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["maximal_ideals"] == 1
+    assert len(scans) == 1
 
 
 def test_alg_classify_invalid_table(capsys, tmp_path):
@@ -435,7 +505,6 @@ def test_alg_classify_invalid_table(capsys, tmp_path):
     assert "NotAssociative at (i,j,k)=" in err
 
 
-DUAL_TABLE = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
 MALFORMED_ALGEBRA_FILES = {
     "table-int": {"field": "F2", "dim": 2, "table": 5},
     "table-flat": {"field": "F2", "dim": 2, "table": [[5, 6], [7, 8]]},
@@ -798,8 +867,9 @@ from stablerings import cli
 loaded = [m for m in ("dataclasses", "fractions", "inspect", "multiprocessing") if m in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["sweep", "--max-genus", "6", "--jobs", "1", "--json", "--no-timing"])
+    pool = cli.main(["sweep", "--max-genus", "8", "--jobs", "2", "--json", "--no-timing"])
     check = cli.main(["idealization", "check", "--field", "Q", "--trials", "5", "--json", "--no-timing"])
-print(json.dumps([loaded, code, "multiprocessing" in sys.modules, check, "fractions" in sys.modules]))
+print(json.dumps([loaded, code, pool, "multiprocessing" in sys.modules, check, "fractions" in sys.modules]))
 """
 
 
@@ -807,9 +877,9 @@ def test_cli_import_skips_dataclasses_and_multiprocessing():
     env = dict(os.environ, PYTHONPATH=str(Path(stablerings.__file__).parents[1]))
     argv = [sys.executable, "-S", "-c", IMPORT_PROBE]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=60)
-    # only the pool branch of a sweep imports multiprocessing, and rational
-    # coefficients are integers, so nothing imports fractions
-    assert json.loads(proc.stdout) == [[], 0, False, 0, False]
+    # the sweep's pool forks its workers itself, and rational coefficients are
+    # integers, so nothing imports multiprocessing or fractions
+    assert json.loads(proc.stdout) == [[], 0, 0, False, 0, False]
 
 
 def _values():

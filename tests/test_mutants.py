@@ -119,6 +119,12 @@ MUTANTS = (
         "if False:",
         test_relideal.test_make_ideal_caps_its_generators,
     ),
+    (  # each pool worker drops the result of its first task
+        sweep._serve,
+        "data = pickle.dumps(done)",
+        "data = pickle.dumps(done[1:])",
+        test_sweep.test_run_sweep_jobs_invariant,
+    ),
 )
 
 

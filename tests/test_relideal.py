@@ -67,7 +67,13 @@ def test_ideal_membership_matches_raw_union():
     I = make_ideal(S345, {0, 1})
     raw = set(ideal_members(I, 40))
     for z in range(-5, 30):
-        assert I.contains(z) == (z in raw or z > 30)
+        assert I.contains(z) == (z in I) == (z in raw or z > 30)
+
+
+def test_in_is_membership():
+    # the record's own fields would answer, and 9 is none of them
+    I = make_ideal(from_generators([3, 5]), [0])
+    assert 9 in I and 4 not in I and -1 not in I
 
 
 def test_sum_examples():

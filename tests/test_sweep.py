@@ -1,6 +1,7 @@
 """The invariant-suite driver: structure, results, worker invariance."""
 
 import os
+import signal
 
 import pytest
 
@@ -90,8 +91,9 @@ def test_run_sweep_structure():
     assert res["checks"]["monomial_vs_bass"]["divergences"] == []
 
 
-def test_run_sweep_jobs_invariant():
+def test_run_sweep_jobs_invariant(monkeypatch):
     # root genus 8, the Sally cap: 68 tasks, so jobs=3 starts a pool of two workers
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert run_sweep(9, jobs=1) == run_sweep(9, jobs=3)
 
 
@@ -195,6 +197,40 @@ def test_worker_error_keeps_its_type(monkeypatch, capsys):
     _assert_reaped(pids)
 
 
+def test_worker_error_that_cannot_be_pickled(monkeypatch):
+    pids = _forked(monkeypatch)
+
+    class LocalError(Exception):
+        """Pickled by reference, and a local class has none."""
+
+    def fail():
+        raise LocalError("marked root")
+
+    _failing_root(monkeypatch, fail)
+    with pytest.raises(RuntimeError, match="^LocalError: marked root$"):
+        run_sweep(9, jobs=2)
+    _assert_reaped(pids)
+
+
+def test_worker_that_dies_raises(monkeypatch):
+    # a pool that waits for the dead worker's result hangs until the alarm
+    pids = _forked(monkeypatch)
+    _failing_root(monkeypatch, lambda: os._exit(1))
+
+    def expire(*_):
+        raise TimeoutError("the pool waited for a dead worker")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    try:
+        with pytest.raises(RuntimeError, match="ended without a result"):
+            run_sweep(9, jobs=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    _assert_reaped(pids)
+
+
 def test_n_max_is_checked_once_per_sweep(monkeypatch):
     calls = []
     check = ringlab.check_n_max
@@ -221,4 +257,7 @@ def test_clamp_jobs(monkeypatch):
     assert clamp_jobs(2, 10) == 2
     assert clamp_jobs(0, 10) == clamp_jobs(-7, 10) == clamp_jobs(5, 0) == 1
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
+    assert clamp_jobs(8, 10) == 1
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
+    monkeypatch.delattr(sweep.os, "fork")
     assert clamp_jobs(8, 10) == 1
