@@ -199,7 +199,7 @@ class HandelmanClass(Enum):
     NotQuadratic = "NotQuadratic"
 
 
-# the maximal ideal count of each quadratic class, which ``classify_handelman`` checks
+# the maximal ideals of each quadratic class: a classified algebra needs no idempotent scan
 CLASS_MAXIMAL_IDEALS = {
     HandelmanClass.BaseField: 1,
     HandelmanClass.QuadraticFieldExtension: 1,
