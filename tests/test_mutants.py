@@ -113,6 +113,12 @@ MUTANTS = (
         "None",
         test_quadalg.test_size_guard,
     ),
+    (  # a local quadratic algebra reads as a field without the reduced test: the dual numbers do
+        quadalg.classify_handelman,
+        "        if reduced:",
+        "        if True:",
+        test_quadalg.test_classification_examples,
+    ),
     (
         relideal.make_ideal,
         "if len(gens) > GENERATOR_CAP:",

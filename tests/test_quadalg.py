@@ -1,5 +1,7 @@
 """Structure-constant algebras: validation, quadratic test, classification."""
 
+import hashlib
+
 import oracles
 import pytest
 from builders import (
@@ -10,11 +12,13 @@ from builders import (
     quadratic_extension_algebra,
     square_zero_algebra,
 )
+from stablerings import quadalg
 from stablerings.errors import (
     NoIdentity,
     NotAssociative,
     NotCommutative,
     StableringsError,
+    Unclassifiable,
     UnsupportedField,
 )
 from stablerings.quadalg import (
@@ -154,13 +158,20 @@ def test_size_guard():
     assert _refusal("F2", -(10**9)) == "ValueError: dimension must be at least 1"
 
 
+# sha256 of the "field dim class" lines of the 808 enumerated F2 and F3
+# algebras of dimension at most 3, in enumeration order, one per line
+ENUMERATION_CLASSES_SHA256 = "09e1fbc8086a7c646b15effb511c5861d309735e582593cf7b7558a87d80e5d2"
+
+
 def test_exhaustive_f2_f3_small_dimensions():
     seen_classes = set()
+    lines = []
     for name in ("F2", "F3"):
         for dim in (1, 2, 3):
             for A in enumerate_f_algebras(name, dim):
                 cls = classify_handelman(A)  # must never raise Unclassifiable
                 seen_classes.add((name, cls))
+                lines.append(f"{name} {dim} {cls.value}")
                 if cls != HandelmanClass.NotQuadratic:
                     assert maximal_ideal_count(A) <= 3
                 if cls == HandelmanClass.QuadraticFieldExtension:
@@ -170,6 +181,15 @@ def test_exhaustive_f2_f3_small_dimensions():
     assert ("F2", HandelmanClass.FxFxF_overF2) in seen_classes
     assert ("F3", HandelmanClass.FxFxF_overF2) not in seen_classes
     assert ("F3", HandelmanClass.QuadraticFieldExtension) in seen_classes
+    assert len(lines) == 808
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ENUMERATION_CLASSES_SHA256
+
+
+def test_unclassifiable_names_its_maximal_ideals(monkeypatch):
+    # a quadratic algebra with four maximal ideals fits no class
+    monkeypatch.setattr(quadalg, "maximal_ideal_count", lambda A: 4)
+    with pytest.raises(Unclassifiable, match="4 maximal ideals"):
+        classify_handelman(dual_numbers_algebra("F2"))
 
 
 def test_pair_test_matches_elimination_exhaustively():
