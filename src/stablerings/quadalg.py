@@ -56,16 +56,12 @@ class SmallField(NamedTuple):
         return range(self.q)
 
 
-def _f4_add(a: int, b: int) -> int:
-    return a ^ b
-
-
 _F4_MUL = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
 
 FIELDS = {
     "F2": SmallField("F2", 2, lambda a, b: (a + b) % 2, lambda a, b: a * b % 2),
     "F3": SmallField("F3", 3, lambda a, b: (a + b) % 3, lambda a, b: a * b % 3),
-    "F4": SmallField("F4", 4, _f4_add, lambda a, b: _F4_MUL[a][b]),
+    "F4": SmallField("F4", 4, lambda a, b: a ^ b, lambda a, b: _F4_MUL[a][b]),
     "F5": SmallField("F5", 5, lambda a, b: (a + b) % 5, lambda a, b: a * b % 5),
 }
 
@@ -144,13 +140,12 @@ def algebra_from_table(field_name: str, dim: int, table) -> StructureAlgebra:
         for j in range(i + 1, dim):
             if rows[i][j] != rows[j][i]:
                 raise NotCommutative(f"e_{i}*e_{j} != e_{j}*e_{i}")
+    basis = [tuple(1 if k == i else 0 for k in range(dim)) for i in range(dim)]
     for j in range(dim):
-        e_j = tuple(1 if k == j else 0 for k in range(dim))
-        if rows[0][j] != e_j:
+        if rows[0][j] != basis[j]:
             raise NoIdentity(f"e_0*e_{j} != e_{j}")
 
     alg = StructureAlgebra(field=field, dimension=dim, table=rows)
-    basis = [tuple(1 if k == i else 0 for k in range(dim)) for i in range(dim)]
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
@@ -237,41 +232,32 @@ def maximal_ideal_count(A: StructureAlgebra) -> int:
 
 
 def classify_handelman(A: StructureAlgebra) -> HandelmanClass:
-    """Sort a quadratic algebra into its unique class.
+    """NotQuadratic, or the first of the five quadratic classes whose condition holds.
 
-    Non-quadratic algebras report NotQuadratic; a quadratic algebra that fits
-    no class raises Unclassifiable, which indicates an internal inconsistency
-    and must never happen.
+    Each condition states its class as the theorem does, with the checks the
+    theorem implies: a reduced local quadratic algebra has degree 2, and a
+    local one has the base field as residue field.  A quadratic algebra that
+    fits no class raises Unclassifiable, an internal inconsistency that must
+    never happen.
     """
     if not is_quadratic_over_base(A):
         return HandelmanClass.NotQuadratic
-    if A.dimension == 1:
+    d, q = A.dimension, A.field.q
+    if d == 1:
         return HandelmanClass.BaseField
-    k = maximal_ideal_count(A)
-    nil = _nilpotents(A)
+    k, nil = maximal_ideal_count(A), _nilpotents(A)
     reduced = len(nil) == 1
-    if k == 1:
-        if reduced:
-            # Artinian local and reduced: a field; quadraticity caps the degree
-            if A.dimension == 2:
-                return HandelmanClass.QuadraticFieldExtension
-            raise Unclassifiable(f"quadratic field extension of degree {A.dimension}")
-        square_zero = all(
-            A.mul(x, y) == A.zero() for i, x in enumerate(nil) for y in nil[i:]
-        )
-        residue_is_base = len(nil) == A.field.q ** (A.dimension - 1)
-        if square_zero and residue_is_base:
-            return HandelmanClass.LocalSquareZeroMax
-        raise Unclassifiable("local quadratic algebra with unexpected radical")
-    if k == 2:
-        if A.dimension == 2 and reduced:
-            return HandelmanClass.FxF
-        raise Unclassifiable("two maximal ideals but not F x F")
-    if k == 3:
-        if A.field.q == 2 and A.dimension == 3 and reduced:
-            return HandelmanClass.FxFxF_overF2
-        raise Unclassifiable("three maximal ideals but not F2 x F2 x F2")
-    raise Unclassifiable(f"quadratic algebra with {k} maximal ideals")
+    if k == 1 and reduced and d == 2:
+        return HandelmanClass.QuadraticFieldExtension
+    # the nilpotent count before the |nil|^2 products: q^(d-1) of them make F_q the residue field
+    products = (A.mul(x, y) for i, x in enumerate(nil) for y in nil[i:])
+    if k == 1 and len(nil) == q ** (d - 1) and all(p == A.zero() for p in products):
+        return HandelmanClass.LocalSquareZeroMax
+    if k == 2 and reduced and d == 2:
+        return HandelmanClass.FxF
+    if k == 3 and reduced and d == 3 and q == 2:
+        return HandelmanClass.FxFxF_overF2
+    raise Unclassifiable(f"quadratic algebra of dimension {d}, {k} maximal ideals and {len(nil)} nilpotents")
 
 
 def load_algebra_payload(payload: dict) -> StructureAlgebra:

@@ -115,8 +115,8 @@ MUTANTS = (
     ),
     (  # a local quadratic algebra reads as a field without the reduced test: the dual numbers do
         quadalg.classify_handelman,
-        "        if reduced:",
-        "        if True:",
+        "k == 1 and reduced and d == 2",
+        "k == 1 and d == 2",
         test_quadalg.test_classification_examples,
     ),
     (
