@@ -198,17 +198,16 @@ def _task(root: NumericalSemigroup, max_genus: int, n_max: int, sally_cap: int) 
 def _serve(tasks: list[tuple], width: int, claims: int, reply: int) -> None:
     """A worker's loop: run the tasks whose indices arrive on ``claims`` until EOF, then answer on ``reply``.
 
-    The answer is one pickled list of (index, result) pairs, or the exception
-    that stopped the worker; one that does not survive pickling is sent as a
-    RuntimeError with its text.
+    The answer is one pickled list of results, or the exception that stopped
+    the worker; one that does not survive pickling is sent as a RuntimeError
+    with its text.
     """
     import pickle
 
     try:
         done = []
         while index := os.read(claims, width):
-            i = int(index)
-            done.append((i, _task(*tasks[i])))
+            done.append(_task(*tasks[int(index)]))
         data = pickle.dumps(done)
     except Exception as exc:  # the parent re-raises it
         try:
@@ -221,7 +220,7 @@ def _serve(tasks: list[tuple], width: int, claims: int, reply: int) -> None:
 
 
 def _pool(tasks: list[tuple], jobs: int) -> list[tuple]:
-    """``_task`` over every task in ``jobs`` forked workers: the results in task order.
+    """``_task`` over every task in ``jobs`` forked workers: the results, in no set order.
 
     After the forks the parent writes each task's index, at one fixed width,
     to one pipe that every worker reads one index at a time.  A pipe write of
@@ -230,8 +229,10 @@ def _pool(tasks: list[tuple], jobs: int) -> list[tuple]:
     task when it finishes one, and the first task goes first.  Each worker
     answers over a pipe of its own (``_serve``) and ends in ``os._exit``, so
     it never returns into its caller's frames or flushes the buffers it
-    inherited.  A worker's exception is raised here, and a worker that ends
-    without an answer raises RuntimeError.  Every worker is reaped before
+    inherited.  The results need no order: the merge sums the counts and
+    orders the violations by their unique key.  A worker's exception is
+    raised here, and a worker that ends without an answer raises
+    ChildProcessError, an OSError, so the CLI exits 2.  Every worker is reaped before
     this returns or raises; on an error, those still running are killed
     first.  Forking is safe in a process without threads, and the package
     starts none.
@@ -242,7 +243,7 @@ def _pool(tasks: list[tuple], jobs: int) -> list[tuple]:
     claims, offers = os.pipe()
     pipes = [os.pipe() for _ in range(jobs)]  # (parent's end, worker's end)
     fds = {claims, offers}.union(*pipes)  # open in the parent
-    pids, results = [], {}
+    pids, results = [], []
 
     def close(*ends: int) -> None:
         for fd in ends:
@@ -272,11 +273,11 @@ def _pool(tasks: list[tuple], jobs: int) -> list[tuple]:
             with open(answer, "rb") as fh:
                 data = fh.read()
             if not data:
-                raise RuntimeError(f"sweep worker {pid} ended without a result")
+                raise ChildProcessError(f"sweep worker {pid} ended without a result")
             done = pickle.loads(data)
             if isinstance(done, Exception):
                 raise done
-            results.update(done)
+            results += done
     except BaseException:
         import signal
 
@@ -287,7 +288,7 @@ def _pool(tasks: list[tuple], jobs: int) -> list[tuple]:
         close(*list(fds))
         for pid in pids:
             os.waitpid(pid, 0)
-    return [results[i] for i in sorted(results)]
+    return results
 
 
 def run_sweep(

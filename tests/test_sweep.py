@@ -212,7 +212,7 @@ def test_worker_error_that_cannot_be_pickled(monkeypatch):
     _assert_reaped(pids)
 
 
-def test_worker_that_dies_raises(monkeypatch):
+def test_worker_that_dies_raises(monkeypatch, capsys):
     # a pool that waits for the dead worker's result hangs until the alarm
     pids = _forked(monkeypatch)
     _failing_root(monkeypatch, lambda: os._exit(1))
@@ -223,11 +223,17 @@ def test_worker_that_dies_raises(monkeypatch):
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(30)
     try:
-        with pytest.raises(RuntimeError, match="ended without a result"):
+        with pytest.raises(ChildProcessError, match="ended without a result"):
             run_sweep(9, jobs=2)
+        _assert_reaped(pids)
+        # an OSError: the CLI prints one error line, no report, and exits 2
+        code = cli.main(["sweep", "--max-genus", "9", "--jobs", "2"])
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ChildProcessError: sweep worker ") and err.count("\n") == 1
     _assert_reaped(pids)
 
 
