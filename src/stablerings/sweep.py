@@ -51,10 +51,11 @@ from .relideal import RelativeIdeal, _blowup_gap_mask, _census_counts
 from .relideal import blowup_tower, enumerate_normalized_ideals
 
 SALLY_GENUS_CAP = 8
-# `sweep --max-genus 16 --n-max 32 --sally-genus-cap C --jobs 2` takes 19-20 s at
-# C = 14 and 55 s at C = 15 in a fresh process on a shared 2-core 2.1 GHz Xeon
-# with Python 3.11.7, and 22-26 s at C = 14 with `--max-genus 20`; 15 fits the
-# 120 s ceiling too, but 14 leaves room to raise the genus cap
+# `sweep --max-genus 16 --n-max 32 --sally-genus-cap C --jobs 2` takes 16-20 s at
+# C = 14 (3 runs) and 66 s at C = 15 (one run) in a fresh process on a shared
+# 2-core 2.1 GHz Xeon with Python 3.11.7, and 21.5-27.1 s at C = 14 with
+# `--max-genus 20` (3 runs); 15 fits the 120 s ceiling too, but 14 leaves room
+# to raise the genus cap
 SALLY_GENUS_CAP_MAX = 14
 
 

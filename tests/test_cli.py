@@ -723,6 +723,13 @@ def test_idealization_caps_refuse_before_the_ring(capsys, monkeypatch, knob, exp
     assert (code, err.split(":")[1].strip()) == expected
 
 
+def _square_zero(d):
+    """The structure table of F2[x_1..x_{d-1}]/(x_1..x_{d-1})^2 on the basis 1, x_1, ..., x_{d-1}."""
+    unit = [[1 if k == i else 0 for k in range(d)] for i in range(d)]
+    table = [[unit[i + j] if i * j == 0 else [0] * d for j in range(d)] for i in range(d)]
+    return {"field": "F2", "dim": d, "table": table}
+
+
 def test_alg_classify_pair_bound(capsys, tmp_path, monkeypatch):
     # the bound is checked from field and dim before the table is validated,
     # whatever its dimension; validation multiplies basis vectors
@@ -733,11 +740,8 @@ def test_alg_classify_pair_bound(capsys, tmp_path, monkeypatch):
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps({"field": "F2", "dim": 1000000000, "table": []}))
     # F2[x_1..x_12]/(x_1..x_12)^2: valid, 8,192 elements, 33.5M pairs
-    d = 13
-    unit = [[1 if k == i else 0 for k in range(d)] for i in range(d)]
-    table = [[unit[i + j] if i * j == 0 else [0] * d for j in range(d)] for i in range(d)]
     path = tmp_path / "square_zero_13.json"
-    path.write_text(json.dumps({"field": "F2", "dim": d, "table": table}))
+    path.write_text(json.dumps(_square_zero(13)))
     for p in (huge, path):
         started = time.monotonic()
         code, out, err = run(capsys, "alg", "classify", str(p), "--json")
@@ -847,6 +851,43 @@ def test_resource_contract_from_the_command_table(capsys, tmp_path):
     finally:
         signal.signal(signal.SIGALRM, previous)
     assert faults == []
+
+
+# The costliest admitted commands and their exit codes.  In a fresh process
+# on a shared 2-core 2.1 GHz Xeon with Python 3.11.7 each took at most 1.6 s
+# of CPU (the tower) and 29 MB of address space (VmPeak; 26 MB resident), so
+# the limits below leave about six and nine times that.
+WORST_ADMITTED = {
+    "check-Q-rank-8": (["idealization", "check", "--field", "Q", "--rank", "8", "--prec", "256",
+                        "--trials", "48", "--seed", "1"], 0),
+    "check-Q-1000-trials": (["idealization", "check", "--field", "Q", "--rank", "1", "--prec", "250",
+                             "--trials", "1000", "--seed", "1"], 0),
+    "tower-work-cap": (["sg", "tower", "1024,1025", "--cap", "1000000"], 3),  # after 68 steps
+    "square-zero-8": (["alg", "classify", "square_zero_8.json"], 0),  # 256 elements, 32,896 pairs
+}
+CHILD_CPU_SECONDS = 10
+CHILD_ADDRESS_SPACE = 256 << 20
+
+
+@pytest.mark.parametrize("name", WORST_ADMITTED)
+def test_worst_admitted_commands_within_limits(tmp_path, name):
+    # a command past a limit is killed or fails to allocate (MemoryError,
+    # exit 1), so each must still return its own exit code
+    resource = pytest.importorskip("resource")
+    argv, expected = WORST_ADMITTED[name]
+    (tmp_path / "square_zero_8.json").write_text(json.dumps(_square_zero(8)))
+
+    def limit():  # in the child, between fork and exec
+        resource.setrlimit(resource.RLIMIT_CPU, (CHILD_CPU_SECONDS, CHILD_CPU_SECONDS))
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(stablerings.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stablerings", *argv],
+        cwd=tmp_path, env=env, preexec_fn=limit, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == expected, proc.stderr[-300:]
+    assert (proc.stdout == "") is (expected == 3)
 
 
 def test_idealization_seed_changes_trials_not_verdict(capsys):
