@@ -51,11 +51,11 @@ from .relideal import RelativeIdeal, _blowup_gap_mask, _census_counts
 from .relideal import blowup_tower, enumerate_normalized_ideals
 
 SALLY_GENUS_CAP = 8
-# `sweep --max-genus 16 --n-max 32 --sally-genus-cap C --jobs 2` takes 16-20 s at
-# C = 14 (3 runs) and 66 s at C = 15 (one run) in a fresh process on a shared
-# 2-core 2.1 GHz Xeon with Python 3.11.7, and 21.5-27.1 s at C = 14 with
-# `--max-genus 20` (3 runs); 15 fits the 120 s ceiling too, but 14 leaves room
-# to raise the genus cap
+# `sweep --max-genus 16 --n-max 32 --sally-genus-cap C --jobs 2` takes 13.5-20 s
+# at C = 14 (6 runs) and 51-66 s at C = 15 (2 runs, one per session: a run takes
+# about a minute) in a fresh process on a shared 2-core 2.1 GHz Xeon with Python
+# 3.11.7, and 16.5-27.1 s at C = 14 with `--max-genus 20` (6 runs); 15 fits the
+# 120 s ceiling too, but 14 leaves room to raise the genus cap
 SALLY_GENUS_CAP_MAX = 14
 
 
@@ -233,10 +233,10 @@ def _pool(tasks: list[tuple], jobs: int) -> list[tuple]:
     inherited.  The results need no order: the merge sums the counts and
     orders the violations by their unique key.  A worker's exception is
     raised here, and a worker that ends without an answer raises
-    ChildProcessError, an OSError, so the CLI exits 2.  Every worker is reaped before
-    this returns or raises; on an error, those still running are killed
-    first.  Forking is safe in a process without threads, and the package
-    starts none.
+    ChildProcessError, an OSError, so the CLI exits 2.  Every worker is
+    reaped before this returns or raises; on an error, those still running
+    are killed first.  Forking is safe in a process without threads, and
+    the package starts none.
     """
     import pickle
 
