@@ -13,8 +13,9 @@ constant, a unit of V, leaves its ideal unchanged; so a generator with
 rational coefficients is given by a multiple with integer ones, and no
 coefficient here has a denominator.  A series is the tuple of the ascending
 (exponent, coefficient) pairs of its nonzero coefficients below N, and its
-class is its coefficient field at precision N (a ``DOMAINS`` entry, which
-each ring subclasses to set N).  Its one arithmetic operation is ``*``.
+class, ``series_class(field, N)``, is its coefficient field at precision N.
+A ring is that class and its rank, and reads N off the class.  A series has
+one arithmetic operation, ``*``.
 Products, elimination, membership, pivot keys and valuations all run over
 the pairs, so their cost follows the nonzeros, not N.  A ring element (v, l)
 is the tuple (v, l_1, ..., l_r) of its series, which is also its row in
@@ -93,10 +94,12 @@ from .errors import (
 # Size caps, checked where the sizes enter (the CLI), before a ring is built.
 # A series has nonzeros only below PREC_CAP.  WORK_CAP bounds
 # trials * (1+r)^2 * N, but a trial's cost no longer grows with N: the kernel
-# runs over the nonzeros.  The costliest
-# admitted checks, whole `idealization check --field Q --seed 1` runs
-# in-process on a shared 2-core Xeon with Python 3.11.7: rank 8, N = 256,
-# 48 trials in 0.066 s; rank 1, N = 250, 1,000 trials in 0.12 s.
+# runs over the nonzeros.  So the costliest admitted checks have the most
+# trials the caps allow, not the largest ring.  Whole `idealization check
+# --field Q --seed 1` runs in-process on a shared 2-core Xeon with Python
+# 3.11.7, three each: rank 1, N = 16, 10,000 trials in 1.16-1.20 s; rank 3,
+# N = 16, 3,906 trials in 1.03-1.06 s; against rank 8, N = 256, 48 trials in
+# 0.07-0.10 s and rank 1, N = 250, 1,000 trials in 0.13-0.16 s.
 PREC_CAP = 256
 RANK_CAP = 8
 TRIALS_CAP = 10_000
@@ -127,10 +130,11 @@ class TruncatedSeries(tuple):
     The pairs ascend by exponent, every exponent lies below n, and no
     coefficient is zero; over F_p each coefficient is reduced mod p.  So a
     series has one form, and equality and hashing are those of the tuple.
-    The coefficient field is the class: each ``DOMAINS`` entry is a subclass
-    that sets ``p``, the characteristic of F_p, or None over Q, and a ring
-    subclasses it once more to set ``n``.  ``*`` is the one series operation,
-    and a series is zero exactly when it is empty.
+    The coefficient field and the precision are the class: ``series_class``
+    makes one subclass per field and n, which sets ``p``, the characteristic
+    of F_p, or None over Q, and ``n``, and defines no method of its own.
+    ``*`` is the one series operation, and a series is zero exactly when it
+    is empty.
     """
 
     __slots__ = ()
@@ -180,39 +184,32 @@ class TruncatedSeries(tuple):
         return self._mul_add(self, other)
 
 
-DOMAINS = {
-    name: type(name, (TruncatedSeries,), {"__slots__": (), "p": p})
-    for name, p in (("F2", 2), ("F3", 3), ("F5", 5), ("Q", None))
-}
+# the coefficient fields by name: the characteristic of F_p, or None over Q
+DOMAINS = {"F2": 2, "F3": 3, "F5": 5, "Q": None}
 
 
 @cache
-def _at_precision(field: type[TruncatedSeries], n: int) -> type[TruncatedSeries]:
-    """The class of series over this field modulo t^n."""
-    return type(field.__name__, (field,), {"__slots__": (), "n": n})
+def series_class(field: str, n: int) -> type[TruncatedSeries]:
+    """The class of series over the named coefficient field modulo t^n."""
+    if field not in DOMAINS:
+        raise UnsupportedField(f"supported coefficient domains are {sorted(DOMAINS)}, not {field!r}")
+    return type(field, (TruncatedSeries,), {"__slots__": (), "p": DOMAINS[field], "n": n})
 
 
-def get_domain(name: str) -> type[TruncatedSeries]:
-    try:
-        return DOMAINS[name]
-    except KeyError:
-        raise UnsupportedField(
-            f"supported coefficient domains are {sorted(DOMAINS)}, not {name!r}"
-        ) from None
-
-
-class IdealizationRing(namedtuple("IdealizationRing", "domain rank prec")):
+class IdealizationRing(namedtuple("IdealizationRing", "domain rank")):
     """The ring V*L at fixed rank and precision.
 
     An element (v, l) is the tuple (v, l_1, ..., l_r) of its series, which
     is also its row in V^{1+r}; ``mul`` is the ring product.  ``domain`` is
-    the field's series class at this precision, which the ring builds.
+    the field's series class at this precision, ``series_class(field, N)``,
+    and ``prec`` reads N off it.
     """
 
     __slots__ = ()
 
-    def __new__(cls, domain: type[TruncatedSeries], rank: int, prec: int):
-        return super().__new__(cls, _at_precision(domain, prec), rank, prec)
+    @property
+    def prec(self) -> int:
+        return self.domain.n
 
     def series(self, coeffs) -> TruncatedSeries:
         return self.domain.reduced(enumerate(coeffs[: self.prec]))
@@ -258,7 +255,7 @@ def make_ring(field: str, r: int, N: int) -> IdealizationRing:
         raise BadRank("L must be a nonzero free module: rank >= 1")
     if N < 4:
         raise BadPrecision("precision must be at least 4")
-    ring = IdealizationRing(get_domain(field), r, N)
+    ring = IdealizationRing(series_class(field, N), r)
     mul, one = ring.mul, ring.t_power(0)
     rng = random.Random(0xA11CE)
     for _ in range(16):

@@ -230,7 +230,11 @@ def _pool(tasks: list[tuple], jobs: int) -> list[tuple]:
     task when it finishes one, and the first task goes first.  Each worker
     answers over a pipe of its own (``_serve``) and ends in ``os._exit``, so
     it never returns into its caller's frames or flushes the buffers it
-    inherited.  The results need no order: the merge sums the counts and
+    inherited.  The parent polls every answer pipe at once (``poll``, as
+    ``select`` takes no descriptor past FD_SETSIZE) and takes each answer as
+    it arrives, in no set order, reaping its worker then, so a worker that
+    dies is seen when it dies, not after the workers forked before it have
+    finished.  The results need no order: the merge sums the counts and
     orders the violations by their unique key.  A worker's exception is
     raised here, and a worker that ends without an answer raises
     ChildProcessError, an OSError, so the CLI exits 2.  Every worker is
@@ -239,12 +243,14 @@ def _pool(tasks: list[tuple], jobs: int) -> list[tuple]:
     the package starts none.
     """
     import pickle
+    import select
 
     width = len(str(len(tasks) - 1))
     claims, offers = os.pipe()
     pipes = [os.pipe() for _ in range(jobs)]  # (parent's end, worker's end)
     fds = {claims, offers}.union(*pipes)  # open in the parent
-    pids, results = [], []
+    # each worker's pid by the parent's end of its answer pipe, and those ends polled together
+    pids, results, ready = {}, [], select.poll()
 
     def close(*ends: int) -> None:
         for fd in ends:
@@ -252,7 +258,7 @@ def _pool(tasks: list[tuple], jobs: int) -> list[tuple]:
             os.close(fd)
 
     try:
-        for _, reply in pipes:
+        for answer, reply in pipes:
             pid = os.fork()
             if not pid:
                 try:
@@ -261,7 +267,8 @@ def _pool(tasks: list[tuple], jobs: int) -> list[tuple]:
                     _serve(tasks, width, claims, reply)
                 finally:
                     os._exit(0)
-            pids.append(pid)
+            pids[answer] = pid
+            ready.register(answer, select.POLLIN)
         close(claims, *(reply for _, reply in pipes))
         try:
             for i in range(len(tasks)):
@@ -269,25 +276,28 @@ def _pool(tasks: list[tuple], jobs: int) -> list[tuple]:
         except BrokenPipeError:  # every worker has ended; its answer, or its lack of one, says why
             pass
         close(offers)
-        for pid, (answer, _) in zip(pids, pipes):
-            fds.remove(answer)
-            with open(answer, "rb") as fh:
-                data = fh.read()
-            if not data:
-                raise ChildProcessError(f"sweep worker {pid} ended without a result")
-            done = pickle.loads(data)
-            if isinstance(done, Exception):
-                raise done
-            results += done
+        while pids:
+            for answer, _ in ready.poll():
+                ready.unregister(answer)
+                fds.remove(answer)
+                with open(answer, "rb") as fh:
+                    data = fh.read()
+                pid, _ = os.waitpid(pids.pop(answer), 0)
+                if not data:
+                    raise ChildProcessError(f"sweep worker {pid} ended without a result")
+                done = pickle.loads(data)
+                if isinstance(done, Exception):
+                    raise done
+                results += done
     except BaseException:
         import signal
 
-        for pid in pids:
+        for pid in pids.values():
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
         close(*list(fds))
-        for pid in pids:
+        for pid in pids.values():
             os.waitpid(pid, 0)
     return results
 

@@ -853,15 +853,22 @@ def test_resource_contract_from_the_command_table(capsys, tmp_path):
     assert faults == []
 
 
-# The costliest admitted commands and their exit codes.  In a fresh process
-# on a shared 2-core 2.1 GHz Xeon with Python 3.11.7 each took at most 1.6 s
-# of CPU (the tower) and 29 MB of address space (VmPeak; 26 MB resident), so
-# the limits below leave about six and nine times that.
+# The costliest admitted commands and their exit codes.  The costliest
+# idealization check has the most trials the caps allow, not the largest
+# ring.  In fresh processes on a shared 2-core Xeon with Python 3.11.7, three
+# runs each, the 10,000 trials over Q took 1.22-1.25 s of CPU and 24 MB of
+# address space, the tower 0.75-0.77 s and 29 MB (VmPeak; 26 MB resident),
+# and the rest under 0.6 s; an earlier measurement on the same box gave the
+# tower 1.6 s.
+# So the limits below leave at least six times that CPU and about nine times
+# that address space.
 WORST_ADMITTED = {
     "check-Q-rank-8": (["idealization", "check", "--field", "Q", "--rank", "8", "--prec", "256",
                         "--trials", "48", "--seed", "1"], 0),
     "check-Q-1000-trials": (["idealization", "check", "--field", "Q", "--rank", "1", "--prec", "250",
                              "--trials", "1000", "--seed", "1"], 0),
+    "check-Q-10000-trials": (["idealization", "check", "--field", "Q", "--rank", "1", "--prec", "16",
+                              "--trials", "10000", "--seed", "1"], 0),
     "tower-work-cap": (["sg", "tower", "1024,1025", "--cap", "1000000"], 3),  # after 68 steps
     "square-zero-8": (["alg", "classify", "square_zero_8.json"], 0),  # 256 elements, 32,896 pairs
 }
@@ -956,10 +963,11 @@ def test_record_values_survive_the_pool_wire():
     assert pickle.loads(pickle.dumps(args)) == args
 
 
-def test_ring_lifts_its_domain_to_its_precision():
-    ring = idealization.IdealizationRing(idealization.get_domain("Q"), 2, 10)
-    assert ring.domain.n == 10
+def test_ring_reads_its_precision_off_its_domain():
+    ring = idealization.IdealizationRing(idealization.series_class("Q", 10), 2)
+    assert ring.prec == ring.domain.n == 10 and ring.domain.p is None
     assert ring == idealization.make_ring("Q", 2, 10)
+    assert ring.domain is idealization.series_class("Q", 10)  # one class per field and precision
 
 
 def test_generator_mask_is_recomputed_alike():

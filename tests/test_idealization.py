@@ -22,12 +22,12 @@ from stablerings.idealization import (
     DOMAINS,
     IdealizationRing,
     TruncatedSeries,
-    get_domain,
     hilbert_lengths,
     ideal_from_generators,
     is_stable_ideal,
     make_ring,
     reduce_rows,
+    series_class,
     square_zero_prime_check,
     stability_sweep,
 )
@@ -281,7 +281,7 @@ def test_hilbert_length_formula_all_fields():
 
 @pytest.mark.parametrize("field", ["F2", "F3", "F5", "Q"])
 def test_length_from_pivots_matches_k_elimination(field):
-    p = get_domain(field).p
+    p = DOMAINS[field]
     rng = random.Random(31)
     for rank in (1, 2, 3):
         for prec in (6, 10, 16):
@@ -336,9 +336,10 @@ def test_random_regular_ideal_is_regular():
         assert g1[0].valuation() < R2.prec // 2
 
 
-def test_get_domain_guard():
-    with pytest.raises(UnsupportedField):
-        get_domain("F11")
+def test_series_class_guard():
+    message = r"^supported coefficient domains are \['F2', 'F3', 'F5', 'Q'\], not 'F11'$"
+    with pytest.raises(UnsupportedField, match=message):
+        series_class("F11", 16)
 
 
 FIELDS = ("F2", "F3", "F5", "Q")
@@ -403,7 +404,8 @@ def test_reduce_rows_matches_series_oracle(field):
     kinds = dict.fromkeys(("zero", "tie", "random", "reduced", "cleared"), 0)
     memberships = set()
     for _ in range(260):
-        ring = IdealizationRing(get_domain(field), rng.randint(1, 4), rng.randint(6, 40))
+        rank, prec = rng.randint(1, 4), rng.randint(6, 40)
+        ring = IdealizationRing(series_class(field, prec), rank)
         rows = _random_rows(ring, rng, kinds)
         pivots = reduce_rows(ring, rows)
         basis, expected = oracles.reduce_rows(ring, rows)
@@ -423,7 +425,7 @@ def test_reduce_rows_matches_series_oracle(field):
 @given(st.sampled_from(FIELDS), st.integers(1, 3), st.integers(6, 24), st.randoms(use_true_random=False))
 def test_reduce_rows_is_canonical(field, rank, prec, rnd):
     # permuting the rows and multiplying each by a unit of V spans the same module
-    ring = IdealizationRing(get_domain(field), rank, prec)
+    ring = IdealizationRing(series_class(field, prec), rank)
     rows = _random_rows(ring, rnd)
     expected = reduce_rows(ring, rows)
     rnd.shuffle(rows)
@@ -466,7 +468,8 @@ def test_ideal_rows_match_per_generator_rows(field):
     rng = random.Random(43)
     kinds = dict.fromkeys(("zero", "zero_v", "tie", "random", "no_l_rows"), 0)
     for _ in range(150):
-        ring = IdealizationRing(get_domain(field), rng.randint(1, 4), rng.randint(6, 40))
+        rank, prec = rng.randint(1, 4), rng.randint(6, 40)
+        ring = IdealizationRing(series_class(field, prec), rank)
         gens = _random_generators(ring, rng, kinds)
         kinds["no_l_rows"] += all(not any(g[0]) for g in gens)
         # the rows of I lie in the ring ideal, so equal pivots mean equal modules
@@ -487,7 +490,8 @@ def test_witness_candidates_lie_in_square(field):
     rng = random.Random(47)
     cases = dict.fromkeys(("equal", "rejected", "unclear"), 0)
     for _ in range(40):
-        ring = IdealizationRing(get_domain(field), rng.randint(1, 3), rng.choice([8, 12, 16]))
+        rank, prec = rng.randint(1, 3), rng.choice([8, 12, 16])
+        ring = IdealizationRing(series_class(field, prec), rank)
         gens = _random_regular_generators(ring, rng) + [_random_element(ring, rng, regular=False)]
         gens = gens[: rng.randint(2, 3)]
         margin = ring.prec // 2
@@ -566,7 +570,7 @@ def test_fused_product_matches_definition(field):
 def test_series_mul_counts_ring_products(field, monkeypatch):
     # perfbench's tracer counts ring products by patching TruncatedSeries.__mul__ by name,
     # which a field class that defined its own __mul__ would bypass
-    assert "__mul__" not in vars(DOMAINS[field])
+    assert "__mul__" not in vars(series_class(field, 8))
     calls = []
     series_mul = TruncatedSeries.__mul__
     monkeypatch.setattr(TruncatedSeries, "__mul__", lambda a, b: calls.append(1) or series_mul(a, b))
@@ -635,7 +639,8 @@ def test_membership_matches_contains_row_oracle(field):
     rng = random.Random(67)
     kinds = dict.fromkeys(("zero", "member", "other_in", "other_out"), 0)
     for _ in range(120):
-        ring = IdealizationRing(get_domain(field), rng.randint(1, 3), rng.randint(4, 24))
+        rank, prec = rng.randint(1, 3), rng.randint(4, 24)
+        ring = IdealizationRing(series_class(field, prec), rank)
         rows = _random_rows(ring, rng)
         pivots = reduce_rows(ring, rows)
         basis, expected = oracles.reduce_rows(ring, rows)
@@ -662,7 +667,8 @@ def test_stability_matches_old_pivot_comparison(field):
     kinds = dict.fromkeys(("zero", "zero_v", "tie", "random"), 0)
     verdicts = dict.fromkeys((True, None, "not_regular"), 0)
     for _ in range(100):
-        ring = IdealizationRing(get_domain(field), rng.randint(1, 3), rng.choice([4, 5, 6, 8, 9, 12, 16]))
+        rank, prec = rng.randint(1, 3), rng.choice([4, 5, 6, 8, 9, 12, 16])
+        ring = IdealizationRing(series_class(field, prec), rank)
         gens = _random_generators(ring, rng, kinds)
         if min(g[0].valuation() for g in gens) >= ring.prec // 2:
             with pytest.raises(NotRegular):
@@ -811,7 +817,7 @@ def _drawn_series(ring, data):
 def test_sparse_kernel_matches_dense_oracles(field, rank, prec, data):
     # the pair-form kernel against the dense oracles: canonical form, products that overflow
     # t^(N-1), multiples of inverses, and the pivots and membership of the rows and their products
-    ring = IdealizationRing(get_domain(field), rank, prec)
+    ring = IdealizationRing(series_class(field, prec), rank)
     t = ring.series([0, 1])
     top = ring.series([0] * (prec - 1) + [1])
     assert t.valuation() == 1 and top.valuation() == prec - 1 and not t * top

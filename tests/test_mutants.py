@@ -131,6 +131,12 @@ MUTANTS = (
         "data = pickle.dumps(done[1:])",
         test_sweep.test_run_sweep_jobs_invariant,
     ),
+    (  # a parent whose workers have all ended lets its write's BrokenPipeError escape
+        sweep._pool,
+        "except BrokenPipeError:",
+        "except ():",
+        test_sweep.test_pool_whose_workers_have_all_ended_raises,
+    ),
 )
 
 

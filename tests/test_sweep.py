@@ -2,6 +2,8 @@
 
 import os
 import signal
+import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -52,12 +54,51 @@ def test_violation_messages_read_the_report(monkeypatch):
     S = from_generators({2, 5})
     rec = analyze_semigroup(S, 8, SALLY_GENUS_CAP, (3, 2), _sequence(S))
     greither = {"mu_normalization": 2, "bass": True, "agree": True, "quadratic_when_two_generated": False}
-    assert rec["violations"] == {
+    verdicts = {
         "big_agreement": ["2,5: all_stable=False quadratic=False bass=True"],
         "monomial_vs_bass": ["2,5: monomial verdict False vs multiplicity verdict True"],
         "greither": [f"2,5: {greither}"],
         "multiplicity_triple": ["2,5: m=2 hilbert=3 mu_norm=2"],
     }
+    assert rec["violations"] == verdicts
+    # every other check fails too, and the tower's from crafted sequences; the
+    # tower's members are <3,4,5> twice, which is neither 2 + <3,4,5> nor
+    # <2,5> union its own maximal ideal
+    two = {"agree": False, "power_two_generated": True, "mult_le_2": False}
+    monkeypatch.setattr(ringlab, "two_generator_check", lambda *args: two)
+    monkeypatch.setattr(ringlab, "minimal_multiplicity_check", lambda *args: {"ok": False})
+    monkeypatch.setattr(ringlab, "sally_check", lambda *args: {"ok": False, "hypothesis": False})
+    monkeypatch.setattr(sweep, "blowup_tower", lambda S: [from_generators({3, 4, 5})] * 2)
+    members = ["2,5: M_0 != 2 + S_1", "2,5: S_0 != S union M_0"]
+    towers = {
+        (3, 1): ["2,5: multiplicity sequence (3, 1)", "2,5: stabilization index 1 != genus 2"],
+        (2, 2): [
+            "2,5: blow-up tower did not reach the full monoid",
+            "2,5: multiplicity sequence (2, 2)",
+            "2,5: stabilization index 1 != genus 2",
+        ],
+        (2, 2, 2, 1): [
+            "2,5: tower length 3 exceeds genus 2",
+            "2,5: multiplicity sequence (2, 2, 2, 1)",
+            "2,5: stabilization index 3 != genus 2",
+        ],
+    }
+    for sequence, tower in towers.items():
+        rec = analyze_semigroup(S, 8, SALLY_GENUS_CAP, (3, 2), sequence)
+        assert rec == {
+            "violations": {
+                **verdicts,
+                "two_generator": ["2,5: power_two_generated=True mult_le_2=False"],
+                "minimal_multiplicity": ["2,5: {'ok': False}"],
+                "tower": tower + members,
+                "sally": [
+                    "2,5: ideal (0,): {'ok': False, 'hypothesis': False}",
+                    "2,5: ideal (0, 3): {'ok': False, 'hypothesis': False}",
+                    "2,5: ideal (0, 1): {'ok': False, 'hypothesis': False}",
+                ],
+            },
+            "sally": {"ideals": 3, "boundary": 0},
+        }
 
 
 def test_memo_pass_matches_end_semigroup_and_tower():
@@ -181,6 +222,28 @@ def test_pool_reaps_its_workers(monkeypatch):
     _assert_reaped(pids)
 
 
+def test_pool_answers_on_descriptors_past_fd_setsize(monkeypatch):
+    # with 1,100 more descriptors open, the pool's pipes lie past FD_SETSIZE
+    # (1,024), where select() refuses a descriptor with a ValueError
+    resource = pytest.importorskip("resource")
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if 0 <= hard < 1200:
+        pytest.skip(f"the descriptor limit {hard} is below 1,200")
+    pids = _forked(monkeypatch)
+    taken = []
+    try:
+        if 0 <= soft < 1200:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (1200, hard))
+        while len(taken) < 1100:
+            taken.append(os.open(os.devnull, os.O_RDONLY))
+        assert run_sweep(9, jobs=2) == run_sweep(9, jobs=1)
+    finally:
+        for fd in taken:
+            os.close(fd)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+    _assert_reaped(pids)
+
+
 def _cap_exceeded():
     raise CapExceeded("marked root")
 
@@ -212,27 +275,65 @@ def test_worker_error_that_cannot_be_pickled(monkeypatch):
     _assert_reaped(pids)
 
 
+@contextmanager
+def _alarm(seconds, message):
+    """Raise TimeoutError(message) in the block once ``seconds`` have passed."""
+
+    def expire(*_):
+        raise TimeoutError(message)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_worker_that_dies_raises(monkeypatch, capsys):
     # a pool that waits for the dead worker's result hangs until the alarm
     pids = _forked(monkeypatch)
     _failing_root(monkeypatch, lambda: os._exit(1))
-
-    def expire(*_):
-        raise TimeoutError("the pool waited for a dead worker")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(30)
-    try:
+    with _alarm(30, "the pool waited for a dead worker"):
         with pytest.raises(ChildProcessError, match="ended without a result"):
             run_sweep(9, jobs=2)
         # an OSError: the CLI prints one error line, no report, and exits 2
         code = cli.main(["sweep", "--max-genus", "9", "--jobs", "2"])
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert err.startswith("error: ChildProcessError: sweep worker ") and err.count("\n") == 1
+    _assert_reaped(pids)
+
+
+def test_worker_that_dies_is_reported_when_it_dies(monkeypatch):
+    # the first-forked worker stalls in its first task and the second dies in
+    # its own: a pool that reads the answers in fork order waits on the
+    # stalled worker until the alarm
+    pids = _forked(monkeypatch)
+
+    def stall_or_die(root, max_genus):
+        if not pids:  # empty in the worker forked first
+            time.sleep(60)
+        os._exit(1)
+
+    monkeypatch.setattr(sweep, "_walk", stall_or_die)
+    with _alarm(15, "the pool waited for a stalled worker"):
+        with pytest.raises(ChildProcessError, match="ended without a result"):
+            run_sweep(9, jobs=2)
+    assert len(pids) == 2
+    _assert_reaped(pids)
+
+
+def test_pool_whose_workers_have_all_ended_raises(monkeypatch):
+    # 200,000 indices of six bytes overfill the claims pipe, so the parent is
+    # still writing them when both workers have died: its write fails with EPIPE
+    pids = _forked(monkeypatch)
+    monkeypatch.setattr(sweep, "_task", lambda *args: os._exit(1))
+    with _alarm(15, "the pool waited for dead workers"):
+        with pytest.raises(OSError) as raised:
+            sweep._pool([()] * 200_000, 2)
+    assert raised.type is ChildProcessError  # not the write's BrokenPipeError
     _assert_reaped(pids)
 
 
