@@ -248,25 +248,17 @@ def _is_zero(x: tuple) -> bool:
 def make_ring(field: str, r: int, N: int) -> IdealizationRing:
     """Build V*L over the named coefficient field with L = V^r at precision N.
 
-    The multiplication law is validated by seeded randomized axiom checks
-    (commutativity, associativity, identity) at construction.
+    The multiplication law (commutativity, associativity, identity) is a
+    property of ``IdealizationRing.mul``, not of the field, rank or
+    precision asked for, so it is not checked here: ``test_ring_law_grid``
+    and ``test_ring_law_admitted_shapes`` in tests/test_idealization.py
+    hold it.
     """
     if r < 1:
         raise BadRank("L must be a nonzero free module: rank >= 1")
     if N < 4:
         raise BadPrecision("precision must be at least 4")
-    ring = IdealizationRing(series_class(field, N), r)
-    mul, one = ring.mul, ring.t_power(0)
-    rng = random.Random(0xA11CE)
-    for _ in range(16):
-        a, b, c = (_random_element(ring, rng, regular=False) for _ in range(3))
-        if mul(a, b) != mul(b, a):
-            raise AssertionError("multiplication law is not commutative")
-        if mul(mul(a, b), c) != mul(a, mul(b, c)):
-            raise AssertionError("multiplication law is not associative")
-        if mul(one, a) != a:
-            raise AssertionError("(1,0) is not an identity")
-    return ring
+    return IdealizationRing(series_class(field, N), r)
 
 
 def _random_series(ring: IdealizationRing, rng: random.Random, val_range=(0, 4)) -> TruncatedSeries:

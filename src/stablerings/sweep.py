@@ -311,6 +311,8 @@ def run_sweep(
     """Analyze every semigroup of genus <= max_genus, one task per subtree of the semigroup tree."""
     ringlab.check_n_max(n_max)
     check_genus(max_genus)
+    if sally_cap < 0:
+        raise ValueError("sally genus cap must be nonnegative")
     if min(sally_cap, max_genus) > SALLY_GENUS_CAP_MAX:
         raise CapExceeded(
             f"per-ideal sweep to genus {min(sally_cap, max_genus)} exceeds cap {SALLY_GENUS_CAP_MAX}"

@@ -354,6 +354,13 @@ def test_n_max_below_two_is_usage_error(capsys):
         assert "ValueError" in err
 
 
+def test_negative_sally_genus_cap_is_usage_error(capsys):
+    # refused, not read as "no Sally pass"
+    code, out, err = run(capsys, "sweep", "--max-genus", "3", "--sally-genus-cap=-1", "--json")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: ValueError: sally genus cap must be nonnegative"]
+
+
 def test_n_max_is_checked_once_per_two_gen(capsys, monkeypatch):
     calls = []
     check = ringlab.check_n_max

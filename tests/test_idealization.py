@@ -87,6 +87,8 @@ def test_make_ring_guards():
         make_ring("F2", 1, 3)
     with pytest.raises(UnsupportedField):
         make_ring("F7", 1, 16)
+    with pytest.raises(BadRank):  # the rank is refused first, then the precision, then the field
+        make_ring("F7", 0, 3)
     make_ring("Q", 3, 8)  # valid
 
 
@@ -343,6 +345,34 @@ def test_series_class_guard():
 
 
 FIELDS = ("F2", "F3", "F5", "Q")
+
+
+def _check_ring_law(ring, rng):
+    """Commutativity, associativity and the identity (1, 0) on 16 seeded triples of elements."""
+    mul, one = ring.mul, ring.t_power(0)
+    for _ in range(16):
+        a, b, c = (_random_element(ring, rng, regular=False) for _ in range(3))
+        assert mul(a, b) == mul(b, a)
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(one, a) == a
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_ring_law_grid(field):
+    for rank in (1, 3, 8):
+        for prec in (4, 16, 256):
+            _check_ring_law(make_ring(field, rank, prec), random.Random(0xA11CE))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(FIELDS),
+    st.integers(1, idealization.RANK_CAP),
+    st.integers(4, idealization.PREC_CAP),
+    st.integers(0, 2**32 - 1),
+)
+def test_ring_law_admitted_shapes(field, rank, prec, seed):
+    _check_ring_law(make_ring(field, rank, prec), random.Random(seed))
 
 
 def _random_row(ring, rng, top):

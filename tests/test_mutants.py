@@ -7,9 +7,10 @@ nothing.  The mutated function reads its module's globals, as the original
 does, so a test that patches a name in the module reaches the mutant too.
 It stands in for the original in every loaded module that holds it (the
 modules that import it by name, the test modules included), or, for a
-classmethod, on its class, as a real fault would.  The named test then runs
-in-process and must fail on an assertion: a comparison catches the fault,
-not a crash that a harmless change could also cause.
+method, plain or class, on the class its qualified name names, as a real
+fault would.  The named test then runs in-process and must fail on an
+assertion: a comparison catches the fault, not a crash that a harmless
+change could also cause.
 """
 
 import __future__
@@ -17,7 +18,7 @@ import inspect
 import sys
 import textwrap
 import types
-from functools import partial
+from functools import partial, reduce
 
 import pytest
 import test_idealization
@@ -28,7 +29,7 @@ import test_ringlab
 import test_sweep
 
 from stablerings import idealization, quadalg, relideal, ringlab, sweep
-from stablerings.idealization import TruncatedSeries
+from stablerings.idealization import IdealizationRing, TruncatedSeries
 from stablerings.numsg import NumericalSemigroup
 
 # (function, text, mutated text, the test that must fail under the mutant)
@@ -88,6 +89,12 @@ MUTANTS = (
         "square = g_times_i if stable else _square(ring, products)",
         "square = g_times_i",
         test_idealization.test_mismatch_with_square_is_not_stable,
+    ),
+    (  # the module part becomes v1*l2 + v1*l1, which is not commutative
+        IdealizationRing.mul,
+        "mul_add(a, lb, b, la)",
+        "mul_add(a, lb, a, la)",
+        partial(test_idealization.test_ring_law_grid, "F2"),
     ),
     (
         TruncatedSeries._mul_add,
@@ -165,14 +172,23 @@ def _patched(check):
         check(monkeypatch=mp)
 
 
+def stand_in(monkeypatch, fn, replacement) -> None:
+    """Put ``replacement`` wherever the program looks ``fn`` up, undone with the monkeypatch.
+
+    A method, plain or class, is looked up on the class its qualified name
+    names; a module function in each loaded module that holds it by name.
+    """
+    owner, _, name = fn.__qualname__.rpartition(".")
+    if owner:
+        monkeypatch.setattr(reduce(getattr, owner.split("."), sys.modules[fn.__module__]), name, replacement)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__dict__", {}).get(name) is fn:
+            monkeypatch.setattr(module, name, replacement)
+
+
 @pytest.mark.parametrize("fn, old, new, check", MUTANTS, ids=[m[0].__name__ for m in MUTANTS])
 def test_mutant_is_killed(monkeypatch, fn, old, new, check):
-    mutant = _mutate(fn, old, new)
-    if inspect.ismethod(fn):  # a classmethod read off its class
-        monkeypatch.setattr(fn.__self__, fn.__name__, mutant)
-    for module in list(sys.modules.values()):
-        if getattr(module, "__dict__", {}).get(fn.__name__) is fn:
-            monkeypatch.setattr(module, fn.__name__, mutant)
+    stand_in(monkeypatch, fn, _mutate(fn, old, new))
     if "monkeypatch" in inspect.signature(check).parameters:
         check = partial(_patched, check)
     with pytest.raises(AssertionError):
