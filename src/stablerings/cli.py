@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -257,7 +256,7 @@ COMMANDS = {
 COMMON = (
     _arg("--json", action="store_true", help="emit the JSON report"),
     _arg("--seed", type=int, default=0, help="seed echoed in reports and used by randomized checks"),
-    _arg("--jobs", type=int, default=os.cpu_count() or 1, help="worker processes for sweeps"),
+    _arg("--jobs", type=int, default=sweep.usable_cpus(), help="worker processes for sweeps"),
     _arg("--no-timing", action="store_true", help="omit elapsed time for byte-stable output"),
 )
 

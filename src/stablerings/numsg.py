@@ -26,9 +26,9 @@ from typing import NamedTuple
 from .errors import CapExceeded, EmptyInput, GcdNotOne
 
 # a whole `sweep --max-genus 20` run at 2 jobs takes 3.7-6.4 s in a fresh process
-# on a shared 2-core 2.1 GHz Xeon with Python 3.11.7, and 16.5-27.1 s with
-# `--sally-genus-cap 14 --n-max 32` (6 runs each, 3 in each of two sessions on
-# that box), inside the 120 s ceiling; `sg report 7,8`, of genus 21, stays refused
+# on a shared 2-core 2.1 GHz Xeon with Python 3.11.7 (9 runs, in three sets of 3
+# at different times), and 14.1-16.8 s with `--sally-genus-cap 14 --n-max 32`
+# (3 runs), inside the 120 s ceiling; `sg report 7,8`, of genus 21, stays refused
 ENUMERATION_GENUS_CAP = 20
 WINDOW_CAP = 1 << 20
 GENERATOR_CAP = 256

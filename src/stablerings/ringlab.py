@@ -23,9 +23,13 @@ generators of M^2 ... M^n_max with ``relideal._generator_mask``,
 ``multiplicity_via_hilbert`` takes its three Hilbert-function probes, each
 a power of M against the gap mask of S, off the same chain; the caller
 builds it once per semigroup and passes it to all three.  ``sally_check``
-runs on S and a bare hole mask, so the sweep's per-ideal pass builds no
-ideal object.  The power range ``n_max`` is checked by ``check_n_max``
-where it enters, in the sweep and the CLI, not by the checks.
+is one pass over S's normalized ideals, as bare hole masks: it reads each
+ideal's generator mask once, into one table, and looks the generator count
+of every power up there, as each power is itself a normalized ideal; it
+returns each ideal's (hypothesis, conclusion) verdict, from which the sweep
+derives its counts and violation lines.  The power range ``n_max`` is
+checked by ``check_n_max`` where it enters, in the sweep and the CLI, not
+by the checks.
 
 Quadratic test note: the extension test only needs pairs of gaps of S.  If
 x is a member of S then x + y always lies in y + S, and symmetrically for y.
@@ -43,6 +47,7 @@ from .relideal import (
     _census_counts,
     _generator_mask,
     _power_chain,
+    enumerate_normalized_ideals,
     max_ideal,
     minimal_generator_count,
 )
@@ -143,21 +148,13 @@ def check_n_max(n_max: int) -> None:
         raise CapExceeded(f"n_max {n_max} exceeds cap {N_MAX_CAP}")
 
 
-def _power_two_generated(S: NumericalSemigroup, powers) -> bool:
-    """Does one of these hole masks, each a power of an ideal of S, have at most two generators?"""
-    for holes in powers:  # a plain loop: any() over a generator costs a tenth of the Sally pass
-        if _generator_mask(S, holes).bit_count() <= 2:
-            return True
-    return False
-
-
 def two_generator_check(S: NumericalSemigroup, n_max: int, chain: list[int]) -> dict:
     """Does some power M^n (2 <= n <= n_max) drop to two generators?  Read off ``max_ideal_chain(S)``.
 
     The biconditional under test: such a power exists iff the multiplicity is
     at most 2.
     """
-    power_two_generated = _power_two_generated(S, chain[1:n_max])
+    power_two_generated = any(_generator_mask(S, holes).bit_count() <= 2 for holes in chain[1:n_max])
     mult_le_2 = S.multiplicity <= 2
     return {
         "power_two_generated": power_two_generated,
@@ -166,25 +163,33 @@ def two_generator_check(S: NumericalSemigroup, n_max: int, chain: list[int]) -> 
     }
 
 
-def sally_check(S: NumericalSemigroup, holes: int, n_max: int) -> dict:
-    """Two-generated power implies two-generated and stable, for the ideal of S with this hole mask.
+def sally_check(S: NumericalSemigroup, n_max: int) -> dict[int, tuple[bool, bool]]:
+    """Two-generated power implies two-generated and stable, over every normalized ideal of S.
 
-    hypothesis: some n-fold sum of I with 2 <= n <= n_max has at most two
-    minimal generators.  conclusion: I itself has at most two and is stable.
-    Both sides are translation-invariant, so the verdict is the same for
-    every least element of I, and the hole mask is all it reads.
+    Returns each ideal's (hypothesis, conclusion) by its hole mask, in the
+    order of ``enumerate_normalized_ideals``.  hypothesis: some n-fold sum
+    of I with 2 <= n <= n_max has at most two minimal generators.
+    conclusion: I itself has at most two and is stable.  Both sides are
+    translation-invariant, so the verdict is the same for every least
+    element of I.  Each ideal's generator mask is read once, into one
+    table.  Every power nI - n min(I) is itself a normalized ideal of S, so
+    its count is looked up there, and a power missing from the table raises
+    KeyError.
     """
-    gens = _generator_mask(S, holes)
-    powers = _power_chain(S, holes, gens, n_max)
-    next(powers)  # I itself
-    double = next(powers)  # n_max >= 2
-    hypothesis = _generator_mask(S, double).bit_count() <= 2 or _power_two_generated(S, powers)
-    conclusion = gens.bit_count() <= 2 and double == holes  # stable: the chain repeats at 2I
-    return {
-        "hypothesis": hypothesis,
-        "conclusion": conclusion,
-        "ok": (not hypothesis) or conclusion,
-    }
+    table = {holes: _generator_mask(S, holes) for holes in enumerate_normalized_ideals(S)}
+    verdicts = {}
+    for holes, gens in table.items():
+        powers = _power_chain(S, holes, gens, n_max)
+        next(powers)  # I itself
+        double = next(powers)  # n_max >= 2
+        hypothesis = table[double].bit_count() <= 2
+        if not hypothesis:
+            for power in powers:  # a plain loop: any() over a generator costs more
+                if table[power].bit_count() <= 2:
+                    hypothesis = True
+                    break
+        verdicts[holes] = hypothesis, gens.bit_count() <= 2 and double == holes  # stable: repeats at 2I
+    return verdicts
 
 
 def greither_check(report: dict) -> dict:

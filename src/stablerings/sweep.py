@@ -12,8 +12,9 @@ the dict that ``sg report`` prints, whose ``semigroup`` entry names the
 semigroup in each violation line, the three checks on the powers of M read
 one chain, ``ringlab.max_ideal_chain``, the tower's members are built only
 for multiplicity 2 (one semigroup per genus), and ``ringlab.sally_check``
-runs on the hole masks that ``relideal.enumerate_normalized_ideals``
-returns.
+returns the (hypothesis, conclusion) verdict of every normalized ideal by
+hole mask, from which the sweep counts the ideals and the boundary cases
+(hypothesis met by an ideal other than S) and writes each violation line.
 
 The sweep is one walk of the semigroup tree, split into subtrees as
 Fromentin and Hivert split it ("Exploring the tree of numerical
@@ -47,15 +48,14 @@ from itertools import starmap
 from . import ringlab
 from .errors import CapExceeded
 from .numsg import NAT, NumericalSemigroup, check_genus, children, enumerate_semigroups
-from .relideal import RelativeIdeal, _blowup_gap_mask, _census_counts
-from .relideal import blowup_tower, enumerate_normalized_ideals
+from .relideal import RelativeIdeal, _blowup_gap_mask, _census_counts, blowup_tower
 
 SALLY_GENUS_CAP = 8
-# `sweep --max-genus 16 --n-max 32 --sally-genus-cap C --jobs 2` takes 13.5-20 s
-# at C = 14 (6 runs) and 51-66 s at C = 15 (2 runs, one per session: a run takes
-# about a minute) in a fresh process on a shared 2-core 2.1 GHz Xeon with Python
-# 3.11.7, and 16.5-27.1 s at C = 14 with `--max-genus 20` (6 runs); 15 fits the
-# 120 s ceiling too, but 14 leaves room to raise the genus cap
+# `sweep --max-genus 16 --n-max 32 --sally-genus-cap C --jobs 2` takes 9.6-11.7 s
+# at C = 14 and 31.7-31.9 s at C = 15 (2 runs each, C = 15 with this cap raised in
+# a copy) in a fresh process on a shared 2-core 2.1 GHz Xeon with Python 3.11.7,
+# and 14.1-16.8 s at C = 14 with `--max-genus 20` (3 runs); 15 fits the 120 s
+# ceiling too, but 14 leaves room to raise the genus cap
 SALLY_GENUS_CAP_MAX = 14
 
 
@@ -126,16 +126,16 @@ def analyze_semigroup(
 
     out = {"violations": violations}
     if S.genus <= sally_cap:
-        ideals = enumerate_normalized_ideals(S)
+        verdicts = ringlab.sally_check(S, n_max)
         boundary = 0
         principal = S.gap_mask  # S itself, whose only generator is min(I) = 0
-        for holes in ideals:
-            res = ringlab.sally_check(S, holes, n_max)
-            if not res["ok"]:
+        for holes, (hypothesis, conclusion) in verdicts.items():
+            if hypothesis and not conclusion:
+                res = {"hypothesis": hypothesis, "conclusion": conclusion, "ok": False}
                 flag("sally", f"ideal {RelativeIdeal(S, 0, holes).minimal_generators}: {res}")
-            if res["hypothesis"] and holes != principal:
+            if hypothesis and holes != principal:
                 boundary += 1
-        out["sally"] = {"ideals": len(ideals), "boundary": boundary}
+        out["sally"] = {"ideals": len(verdicts), "boundary": boundary}
     return out
 
 
@@ -151,11 +151,18 @@ CHECK_NAMES = (
 )
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def clamp_jobs(jobs: int, tasks: int) -> int:
-    """Worker processes to start: at least 1, at most the CPUs and the tasks, and 1 without ``os.fork``."""
+    """Worker processes to start: at least 1, at most the usable CPUs and the tasks, and 1 without ``os.fork``."""
     if not hasattr(os, "fork"):
         return 1
-    return max(1, min(jobs, os.cpu_count() or 1, tasks))
+    return max(1, min(jobs, usable_cpus(), tasks))
 
 
 def _walk(root: NumericalSemigroup, max_genus: int):

@@ -65,7 +65,7 @@ def test_ideal_q_costs(monkeypatch):
 SWEEP_G12_BOUNDS = {
     "_census_counts": 1_413,
     "from_gap_mask": 2_240,
-    "_generator_mask": 28_218,
+    "_generator_mask": 13_475,
     "_power_chain": 9_153,
     "_power_chain steps": 26_805,
 }
@@ -81,3 +81,23 @@ def test_sweep_g12_costs(monkeypatch):
     )
     assert sweep.run_sweep(12, 1)["violations_total"] == 0
     assert _outside(counts, SWEEP_G12_BOUNDS) == {}
+
+
+# --- the Sally pass at n_max 32: `run_sweep(10, 1, n_max=32, sally_cap=10)`, the sweep behind SALLY_N32_GOLDEN
+
+SALLY_N32_BOUNDS = {
+    "enumerate_normalized_ideals": 478,
+    # one per normalized ideal (64,151), and 1,872 for the powers of M that two_generator_check reads
+    "_generator_mask": 66_023,
+    "_power_chain": 64_629,
+    "_power_chain steps": 199_665,
+}
+
+
+def test_sally_n32_costs(monkeypatch):
+    counts = _count(
+        monkeypatch, relideal.enumerate_normalized_ideals, relideal._generator_mask, relideal._power_chain
+    )
+    res = sweep.run_sweep(10, 1, n_max=32, sally_cap=10)
+    assert res["violations_total"] == 0 and res["checks"]["sally"]["ideals_checked"] == 64_151
+    assert _outside(counts, SALLY_N32_BOUNDS) == {}

@@ -66,6 +66,18 @@ MUTANTS = (
         "_census_counts(child, _census_counts(root))",
         test_relideal.test_census_matches_oracle_walk,
     ),
+    (  # the hypothesis reads I's own generator count in place of 2I's
+        ringlab.sally_check,
+        "hypothesis = table[double]",
+        "hypothesis = table[holes]",
+        partial(test_ringlab.test_one_chain_and_bare_mask_verdicts, 2),
+    ),
+    (
+        ringlab.sally_check,
+        "hypothesis = table[double]",
+        "hypothesis = table[holes]",
+        partial(test_ringlab.test_power_chain_matches_ideal_sum_oracle, 2),
+    ),
     (  # the report's agreement leaves out the Bass verdict
         ringlab.stable_ring_report,
         "agreement=all_stable == quadratic == bass",

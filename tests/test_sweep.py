@@ -2,15 +2,25 @@
 
 import os
 import signal
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
 from stablerings import cli, ringlab, sweep
 from stablerings.errors import CapExceeded
 from stablerings.numsg import NAT, enumerate_semigroups, from_generators
-from stablerings.relideal import _blowup_gap_mask, _census_counts, blowup_tower, end_semigroup, max_ideal
+from stablerings.relideal import (
+    _blowup_gap_mask,
+    _census_counts,
+    blowup_tower,
+    end_semigroup,
+    enumerate_normalized_ideals,
+    max_ideal,
+)
 from stablerings.sweep import (
     CHECK_NAMES,
     SALLY_GENUS_CAP,
@@ -67,7 +77,8 @@ def test_violation_messages_read_the_report(monkeypatch):
     two = {"agree": False, "power_two_generated": True, "mult_le_2": False}
     monkeypatch.setattr(ringlab, "two_generator_check", lambda *args: two)
     monkeypatch.setattr(ringlab, "minimal_multiplicity_check", lambda *args: {"ok": False})
-    monkeypatch.setattr(ringlab, "sally_check", lambda *args: {"ok": False, "hypothesis": False})
+    hard = (True, False)  # hypothesis without conclusion, on every normalized ideal
+    monkeypatch.setattr(ringlab, "sally_check", lambda S, n_max: dict.fromkeys(enumerate_normalized_ideals(S), hard))
     monkeypatch.setattr(sweep, "blowup_tower", lambda S: [from_generators({3, 4, 5})] * 2)
     members = ["2,5: M_0 != 2 + S_1", "2,5: S_0 != S union M_0"]
     towers = {
@@ -92,12 +103,12 @@ def test_violation_messages_read_the_report(monkeypatch):
                 "minimal_multiplicity": ["2,5: {'ok': False}"],
                 "tower": tower + members,
                 "sally": [
-                    "2,5: ideal (0,): {'ok': False, 'hypothesis': False}",
-                    "2,5: ideal (0, 3): {'ok': False, 'hypothesis': False}",
-                    "2,5: ideal (0, 1): {'ok': False, 'hypothesis': False}",
+                    "2,5: ideal (0,): {'hypothesis': True, 'conclusion': False, 'ok': False}",
+                    "2,5: ideal (0, 3): {'hypothesis': True, 'conclusion': False, 'ok': False}",
+                    "2,5: ideal (0, 1): {'hypothesis': True, 'conclusion': False, 'ok': False}",
                 ],
             },
-            "sally": {"ideals": 3, "boundary": 0},
+            "sally": {"ideals": 3, "boundary": 2},
         }
 
 
@@ -134,7 +145,7 @@ def test_run_sweep_structure():
 
 def test_run_sweep_jobs_invariant(monkeypatch):
     # root genus 8, the Sally cap: 68 tasks, so jobs=3 starts a pool of two workers
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sweep, "usable_cpus", lambda: 2)
     assert run_sweep(9, jobs=1) == run_sweep(9, jobs=3)
 
 
@@ -193,7 +204,7 @@ def _forked(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", recording)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sweep, "usable_cpus", lambda: 2)
     return pids
 
 
@@ -357,13 +368,39 @@ def test_sally_cap_limits_ideal_sweep():
 
 
 def test_clamp_jobs(monkeypatch):
-    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(sweep, "usable_cpus", lambda: 4)
     assert clamp_jobs(100_000, 10**6) == 4
     assert clamp_jobs(100_000, 3) == 3
     assert clamp_jobs(2, 10) == 2
     assert clamp_jobs(0, 10) == clamp_jobs(-7, 10) == clamp_jobs(5, 0) == 1
-    monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(sweep, "usable_cpus", lambda: 1)
     assert clamp_jobs(8, 10) == 1
-    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(sweep, "usable_cpus", lambda: 4)
     monkeypatch.delattr(sweep.os, "fork")
     assert clamp_jobs(8, 10) == 1
+
+
+def test_usable_cpus_reads_the_affinity_set(monkeypatch):
+    # the CPUs this process may run on, not the machine's count
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 8)
+    if hasattr(sweep.os, "sched_getaffinity"):
+        monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0})
+        assert sweep.usable_cpus() == 1
+        monkeypatch.delattr(sweep.os, "sched_getaffinity")
+    assert sweep.usable_cpus() == 8
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
+    assert sweep.usable_cpus() == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+def test_jobs_default_follows_the_affinity_set():
+    # pinned to one CPU, a fresh process defaults --jobs to 1 and clamps 8 jobs to 1
+    script = (
+        "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+        "from stablerings import cli, sweep; "
+        "print(cli.build_parser().parse_args(['sweep', '--max-genus', '1']).jobs, sweep.clamp_jobs(8, 100))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(sweep.__file__).parents[1]))
+    argv = [sys.executable, "-c", script]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["1", "1"]
