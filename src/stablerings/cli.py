@@ -143,19 +143,21 @@ def _sweep(args):
 
 def _alg_classify(args):
     with open(args.file, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except RecursionError:
-            raise ValueError("JSON nested too deeply") from None
+        text = fh.read(quadalg.ALGEBRA_FILE_CAP + 1)
+    if len(text) > quadalg.ALGEBRA_FILE_CAP:
+        raise CapExceeded(f"algebra file exceeds the cap of {quadalg.ALGEBRA_FILE_CAP:,} characters")
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     A = quadalg.load_algebra_payload(payload)
-    cls = quadalg.classify_handelman(A)
+    cls, k = quadalg.classify_handelman(A)
     result = {
         "field": A.field.name,
         "dim": A.dimension,
         "quadratic": cls != quadalg.HandelmanClass.NotQuadratic,
         "class": cls.value,
-        # a quadratic class fixes the count, so only a non-quadratic algebra is scanned
-        "maximal_ideals": quadalg.CLASS_MAXIMAL_IDEALS.get(cls) or quadalg.maximal_ideal_count(A),
+        "maximal_ideals": k,
     }
     return "alg classify", f"{A.field.name} dim {A.dimension}", result, 0
 

@@ -20,7 +20,10 @@ Products, elimination, membership, pivot keys and valuations all run over
 the pairs, so their cost follows the nonzeros, not N.  A ring element (v, l)
 is the tuple (v, l_1, ..., l_r) of its series, which is also its row in
 V^{1+r}.  ``ring.mul`` is the ring product, and it makes each module part
-v1*l2 + v2*l1 in one pass.
+v1*l2 + v2*l1 in one pass.  ``ring.monomial(c, k)``, t^k in component c,
+is the one element built from its pairs: the generators of M, the rows
+(0, t^a*e_k) and the probes of P^2 = 0.  Every other element is a seeded
+draw or a product.
 
 An ideal is the list of its ring generators, and ``ideal_from_generators``
 returns its one computed form, the pivots of its module span with their
@@ -200,9 +203,9 @@ class IdealizationRing(namedtuple("IdealizationRing", "domain rank")):
     """The ring V*L at fixed rank and precision.
 
     An element (v, l) is the tuple (v, l_1, ..., l_r) of its series, which
-    is also its row in V^{1+r}; ``mul`` is the ring product.  ``domain`` is
-    the field's series class at this precision, ``series_class(field, N)``,
-    and ``prec`` reads N off it.
+    is also its row in V^{1+r}; ``mul`` is the ring product and ``monomial``
+    the one element builder.  ``domain`` is the field's series class at
+    this precision, ``series_class(field, N)``, and ``prec`` reads N off it.
     """
 
     __slots__ = ()
@@ -211,27 +214,16 @@ class IdealizationRing(namedtuple("IdealizationRing", "domain rank")):
     def prec(self) -> int:
         return self.domain.n
 
-    def series(self, coeffs) -> TruncatedSeries:
-        return self.domain.reduced(enumerate(coeffs[: self.prec]))
-
-    def element(self, v_coeffs, ell_coeffs=None) -> tuple:
-        ell = ell_coeffs or [[] for _ in range(self.rank)]
-        if len(ell) != self.rank:
-            raise ValueError(f"need {self.rank} module components")
-        return (self.series(v_coeffs), *map(self.series, ell))
-
-    def t_power(self, k: int) -> tuple:
-        return self.element([0] * k + [1])
-
-    def basis_ell(self, k: int, shift: int = 0) -> tuple:
-        """The element (0, t^shift * e_k), 1-indexed k."""
-        ell = [[] for _ in range(self.rank)]
-        ell[k - 1] = [0] * shift + [1]
-        return self.element([], ell)
+    def monomial(self, c: int, k: int) -> tuple:
+        """The element with t^k in component c (0 is V, c >= 1 is e_c) and zero elsewhere; zero when k >= N."""
+        d = self.domain
+        row = [d()] * (1 + self.rank)
+        row[c] = d([(k, 1)] if k < self.prec else [])
+        return tuple(row)
 
     def maximal_ideal(self) -> list:
         """The generators [t, e_1, ..., e_r] of the maximal ideal tV + L."""
-        return [self.t_power(1)] + [self.basis_ell(k) for k in range(1, self.rank + 1)]
+        return [self.monomial(0, 1)] + [self.monomial(c, 0) for c in range(1, self.rank + 1)]
 
     def mul(self, x: tuple, y: tuple) -> tuple:
         """(v1,l1)(v2,l2) = (v1*v2, v1*l2 + v2*l1), each module part in one pass."""
@@ -277,7 +269,7 @@ def _random_element(ring: IdealizationRing, rng: random.Random, regular: bool) -
 
 def _random_p_element(ring: IdealizationRing, rng: random.Random) -> tuple:
     """A seeded random element (0, l) of P = 0*L."""
-    return (ring.series([]), *(_random_series(ring, rng) for _ in range(ring.rank)))
+    return (ring.domain(), *(_random_series(ring, rng) for _ in range(ring.rank)))
 
 
 # --- module reduction -------------------------------------------------------
@@ -382,10 +374,8 @@ def ideal_from_generators(ring: IdealizationRing, gens) -> Pivots:
     if not gens:
         raise EmptyInput("need at least one ideal generator")
     a = min(g[0].valuation() for g in gens)
-    d = ring.domain
-    zero, t_a = d(), d([(a, 1)] if a < ring.prec else [])
     # first, so that a tie on the pivot key picks a row with one nonzero entry
-    rows = [(zero,) * k + (t_a,) + (zero,) * (ring.rank - k) for k in range(1, ring.rank + 1)]
+    rows = [ring.monomial(k, a) for k in range(1, ring.rank + 1)]
     return reduce_rows(ring, rows + gens)
 
 
@@ -465,11 +455,11 @@ def square_zero_prime_check(ring: IdealizationRing) -> dict:
     the maximal ideal, and t^N = 0 witnesses separatedness.
     """
     rng = random.Random(7)
-    probes = [ring.basis_ell(k, shift) for k in range(1, ring.rank + 1) for shift in (0, 1)]
+    probes = [ring.monomial(k, shift) for k in range(1, ring.rank + 1) for shift in (0, 1)]
     probes += [_random_p_element(ring, rng) for _ in range(4)]
     p_squared_zero = all(_is_zero(ring.mul(a, b)) for a in probes for b in probes)
-    t = ring.series([0, 1])
-    quotient_is_dvr = t.valuation() == 1 and not any(t * ring.t_power(ring.prec - 1)[0])
+    t = ring.monomial(0, 1)[0]
+    quotient_is_dvr = t.valuation() == 1 and not any(t * ring.monomial(0, ring.prec - 1)[0])
     return {"p_squared_zero": p_squared_zero, "quotient_is_dvr": quotient_is_dvr}
 
 
@@ -479,7 +469,7 @@ def _random_regular_generators(ring: IdealizationRing, rng: random.Random) -> li
     if rng.random() < 0.3:
         g2 = _random_p_element(ring, rng)
         if _is_zero(g2):
-            g2 = ring.basis_ell(1)
+            g2 = ring.monomial(1, 0)
     else:
         g2 = _random_element(ring, rng, regular=False)
     return [g1, g2]

@@ -39,6 +39,12 @@ from .errors import (
 # scan over the elements of a built algebra sees at most 315 of them.
 PAIR_TEST_BOUND = 50_000
 
+# Cap on the characters of an algebra file, read before it is parsed.  The
+# largest table under the pair bound, dimension 8 over F2, is 1.7 KB of compact
+# JSON, 6.8 KB at indent 2 and 21.6 KB at indent 8; so 1 MiB keeps every valid
+# file and stops an endless one, such as /dev/zero, at a bounded read.
+ALGEBRA_FILE_CAP = 1 << 20
+
 
 class SmallField(NamedTuple):
     """Arithmetic for one of F2, F3, F4, F5.
@@ -194,16 +200,6 @@ class HandelmanClass(Enum):
     NotQuadratic = "NotQuadratic"
 
 
-# the maximal ideals of each quadratic class: a classified algebra needs no idempotent scan
-CLASS_MAXIMAL_IDEALS = {
-    HandelmanClass.BaseField: 1,
-    HandelmanClass.QuadraticFieldExtension: 1,
-    HandelmanClass.LocalSquareZeroMax: 1,
-    HandelmanClass.FxF: 2,
-    HandelmanClass.FxFxF_overF2: 3,
-}
-
-
 def _nilpotents(A: StructureAlgebra) -> list[tuple[int, ...]]:
     # x is nilpotent iff x^d = 0: the multiplication operator is a d x d
     # matrix, so nilpotency shows up by the d-th power
@@ -231,32 +227,34 @@ def maximal_ideal_count(A: StructureAlgebra) -> int:
     return k
 
 
-def classify_handelman(A: StructureAlgebra) -> HandelmanClass:
-    """NotQuadratic, or the first of the five quadratic classes whose condition holds.
+def classify_handelman(A: StructureAlgebra) -> tuple[HandelmanClass, int]:
+    """(class, k): NotQuadratic or the first quadratic class whose condition holds, and the maximal-ideal count k.
 
-    Each condition states its class as the theorem does, with the checks the
-    theorem implies: a reduced local quadratic algebra has degree 2, and a
-    local one has the base field as residue field.  A quadratic algebra that
-    fits no class raises Unclassifiable, an internal inconsistency that must
-    never happen.
+    k is read once, by ``maximal_ideal_count``, for every algebra, quadratic
+    or not.  Each condition states its class as the theorem does, with the
+    checks the theorem implies: a reduced local quadratic algebra has degree
+    2, and a local one has the base field as residue field.  A quadratic
+    algebra that fits no class raises Unclassifiable, an internal
+    inconsistency that must never happen.
     """
+    k = maximal_ideal_count(A)
     if not is_quadratic_over_base(A):
-        return HandelmanClass.NotQuadratic
+        return HandelmanClass.NotQuadratic, k
     d, q = A.dimension, A.field.q
     if d == 1:
-        return HandelmanClass.BaseField
-    k, nil = maximal_ideal_count(A), _nilpotents(A)
+        return HandelmanClass.BaseField, k
+    nil = _nilpotents(A)
     reduced = len(nil) == 1
     if k == 1 and reduced and d == 2:
-        return HandelmanClass.QuadraticFieldExtension
+        return HandelmanClass.QuadraticFieldExtension, k
     # the nilpotent count before the |nil|^2 products: q^(d-1) of them make F_q the residue field
     products = (A.mul(x, y) for i, x in enumerate(nil) for y in nil[i:])
     if k == 1 and len(nil) == q ** (d - 1) and all(p == A.zero() for p in products):
-        return HandelmanClass.LocalSquareZeroMax
+        return HandelmanClass.LocalSquareZeroMax, k
     if k == 2 and reduced and d == 2:
-        return HandelmanClass.FxF
+        return HandelmanClass.FxF, k
     if k == 3 and reduced and d == 3 and q == 2:
-        return HandelmanClass.FxFxF_overF2
+        return HandelmanClass.FxFxF_overF2, k
     raise Unclassifiable(f"quadratic algebra of dimension {d}, {k} maximal ideals and {len(nil)} nilpotents")
 
 

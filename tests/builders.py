@@ -1,17 +1,19 @@
 """Constructors that only the tests use.
 
-Sample algebras for the quadratic-algebra stack, sums of monomial ideals and
+Sample algebras for the quadratic-algebra stack, idealization series and
+elements from dense coefficient lists, sums of monomial ideals and
 products of idealization ideals with the powers built from them, translates
 of monomial ideals, the normalized ideals as ideal objects, semigroups from
 their gap sets and single values of the Hilbert function: the production
 code reads powers off one chain (``stablerings.idealization.hilbert_lengths``,
 ``stablerings.relideal._power_chain``), never adds two different ideals,
 never needs a single power or a single Hilbert value, never translates an
-ideal, walks the normalized ideals as bare hole masks, and builds
-semigroups from generators or member masks.  An idealization ideal is the
-list of its generators, each the row (v, l_1, ..., l_r) of its series, as
-in ``stablerings.idealization``, and ``ideal_product`` is the one product
-of two such lists in a ring.
+ideal, walks the normalized ideals as bare hole masks, builds
+semigroups from generators or member masks, and builds idealization
+elements from coefficients only as monomials (``IdealizationRing.monomial``).
+An idealization ideal is the list of its generators, each the row
+(v, l_1, ..., l_r) of its series, as in ``stablerings.idealization``, and
+``ideal_product`` is the one product of two such lists in a ring.
 ``ideal_sum`` is the only raiser of ``AmbientMismatch``, so that error
 lives here too.
 """
@@ -100,6 +102,19 @@ def enumerate_f_algebras(field_name: str, dim: int):
             yield algebra_from_table(field_name, dim, table)
         except (NotAssociative, NotCommutative, NoIdentity):
             continue
+
+
+def series(ring, coeffs):
+    """The series of a dense coefficient list in the ring's domain, cut at its precision."""
+    return ring.domain.reduced(enumerate(coeffs[: ring.prec]))
+
+
+def element(ring, v_coeffs, ell_coeffs=None) -> tuple:
+    """The ring element (v, l) of dense coefficient lists; l is zero when left out."""
+    ell = ell_coeffs or [[]] * ring.rank
+    if len(ell) != ring.rank:
+        raise ValueError(f"need {ring.rank} module components")
+    return (series(ring, v_coeffs), *(series(ring, c) for c in ell))
 
 
 def ideal_product(ring, I: list, J: list) -> list:

@@ -78,6 +78,7 @@ from math import gcd
 from operator import add, sub
 
 from builders import ideal_sum as relideal_sum
+from builders import series
 from stablerings.idealization import TruncatedSeries
 from stablerings.numsg import NumericalSemigroup
 from stablerings.relideal import RelativeIdeal, minimal_generator_count
@@ -381,7 +382,7 @@ def contains_row(basis, pivots, row) -> bool:
 
 def ideal_rows(ring, gens) -> list[tuple]:
     """Module rows spanning the ring ideal of gens: (v, l) and (0, v*e_k) per generator."""
-    zero = ring.series([])
+    zero = series(ring, [])
     rows = []
     for g in gens:
         rows.append(g)

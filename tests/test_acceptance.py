@@ -31,7 +31,6 @@ from stablerings.quadalg import (
     HandelmanClass,
     classify_handelman,
     is_quadratic_over_base,
-    maximal_ideal_count,
 )
 from stablerings.relideal import (
     blowup_tower,
@@ -208,17 +207,17 @@ def test_criterion_7_handelman_exhaustion():
     failures = []
     for dim in (1, 2, 3):
         for A in enumerate_f_algebras("F2", dim):
-            cls = classify_handelman(A)  # raises Unclassifiable on inconsistency
+            cls, k = classify_handelman(A)  # raises Unclassifiable on inconsistency
             classified += 1
             if cls != HandelmanClass.NotQuadratic:
                 quadratic += 1
-                if maximal_ideal_count(A) > 3:
+                if k > 3:
                     failures.append(f"dim {dim}: {cls}")
-    if classify_handelman(product_field_algebra("F2", 3)) != HandelmanClass.FxFxF_overF2:
+    if classify_handelman(product_field_algebra("F2", 3)) != (HandelmanClass.FxFxF_overF2, 3):
         failures.append("F2xF2xF2")
     if is_quadratic_over_base(product_field_algebra("F3", 3)):
         failures.append("F3xF3xF3 claimed quadratic")
-    if classify_handelman(f4_over_f2_algebra()) != HandelmanClass.QuadraticFieldExtension:
+    if classify_handelman(f4_over_f2_algebra()) != (HandelmanClass.QuadraticFieldExtension, 1):
         failures.append("F4/F2")
     elapsed = time.monotonic() - started
     ok = not failures and elapsed < 60.0

@@ -1,6 +1,8 @@
 """CLI surface: parsing, reports, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -11,6 +13,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stablerings
 from stablerings import idealization, numsg, quadalg, relideal, ringlab, sweep
@@ -539,6 +543,18 @@ def test_alg_classify_malformed_file(capsys, tmp_path, text):
     assert err.startswith("error: ")
 
 
+def test_alg_classify_file_cap(capsys, tmp_path):
+    # a valid file padded to the cap is read; one character more is refused before it is parsed
+    text = json.dumps({"field": "F2", "dim": 2, "table": DUAL_TABLE})
+    path = tmp_path / "padded.json"
+    path.write_text(text.ljust(quadalg.ALGEBRA_FILE_CAP))
+    assert run(capsys, "alg", "classify", str(path), "--json")[0] == 0
+    path.write_text(text.ljust(quadalg.ALGEBRA_FILE_CAP + 1))
+    code, out, err = run(capsys, "alg", "classify", str(path), "--json")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: CapExceeded: algebra file exceeds the cap")
+
+
 def test_alg_classify_missing_file(capsys):
     code, _, err = run(capsys, "alg", "classify", "/nonexistent/file.json")
     assert code == 2
@@ -795,20 +811,25 @@ class OverBudget(Exception):
     """A command ran past its alarm."""
 
 
+def _algebra_files(directory) -> list[str]:
+    """The dual numbers' file, then the malformed algebra files, a missing file and a directory."""
+    files = []
+    for i, text in enumerate([json.dumps(DUAL_NUMBERS), *MALFORMED_ALGEBRAS]):
+        path = directory / f"algebra_{i}.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        files.append(str(path))
+    return files + [str(directory / "missing.json"), str(directory)]
+
+
 def _contract_argvs(tmp_path):
     """argv for each argument of each command in COMMANDS: malformed or at the edge of its cap.
 
     Every other argument holds a cheap admitted value, so an admitted argv
     costs at most a genus-4 sweep or a 5-trial idealization check.
     """
-    files = []
-    for i, text in enumerate([json.dumps(DUAL_NUMBERS), *MALFORMED_ALGEBRAS]):
-        path = tmp_path / f"algebra_{i}.json"
-        path.write_bytes(text if isinstance(text, bytes) else text.encode())
-        files.append(str(path))
+    files = _algebra_files(tmp_path)
     admitted = {"generators": "3,5", "--ideal": "0,2", "--max-genus": "4", "--trials": "5", "file": files[0]}
-    drawn = {"generators": MALFORMED_GENERATORS, "--ideal": MALFORMED_IDEALS,
-             "file": files[1:] + [str(tmp_path / "missing.json"), str(tmp_path)]}
+    drawn = {"generators": MALFORMED_GENERATORS, "--ideal": MALFORMED_IDEALS, "file": files[1:]}
     for words, (_, _, *arguments) in COMMANDS.items():
         base = list(words)
         for (flag, *_), _ in arguments:
@@ -860,6 +881,92 @@ def test_resource_contract_from_the_command_table(capsys, tmp_path):
     assert faults == []
 
 
+# Admitted --max-genus draws stop at genus 8: at --n-max 32 and
+# --sally-genus-cap 14 that sweep takes 0.07 s in-process and a genus-10 one
+# 0.4 s, and near ENUMERATION_GENUS_CAP a sweep takes seconds.  With it the
+# --sally-genus-cap draws, cap - 1 and cap included, stay cheap.  The
+# costliest admitted draw, 10,000 trials over Q, takes about 1.2 s.
+CONTRACT_GENUS = 8
+CONTRACT_ALARM_SECONDS = 3
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    """(admitted, edge) algebra files: the dual numbers' file first, and the file cap - 1, cap and cap + 1."""
+    directory = tmp_path_factory.mktemp("contract")
+    dual, *malformed = _algebra_files(directory)
+    padded = []
+    for size in (quadalg.ALGEBRA_FILE_CAP - 1, quadalg.ALGEBRA_FILE_CAP, quadalg.ALGEBRA_FILE_CAP + 1):
+        padded.append(str(directory / f"padded_{size}.json"))
+        Path(padded[-1]).write_text(json.dumps(DUAL_NUMBERS).ljust(size))
+    return [dual, *padded[:2]], [*malformed, padded[2]]
+
+
+def _drawn_values(flags, kwargs, files) -> tuple[list, list]:
+    """(admitted, edge): the values one argument draws.
+
+    The admitted values start with a cheap one, then come those at the cap
+    - 1 and the cap; the edge values are 0, negative, past the cap or
+    malformed.  None leaves a flag out.
+    """
+    flag = flags[0]
+    if kwargs.get("type") is int:
+        cap = KNOB_CAPS[flag]
+        if flag == "--jobs":  # always given, so no pool past 2 and no default from the machine
+            return ["1", "2"], ["0", "-1", "x"]
+        if flag == "--max-genus":
+            return list(map(str, range(CONTRACT_GENUS + 1))), ["-1", "x", str(cap + 1), str(10**100)]
+        if cap is None:
+            return [None, "0"], ["-1", "x", str(10**100)]
+        return [None, str(cap - 1), str(cap)], ["0", "-1", "x", str(cap + 1), str(10**100)]
+    if "choices" in kwargs:
+        return [None, *kwargs["choices"]], ["F7"]
+    if kwargs.get("action") == "store_true":
+        return [None, flag], []
+    at_cap = [range(n) for n in (GENERATOR_CAP - 1, GENERATOR_CAP)]
+    return {
+        "generators": (["3,5", *(",".join(str(1000 + z) for z in r) for r in at_cap)], MALFORMED_GENERATORS),
+        "--ideal": (["0,2", *(",".join(map(str, r)) for r in at_cap)], MALFORMED_IDEALS),
+        "file": files,
+    }[flag]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs signal.alarm")
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_resource_contract_at_the_caps(contract_files, data):
+    # a drawn command with every argument admitted, cheap or at its cap - 1
+    # or cap, but for at most one at an edge value; the contract is that of
+    # test_resource_contract_from_the_command_table
+    words = data.draw(st.sampled_from(list(COMMANDS)))
+    _, _, *arguments = COMMANDS[words]
+    drawn = {flags[0]: _drawn_values(flags, kwargs, contract_files) for flags, kwargs in (*arguments, *COMMON)}
+    at_edge = data.draw(st.sets(st.sampled_from([flag for flag, (_, edge) in drawn.items() if edge]), max_size=1))
+    argv = list(words)
+    for flag, (admitted, edge) in drawn.items():
+        value = data.draw(st.sampled_from(edge if flag in at_edge else admitted), label=flag)
+        if value is not None:
+            argv += [value] if not flag.startswith("-") or value == flag else [f"{flag}={value}"]
+
+    def over_budget(signum, frame):
+        raise OverBudget(argv)
+
+    out = io.StringIO()
+    previous = signal.signal(signal.SIGALRM, over_budget)
+    signal.alarm(CONTRACT_ALARM_SECONDS)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert out.getvalue() == ""
+    elif "--json" in argv:
+        json.loads(out.getvalue())
+
+
 # The costliest admitted commands and their exit codes.  The costliest
 # idealization check has the most trials the caps allow, not the largest
 # ring.  In fresh processes on a shared 2-core Xeon with Python 3.11.7, three
@@ -878,6 +985,7 @@ WORST_ADMITTED = {
                               "--trials", "10000", "--seed", "1"], 0),
     "tower-work-cap": (["sg", "tower", "1024,1025", "--cap", "1000000"], 3),  # after 68 steps
     "square-zero-8": (["alg", "classify", "square_zero_8.json"], 0),  # 256 elements, 32,896 pairs
+    "endless-file": (["alg", "classify", "/dev/zero"], 3),  # refused after reading the file cap + 1
 }
 CHILD_CPU_SECONDS = 10
 CHILD_ADDRESS_SPACE = 256 << 20
@@ -889,6 +997,8 @@ def test_worst_admitted_commands_within_limits(tmp_path, name):
     # exit 1), so each must still return its own exit code
     resource = pytest.importorskip("resource")
     argv, expected = WORST_ADMITTED[name]
+    if "/dev/zero" in argv and not os.path.exists("/dev/zero"):
+        pytest.skip("no /dev/zero")
     (tmp_path / "square_zero_8.json").write_text(json.dumps(_square_zero(8)))
 
     def limit():  # in the child, between fork and exec

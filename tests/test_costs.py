@@ -11,11 +11,13 @@ The census's nested ``count`` cannot be wrapped, so it is left out.
 """
 
 import inspect
+import json
 from collections import Counter
 
+import pytest
 from test_mutants import stand_in
 
-from stablerings import cli, idealization, relideal, sweep
+from stablerings import cli, idealization, quadalg, relideal, sweep
 from stablerings.idealization import IdealizationRing, TruncatedSeries
 from stablerings.numsg import NumericalSemigroup
 
@@ -101,3 +103,36 @@ def test_sally_n32_costs(monkeypatch):
     res = sweep.run_sweep(10, 1, n_max=32, sally_cap=10)
     assert res["violations_total"] == 0 and res["checks"]["sally"]["ideals_checked"] == 64_151
     assert _outside(counts, SALLY_N32_BOUNDS) == {}
+
+
+# --- one-shot commands: towers and reports on single large semigroups, and `alg classify` on F4 over F2
+
+F4_OVER_F2 = {"field": "F2", "dim": 2, "table": [[[1, 0], [0, 1]], [[0, 1], [1, 1]]]}
+ONE_SHOT_BOUNDS = {
+    # the semigroup, then one E(M) per step of a tower that reaches N after 64 and 20 steps
+    "sg tower 130,131": {"from_gap_mask": 65, "_blowup_gap_mask": 64},
+    "sg tower 2,41": {"from_gap_mask": 21, "_blowup_gap_mask": 20},
+    # the semigroup and one census
+    "sg report 6,7,8": {"from_gap_mask": 1, "_census_counts": 1},
+    "sg report 2,41": {"from_gap_mask": 1, "_census_counts": 1},
+    # one pair test, one idempotent scan and one nilpotent scan
+    "alg classify F4": {"is_quadratic_over_base": 1, "maximal_ideal_count": 1, "_nilpotents": 1},
+}
+
+
+@pytest.mark.parametrize("command", list(ONE_SHOT_BOUNDS))
+def test_one_shot_costs(monkeypatch, tmp_path, command):
+    path = tmp_path / "f4.json"
+    path.write_text(json.dumps(F4_OVER_F2))
+    counts = _count(
+        monkeypatch,
+        NumericalSemigroup.from_gap_mask,
+        relideal._blowup_gap_mask,
+        relideal._census_counts,
+        quadalg.is_quadratic_over_base,
+        quadalg.maximal_ideal_count,
+        quadalg._nilpotents,
+    )
+    argv = [str(path) if word == "F4" else word for word in command.split()]
+    assert cli.main([*argv, "--json", "--no-timing"]) == 0
+    assert _outside(counts, ONE_SHOT_BOUNDS[command]) == {}

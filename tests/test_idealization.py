@@ -43,7 +43,7 @@ from stablerings.idealization import (
 )
 
 import oracles
-from builders import ideal_power, ideal_product
+from builders import element, ideal_power, ideal_product, series
 from oracles import k_dimension
 
 
@@ -53,14 +53,14 @@ RQ = make_ring("Q", 3, 8)
 
 
 def test_series_basic_arithmetic():
-    s = R1.series([1, 1])
+    s = series(R1, [1, 1])
     assert s.valuation() == 0
     assert oracles.dense(s * s)[:3] == (1, 0, 1)
-    t = R1.series([0, 1])
+    t = series(R1, [0, 1])
     assert t.valuation() == 1
     assert (t * t).valuation() == 2
-    assert not any(R1.series([]))
-    assert R1.series([]).valuation() == R1.prec
+    assert not any(series(R1, []))
+    assert series(R1, []).valuation() == R1.prec
 
 
 def test_series_valuation_additivity():
@@ -74,7 +74,7 @@ def test_series_valuation_additivity():
 
 def test_rational_coefficients_are_exact():
     big = 2**64 + 1
-    a = RQ.series([big, -3 * big])
+    a = series(RQ, [big, -3 * big])
     b = dict(a * a)
     assert b[0] == big**2
     assert b[1] == -6 * big**2
@@ -92,45 +92,56 @@ def test_make_ring_guards():
     make_ring("Q", 3, 8)  # valid
 
 
+@pytest.mark.parametrize("field", ["F2", "F3", "F5", "Q"])
+def test_monomial_matches_dense_builder(field):
+    # t^k in component c, zero elsewhere, and zero from t^N on
+    ring = make_ring(field, 2, 8)
+    for c in range(3):
+        for k in range(10):
+            coeffs = [[0] * k + [1] if i == c else [] for i in range(3)]
+            assert ring.monomial(c, k) == element(ring, coeffs[0], coeffs[1:])
+    assert _is_zero(ring.monomial(1, 8)) and _is_zero(ring.monomial(0, 9))
+
+
 def test_multiplication_law_examples():
-    t = R1.t_power(1)
-    e1 = R1.basis_ell(1)
+    t = R1.monomial(0, 1)
+    e1 = R1.monomial(1, 0)
     p = R1.mul(t, e1)
-    assert not any(p[0]) and p[1] == R1.series([0, 1])
+    assert not any(p[0]) and p[1] == series(R1, [0, 1])
 
     # P squares to zero elementwise
-    x = R1.element([], [[1, 1, 0, 1]])
-    y = R1.element([], [[0, 1]])
+    x = element(R1, [], [[1, 1, 0, 1]])
+    y = element(R1, [], [[0, 1]])
     assert _is_zero(R1.mul(x, y))
 
-    a = R2.element([1, 1], [[1], []])
-    b = R2.element([1], [[], [1]])
-    assert R2.mul(a, b) == (R2.series([1, 1]), R2.series([1]), R2.series([1, 1]))
+    a = element(R2, [1, 1], [[1], []])
+    b = element(R2, [1], [[], [1]])
+    assert R2.mul(a, b) == (series(R2, [1, 1]), series(R2, [1]), series(R2, [1, 1]))
 
 
 def test_regularity_flags():
     # a nonzerodivisor has a nonzero V-component; the stability test needs one below N/2
-    assert R1.t_power(1)[0].valuation() < R1.prec // 2
-    assert not any(R1.basis_ell(1)[0])
+    assert R1.monomial(0, 1)[0].valuation() < R1.prec // 2
+    assert not any(R1.monomial(1, 0)[0])
     with pytest.raises(NotRegular):
-        is_stable_ideal(R1, [R1.basis_ell(1)])
+        is_stable_ideal(R1, [R1.monomial(1, 0)])
     with pytest.raises(NotRegular):
         is_stable_ideal(R1, [])
     half = R1.prec // 2
     with pytest.raises(NotRegular):
-        is_stable_ideal(R1, [R1.basis_ell(1), R1.t_power(half)])
-    assert is_stable_ideal(R1, [R1.basis_ell(1), R1.t_power(half - 1)])["margin"] == half
+        is_stable_ideal(R1, [R1.monomial(1, 0), R1.monomial(0, half)])
+    assert is_stable_ideal(R1, [R1.monomial(1, 0), R1.monomial(0, half - 1)])["margin"] == half
 
 
 def test_ideal_reduction_examples():
     # principal (t, 0): module rows (t,0) and (0,t), both pivots at valuation 1
-    I = ideal_from_generators(R1, [R1.t_power(1)])
+    I = ideal_from_generators(R1, [R1.monomial(0, 1)])
     assert [v for _, v in I] == [1, 1]
 
-    unit = ideal_from_generators(R1, [R1.t_power(0)])
+    unit = ideal_from_generators(R1, [R1.monomial(0, 0)])
     assert [v for _, v in unit] == [0, 0]
 
-    J = [R1.basis_ell(1)]
+    J = [R1.monomial(1, 0)]
     assert len(ideal_from_generators(R1, J)) == 1
     with pytest.raises(NotRegular):
         is_stable_ideal(R1, J)
@@ -163,7 +174,7 @@ def test_membership_of_generators_and_idempotence():
         basis, pivots = oracles.reduce_rows(R2, rows)
         assert pivots == got
         for g in gens:
-            for x in (g, R2.mul(g, R2.t_power(1))):
+            for x in (g, R2.mul(g, R2.monomial(0, 1))):
                 # a member leaves the pivots unchanged
                 assert reduce_rows(R2, rows + [x]) == got
                 assert oracles.contains_row(basis, pivots, x)
@@ -178,7 +189,7 @@ def _pivots_and_canonical(gens):
 
 def test_reduction_canonical_across_generating_sets():
     rng = random.Random(9)
-    unit = R2.element([1, 0, 1])
+    unit = element(R2, [1, 0, 1])
     for _ in range(40):
         gens = [_random_element(R2, rng, regular=True) for _ in range(2)]
         other = [R2.mul(unit, gens[1]), gens[0], oracles.row_add(gens[0], gens[1])]
@@ -198,20 +209,20 @@ def test_product_commutative_associative():
 
 
 def test_stability_examples():
-    v = is_stable_ideal(R1, [R1.t_power(1), R1.basis_ell(1)])
+    v = is_stable_ideal(R1, [R1.monomial(0, 1), R1.monomial(1, 0)])
     assert v["stable"] is True
     assert v["witness_valuation"] == 1
     assert v["margin"] == 8
 
-    v = is_stable_ideal(R1, [R1.t_power(0)])
+    v = is_stable_ideal(R1, [R1.monomial(0, 0)])
     assert v["stable"] is True and v["witness_valuation"] == 0
 
     with pytest.raises(NotRegular):
-        is_stable_ideal(R1, [R1.basis_ell(1)])
+        is_stable_ideal(R1, [R1.monomial(1, 0)])
 
 
 def test_stability_verdict_payload():
-    payload = is_stable_ideal(R1, [R1.t_power(1)])
+    payload = is_stable_ideal(R1, [R1.monomial(0, 1)])
     assert payload == {"stable": True, "witness_valuation": 1, "margin": 8}
 
 
@@ -324,7 +335,8 @@ def test_maximal_ideal_power_structure():
     # M^n = t^n V + t^(n-1) L: pivot valuations n, then n-1 repeated
     for rank in (1, 2):
         ring = make_ring("F2", rank, 16)
-        assert ring.maximal_ideal() == [ring.t_power(1)] + [ring.basis_ell(k) for k in range(1, rank + 1)]
+        units = [[[1] if c == k else [] for c in range(rank)] for k in range(rank)]
+        assert ring.maximal_ideal() == [element(ring, [0, 1])] + [element(ring, [], ell) for ell in units]
         for n in (1, 2, 3):
             P = ideal_from_generators(ring, ideal_power(ring, ring.maximal_ideal(), n))
             vals = sorted(v for _, v in P)
@@ -349,7 +361,7 @@ FIELDS = ("F2", "F3", "F5", "Q")
 
 def _check_ring_law(ring, rng):
     """Commutativity, associativity and the identity (1, 0) on 16 seeded triples of elements."""
-    mul, one = ring.mul, ring.t_power(0)
+    mul, one = ring.mul, ring.monomial(0, 0)
     for _ in range(16):
         a, b, c = (_random_element(ring, rng, regular=False) for _ in range(3))
         assert mul(a, b) == mul(b, a)
@@ -377,7 +389,7 @@ def test_ring_law_admitted_shapes(field, rank, prec, seed):
 
 def _random_row(ring, rng, top):
     return tuple(
-        _random_series(ring, rng, (0, top)) if rng.random() < 0.7 else ring.series([])
+        _random_series(ring, rng, (0, top)) if rng.random() < 0.7 else series(ring, [])
         for _ in range(1 + ring.rank)
     )
 
@@ -406,7 +418,7 @@ def _random_rows(ring, rng, kinds=None):
     for _ in range(rng.randint(1, 5)):
         kind = rng.random()
         if kind < 0.1:
-            rows.append((ring.series([]),) * (1 + ring.rank))
+            rows.append((series(ring, []),) * (1 + ring.rank))
             kind = "zero"
         elif kind < 0.35 and rows:
             # adding t^(v+1) * anything keeps the (valuation, column) of the row's minimum
@@ -414,7 +426,7 @@ def _random_rows(ring, rng, kinds=None):
             v = min(s.valuation() for s in base)
             if v + 1 >= ring.prec:
                 continue
-            shift = ring.series([0] * (v + 1) + [1])
+            shift = series(ring, [0] * (v + 1) + [1])
             extra = _random_row(ring, rng, top)
             rows.append(oracles.row_add(base, tuple(shift * b for b in extra)))
             kind = "tie"
@@ -440,7 +452,7 @@ def test_reduce_rows_matches_series_oracle(field):
         pivots = reduce_rows(ring, rows)
         basis, expected = oracles.reduce_rows(ring, rows)
         assert pivots == expected
-        t = ring.series([0, 1])
+        t = series(ring, [0, 1])
         for probe in (rng.choice(rows), tuple(t * s for s in rng.choice(rows)),
                       _random_row(ring, rng, ring.prec)):
             member = reduce_rows(ring, rows + [probe]) == pivots
@@ -463,7 +475,7 @@ def test_reduce_rows_is_canonical(field, rank, prec, rnd):
     scaled = []
     for row in rows:
         lead = d.rand_nonzero(rnd) if d.p else d.rand_nonzero(rnd) * rnd.randint(1, 5)
-        unit = ring.series([lead] + [d.rand(rnd) for _ in range(rnd.randint(0, 4))])
+        unit = series(ring, [lead] + [d.rand(rnd) for _ in range(rnd.randint(0, 4))])
         scaled.append(tuple(unit * s for s in row))
     assert reduce_rows(ring, scaled) == expected
     assert oracles.reduce_rows(ring, scaled) == oracles.reduce_rows(ring, rows)
@@ -476,15 +488,15 @@ def _random_generators(ring, rng, kinds):
     for _ in range(rng.randint(1, 3)):
         kind = rng.random()
         if kind < 0.1:
-            g, kind = ring.element([]), "zero"
+            g, kind = element(ring, []), "zero"
         elif kind < 0.35:
             ell = tuple(_random_series(ring, rng) for _ in range(ring.rank))
-            g, kind = (ring.series([]), *ell), "zero_v"
+            g, kind = (series(ring, []), *ell), "zero_v"
         elif kind < 0.55 and gens and min(h[0].valuation() for h in gens) < ring.prec:
             v = rng.choice([h[0].valuation() for h in gens if h[0].valuation() < ring.prec])
             unit = _random_series(ring, rng, (0, 0))
             g = _random_element(ring, rng, regular=False)
-            g, kind = (ring.series([0] * v + [1]) * unit, *g[1:]), "tie"
+            g, kind = (series(ring, [0] * v + [1]) * unit, *g[1:]), "tie"
         else:
             g, kind = _random_element(ring, rng, regular=rng.random() < 0.5), "random"
         gens.append(g)
@@ -559,26 +571,26 @@ def _table_with(key, element):
 
 def test_mismatch_with_square_is_not_stable(monkeypatch):
     # I^2 = gI is proved, so only a fault puts a product outside gI; the verdict must still report it
-    monkeypatch.setattr(idealization, "_products", _table_with((1, 1), R1.t_power(0)))
-    verdict = is_stable_ideal(R1, [R1.t_power(1), R1.basis_ell(1)])
+    monkeypatch.setattr(idealization, "_products", _table_with((1, 1), R1.monomial(0, 0)))
+    verdict = is_stable_ideal(R1, [R1.monomial(0, 1), R1.monomial(1, 0)])
     assert verdict["stable"] is False and verdict["witness_valuation"] is None
     # t^9 lies outside gI = (t^10, t^5*e_1), and I^2 then has the pivot t^9 past the margin 8
-    monkeypatch.setattr(idealization, "_products", _table_with((1, 1), R1.t_power(9)))
-    verdict = is_stable_ideal(R1, [R1.t_power(5), R1.basis_ell(1)])
+    monkeypatch.setattr(idealization, "_products", _table_with((1, 1), R1.monomial(0, 9)))
+    verdict = is_stable_ideal(R1, [R1.monomial(0, 5), R1.monomial(1, 0)])
     assert verdict["stable"] is None and verdict["witness_valuation"] is None
     # t^7 lies outside gI too, whose pivot t^10 reaches the margin, but I^2 = (t^7, t^5*e_1) does not:
     # the verdict must come from I^2
-    monkeypatch.setattr(idealization, "_products", _table_with((1, 1), R1.t_power(7)))
-    verdict = is_stable_ideal(R1, [R1.t_power(5), R1.basis_ell(1)])
+    monkeypatch.setattr(idealization, "_products", _table_with((1, 1), R1.monomial(0, 7)))
+    verdict = is_stable_ideal(R1, [R1.monomial(0, 5), R1.monomial(1, 0)])
     assert verdict["stable"] is False and verdict["witness_valuation"] is None
 
 
 def _factors(ring, rng):
     """Random ring elements: regular and not, in P, zero, and over Q with coefficients past 2**64."""
     out = [_random_element(ring, rng, regular=rng.random() < 0.5) for _ in range(4)]
-    out += [_random_p_element(ring, rng), ring.element([]), ring.t_power(0), ring.t_power(ring.prec - 1)]
+    out += [_random_p_element(ring, rng), element(ring, []), ring.monomial(0, 0), ring.monomial(0, ring.prec - 1)]
     if ring.domain.p is None:
-        out.append(ring.element([2**64 + 1, 0, -(2**65 + 7)], [[0, 5 * 2**64]] * ring.rank))
+        out.append(element(ring, [2**64 + 1, 0, -(2**65 + 7)], [[0, 5 * 2**64]] * ring.rank))
     return out
 
 
@@ -640,7 +652,7 @@ def test_product_table_gives_square_and_g_times_i(field, monkeypatch):
         if len(gens) > 1 and g[0].valuation() > 0:
             # a unit outside g's row is no member of g*I, whose V-components lie in t^(2v(g))V
             j = (k + 1) % len(gens)
-            table = {**_products(ring, gens), (j, j): ring.t_power(0)}
+            table = {**_products(ring, gens), (j, j): ring.monomial(0, 0)}
             with monkeypatch.context() as m:
                 m.setattr(idealization, "_products", lambda ring, gens: table)
                 reduced.clear()
@@ -654,12 +666,12 @@ def test_product_table_gives_square_and_g_times_i(field, monkeypatch):
 def _span_member(ring, rng, rows):
     """A V-combination of the rows, times a unit of V, whose lead over Q is not a unit of the integers."""
     d = ring.domain
-    out = ring.element([])
+    out = element(ring, [])
     for row in rows:
         c = _random_series(ring, rng, (0, ring.prec))
         out = oracles.row_add(out, tuple(c * s for s in row))
     lead = d.rand_nonzero(rng) if d.p else d.rand_nonzero(rng) * rng.randint(2, 5)
-    unit = ring.series([lead] + [d.rand(rng) for _ in range(rng.randint(0, 3))])
+    unit = series(ring, [lead] + [d.rand(rng) for _ in range(rng.randint(0, 3))])
     return tuple(unit * s for s in out)
 
 
@@ -675,13 +687,13 @@ def test_membership_matches_contains_row_oracle(field):
         pivots = reduce_rows(ring, rows)
         basis, expected = oracles.reduce_rows(ring, rows)
         assert pivots == expected and len(pivots.rows) == len(pivots)
-        zero = ring.element([])
+        zero = element(ring, [])
         assert _in_module(ring, pivots, zero) and oracles.contains_row(basis, expected, zero)
         kinds["zero"] += 1
         member = _span_member(ring, rng, rows)
         assert _in_module(ring, pivots, member) and oracles.contains_row(basis, expected, member)
         kinds["member"] += 1
-        t = ring.series([0, 1])
+        t = series(ring, [0, 1])
         for probe in (_random_row(ring, rng, ring.prec), tuple(t * s for s in member),
                       oracles.row_add(member, _random_row(ring, rng, rng.choice([2, ring.prec])))):
             inside = oracles.contains_row(basis, expected, probe)
@@ -824,13 +836,13 @@ def _drawn_series(ring, data):
     kind = data.draw(st.sampled_from(["zero", "random", "top", "unreduced", "inverse"]))
     coeffs = [0] * n
     if kind == "zero":
-        return ring.series([]), kind
+        return series(ring, []), kind
     if kind == "inverse":
         lead = data.draw(st.sampled_from([1, -1] if p is None else range(1, p)))
-        unit = ring.series([lead] + data.draw(st.lists(st.integers(-3, 3), max_size=3)))
+        unit = series(ring, [lead] + data.draw(st.lists(st.integers(-3, 3), max_size=3)))
         shift = data.draw(st.integers(0, n - 1))
-        inverse = ring.series([int(c) for c in oracles._inverse(oracles.dense(unit), p)])
-        return ring.series([0] * shift + [1]) * inverse, kind
+        inverse = series(ring, [int(c) for c in oracles._inverse(oracles.dense(unit), p)])
+        return series(ring, [0] * shift + [1]) * inverse, kind
     terms = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(-3, 3), max_size=4))
     for e, c in terms.items():
         coeffs[e] = c
@@ -839,7 +851,7 @@ def _drawn_series(ring, data):
     elif kind == "unreduced":
         coeffs[data.draw(st.integers(0, n - 1))] = (p or 7) * data.draw(st.integers(-2, 2))
         coeffs[data.draw(st.integers(0, n - 1))] = (p or 7) + 1
-    return ring.series(coeffs), kind
+    return series(ring, coeffs), kind
 
 
 @settings(max_examples=150, deadline=None)
@@ -848,11 +860,11 @@ def test_sparse_kernel_matches_dense_oracles(field, rank, prec, data):
     # the pair-form kernel against the dense oracles: canonical form, products that overflow
     # t^(N-1), multiples of inverses, and the pivots and membership of the rows and their products
     ring = IdealizationRing(series_class(field, prec), rank)
-    t = ring.series([0, 1])
-    top = ring.series([0] * (prec - 1) + [1])
+    t = series(ring, [0, 1])
+    top = series(ring, [0] * (prec - 1) + [1])
     assert t.valuation() == 1 and top.valuation() == prec - 1 and not t * top
     xs = [tuple(_drawn_series(ring, data)[0] for _ in range(1 + rank)) for _ in range(3)]
-    xs.append(ring.element([1]))
+    xs.append(element(ring, [1]))
     for s in (t, top, *(s for x in xs for s in x)):
         assert _is_canonical(ring, s)
         assert oracles.dense(s) == tuple(dict(s).get(e, 0) for e in range(prec))
@@ -869,5 +881,5 @@ def test_sparse_kernel_matches_dense_oracles(field, rank, prec, data):
     basis, expected = oracles.reduce_rows(ring, rows)
     assert pivots == expected
     extra = tuple(_drawn_series(ring, data)[0] for _ in range(1 + rank))
-    for probe in (ring.element([]), rows[-1], tuple(t * s for s in rows[0]), extra, oracles.row_add(rows[0], extra)):
+    for probe in (element(ring, []), rows[-1], tuple(t * s for s in rows[0]), extra, oracles.row_add(rows[0], extra)):
         assert _in_module(ring, pivots, probe) == oracles.contains_row(basis, expected, probe)

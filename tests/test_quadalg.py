@@ -110,23 +110,21 @@ def test_quadratic_rejects_cubic_extension():
         ],
     )
     assert is_quadratic_over_base(f8) is False
-    assert classify_handelman(f8) == HandelmanClass.NotQuadratic
+    assert classify_handelman(f8) == (HandelmanClass.NotQuadratic, 1)
 
 
 def test_classification_examples():
-    assert classify_handelman(dual_numbers_algebra("F2")) == HandelmanClass.LocalSquareZeroMax
-    assert classify_handelman(f4_over_f2_algebra()) == HandelmanClass.QuadraticFieldExtension
-    assert classify_handelman(product_field_algebra("F2", 3)) == HandelmanClass.FxFxF_overF2
-    assert classify_handelman(product_field_algebra("F2", 2)) == HandelmanClass.FxF
-    assert classify_handelman(product_field_algebra("F5", 2)) == HandelmanClass.FxF
-    assert classify_handelman(algebra_from_table("F2", 1, [[(1,)]])) == HandelmanClass.BaseField
-    assert classify_handelman(product_field_algebra("F3", 3)) == HandelmanClass.NotQuadratic
-    assert classify_handelman(dual_numbers_algebra("F5")) == HandelmanClass.LocalSquareZeroMax
+    # each class with its maximal-ideal count
+    assert classify_handelman(dual_numbers_algebra("F2")) == (HandelmanClass.LocalSquareZeroMax, 1)
+    assert classify_handelman(f4_over_f2_algebra()) == (HandelmanClass.QuadraticFieldExtension, 1)
+    assert classify_handelman(product_field_algebra("F2", 3)) == (HandelmanClass.FxFxF_overF2, 3)
+    assert classify_handelman(product_field_algebra("F2", 2)) == (HandelmanClass.FxF, 2)
+    assert classify_handelman(product_field_algebra("F5", 2)) == (HandelmanClass.FxF, 2)
+    assert classify_handelman(algebra_from_table("F2", 1, [[(1,)]])) == (HandelmanClass.BaseField, 1)
+    assert classify_handelman(product_field_algebra("F3", 3)) == (HandelmanClass.NotQuadratic, 3)
+    assert classify_handelman(dual_numbers_algebra("F5")) == (HandelmanClass.LocalSquareZeroMax, 1)
     # F9 over F3: x^2 = x + 1 is irreducible mod 3
-    assert (
-        classify_handelman(quadratic_extension_algebra("F3", 1, 1))
-        == HandelmanClass.QuadraticFieldExtension
-    )
+    assert classify_handelman(quadratic_extension_algebra("F3", 1, 1)) == (HandelmanClass.QuadraticFieldExtension, 1)
 
 
 def test_maximal_ideal_counts():
@@ -169,11 +167,11 @@ def test_exhaustive_f2_f3_small_dimensions():
     for name in ("F2", "F3"):
         for dim in (1, 2, 3):
             for A in enumerate_f_algebras(name, dim):
-                cls = classify_handelman(A)  # must never raise Unclassifiable
+                cls, k = classify_handelman(A)  # must never raise Unclassifiable
                 seen_classes.add((name, cls))
                 lines.append(f"{name} {dim} {cls.value}")
                 if cls != HandelmanClass.NotQuadratic:
-                    assert maximal_ideal_count(A) <= 3
+                    assert k <= 3
                 if cls == HandelmanClass.QuadraticFieldExtension:
                     assert A.dimension == 2
                 if cls == HandelmanClass.FxFxF_overF2:
@@ -227,7 +225,7 @@ def test_load_payload():
     A = load_algebra_payload(
         {"field": "F2", "dim": 2, "table": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]}
     )
-    assert classify_handelman(A) == HandelmanClass.LocalSquareZeroMax
+    assert classify_handelman(A) == (HandelmanClass.LocalSquareZeroMax, 1)
     with pytest.raises(ValueError):
         load_algebra_payload({"field": "F2", "dim": 2})
     with pytest.raises(ValueError):
