@@ -52,8 +52,6 @@ def _flatten(prefix: str, value, lines: list[str]) -> None:
         if all(isinstance(v, (dict, list, tuple)) for v in value) and value:
             for i, v in enumerate(value):
                 _flatten(f"{prefix}[{i}]", v, lines)
-        elif all(isinstance(v, int) and not isinstance(v, bool) for v in value):
-            lines.append(f"{prefix}: {_canonical(value)}")
         else:
             lines.append(f"{prefix}: " + " -> ".join(str(v) for v in value))
     elif isinstance(value, bool):

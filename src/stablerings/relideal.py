@@ -110,11 +110,6 @@ def end_semigroup(I: RelativeIdeal) -> NumericalSemigroup:
     return NumericalSemigroup.from_gap_mask(_end_gap_mask(I.holes, _offsets(I.generator_mask)))
 
 
-def max_ideal(S: NumericalSemigroup) -> RelativeIdeal:
-    """The maximal ideal M = S minus 0: M - m misses the gaps above m, the multiplicity."""
-    return RelativeIdeal(S, S.multiplicity, S.gap_mask >> S.multiplicity)
-
-
 def minimal_generator_count(I: RelativeIdeal) -> int:
     """mu(I): the number of minimal generators (graded Nakayama count)."""
     return I.generator_mask.bit_count()

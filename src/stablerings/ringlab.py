@@ -42,15 +42,7 @@ from __future__ import annotations
 from . import Payload
 from .errors import CapExceeded, NotStabilized
 from .numsg import NumericalSemigroup
-from .relideal import (
-    RelativeIdeal,
-    _census_counts,
-    _generator_mask,
-    _power_chain,
-    enumerate_normalized_ideals,
-    max_ideal,
-    minimal_generator_count,
-)
+from .relideal import _census_counts, _generator_mask, _power_chain, enumerate_normalized_ideals
 
 # Past the reduction number, which is below the multiplicity, the powers of
 # an ideal repeat one mask, and the sweep's multiplicities are at most 17.
@@ -72,8 +64,8 @@ def max_ideal_chain(S: NumericalSemigroup) -> list[int]:
     2*conductor + 5 that the Hilbert probes reach; later powers repeat the
     last mask.
     """
-    M = max_ideal(S)
-    return list(_power_chain(S, M.holes, M.generator_mask, 2 * S.conductor + 5))
+    holes = S.gap_mask >> S.multiplicity  # M - m misses the gaps above m
+    return list(_power_chain(S, holes, _generator_mask(S, holes), 2 * S.conductor + 5))
 
 
 def multiplicity_via_hilbert(S: NumericalSemigroup, chain: list[int]) -> int:
@@ -132,7 +124,7 @@ def stable_ring_report(S: NumericalSemigroup, counts: tuple[int, int] | None = N
         semigroup=",".join(str(g) for g in S.minimal_generators),
         ideal_count=ideal_count,
         stable_count=stable_count,
-        max_mu=minimal_generator_count(RelativeIdeal(S, 0, 0)),
+        max_mu=_generator_mask(S, 0).bit_count(),
         all_stable=all_stable,
         quadratic=quadratic,
         bass=bass,

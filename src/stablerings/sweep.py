@@ -32,11 +32,13 @@ itself (``_pool``), without ``multiprocessing``, whose import and pool
 start-up cost more than the forks and pipes.  Both run the same task
 function, and the workers inherit the parent's modules as they are.
 
-A task returns one aggregate: its semigroups by genus, its Sally counters
-and the violations of each flagged semigroup, keyed by (genus, gaps).  The
-merge sums the counts and orders the violations by that key, which is
-enumeration order (``numsg.enumerate_semigroups``), so the report is
-byte-stable regardless of worker count.
+A task returns its semigroups by genus, its Sally counters under the
+report's own names and its violations as flat ((genus, gaps), check, line)
+triples.  The merge sums the counts and sorts the triples by their key,
+stably, which is enumeration order (``numsg.enumerate_semigroups``) and
+keeps each semigroup's lines in the order it flagged them, so the report
+is byte-stable regardless of worker count; ``violations_total`` is the
+number of lines.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ def analyze_semigroup(
                 flag("sally", f"ideal {RelativeIdeal(S, 0, holes).minimal_generators}: {res}")
             if hypothesis and holes != principal:
                 boundary += 1
-        out["sally"] = {"ideals": len(verdicts), "boundary": boundary}
+        out["sally"] = {"checked": 1, "ideals_checked": len(verdicts), "boundary_cases": boundary}
     return out
 
 
@@ -191,15 +193,14 @@ def _walk(root: NumericalSemigroup, max_genus: int):
 
 
 def _task(root: NumericalSemigroup, max_genus: int, n_max: int, sally_cap: int) -> tuple:
-    """Analyze a subtree: its semigroups by genus, Sally counters and violations keyed by (genus, gaps)."""
+    """Analyze a subtree: its semigroups by genus, Sally counters and ((genus, gaps), check, line) violations."""
     by_genus, sally, violations = Counter(), Counter(), []
     for S, counts, sequence in _walk(root, max_genus):
         rec = analyze_semigroup(S, n_max, sally_cap, counts, sequence)
         by_genus[S.genus] += 1
-        if rec["violations"]:
-            violations.append(((S.genus, S.gaps()), rec["violations"]))
-        if "sally" in rec:
-            sally.update(checked=1, **rec["sally"])
+        for check, lines in rec["violations"].items():
+            violations += [((S.genus, S.gaps()), check, line) for line in lines]
+        sally.update(rec.get("sally", {}))
     return by_genus, sally, violations
 
 
@@ -343,15 +344,13 @@ def run_sweep(
     results = _pool(tasks, jobs) if jobs > 1 else starmap(_task, tasks)
     genera, sallies, found = zip(*results)
     by_genus, sally = sum(genera, Counter()), sum(sallies, Counter())
-    # each semigroup's violations once, in enumeration order: its (genus, gaps) key is unique
-    ordered = [violations for _, violations in sorted(v for part in found for v in part)]
+    # enumeration order; the sort is stable, so a semigroup's lines, all from one task, keep the order it flagged them
+    lines = sorted((v for part in found for v in part), key=lambda v: v[0])
     checks = {}
     for name in CHECK_NAMES:
         key = "divergences" if name == "monomial_vs_bass" else "violations"
-        checks[name] = {"checked": by_genus.total(), key: [line for v in ordered for line in v.get(name, ())]}
-    checks["sally"].update(
-        checked=sally["checked"], ideals_checked=sally["ideals"], boundary_cases=sally["boundary"]
-    )
+        checks[name] = {"checked": by_genus.total(), key: [line for _, check, line in lines if check == name]}
+    checks["sally"].update((key, sally[key]) for key in ("checked", "ideals_checked", "boundary_cases"))
     return {
         "max_genus": max_genus,
         "n_max": n_max,
@@ -359,5 +358,5 @@ def run_sweep(
         "semigroup_count": by_genus.total(),
         "counts_by_genus": {str(g): by_genus[g] for g in sorted(by_genus)},
         "checks": checks,
-        "violations_total": sum(len(lines) for v in ordered for lines in v.values()),
+        "violations_total": len(lines),
     }

@@ -3,14 +3,16 @@
 Sample algebras for the quadratic-algebra stack, idealization series and
 elements from dense coefficient lists, sums of monomial ideals and
 products of idealization ideals with the powers built from them, translates
-of monomial ideals, the normalized ideals as ideal objects, semigroups from
-their gap sets and single values of the Hilbert function: the production
-code reads powers off one chain (``stablerings.idealization.hilbert_lengths``,
+of monomial ideals, the maximal ideal and the normalized ideals as ideal
+objects, semigroups from their gap sets and single values of the Hilbert
+function: the production code reads powers off one chain
+(``stablerings.idealization.hilbert_lengths``,
 ``stablerings.relideal._power_chain``), never adds two different ideals,
 never needs a single power or a single Hilbert value, never translates an
-ideal, walks the normalized ideals as bare hole masks, builds
-semigroups from generators or member masks, and builds idealization
-elements from coefficients only as monomials (``IdealizationRing.monomial``).
+ideal, reads the maximal ideal and walks the normalized ideals as bare
+hole masks, builds semigroups from generators or member masks, and builds
+idealization elements from coefficients only as monomials
+(``IdealizationRing.monomial``).
 An idealization ideal is the list of its generators, each the row
 (v, l_1, ..., l_r) of its series, as in ``stablerings.idealization``, and
 ``ideal_product`` is the one product of two such lists in a ring.
@@ -23,7 +25,7 @@ from itertools import product
 from stablerings.errors import NoIdentity, NotAssociative, NotCommutative, StableringsError
 from stablerings.numsg import NumericalSemigroup
 from stablerings.quadalg import StructureAlgebra, algebra_from_table, get_field
-from stablerings.relideal import RelativeIdeal, _offsets, _power_chain, enumerate_normalized_ideals, max_ideal
+from stablerings.relideal import RelativeIdeal, _offsets, _power_chain, enumerate_normalized_ideals
 from stablerings.ringlab import _hilbert_length
 
 
@@ -161,6 +163,11 @@ def nfold(I: RelativeIdeal, n: int) -> RelativeIdeal:
 def translate(I: RelativeIdeal, t: int) -> RelativeIdeal:
     """The ideal t + I."""
     return RelativeIdeal(I.ambient, I.min_element + t, I.holes)
+
+
+def max_ideal(S: NumericalSemigroup) -> RelativeIdeal:
+    """The maximal ideal M = S minus 0: M - m misses the gaps above m, the multiplicity."""
+    return RelativeIdeal(S, S.multiplicity, S.gap_mask >> S.multiplicity)
 
 
 def normalized_ideals(S: NumericalSemigroup) -> list[RelativeIdeal]:

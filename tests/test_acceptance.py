@@ -16,6 +16,7 @@ from builders import (
     enumerate_f_algebras,
     f4_over_f2_algebra,
     ideal_sum,
+    max_ideal,
     normalized_ideals,
     product_field_algebra,
     translate,
@@ -36,7 +37,6 @@ from stablerings.relideal import (
     blowup_tower,
     end_semigroup,
     is_stable,
-    max_ideal,
     minimal_generator_count,
 )
 from stablerings.ringlab import (

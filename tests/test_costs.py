@@ -105,6 +105,21 @@ def test_sally_n32_costs(monkeypatch):
     assert _outside(counts, SALLY_N32_BOUNDS) == {}
 
 
+def test_sweeps_build_no_ideal_record(monkeypatch):
+    # the sweep's checks read bare masks, and only a Sally violation line, which prints an ideal, builds one
+    built = []
+    new = relideal.RelativeIdeal.__new__
+
+    def counted(cls, *args):
+        built.append(args)
+        return new(cls, *args)
+
+    monkeypatch.setattr(relideal.RelativeIdeal, "__new__", counted)
+    assert sweep.run_sweep(12, 1)["violations_total"] == 0
+    assert sweep.run_sweep(10, 1, n_max=32, sally_cap=10)["violations_total"] == 0
+    assert len(built) == 0
+
+
 # --- one-shot commands: towers and reports on single large semigroups, and `alg classify` on F4 over F2
 
 F4_OVER_F2 = {"field": "F2", "dim": 2, "table": [[[1, 0], [0, 1]], [[0, 1], [1, 1]]]}

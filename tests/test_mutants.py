@@ -78,6 +78,12 @@ MUTANTS = (
         "hypothesis = table[holes]",
         partial(test_ringlab.test_power_chain_matches_ideal_sum_oracle, 2),
     ),
+    (  # a power past 2I with exactly two generators does not meet the hypothesis
+        ringlab.sally_check,
+        "if table[power].bit_count() <= 2:",
+        "if table[power].bit_count() < 2:",
+        test_ringlab.test_sally_hypothesis_met_only_past_the_square,
+    ),
     (  # the report's agreement leaves out the Bass verdict
         ringlab.stable_ring_report,
         "agreement=all_stable == quadratic == bass",

@@ -5,7 +5,7 @@ import random
 
 import oracles
 import pytest
-from builders import AmbientMismatch, ideal_sum, nfold, normalized_ideals, translate
+from builders import AmbientMismatch, ideal_sum, max_ideal, nfold, normalized_ideals, translate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +22,6 @@ from stablerings.relideal import (
     enumerate_normalized_ideals,
     is_stable,
     make_ideal,
-    max_ideal,
     minimal_generator_count,
 )
 from stablerings.ringlab import stable_ring_report

@@ -2,17 +2,17 @@
 
 import oracles
 import pytest
-from builders import hilbert_function, ideal_sum, nfold, normalized_ideals, translate
+from builders import hilbert_function, ideal_sum, max_ideal, nfold, normalized_ideals, translate
 
 from stablerings import ringlab
 from stablerings.errors import CapExceeded, NotStabilized
+from stablerings.idealization import is_stable_ideal, make_ring
 from stablerings.numsg import NAT, enumerate_semigroups, from_generators
 from stablerings.relideal import (
     RelativeIdeal,
     enumerate_normalized_ideals,
     is_stable,
     make_ideal,
-    max_ideal,
     minimal_generator_count,
 )
 from stablerings.ringlab import (
@@ -180,6 +180,20 @@ def test_report_payload_field_names():
     assert payload["semigroup"] == "2,5"
 
 
+def test_results_read_by_attribute():
+    # the benchmark's tracer reads these two results by attribute from
+    # outside the package, and a missing name must read as a missing attribute
+    report = stable_ring_report(S345)
+    assert (report.ideal_count, report.agreement) == (report["ideal_count"], True)
+    R = make_ring("F2", 1, 16)
+    verdict = is_stable_ideal(R, [R.monomial(0, 1)])
+    assert verdict.stable is verdict["stable"] is True
+    for result in (report, verdict):
+        with pytest.raises(AttributeError):
+            result.missing
+        assert getattr(result, "missing", None) is None
+
+
 def test_two_generator_examples():
     r = two_generator_check(S27, 8, max_ideal_chain(S27))
     assert r == {"power_two_generated": True, "mult_le_2": True, "agree": True}
@@ -227,6 +241,15 @@ def test_sally_power_missing_from_the_table_raises(monkeypatch):
     monkeypatch.setattr(ringlab, "enumerate_normalized_ideals", lambda S: [h for h in enumerate_all(S) if h])
     with pytest.raises(KeyError):
         sally_check(S345, 2)
+
+
+def test_sally_hypothesis_met_only_past_the_square(monkeypatch):
+    # no normalized ideal of genus <= 11 has its first two-generated power
+    # past 2I, so the chain is stubbed on <3,4,5>: 2I is N (hole mask 0,
+    # three generators) and 3I is S + {1} (hole mask 0b100, two generators)
+    monkeypatch.setattr(ringlab, "_power_chain", lambda S, holes, gens, k: iter([holes, 0, 0b100][:k]))
+    assert not any(hypothesis for hypothesis, _ in sally_check(S345, 2).values())
+    assert all(hypothesis for hypothesis, _ in sally_check(S345, 3).values())
 
 
 def test_sally_translation_invariance():

@@ -9,6 +9,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from builders import max_ideal
 
 from stablerings import cli, ringlab, sweep
 from stablerings.errors import CapExceeded
@@ -19,7 +20,6 @@ from stablerings.relideal import (
     blowup_tower,
     end_semigroup,
     enumerate_normalized_ideals,
-    max_ideal,
 )
 from stablerings.sweep import (
     CHECK_NAMES,
@@ -45,13 +45,13 @@ def test_analyze_single_semigroup():
     # the record holds what the merge reads and nothing else; no violation
     # means the report's stable, quadratic and Bass verdicts agree
     rec = _analyze(from_generators({2, 5}))
-    assert rec == {"violations": {}, "sally": {"ideals": 3, "boundary": 2}}
+    assert rec == {"violations": {}, "sally": {"checked": 1, "ideals_checked": 3, "boundary_cases": 2}}
 
 
 def test_analyze_records_boundary_cases():
     rec = _analyze(from_generators({2, 3}))
     # the full monoid over <2,3> is two-generated, so its hypothesis fires
-    assert rec["sally"]["boundary"] >= 1
+    assert rec["sally"]["boundary_cases"] >= 1
     assert rec["violations"] == {}
 
 
@@ -108,8 +108,10 @@ def test_violation_messages_read_the_report(monkeypatch):
                     "2,5: ideal (0, 1): {'hypothesis': True, 'conclusion': False, 'ok': False}",
                 ],
             },
-            "sally": {"ideals": 3, "boundary": 2},
+            "sally": {"checked": 1, "ideals_checked": 3, "boundary_cases": 2},
         }
+        # the merge lists only the checks it names, so a line flagged under another name would go unlisted
+        assert set(rec["violations"]) <= set(CHECK_NAMES)
 
 
 def test_memo_pass_matches_end_semigroup_and_tower():
@@ -176,6 +178,9 @@ def test_run_sweep_merges_violations(monkeypatch):
     assert res["checks"]["monomial_vs_bass"] == {"checked": 8, "divergences": [n + ": m" for n in names]}
     assert res["checks"]["sally"] == {"checked": 2, "violations": [], "ideals_checked": 3, "boundary_cases": 1}
     assert res["violations_total"] == 2 * len(names) == 4
+    # every line counted is listed under some check
+    lines = [check.get("violations", check.get("divergences")) for check in res["checks"].values()]
+    assert res["violations_total"] == sum(map(len, lines))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
